@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Vprime", type=float, default=0.0)
     p.add_argument("--objective", choices=("linear-drift", "full-bound"),
                    default="linear-drift")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=8,
+                   help="random descent restarts (full-bound only)")
     p.add_argument("--steps", type=int, default=None, help="episode length")
     p.add_argument("--out", help="trace CSV path")
 
@@ -117,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=20000,
                    help="training budget per grid point (sac)")
     p.add_argument("--episodes", type=int, default=5)
-    p.add_argument("--restarts", type=int, default=2, help="DPP random restarts")
+    p.add_argument("--restarts", type=int, default=2,
+                   help="DPP random descent restarts (full-bound only)")
     p.add_argument("--out", required=True, help="trade-off CSV path")
 
     p = sub.add_parser("compare", help="DPP vs SAC on both cloud-cost kinds")

@@ -27,22 +27,23 @@ ARRIVAL_WINDOW = 100  # slots averaged for the windowed-arrival state block
 @dataclass(frozen=True)
 class Action:
     """CPU fractions alpha and bandwidth fractions beta, each on an
-    (N+1)-simplex whose last coordinate is the idle slack."""
+    (N+1)-simplex whose last coordinate is the idle slack. Arrays of shape
+    (S, N+1) hold a batch of S actions."""
 
     alpha: np.ndarray
     beta: np.ndarray
 
     @property
     def n_queues(self) -> int:
-        return len(self.alpha) - 1
+        return self.alpha.shape[-1] - 1
 
     @property
     def alpha_eff(self) -> np.ndarray:
-        return self.alpha[:-1]
+        return self.alpha[..., :-1]
 
     @property
     def beta_eff(self) -> np.ndarray:
-        return self.beta[:-1]
+        return self.beta[..., :-1]
 
     @classmethod
     def uniform(cls, n_queues: int) -> "Action":
@@ -166,31 +167,34 @@ def queue_update(q, a, b) -> np.ndarray:
                       - np.asarray(b, dtype=float))
 
 
-def edge_cost(action: Action, cfg: SystemConfig) -> float:
+def edge_cost(action: Action, cfg: SystemConfig):
     """Cubic power of the edge cores with the load split evenly: each of the
-    N_E cores runs at f_E * sum(alpha) / N_E."""
-    per_core_ghz = cfg.edge_clock * float(action.alpha_eff.sum()) / cfg.edge_cores / 1e9
-    return cfg.edge_cores * per_core_ghz ** 3
+    N_E cores runs at f_E * sum(alpha) / N_E. A float for one action, an
+    array for a batch."""
+    per_core_ghz = cfg.edge_clock * action.alpha_eff.sum(axis=-1) / cfg.edge_cores / 1e9
+    cost = cfg.edge_cores * per_core_ghz ** 3
+    return float(cost) if cost.ndim == 0 else cost
 
 
-def cloud_cost(offloads, cfg: SystemConfig) -> float:
-    """Cloud charge for the offloaded cycles W = sum w_i o_i.
+def cloud_cost(offloads, cfg: SystemConfig):
+    """Cloud charge for the offloaded cycles W = sum w_i o_i; a float for one
+    offload vector, an array for a batch of shape (S, N).
 
     cubic: same even-split cubic law over the N_C cloud cores.
     per-core: ceil(W / core clock) cores activated, each billed at its full
     cubic rate, a discontinuous staircase in W.
     """
-    cycles = float(np.dot(cfg.workloads, np.asarray(offloads, dtype=float)))
-    if cycles <= 0.0:
-        return 0.0
+    cycles = np.maximum(np.dot(np.asarray(offloads, dtype=float), cfg.workloads), 0.0)
     if cfg.cloud_cost_kind == "cubic":
         if cfg.cloud_cores < 1:
-            return math.inf
-        return cfg.cloud_cores * (cycles / cfg.cloud_cores / 1e9) ** 3
-    if cfg.cloud_cost_kind == "per-core":
-        cores = math.ceil(cycles / cfg.cloud_core_clock)
-        return cores * (cfg.cloud_core_clock / 1e9) ** 3
-    raise ValueError(f"unknown cloud_cost_kind {cfg.cloud_cost_kind!r}")
+            cost = np.where(cycles > 0.0, math.inf, 0.0)
+        else:
+            cost = cfg.cloud_cores * (cycles / cfg.cloud_cores / 1e9) ** 3
+    elif cfg.cloud_cost_kind == "per-core":
+        cost = np.ceil(cycles / cfg.cloud_core_clock) * (cfg.cloud_core_clock / 1e9) ** 3
+    else:
+        raise ValueError(f"unknown cloud_cost_kind {cfg.cloud_cost_kind!r}")
+    return float(cost) if cost.ndim == 0 else cost
 
 
 def actual_cpu_use(queue_plus_arrival, action: Action, cfg: SystemConfig) -> np.ndarray:

@@ -53,6 +53,13 @@ class SacController:
         return self.agent.act(state, deterministic=True)
 
 
+def controller_rng(seed: int) -> np.random.Generator:
+    """A controller's own random stream under `seed`: the generator of the
+    root SeedSequence(seed), whose spawned children are the episode streams
+    of `evaluate`, so the two never coincide."""
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
 def make_controller(kind: str, cfg: SystemConfig, rng: np.random.Generator,
                     dpp_cfg: DppConfig | None = None,
                     agent: SacAgent | None = None):
@@ -321,7 +328,7 @@ def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds,
     if out_csv:
         f = open(out_csv, "a", newline="")
         writer = csv.DictWriter(f, fieldnames=fieldnames)
-        if not done:
+        if f.tell() == 0:  # new or empty file; a resumed one has its header
             writer.writeheader()
 
     try:
@@ -361,7 +368,7 @@ def _sweep_entry(controller_kind, cfg, V, seed, dpp_cfg, sac_cfg, total_steps,
     """Means over `episodes` evaluation episodes for one grid point."""
     cfg = replace(cfg, penalty_weight=V)
     spec = default_reward_spec(cfg, kind=reward_kind)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    rng = controller_rng(seed)
     if controller_kind == "dpp":
         controller = DppController(cfg, replace(dpp_cfg or DppConfig(),
                                                 penalty_weight=V), rng)
@@ -413,8 +420,7 @@ def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
                "avg_queue": "", "avg_penalty": "", "reward_first": "",
                "reward_final": ""}
         try:
-            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-            controller = DppController(cfg_k, dpp_cfg, rng)
+            controller = DppController(cfg_k, dpp_cfg, controller_rng(seed))
             recs = evaluate(controller, cfg_k, 1, seed, spec,
                             controller_name="dpp", keep_traces=False)
             row.update(avg_queue=repr(recs[0].avg_queue),

@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lyaq.config import AppProfile, SystemConfig, desk_config, three_app_config
-from lyaq.dpp import (DppConfig, DppController, SolverDivergedError,
-                      UnsupportedObjectiveError, dpp_objective,
-                      dpp_step_optimize, project_simplex, run_dpp_episode,
-                      _descend, _objective_and_gradient)
-from lyaq.env import Action, action_errors
+from lyaq.config import (AppProfile, SystemConfig, desk_config,
+                         eight_app_config, three_app_config)
+from lyaq.dpp import (OBJECTIVE_KINDS, DppConfig, DppController,
+                      SolverDivergedError, UnsupportedObjectiveError,
+                      dpp_objective, dpp_step_optimize, project_simplex,
+                      run_dpp_episode, _descend, _multistart_descent,
+                      _objective_and_gradient, _structured_candidates)
+from lyaq.env import Action, EdgeCloudEnv, action_errors
 
 
 def project_simplex_sort(v):
@@ -128,25 +130,117 @@ class TestOptimizer:
         assert act.beta[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_grid_oracle_fifty_instances(self):
-        # exhaustive 101x101 oracle over the effective (alpha_1, beta_1)
+        # exhaustive 101x101 oracle over the effective (alpha_1, beta_1),
+        # scored in one batched objective call per instance
         cfg = speech_cfg()
         rng = np.random.default_rng(6)
-        grid = np.linspace(0.0, 1.0, 101)
+        al, be = np.meshgrid(np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 101))
+        al, be = al.ravel(), be.ravel()
+        grid = Action(alpha=np.stack([al, 1.0 - al], axis=1),
+                      beta=np.stack([be, 1.0 - be], axis=1))
         for _ in range(50):
             q = rng.uniform(0.0, 3e7)
             a = rng.uniform(0.0, 2e7)
             Vp = 10.0 ** rng.uniform(0.0, 10.0)
             dc = DppConfig(penalty_weight=Vp)
-            best = np.inf
-            for al in grid:
-                for be in grid:
-                    f = dpp_objective([q], [a], Action.from_effective([al], [be]),
-                                      cfg, dc)
-                    best = min(best, f)
+            best = dpp_objective([q], [a], grid, cfg, dc).min()
             act = dpp_step_optimize([q], [a], cfg, dc, rng)
+            # the instances were first drawn beside a solver that took 8
+            # random starts per call from this stream; burning those draws
+            # keeps the same 50 instances
+            for _ in range(16):
+                rng.dirichlet(np.ones(2))
             val = dpp_objective([q], [a], act, cfg, dc)
             assert val <= best + 0.01 * abs(best)
             assert action_errors(act, tol=1e-9) == []
+
+    def test_batched_objective_matches_single_actions(self):
+        cfg = three_app_config()
+        rng = np.random.default_rng(13)
+        alpha = rng.dirichlet(np.ones(4), 64)
+        beta = rng.dirichlet(np.ones(4), 64)
+        q = rng.uniform(0, 3e7, 3)
+        a = rng.uniform(0, 2e7, 3)
+        for kind in OBJECTIVE_KINDS:
+            for Vp in (0.0, 1e9):
+                dc = DppConfig(penalty_weight=Vp, objective_kind=kind)
+                batch = dpp_objective(q, a, Action(alpha, beta), cfg, dc)
+                assert batch.shape == (64,)
+                for k in range(64):
+                    single = dpp_objective(q, a, Action(alpha[k], beta[k]), cfg, dc)
+                    assert type(single) is float
+                    assert batch[k] == pytest.approx(single, rel=1e-12)
+
+    def test_never_worse_than_multistart_descent(self):
+        # the exact solve against the best of uniform, idle and 8 random
+        # starts of projected gradient descent on the same instance
+        cfgs = (speech_cfg(), desk_config(), three_app_config(), eight_app_config())
+        rng = np.random.default_rng(10)
+        for i in range(200):
+            cfg = cfgs[i % len(cfgs)]
+            n = cfg.n_queues
+            Vp = 10.0 ** rng.uniform(0.0, 12.0)
+            q = 10.0 ** rng.uniform(4.0, 8.0, n) * (rng.random(n) < 0.8)
+            a = 10.0 ** rng.uniform(4.0, 8.0, n) * (rng.random(n) < 0.8)
+            dc = DppConfig(penalty_weight=Vp, restarts=8)
+            act = dpp_step_optimize(q, a, cfg, dc, rng)
+            assert action_errors(act, tol=1e-12) == []
+            exact = dpp_objective(q, a, act, cfg, dc)
+            descent = dpp_objective(q, a, _multistart_descent(q, a, cfg, dc, rng),
+                                    cfg, dc)
+            assert exact <= descent + 1e-9 * max(1.0, abs(descent))
+
+    def test_pure_drift_returns_lp_vertex(self):
+        cfg = three_app_config()
+        dc = DppConfig(penalty_weight=0.0)
+        s = cfg.edge_clock / cfg.workloads
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            q = rng.uniform(0, 1e8, 3)
+            a = rng.uniform(0, 2e7, 3)
+            act = dpp_step_optimize(q, a, cfg, dc, rng)
+            np.testing.assert_array_equal(act.alpha, np.eye(4)[np.argmax(q * s)])
+            np.testing.assert_array_equal(act.beta, np.eye(4)[np.argmax(q)])
+        act = dpp_step_optimize(np.zeros(3), a, cfg, dc, rng)
+        np.testing.assert_array_equal(act.alpha, Action.uniform(3).alpha)
+        np.testing.assert_array_equal(act.beta, Action.uniform(3).beta)
+
+    def test_no_overflow_and_overflow_programs_both_win(self):
+        # no branch of the decomposition is dead: D_none and some D_k are
+        # each the unique best candidate on some instance
+        cfg = three_app_config()
+        rng = np.random.default_rng(12)
+        winners = set()
+        for _ in range(60):
+            Vp = 10.0 ** rng.uniform(0.0, 12.0)
+            q = 10.0 ** rng.uniform(4.0, 8.0, 3)
+            a = 10.0 ** rng.uniform(4.0, 8.0, 3)
+            labels, alpha, beta = _structured_candidates(q, a, cfg, Vp)
+            values = dpp_objective(q, a, Action(alpha, beta), cfg,
+                                   DppConfig(penalty_weight=Vp))
+            best = int(np.argmin(values))
+            if np.sum(values == values[best]) == 1:
+                winners.add(labels[best].split("-")[0])
+        assert {"none", "overflow"} <= winners
+
+    def test_exact_solve_draws_nothing_from_rng(self):
+        cfg = three_app_config()
+        rng = np.random.default_rng(14)
+        q = rng.uniform(0, 3e7, 3)
+        a = rng.uniform(0, 2e7, 3)
+        before = rng.bit_generator.state
+        for Vp in (0.0, 1e6, 1e11):
+            dpp_step_optimize(q, a, cfg, DppConfig(penalty_weight=Vp), rng)
+        assert rng.bit_generator.state == before
+
+    def test_cubic_cost_without_cloud_cores_fails_clearly(self):
+        cfg = three_app_config(cloud_cores=0)
+        for kind in OBJECTIVE_KINDS:
+            for Vp in (0.0, 1e11):
+                with pytest.raises(ValueError, match="cloud_cores"):
+                    dpp_step_optimize([1e7, 0.0, 3e6], [2e6, 1e6, 0.0], cfg,
+                                      DppConfig(penalty_weight=Vp, objective_kind=kind),
+                                      np.random.default_rng(0))
 
     def test_emitted_actions_satisfy_simplex(self):
         cfg = three_app_config()
@@ -220,6 +314,8 @@ class TestOptimizer:
             DppConfig(objective_kind="nope")
         with pytest.raises(ValueError):
             DppConfig(iterations=0)
+        with pytest.raises(ValueError):
+            DppConfig(penalty_weight=-1.0)
 
 
 class TestEpisode:
@@ -237,6 +333,19 @@ class TestEpisode:
         cfg = desk_config(cloud_cost_kind="per-core")
         with pytest.raises(UnsupportedObjectiveError, match="slot 0"):
             run_dpp_episode(cfg, DppConfig(), 10, np.random.default_rng(0))
+
+    def test_solver_draws_leave_the_arrivals_alone(self):
+        # full-bound draws random starts; the arrivals must still be those
+        # of an environment that owns the generator alone
+        cfg = desk_config()
+        dc = DppConfig(penalty_weight=1e8, objective_kind="full-bound",
+                       restarts=1, iterations=5)
+        trace, _ = run_dpp_episode(cfg, dc, 10, np.random.default_rng(3))
+        env = EdgeCloudEnv(cfg, rng=np.random.default_rng(3))
+        arrivals = [env.reset().arrival]
+        for _ in range(9):
+            arrivals.append(env.step(Action.idle(2))[0].next_state.arrival)
+        np.testing.assert_array_equal(np.array(trace.a), np.array(arrivals))
 
     def test_desk_episode_metrics_match_trace(self):
         cfg = desk_config()

@@ -15,7 +15,7 @@ from .rewards import (RewardSpec, reward_power, reward_reshaped, reward_diff,
                       power_reward_bound, check_theorem1_conditions,
                       episode_reward_identities, UnsupportedRewardError)
 from .dpp import (DppConfig, DppController, dpp_objective, dpp_step_optimize,
-                  run_dpp_episode, project_simplex, UnsupportedObjectiveError,
+                  project_simplex, UnsupportedObjectiveError,
                   SolverDivergedError)
 from .nets import DenseNet, Adam, soft_update
 from .sac import SacAgent, SacConfig, ReplayBuffer, StateNormalizer

@@ -12,7 +12,7 @@ import numpy as np
 from . import harness, plots
 from .config import (get_profile, load_config, validate_config,
                      feasibility_check, PROFILES)
-from .dpp import DppConfig, UnsupportedObjectiveError, run_dpp_episode
+from .dpp import DppConfig, DppController, UnsupportedObjectiveError
 from .sac import SacAgent, SacConfig
 
 
@@ -159,7 +159,9 @@ def cmd_feasibility(args) -> int:
     return 0
 
 
-def _controller_for(args, cfg, rng):
+def _controller_for(args, cfg):
+    """The controller of --controller; a solver that draws gets the seed's
+    controller stream, never an episode's arrival stream."""
     agent = None
     if args.controller == "sac":
         if not args.checkpoint:
@@ -167,7 +169,8 @@ def _controller_for(args, cfg, rng):
             raise SystemExit(2)
         agent = SacAgent.load(args.checkpoint)
     dpp_cfg = DppConfig(penalty_weight=args.Vprime)
-    return harness.make_controller(args.controller, cfg, rng,
+    return harness.make_controller(args.controller, cfg,
+                                   harness.controller_rng(args.seed),
                                    dpp_cfg=dpp_cfg, agent=agent)
 
 
@@ -175,10 +178,11 @@ def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     if args.steps:
         cfg = replace(cfg, episode_length=args.steps)
-    rng = np.random.default_rng(args.seed)
-    controller = _controller_for(args, cfg, rng)
+    # the arrivals of evaluate's episode 0 under the same seed
+    env_rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
+    controller = _controller_for(args, cfg)
     spec = harness.default_reward_spec(cfg, kind=args.reward)
-    trace, reward_sum, _ = harness.run_episode(controller, cfg, rng,
+    trace, reward_sum, _ = harness.run_episode(controller, cfg, env_rng,
                                                reward_spec=spec)
     m = harness.metrics_from_trace(trace)
     if args.out:
@@ -195,8 +199,12 @@ def cmd_dpp(args) -> int:
     dpp_cfg = DppConfig(penalty_weight=args.Vprime,
                         objective_kind=args.objective,
                         restarts=args.restarts)
+    # the arrivals draw from rng and the solver from a stream spawned from
+    # it, so solver draws never shift the arrivals
     rng = np.random.default_rng(args.seed)
-    trace, metrics = run_dpp_episode(cfg, dpp_cfg, T, rng)
+    controller = DppController(cfg, dpp_cfg, rng.spawn(1)[0])
+    trace, _, _ = harness.run_episode(controller, cfg, rng, T=T)
+    metrics = harness.metrics_from_trace(trace)
     if args.out:
         trace.write_csv(args.out)
         print(f"trace written to {args.out}")
@@ -223,8 +231,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    rng = np.random.default_rng(args.seed)
-    controller = _controller_for(args, cfg, rng)
+    controller = _controller_for(args, cfg)
     spec = harness.default_reward_spec(cfg, kind=args.reward)
     records = harness.evaluate(controller, cfg, args.episodes, args.seed, spec,
                                controller_name=args.controller,

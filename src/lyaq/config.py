@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -94,9 +95,12 @@ class SystemConfig:
     cloud_core_clock: float = 4e9    # cycles/s of one cloud core
     state_aux: str = "arrival"       # second state block: "arrival" | "backlog"
 
-    @property
+    @cached_property
     def workloads(self) -> np.ndarray:
-        return np.array([a.workload_cycles_per_bit for a in self.apps])
+        """Vector of w_i, built once per config and read-only."""
+        w = np.array([a.workload_cycles_per_bit for a in self.apps])
+        w.flags.writeable = False
+        return w
 
     @property
     def mean_bits_per_slot(self) -> np.ndarray:

@@ -52,8 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .env import (Action, EdgeCloudEnv, Trace, cloud_cost, compute_offload,
-                  edge_cost)
+from .env import Action, cloud_cost, compute_offload, edge_cost
 
 
 class UnsupportedObjectiveError(RuntimeError):
@@ -388,30 +387,3 @@ class DppController:
                                    self.dpp_cfg, self.rng, extra_starts=extra)
         self._last = action
         return action
-
-
-def run_dpp_episode(cfg: SystemConfig, dpp_cfg: DppConfig, T: int,
-                    rng: np.random.Generator) -> tuple[Trace, dict]:
-    """Observe -> optimize -> step for T slots from empty queues; returns the
-    step trace plus the average penalty and average queue length. The
-    arrivals draw from rng and the solver from a stream spawned from it, so
-    solver draws never shift the arrivals."""
-    env = EdgeCloudEnv(cfg, rng=rng)
-    controller = DppController(cfg, dpp_cfg, rng.spawn(1)[0])
-    state = env.reset()
-    trace = Trace(n_queues=cfg.n_queues)
-    for t in range(T):
-        try:
-            action = controller.act(state)
-        except (SolverDivergedError, UnsupportedObjectiveError) as exc:
-            raise type(exc)(f"slot {t}: {exc}") from exc
-        outcome, _ = env.step(action)
-        trace.append(t, state.queue, state.arrival, action,
-                     outcome.departures, outcome.offloads,
-                     outcome.edge_cost, outcome.cloud_cost)
-        state = outcome.next_state
-    metrics = {
-        "avg_penalty": float(trace.penalties.mean()),
-        "avg_queue": float(trace.queue_totals.mean()),
-    }
-    return trace, metrics

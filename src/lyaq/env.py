@@ -2,9 +2,16 @@
 
 Timing convention: the state at RL index t already contains q_i(t)+a_i(t).
 The action taken on that state fixes the departures b_i(t), the queues move
-to q_i(t+1) = [q_i(t)+a_i(t)-b_i(t)]^+, and only then is a_i(t+1) drawn, so
-the per-step reward is a deterministic function of (state, action) and all
-randomness sits in the state transition.
+to q_i(t+1) = [q_i(t)+a_i(t)-b_i(t)]^+, and only then is a_i(t+1) revealed,
+so the per-step reward is a deterministic function of (state, action) and
+all randomness sits in the state transition.
+
+Arrivals come from the environment's generator `rng`: `reset` draws a(0) on
+its own, and `step` takes a(t+1) from a block of ARRIVAL_BLOCK slots drawn
+with `sample_arrival_batch`, drawing the next block only when the current
+one runs out. Replacing `env.rng` therefore changes the arrivals from the
+next block on (right after a `reset`, from the next step on), not those
+already drawn.
 
 Costs are carried in G^3*kappa units (cube of Gcycles/s times kappa), the
 natural dynamic range of the cubic power model.
@@ -14,14 +21,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SystemConfig
-from .traffic import sample_arrivals
+from .traffic import sample_arrival_batch, sample_arrivals
 
 ARRIVAL_WINDOW = 100  # slots averaged for the windowed-arrival state block
+ARRIVAL_BLOCK = 256   # slots of arrivals drawn at once by EdgeCloudEnv.step
 
 
 @dataclass(frozen=True)
@@ -211,7 +219,7 @@ def actual_cpu_use(queue_plus_arrival, action: Action, cfg: SystemConfig) -> np.
 class EdgeCloudEnv:
     """Mutable episode state: queues, the pending arrival, and the arrival
     window. One instance per thread; randomness comes only from the injected
-    generator."""
+    generator, in blocks of ARRIVAL_BLOCK slots (see the module docstring)."""
 
     def __init__(self, cfg: SystemConfig, rng: np.random.Generator | None = None,
                  seed: int | None = None):
@@ -219,8 +227,12 @@ class EdgeCloudEnv:
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self._q = np.zeros(cfg.n_queues)
         self._a = np.zeros(cfg.n_queues)
+        # ring of the last ARRIVAL_WINDOW arrivals; _slot is the row the
+        # next arrival overwrites
         self._window = np.zeros((ARRIVAL_WINDOW, cfg.n_queues))
-        self._window_len = 0
+        self._slot = 0
+        self._block = np.empty((0, cfg.n_queues))  # drawn, not yet revealed
+        self._next = 0
         self._prev_actual_cpu = np.zeros(cfg.n_queues)
         self._prev_offloaded_cycles = 0.0
         self._t = 0
@@ -238,13 +250,19 @@ class EdgeCloudEnv:
         return self._a.copy()
 
     def _push_window(self, arrival: np.ndarray) -> None:
-        self._window = np.roll(self._window, 1, axis=0)
-        self._window[0] = arrival
-        self._window_len = min(self._window_len + 1, ARRIVAL_WINDOW)
+        self._window[self._slot] = arrival
+        self._slot = (self._slot + 1) % ARRIVAL_WINDOW
 
     def _windowed_avg(self) -> np.ndarray:
         # zero-padded before slot 100: always divide by the full window
         return self._window.sum(axis=0) / ARRIVAL_WINDOW
+
+    def _next_arrival(self) -> np.ndarray:
+        if self._next == len(self._block):
+            self._block = sample_arrival_batch(self.cfg.apps, ARRIVAL_BLOCK, self.rng)
+            self._next = 0
+        self._next += 1
+        return self._block[self._next - 1]
 
     def state(self) -> StateVector:
         return StateVector(
@@ -257,10 +275,12 @@ class EdgeCloudEnv:
         )
 
     def reset(self) -> StateVector:
-        """Empty all queues, clear history, and draw the slot-0 arrivals."""
+        """Empty all queues, clear history and any drawn block, and draw the
+        slot-0 arrivals."""
         self._q = np.zeros(self.cfg.n_queues)
         self._window[:] = 0.0
-        self._window_len = 0
+        self._slot = 0
+        self._next = len(self._block)  # discard what is left of the block
         self._prev_actual_cpu = np.zeros(self.cfg.n_queues)
         self._prev_offloaded_cycles = 0.0
         self._t = 0
@@ -269,18 +289,25 @@ class EdgeCloudEnv:
         return self.state()
 
     def step(self, action: Action) -> tuple[StepOutcome, RewardInputs]:
+        """compute_departure, compute_offload, queue_update, the two costs
+        and actual_cpu_use for one slot, with the CPU bits alpha_i f_E / w_i
+        computed once."""
         cfg = self.cfg
-        q_before = self._q.copy()
-        qpa = self._q + self._a
+        w = cfg.workloads
+        q_before = self._q
+        qpa = q_before + self._a
 
-        b = compute_departure(action, cfg)
-        o = compute_offload(qpa, action, cfg)
-        q_after = queue_update(self._q, self._a, b)
+        alpha = action.alpha_eff
+        cpu_bits = alpha * cfg.edge_clock / w
+        bw_bits = action.beta_eff * cfg.bandwidth
+        b = cpu_bits + bw_bits
+        o = np.maximum(0.0, np.minimum(bw_bits, qpa - cpu_bits))
+        q_after = np.maximum(0.0, qpa - b)
         c_edge = edge_cost(action, cfg)
         c_cloud = cloud_cost(o, cfg)
 
-        self._prev_actual_cpu = actual_cpu_use(qpa, action, cfg)
-        self._prev_offloaded_cycles = float(np.dot(cfg.workloads, o))
+        self._prev_actual_cpu = np.minimum(alpha, w * qpa / cfg.edge_clock)
+        self._prev_offloaded_cycles = float(np.dot(w, o))
 
         reward_inputs = RewardInputs(
             queue_before=q_before,
@@ -292,7 +319,7 @@ class EdgeCloudEnv:
         )
 
         self._q = q_after
-        self._a = sample_arrivals(cfg.apps, self.rng)
+        self._a = self._next_arrival()
         self._push_window(self._a)
         self._t += 1
 
@@ -310,44 +337,68 @@ class EdgeCloudEnv:
 # ---------------------------------------------------------------------------
 # Step trace
 
-
-@dataclass
 class Trace:
-    """Per-step trajectory record; one CSV row per slot."""
+    """Per-step trajectory record; one CSV row per slot.
 
-    n_queues: int
-    t: list = field(default_factory=list)
-    q: list = field(default_factory=list)        # q_i(t) at slot start
-    a: list = field(default_factory=list)        # a_i(t)
-    alpha: list = field(default_factory=list)    # effective entries
-    beta: list = field(default_factory=list)
-    b: list = field(default_factory=list)
-    o: list = field(default_factory=list)
-    edge_cost: list = field(default_factory=list)
-    cloud_cost: list = field(default_factory=list)
+    Rows live in one (capacity, 6N+2) array laid out like the CSV row after
+    its t column: q_i(t) at slot start, a_i(t), the effective alpha and
+    beta entries, b_i(t), o_i(t), C_E and C_C. Storage doubles on demand,
+    like ReplayBuffer's; the column properties are views of the rows so far.
+    """
+
+    def __init__(self, n_queues: int, capacity: int = 64):
+        self.n_queues = n_queues
+        self._len = 0
+        self._t = np.empty(capacity, dtype=np.int64)
+        self._rows = np.empty((capacity, 6 * n_queues + 2))
+
+    def _grow(self) -> None:
+        # np.resize keeps the leading rows in place
+        capacity = max(2 * len(self._t), 64)
+        self._t = np.resize(self._t, capacity)
+        self._rows = np.resize(self._rows, (capacity, self._rows.shape[1]))
 
     def append(self, t, q, a, action: Action, b, o, c_edge, c_cloud) -> None:
-        self.t.append(int(t))
-        self.q.append(np.asarray(q, dtype=float))
-        self.a.append(np.asarray(a, dtype=float))
-        self.alpha.append(action.alpha_eff.copy())
-        self.beta.append(action.beta_eff.copy())
-        self.b.append(np.asarray(b, dtype=float))
-        self.o.append(np.asarray(o, dtype=float))
-        self.edge_cost.append(float(c_edge))
-        self.cloud_cost.append(float(c_cloud))
+        if self._len == len(self._t):
+            self._grow()
+        k, n = self._len, self.n_queues
+        row = self._rows[k]
+        row[:n] = q
+        row[n:2 * n] = a
+        row[2 * n:3 * n] = action.alpha_eff
+        row[3 * n:4 * n] = action.beta_eff
+        row[4 * n:5 * n] = b
+        row[5 * n:6 * n] = o
+        row[6 * n] = c_edge
+        row[6 * n + 1] = c_cloud
+        self._t[k] = t
+        self._len = k + 1
 
     def __len__(self) -> int:
-        return len(self.t)
+        return self._len
+
+    def _column_block(self, i: int) -> np.ndarray:
+        n = self.n_queues
+        return self._rows[: self._len, i * n:(i + 1) * n]
+
+    t = property(lambda self: self._t[: self._len])
+    q = property(lambda self: self._column_block(0))      # q_i(t) at slot start
+    a = property(lambda self: self._column_block(1))      # a_i(t)
+    alpha = property(lambda self: self._column_block(2))  # effective entries
+    beta = property(lambda self: self._column_block(3))
+    b = property(lambda self: self._column_block(4))
+    o = property(lambda self: self._column_block(5))
+    edge_cost = property(lambda self: self._rows[: self._len, 6 * self.n_queues])
+    cloud_cost = property(lambda self: self._rows[: self._len, 6 * self.n_queues + 1])
 
     @property
     def queue_totals(self) -> np.ndarray:
         """sum_i q_i(t) per slot."""
-        return np.array([row.sum() for row in self.q])
+        return self.q.sum(axis=1)
 
     @property
     def penalties(self) -> np.ndarray:
-        return np.array(self.edge_cost) + np.array(self.cloud_cost)
+        return self.edge_cost + self.cloud_cost
 
     def header(self) -> list[str]:
         n = self.n_queues
@@ -358,13 +409,8 @@ class Trace:
         return cols
 
     def rows(self):
-        for k in range(len(self.t)):
-            row = [self.t[k]]
-            for block in (self.q, self.a, self.alpha, self.beta, self.b, self.o):
-                row.extend(block[k].tolist())
-            row.append(self.edge_cost[k])
-            row.append(self.cloud_cost[k])
-            yield row
+        for t, row in zip(self.t.tolist(), self._rows[: self._len].tolist()):
+            yield [t] + row
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -378,18 +424,11 @@ def read_trace_csv(path) -> Trace:
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader)
-        n = sum(1 for c in header if c.startswith("q_"))
-        trace = Trace(n_queues=n)
-        for line in reader:
-            vals = [float(x) for x in line[1:]]
-            blocks = [np.array(vals[i * n:(i + 1) * n]) for i in range(6)]
-            trace.t.append(int(line[0]))
-            trace.q.append(blocks[0])
-            trace.a.append(blocks[1])
-            trace.alpha.append(blocks[2])
-            trace.beta.append(blocks[3])
-            trace.b.append(blocks[4])
-            trace.o.append(blocks[5])
-            trace.edge_cost.append(vals[6 * n])
-            trace.cloud_cost.append(vals[6 * n + 1])
+        lines = [[float(x) for x in line] for line in reader]
+    n = sum(1 for c in header if c.startswith("q_"))
+    trace = Trace(n_queues=n, capacity=len(lines))
+    table = np.array(lines).reshape(len(lines), 6 * n + 3)
+    trace._t[:] = table[:, 0]
+    trace._rows[:] = table[:, 1:]
+    trace._len = len(lines)
     return trace

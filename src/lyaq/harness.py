@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import SystemConfig, config_to_dict
-from .dpp import DppConfig, DppController, UnsupportedObjectiveError
+from .dpp import (DppConfig, DppController, SolverDivergedError,
+                  UnsupportedObjectiveError)
 from .env import Action, EdgeCloudEnv, Trace
 from .rewards import RewardSpec, compute_reward
 from .sac import SacAgent, SacConfig
@@ -83,24 +84,27 @@ def make_controller(kind: str, cfg: SystemConfig, rng: np.random.Generator,
 def run_episode(controller, cfg: SystemConfig, rng: np.random.Generator,
                 T: int | None = None, reward_spec: RewardSpec | None = None):
     """One T-slot episode from empty queues; returns (trace, reward_sum,
-    queue_trajectory) where the trajectory holds sum_i q_i(t) for t = 0..T."""
+    queue_trajectory) where the trajectory holds sum_i q_i(t) for t = 0..T.
+    A solver error is re-raised with the slot it happened in."""
     T = T or cfg.episode_length
     env = EdgeCloudEnv(cfg, rng=rng)
     state = env.reset()
-    trace = Trace(n_queues=cfg.n_queues)
+    trace = Trace(n_queues=cfg.n_queues, capacity=T)
     reward_sum = 0.0
-    queue_traj = [float(state.queue.sum())]
     for t in range(T):
-        action = controller.act(state)
+        try:
+            action = controller.act(state)
+        except (SolverDivergedError, UnsupportedObjectiveError) as exc:
+            raise type(exc)(f"slot {t}: {exc}") from exc
         outcome, inputs = env.step(action)
         if reward_spec is not None:
             reward_sum += compute_reward(inputs, T, reward_spec)
-        trace.append(t, state.queue, state.arrival, action,
+        trace.append(t, inputs.queue_before, state.arrival, action,
                      outcome.departures, outcome.offloads,
                      outcome.edge_cost, outcome.cloud_cost)
-        queue_traj.append(float(outcome.queue_after.sum()))
         state = outcome.next_state
-    return trace, reward_sum, np.array(queue_traj)
+    queue_traj = np.append(trace.queue_totals, env.queue.sum())
+    return trace, reward_sum, queue_traj
 
 
 def metrics_from_trace(trace: Trace) -> dict:
@@ -214,7 +218,7 @@ def _snapshot(agent: SacAgent) -> SacAgent:
     for name in SacAgent._NETS:
         setattr(clone, name, getattr(agent, name).clone())
     for name in SacAgent._OPTS:
-        setattr(clone, name, getattr(agent, name))  # read-only use
+        setattr(clone, name, getattr(agent, name).clone())
     clone.buffer = agent.buffer
     clone.normalizer = agent.normalizer
     return clone

@@ -99,6 +99,15 @@ class Adam:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
+    def clone(self) -> "Adam":
+        """Independent copy: same settings, step count and moments."""
+        other = Adam([], lr=self.lr, beta1=self.beta1, beta2=self.beta2,
+                     eps=self.eps)
+        other.t = self.t
+        other.m = [m.copy() for m in self.m]
+        other.v = [v.copy() for v in self.v]
+        return other
+
     def step(self, params, grads) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t

@@ -1,4 +1,10 @@
-"""Stochastic task arrivals: truncated-normal sizes under compound Poisson counts."""
+"""Stochastic task arrivals: truncated-normal sizes under compound Poisson counts.
+
+`sample_arrivals` draws one slot; `sample_arrival_batch` draws many slots at
+once and is what `EdgeCloudEnv` uses, one block of slots at a time. The two
+have the same distribution but consume the random stream differently, so a
+seed gives different arrival sequences through each.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +12,12 @@ import numpy as np
 
 from .config import AppProfile
 
-# rejection sampling never needs anywhere near this many draws for the
-# tabulated +/-2 sigma truncations (acceptance ~0.95)
+# Rejection-sampling budget for n task sizes: at least MAX_REJECTION_DRAWS
+# draws, and REJECTION_DRAWS_PER_TASK per task for large n. The tabulated
+# +/-2 sigma truncations accept ~0.95 of the draws and never come near it;
+# bounds that (almost) nothing lands inside exhaust it.
 MAX_REJECTION_DRAWS = 10 ** 6
+REJECTION_DRAWS_PER_TASK = 20
 
 
 class RejectionBudgetError(RuntimeError):
@@ -19,16 +28,17 @@ def sample_task_sizes(app: AppProfile, n: int, rng: np.random.Generator) -> np.n
     """Draw n task sizes from normal(mean, std) truncated to [size_min, size_max]."""
     if n == 0:
         return np.empty(0)
+    budget = max(MAX_REJECTION_DRAWS, REJECTION_DRAWS_PER_TASK * n)
     out = np.empty(n)
     filled = 0
     drawn = 0
     while filled < n:
         chunk = max(2 * (n - filled), 64)
-        if drawn + chunk > MAX_REJECTION_DRAWS:
-            chunk = MAX_REJECTION_DRAWS - drawn
+        if drawn + chunk > budget:
+            chunk = budget - drawn
             if chunk <= 0:
                 raise RejectionBudgetError(
-                    f"exceeded {MAX_REJECTION_DRAWS} draws sampling {app.name or 'app'} "
+                    f"exceeded {budget} draws sampling {app.name or 'app'} "
                     f"task sizes (accepted {filled}/{n})")
         draws = rng.normal(app.size_mean, app.size_std, size=chunk)
         drawn += chunk
@@ -58,7 +68,8 @@ def sample_arrival_batch(apps, n_slots: int, rng: np.random.Generator) -> np.nda
     """Arrivals for n_slots slots at once, shape (n_slots, N).
 
     Statistically identical to calling sample_arrivals per slot but draws each
-    app's sizes in one batch, which is much faster for long horizons.
+    app's counts and then all its sizes in one batch, which is much faster
+    for long horizons. It is not stream-identical to per-slot draws.
     """
     out = np.zeros((n_slots, len(apps)))
     for i, app in enumerate(apps):

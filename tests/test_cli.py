@@ -1,9 +1,17 @@
 import csv
 from dataclasses import replace
 
+import pytest
+
 from lyaq.cli import main
 from lyaq.config import desk_config, save_config
 from lyaq.env import read_trace_csv
+from lyaq.sac import SacAgent
+
+
+def read_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def desk_config_file(tmp_path, **overrides):
@@ -39,3 +47,90 @@ def test_dpp_without_cloud_cores_fails_clearly(tmp_path, capsys):
                  "--Vprime", "1e11"])
     assert code == 1
     assert "cloud_cores" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """`lyaq train` on desk with T=20: (config file, checkpoint, curve CSV)."""
+    tmp = tmp_path_factory.mktemp("train")
+    config = desk_config_file(tmp)
+    ckpt, curve = tmp / "agent.npz", tmp / "curve.csv"
+    assert main(["train", "--config", config, "--steps", "40", "--hidden", "8,8",
+                 "--out", str(curve), "--checkpoint", str(ckpt)]) == 0
+    return config, ckpt, curve
+
+
+def test_feasibility(capsys):
+    assert main(["feasibility", "--profile", "desk"]) == 0
+    out = capsys.readouterr().out
+    assert "total capacity" in out and "feasible: True" in out
+
+
+def test_train_writes_curve_and_loadable_checkpoint(trained):
+    _, ckpt, curve = trained
+    rows = read_rows(curve)
+    assert [int(r["steps"]) for r in rows] == [0, 80]
+    assert SacAgent.load(ckpt).sac_cfg.hidden_sizes == (8, 8)
+
+
+@pytest.mark.parametrize("controller", ["idle", "uniform", "dpp", "sac"])
+def test_simulate(tmp_path, trained, controller):
+    config, ckpt, _ = trained
+    out = tmp_path / "trace.csv"
+    argv = ["simulate", "--config", config, "--controller", controller,
+            "--Vprime", "1e11", "--out", str(out)]
+    assert main(argv + (["--checkpoint", str(ckpt)] if controller == "sac" else [])) == 0
+    trace = read_trace_csv(out)
+    assert len(trace) == 20
+    assert trace.penalties.min() >= 0.0
+    if controller == "idle":
+        assert trace.penalties.max() == 0.0
+
+
+@pytest.mark.parametrize("controller", ["uniform", "dpp"])
+def test_simulate_reproduces_evaluate_episode_zero(tmp_path, capsys, controller):
+    config = desk_config_file(tmp_path)
+    common = ["--config", config, "--controller", controller, "--Vprime", "1e11",
+              "--seed", "11"]
+    assert main(["simulate"] + common) == 0
+    simulated = capsys.readouterr().out.strip()
+    assert main(["eval"] + common + ["--episodes", "2"]) == 0
+    episodes = capsys.readouterr().out.strip().splitlines()
+    assert episodes[0] == f"episode 0: {simulated}"
+    assert episodes[1] != f"episode 1: {simulated}"
+
+
+def test_eval_writes_one_row_per_episode(tmp_path, trained):
+    config, ckpt, _ = trained
+    out = tmp_path / "records.csv"
+    assert main(["eval", "--config", config, "--controller", "sac",
+                 "--checkpoint", str(ckpt), "--episodes", "3", "--seed", "2",
+                 "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert [r["episode"] for r in rows] == ["0", "1", "2"]
+    assert all(float(r["avg_queue"]) >= 0.0 for r in rows)
+
+
+def test_compare_refuses_dpp_on_per_core_cost(tmp_path):
+    out = tmp_path / "report.csv"
+    assert main(["compare", "--config", desk_config_file(tmp_path),
+                 "--Vprime", "1e11", "--steps", "40", "--out", str(out)]) == 0
+    rows = {(r["controller"], r["cost_kind"]): r for r in read_rows(out)}
+    assert sorted(rows) == [("dpp", "cubic"), ("dpp", "per-core"),
+                            ("sac", "cubic"), ("sac", "per-core")]
+    assert rows["dpp", "cubic"]["status"] == "ok"
+    assert rows["dpp", "per-core"]["status"].startswith("unsupported-objective")
+    assert all(rows["sac", k]["status"] == "ok" for k in ("cubic", "per-core"))
+
+
+def test_plot_renders_every_csv_kind(tmp_path, trained):
+    _, _, curve = trained
+    trace, sweep = tmp_path / "trace.csv", tmp_path / "sweep.csv"
+    assert main(["dpp", "--profile", "desk", "--steps", "20", "--out", str(trace)]) == 0
+    assert main(["sweep", "--config", desk_config_file(tmp_path), "--controller",
+                 "uniform", "--Vgrid", "0", "--seeds", "0", "--episodes", "1",
+                 "--out", str(sweep)]) == 0
+    assert main(["plot", str(curve), str(trace), str(sweep),
+                 "--out", str(tmp_path)]) == 0
+    for name in ("curve.svg", "trace.svg", "sweep.svg"):
+        assert "</svg>" in (tmp_path / name).read_text()

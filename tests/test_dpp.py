@@ -8,9 +8,10 @@ from lyaq.config import (AppProfile, SystemConfig, desk_config,
 from lyaq.dpp import (OBJECTIVE_KINDS, DppConfig, DppController,
                       SolverDivergedError, UnsupportedObjectiveError,
                       dpp_objective, dpp_step_optimize, project_simplex,
-                      run_dpp_episode, _descend, _multistart_descent,
+                      _descend, _multistart_descent,
                       _objective_and_gradient, _structured_candidates)
 from lyaq.env import Action, EdgeCloudEnv, action_errors
+from lyaq.harness import metrics_from_trace, run_episode
 
 
 def project_simplex_sort(v):
@@ -318,21 +319,29 @@ class TestOptimizer:
             DppConfig(penalty_weight=-1.0)
 
 
+def dpp_episode(cfg, dpp_cfg, T, rng):
+    """The episode `lyaq dpp` runs: the solver on a stream spawned from the
+    arrivals' generator."""
+    controller = DppController(cfg, dpp_cfg, rng.spawn(1)[0])
+    trace, _, _ = run_episode(controller, cfg, rng, T=T)
+    return trace, metrics_from_trace(trace)
+
+
 class TestEpisode:
     def test_zero_arrivals_stay_empty(self):
         silent = AppProfile(workload_cycles_per_bit=1e4, arrival_rate=0.0,
                             size_min=1.0, size_max=2.0, size_mean=1.5,
                             size_std=0.25)
         cfg = speech_cfg(apps=(silent,))
-        trace, metrics = run_dpp_episode(cfg, DppConfig(restarts=1, iterations=5),
-                                         50, np.random.default_rng(0))
+        trace, metrics = dpp_episode(cfg, DppConfig(restarts=1, iterations=5),
+                                     50, np.random.default_rng(0))
         assert metrics["avg_queue"] == 0.0
         assert len(trace) == 50
 
     def test_per_core_error_carries_slot_index(self):
         cfg = desk_config(cloud_cost_kind="per-core")
         with pytest.raises(UnsupportedObjectiveError, match="slot 0"):
-            run_dpp_episode(cfg, DppConfig(), 10, np.random.default_rng(0))
+            dpp_episode(cfg, DppConfig(), 10, np.random.default_rng(0))
 
     def test_solver_draws_leave_the_arrivals_alone(self):
         # full-bound draws random starts; the arrivals must still be those
@@ -340,7 +349,7 @@ class TestEpisode:
         cfg = desk_config()
         dc = DppConfig(penalty_weight=1e8, objective_kind="full-bound",
                        restarts=1, iterations=5)
-        trace, _ = run_dpp_episode(cfg, dc, 10, np.random.default_rng(3))
+        trace, _ = dpp_episode(cfg, dc, 10, np.random.default_rng(3))
         env = EdgeCloudEnv(cfg, rng=np.random.default_rng(3))
         arrivals = [env.reset().arrival]
         for _ in range(9):
@@ -350,7 +359,7 @@ class TestEpisode:
     def test_desk_episode_metrics_match_trace(self):
         cfg = desk_config()
         dc = DppConfig(penalty_weight=0.0, restarts=2, iterations=60)
-        trace, metrics = run_dpp_episode(cfg, dc, 60, np.random.default_rng(1))
+        trace, metrics = dpp_episode(cfg, dc, 60, np.random.default_rng(1))
         assert metrics["avg_penalty"] == pytest.approx(trace.penalties.mean())
         assert metrics["avg_queue"] == pytest.approx(trace.queue_totals.mean())
         for k in range(len(trace)):

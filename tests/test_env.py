@@ -242,6 +242,24 @@ class TestEnv:
 
 
 class TestTrace:
+    def test_columns_survive_growth(self):
+        rng = np.random.default_rng(3)
+        rows = rng.random((150, 14))
+        trace = Trace(n_queues=2, capacity=1)
+        for t, r in enumerate(rows):
+            trace.append(t, r[0:2], r[2:4], Action.from_effective(r[4:6] / 4, r[6:8] / 4),
+                         r[8:10], r[10:12], r[12], r[13])
+        assert len(trace) == 150
+        np.testing.assert_array_equal(trace.t, np.arange(150))
+        np.testing.assert_array_equal(trace.q, rows[:, 0:2])
+        np.testing.assert_array_equal(trace.a, rows[:, 2:4])
+        np.testing.assert_array_equal(trace.alpha, rows[:, 4:6] / 4)
+        np.testing.assert_array_equal(trace.beta, rows[:, 6:8] / 4)
+        np.testing.assert_array_equal(trace.b, rows[:, 8:10])
+        np.testing.assert_array_equal(trace.o, rows[:, 10:12])
+        np.testing.assert_array_equal(trace.penalties, rows[:, 12] + rows[:, 13])
+        np.testing.assert_array_equal(trace.queue_totals, rows[:, 0] + rows[:, 1])
+
     def test_csv_round_trip(self, tmp_path, cfg3):
         rng = np.random.default_rng(12)
         env = EdgeCloudEnv(cfg3, seed=8)
@@ -257,7 +275,7 @@ class TestTrace:
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         back = read_trace_csv(path)
-        assert back.t == trace.t
+        assert np.array_equal(back.t, trace.t)
         for k in range(20):
             assert np.array_equal(back.q[k], trace.q[k])
             assert np.array_equal(back.o[k], trace.o[k])

@@ -4,8 +4,12 @@ from dataclasses import replace
 import numpy as np
 
 from lyaq.config import desk_config
-from lyaq.harness import controller_rng, sweep
+from lyaq.env import EdgeCloudEnv
+from lyaq.harness import (UniformController, _snapshot, controller_rng,
+                          default_reward_spec, run_episode, sweep)
 from lyaq.plots import emit_plots
+from lyaq.rewards import compute_reward
+from lyaq.sac import SacAgent, SacConfig
 
 
 def short_desk():
@@ -47,3 +51,49 @@ def test_controller_stream_is_no_episode_stream():
         first = controller_rng(seed).random(4)
         for stream in np.random.SeedSequence(seed).spawn(16):
             assert not np.array_equal(first, np.random.default_rng(stream).random(4))
+
+
+def test_run_episode_matches_a_hand_rolled_loop():
+    cfg = short_desk()
+    spec = default_reward_spec(cfg)
+    trace, reward_sum, traj = run_episode(UniformController(2), cfg,
+                                          np.random.default_rng(5), T=30,
+                                          reward_spec=spec)
+    env = EdgeCloudEnv(cfg, rng=np.random.default_rng(5))
+    state = env.reset()
+    queues, arrivals, rewards = [env.queue], [state.arrival], []
+    for _ in range(30):
+        outcome, inputs = env.step(UniformController(2).act(state))
+        rewards.append(compute_reward(inputs, 30, spec))
+        queues.append(outcome.queue_after)
+        state = outcome.next_state
+        arrivals.append(state.arrival)
+    assert len(trace) == 30
+    np.testing.assert_array_equal(trace.t, np.arange(30))
+    np.testing.assert_array_equal(trace.q, queues[:-1])
+    np.testing.assert_array_equal(trace.a, arrivals[:-1])
+    np.testing.assert_array_equal(traj, [q.sum() for q in queues])
+    assert reward_sum == sum(rewards)
+
+
+def test_snapshot_keeps_its_optimizer_state():
+    cfg = short_desk()
+    agent = SacAgent(cfg, SacConfig(hidden_sizes=(8, 8), batch_size=4),
+                     rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for _ in range(8):
+        agent.store_transition(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
+                               -rng.random(), rng.random(cfg.state_dim))
+    agent.update(rng)
+    snap = _snapshot(agent)
+    frozen = {name: (getattr(snap, name).t,
+                     [m.copy() for m in getattr(snap, name).m],
+                     [v.copy() for v in getattr(snap, name).v])
+              for name in SacAgent._OPTS}
+    agent.update(rng)
+    for name, (t, m, v) in frozen.items():
+        opt = getattr(snap, name)
+        assert opt.t == t == 1
+        assert getattr(agent, name).t == 2
+        for got, want in zip(opt.m + opt.v, m + v):
+            np.testing.assert_array_equal(got, want)

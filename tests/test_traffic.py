@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lyaq.config import AppProfile, three_app_config, BITS_PER_KB
+from lyaq.config import (AppProfile, eight_app_config, three_app_config,
+                         BITS_PER_KB)
 from lyaq.traffic import (sample_task_size, sample_task_sizes, sample_arrivals,
                           sample_arrival_batch, RejectionBudgetError)
 
@@ -55,6 +56,16 @@ def test_rejection_budget_error_when_bounds_unreachable():
                      size_mean=0.0, size_std=2.0)
     with pytest.raises(RejectionBudgetError):
         sample_task_sizes(app, 10, rng)
+
+
+def test_rejection_budget_scales_with_task_count():
+    # a fixed 1e6-draw budget ran out at 95% acceptance on 1e6 tasks
+    rng = np.random.default_rng(4)
+    sizes = sample_task_sizes(speech(), 1_000_000, rng)
+    assert sizes.size == 1_000_000
+    assert speech().size_min <= sizes.min() and sizes.max() <= speech().size_max
+    arrivals = sample_arrival_batch(eight_app_config().apps, 100_000, rng)
+    assert arrivals.shape == (100_000, 8) and np.all(arrivals >= 0.0)
 
 
 def test_zero_rate_app_never_arrives():

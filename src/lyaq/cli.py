@@ -168,6 +168,11 @@ def _controller_for(args, cfg):
             print("--controller sac needs --checkpoint", file=sys.stderr)
             raise SystemExit(2)
         agent = SacAgent.load(args.checkpoint)
+        for name in ("state_dim", "action_dim", "state_aux"):
+            got, want = getattr(agent, name), getattr(cfg, name)
+            if got != want:
+                raise ValueError(f"checkpoint {args.checkpoint} has {name}={got!r} "
+                                 f"but the config has {name}={want!r}")
     dpp_cfg = DppConfig(penalty_weight=args.Vprime)
     return harness.make_controller(args.controller, cfg,
                                    harness.controller_rng(args.seed),
@@ -315,7 +320,7 @@ def main(argv=None) -> int:
     except UnsupportedObjectiveError as exc:
         print(f"unsupported objective: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

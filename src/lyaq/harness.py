@@ -51,7 +51,7 @@ class SacController:
         self.agent = agent
 
     def act(self, state) -> Action:
-        return self.agent.act(state, deterministic=True)
+        return self.agent.act(state)
 
 
 def controller_rng(seed: int) -> np.random.Generator:
@@ -207,23 +207,6 @@ class TrainResult:
                                  repr(row["avg_penalty"]), repr(row["avg_queue"])])
 
 
-def _snapshot(agent: SacAgent) -> SacAgent:
-    clone = SacAgent.__new__(SacAgent)
-    clone.sac_cfg = agent.sac_cfg
-    clone.state_dim = agent.state_dim
-    clone.action_dim = agent.action_dim
-    clone.state_aux = agent.state_aux
-    clone.reward_scale = agent.reward_scale
-    clone.update_count = agent.update_count
-    for name in SacAgent._NETS:
-        setattr(clone, name, getattr(agent, name).clone())
-    for name in SacAgent._OPTS:
-        setattr(clone, name, getattr(agent, name).clone())
-    clone.buffer = agent.buffer
-    clone.normalizer = agent.normalizer
-    return clone
-
-
 def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
           reward_spec: RewardSpec | None = None, episodes_per_cycle: int = 4,
           updates_per_step: float = 1.0, progress=None) -> TrainResult:
@@ -290,12 +273,13 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
                 f"non-finite evaluation reward at step {steps_done}")
         if steps_done >= 0.8 * total_steps and (best is None
                                                 or record["reward_sum"] >= best[0]):
-            best = (record["reward_sum"], _snapshot(agent))
+            best = (record["reward_sum"],
+                    SacAgent.from_state_dict(agent.state_dict()))
         if progress is not None:
             progress(record)
 
     if best is None:
-        best = (curve[-1]["reward_sum"], _snapshot(agent))
+        best = (curve[-1]["reward_sum"], SacAgent.from_state_dict(agent.state_dict()))
     return TrainResult(agent=agent, curve=curve, best_agent=best[1],
                        reward_scale=agent.reward_scale, reward_spec=reward_spec)
 

@@ -71,10 +71,6 @@ class DenseNet:
         other.params = [p.copy() for p in self.params]
         return other
 
-    def copy_from(self, other: "DenseNet") -> None:
-        for mine, theirs in zip(self.params, other.params):
-            mine[...] = theirs
-
     # flat views make finite-difference checks and norms painless
     def get_flat(self) -> np.ndarray:
         return np.concatenate([p.ravel() for p in self.params])
@@ -98,15 +94,6 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-
-    def clone(self) -> "Adam":
-        """Independent copy: same settings, step count and moments."""
-        other = Adam([], lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                     eps=self.eps)
-        other.t = self.t
-        other.m = [m.copy() for m in self.m]
-        other.v = [v.copy() for v in self.v]
-        return other
 
     def step(self, params, grads) -> None:
         self.t += 1

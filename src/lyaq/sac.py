@@ -7,12 +7,24 @@ sampled action lands exactly on both simplexes. The entropy term uses the
 Gaussian log-density of the pre-softmax sample; the (rank-deficient) softmax
 Jacobian correction is deliberately omitted, making this a surrogate entropy
 rather than the entropy of the squashed distribution.
+
+`squashed_sample` is the one sampling path: acting (`SacAgent.policy_sample`,
+deterministic = zero noise), the critic target's next action in
+`SacAgent.update` and the actor loss all call it.
+
+Checkpoints are `np.savez` archives of `SacAgent.state_dict()`, format 1:
+`<net>.<i>` for the i-th parameter of policy, q1, q2, q1_target and
+q2_target; `<opt>.m<i>` and `<opt>.v<i>` for the Adam moments of policy_opt,
+q1_opt and q2_opt; `normalizer.scale`; and `meta`, the UTF-8 JSON bytes of
+format_version, sac_cfg, state_dim, action_dim, state_aux, reward_scale,
+update_count, opt_steps (Adam step counts) and net_sizes. Replay transitions
+are not saved: a loaded agent starts with an empty buffer.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -125,18 +137,31 @@ class StateNormalizer:
 
 def dual_softmax(z: np.ndarray) -> np.ndarray:
     """Softmax applied separately to each half of the last axis."""
-    half = z.shape[-1] // 2
-    out = np.empty_like(z)
-    for sl in (np.s_[..., :half], np.s_[..., half:]):
-        zh = z[sl]
-        e = np.exp(zh - zh.max(axis=-1, keepdims=True))
-        out[sl] = e / e.sum(axis=-1, keepdims=True)
+    halves = z.reshape(z.shape[:-1] + (2, -1))
+    e = np.exp(halves - halves.max(axis=-1, keepdims=True))
+    # an owning result: a view would pin a (..., 2, half) base per kept action
+    out = np.empty(z.shape)
+    np.divide(e, e.sum(axis=-1, keepdims=True), out=out.reshape(halves.shape))
     return out
 
 
 def gaussian_logp(eps: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Diagonal-Gaussian log-density of z = mu + sigma*eps, per row."""
     return np.sum(-0.5 * eps ** 2 - log_std - 0.5 * LOG_2PI, axis=-1)
+
+
+def squashed_sample(out: np.ndarray, eps: np.ndarray, sac_cfg: SacConfig):
+    """Squash policy outputs (..., 2A) under noise eps (..., A): split mean
+    and log-std, clip the log-std, draw z = mu + exp(log_std) * eps and map z
+    onto both simplexes. Returns (action, logp, log_std, clip_mask), where
+    clip_mask marks the log-std entries strictly inside the clip range (the
+    ones a gradient reaches)."""
+    half = out.shape[-1] // 2
+    mu, raw = out[..., :half], out[..., half:]
+    log_std = np.clip(raw, sac_cfg.log_std_min, sac_cfg.log_std_max)
+    clip_mask = (raw > sac_cfg.log_std_min) & (raw < sac_cfg.log_std_max)
+    action = dual_softmax(mu + np.exp(log_std) * eps)
+    return action, gaussian_logp(eps, log_std), log_std, clip_mask
 
 
 # ---------------------------------------------------------------------------
@@ -157,25 +182,14 @@ def critic_loss_and_grads(q1: DenseNet, q2: DenseNet, s, a, y):
     return loss, g1, g2
 
 
-def _policy_heads(policy: DenseNet, s, sac_cfg: SacConfig):
-    out, cache = policy.forward_cache(s)
-    half = out.shape[1] // 2
-    mu, raw = out[:, :half], out[:, half:]
-    log_std = np.clip(raw, sac_cfg.log_std_min, sac_cfg.log_std_max)
-    clip_mask = (raw > sac_cfg.log_std_min) & (raw < sac_cfg.log_std_max)
-    return mu, log_std, clip_mask, cache
-
-
 def actor_loss_and_grads(policy: DenseNet, q1: DenseNet, q2: DenseNet, s,
                          eps: np.ndarray, zeta: float, sac_cfg: SacConfig):
     """mean(zeta * log pi - min(Q1, Q2)) under a fixed reparameterization
     noise eps; returns the loss and the policy parameter gradients."""
     m = len(s)
-    mu, log_std, clip_mask, cache = _policy_heads(policy, s, sac_cfg)
+    out, cache = policy.forward_cache(s)
+    a, logp, log_std, clip_mask = squashed_sample(out, eps, sac_cfg)
     std = np.exp(log_std)
-    z = mu + std * eps
-    a = dual_softmax(z)
-    logp = gaussian_logp(eps, log_std)
 
     x = np.concatenate([s, a], axis=1)
     v1, c1 = q1.forward_cache(x)
@@ -242,33 +256,24 @@ class SacAgent:
     # -- acting ------------------------------------------------------------
 
     def policy_sample(self, state_norm: np.ndarray, deterministic: bool = False,
-                      rng: np.random.Generator | None = None,
-                      noise: np.ndarray | None = None):
+                      rng: np.random.Generator | None = None):
         """Sample a flat (2N+2) simplex-pair action plus its surrogate
-        log-probability from one normalized state vector."""
-        x = np.asarray(state_norm, dtype=float)[None, :]
-        out = self.policy.forward(x)[0]
-        mu, raw = out[: self.action_dim], out[self.action_dim:]
-        log_std = np.clip(raw, self.sac_cfg.log_std_min, self.sac_cfg.log_std_max)
+        log-probability from one normalized state vector; the deterministic
+        action squashes the mean (zero noise)."""
+        out = self.policy.forward(np.asarray(state_norm, dtype=float)[None, :])[0]
         if deterministic:
-            z = mu
-            eps = np.zeros_like(mu)
+            eps = np.zeros(self.action_dim)
+        elif rng is None:
+            raise ValueError("stochastic sampling needs an rng")
         else:
-            if noise is not None:
-                eps = np.asarray(noise, dtype=float)
-            else:
-                if rng is None:
-                    raise ValueError("stochastic sampling needs an rng or explicit noise")
-                eps = rng.standard_normal(self.action_dim)
-            z = mu + np.exp(log_std) * eps
-        action = dual_softmax(z)
-        logp = float(gaussian_logp(eps, log_std))
-        return action, logp
+            eps = rng.standard_normal(self.action_dim)
+        action, logp, _, _ = squashed_sample(out, eps, self.sac_cfg)
+        return action, float(logp)
 
-    def act(self, state: StateVector, deterministic: bool = True,
-            rng: np.random.Generator | None = None) -> Action:
+    def act(self, state: StateVector) -> Action:
+        """The deterministic policy's action for a raw state."""
         x = self.normalizer.normalize(state.as_vector(self.state_aux))
-        flat, _ = self.policy_sample(x, deterministic=deterministic, rng=rng)
+        flat, _ = self.policy_sample(x, deterministic=True)
         return Action.from_flat(flat)
 
     # -- learning ----------------------------------------------------------
@@ -284,14 +289,10 @@ class SacAgent:
         m = len(s)
         zeta = cfg.entropy_weight
 
-        # resample the next action from the current policy
-        out2 = self.policy.forward(s2)
-        mu2, raw2 = out2[:, : self.action_dim], out2[:, self.action_dim:]
-        log_std2 = np.clip(raw2, cfg.log_std_min, cfg.log_std_max)
+        # resample the next action from the current policy (eps2 is drawn
+        # before the actor's eps)
         eps2 = rng.standard_normal((m, self.action_dim))
-        z2 = mu2 + np.exp(log_std2) * eps2
-        a2 = dual_softmax(z2)
-        logp2 = gaussian_logp(eps2, log_std2)
+        a2, logp2, _, _ = squashed_sample(self.policy.forward(s2), eps2, cfg)
 
         x2 = np.concatenate([s2, a2], axis=1)
         q_next = np.minimum(self.q1_target.forward(x2),
@@ -324,8 +325,10 @@ class SacAgent:
     _NETS = ("policy", "q1", "q2", "q1_target", "q2_target")
     _OPTS = ("policy_opt", "q1_opt", "q2_opt")
 
-    def save(self, path) -> None:
-        """Dump every weight matrix, optimizer moment, and the run metadata."""
+    def state_dict(self) -> dict:
+        """Every weight matrix, optimizer moment and the normalizer scale by
+        name, plus the JSON `meta` record as a byte array (the checkpoint
+        layout of the module docstring). The arrays are the live ones."""
         arrays = {}
         for name in self._NETS:
             for i, p in enumerate(getattr(self, name).params):
@@ -347,24 +350,38 @@ class SacAgent:
             "update_count": self.update_count,
             "opt_steps": {name: getattr(self, name).t for name in self._OPTS},
             "net_sizes": {name: getattr(self, name).sizes for name in self._NETS},
-            "buffer": {"size": self.buffer.size, "cursor": self.buffer.cursor},
         }
         arrays["meta"] = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        return arrays
 
     @classmethod
-    def load(cls, path) -> "SacAgent":
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            if meta.get("format_version") != 1:
-                raise ValueError(f"unknown checkpoint format {meta.get('format_version')}")
+    def from_state_dict(cls, arrays) -> "SacAgent":
+        """An independent agent from a `state_dict()` mapping (or an open
+        checkpoint): arrays are copied and the replay buffer starts empty.
+        A missing, surplus or misshapen array raises ValueError."""
+        if "meta" not in arrays:
+            raise ValueError("checkpoint has no 'meta' record")
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        if meta.get("format_version") != 1:
+            raise ValueError(f"unknown checkpoint format {meta.get('format_version')}")
+        used = {"meta"}
+
+        def take(key, shape):
+            if key not in arrays:
+                raise ValueError(f"checkpoint lacks array {key!r}")
+            arr = np.array(arrays[key])
+            if arr.shape != shape:
+                raise ValueError(f"checkpoint array {key!r} has shape {arr.shape}, "
+                                 f"expected {shape}")
+            used.add(key)
+            return arr
+
+        try:
             cfg_dict = dict(meta["sac_cfg"])
             cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
-            sac_cfg = SacConfig(**cfg_dict)
-
             agent = cls.__new__(cls)
-            agent.sac_cfg = sac_cfg
+            agent.sac_cfg = SacConfig(**cfg_dict)
             agent.state_dim = meta["state_dim"]
             agent.action_dim = meta["action_dim"]
             agent.state_aux = meta["state_aux"]
@@ -373,27 +390,32 @@ class SacAgent:
             for name in cls._NETS:
                 net = DenseNet.__new__(DenseNet)
                 net.sizes = tuple(meta["net_sizes"][name])
-                net.params = []
-                i = 0
-                while f"{name}.{i}" in data:
-                    net.params.append(data[f"{name}.{i}"].copy())
-                    i += 1
+                shapes = []
+                for fan_in, fan_out in zip(net.sizes[:-1], net.sizes[1:]):
+                    shapes += [(fan_in, fan_out), (fan_out,)]
+                net.params = [take(f"{name}.{i}", s) for i, s in enumerate(shapes)]
                 setattr(agent, name, net)
             for name in cls._OPTS:
-                net = getattr(agent, name.rsplit("_", 1)[0])
-                opt = Adam(net.params, lr=sac_cfg.learning_rate)
+                shapes = [p.shape for p in getattr(agent, name.rsplit("_", 1)[0]).params]
+                opt = Adam([], lr=agent.sac_cfg.learning_rate)
                 opt.t = meta["opt_steps"][name]
-                opt.m = []
-                opt.v = []
-                i = 0
-                while f"{name}.m{i}" in data:
-                    opt.m.append(data[f"{name}.m{i}"].copy())
-                    opt.v.append(data[f"{name}.v{i}"].copy())
-                    i += 1
+                opt.m = [take(f"{name}.m{i}", s) for i, s in enumerate(shapes)]
+                opt.v = [take(f"{name}.v{i}", s) for i, s in enumerate(shapes)]
                 setattr(agent, name, opt)
-            # transitions themselves are not checkpointed: the restored
-            # buffer starts empty, the saved cursor stays in the file record
-            agent.buffer = ReplayBuffer(sac_cfg.buffer_capacity,
-                                        meta["state_dim"], meta["action_dim"])
-            agent.normalizer = StateNormalizer(data["normalizer.scale"].copy())
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"checkpoint meta is incomplete: {exc!r}") from exc
+        agent.normalizer = StateNormalizer(take("normalizer.scale", (agent.state_dim,)))
+        surplus = sorted(set(arrays) - used)
+        if surplus:
+            raise ValueError(f"checkpoint has unexpected arrays {surplus}")
+        agent.buffer = ReplayBuffer(agent.sac_cfg.buffer_capacity,
+                                    agent.state_dim, agent.action_dim)
         return agent
+
+    def save(self, path) -> None:
+        np.savez(path, **self.state_dict())
+
+    @classmethod
+    def load(cls, path) -> "SacAgent":
+        with np.load(path) as data:
+            return cls.from_state_dict(data)

@@ -1,6 +1,7 @@
 import csv
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from lyaq.cli import main
@@ -134,3 +135,44 @@ def test_plot_renders_every_csv_kind(tmp_path, trained):
                  "--out", str(tmp_path)]) == 0
     for name in ("curve.svg", "trace.svg", "sweep.svg"):
         assert "</svg>" in (tmp_path / name).read_text()
+
+
+def test_checkpoint_of_another_config_fails_clearly(trained, capsys):
+    _, ckpt, _ = trained
+    code = main(["eval", "--profile", "paper8", "--controller", "sac",
+                 "--checkpoint", str(ckpt), "--episodes", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "state_dim=11 but the config has state_dim=41" in err
+
+
+def test_checkpoint_without_meta_fails_clearly(tmp_path, trained, capsys):
+    config, ckpt, _ = trained
+    with np.load(ckpt) as data:
+        arrays = {key: data[key] for key in data.files if key != "meta"}
+    broken = tmp_path / "broken.npz"
+    np.savez(broken, **arrays)
+    assert main(["eval", "--config", config, "--controller", "sac",
+                 "--checkpoint", str(broken), "--episodes", "1"]) == 1
+    assert "no 'meta'" in capsys.readouterr().err
+
+
+def test_training_divergence_fails_clearly(tmp_path, monkeypatch, capsys):
+    def diverge(self, rng):
+        raise FloatingPointError("non-finite loss at update 1")
+
+    monkeypatch.setattr(SacAgent, "update", diverge)
+    # four 4x20-slot cycles fill the buffer to one 256-transition batch
+    assert main(["train", "--config", desk_config_file(tmp_path), "--steps", "320",
+                 "--hidden", "8,8"]) == 1
+    assert "error: non-finite loss" in capsys.readouterr().err
+
+
+def test_train_is_byte_reproducible(tmp_path):
+    outputs = []
+    for run in ("a", "b"):
+        curve, ckpt = tmp_path / f"{run}.csv", tmp_path / f"{run}.npz"
+        assert main(["train", "--profile", "desk", "--steps", "400", "--hidden", "8,8",
+                     "--seed", "2", "--out", str(curve), "--checkpoint", str(ckpt)]) == 0
+        outputs.append((curve.read_bytes(), ckpt.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -5,7 +5,7 @@ import numpy as np
 
 from lyaq.config import desk_config
 from lyaq.env import EdgeCloudEnv
-from lyaq.harness import (UniformController, _snapshot, controller_rng,
+from lyaq.harness import (UniformController, controller_rng,
                           default_reward_spec, run_episode, sweep)
 from lyaq.plots import emit_plots
 from lyaq.rewards import compute_reward
@@ -85,7 +85,7 @@ def test_snapshot_keeps_its_optimizer_state():
         agent.store_transition(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
                                -rng.random(), rng.random(cfg.state_dim))
     agent.update(rng)
-    snap = _snapshot(agent)
+    snap = SacAgent.from_state_dict(agent.state_dict())
     frozen = {name: (getattr(snap, name).t,
                      [m.copy() for m in getattr(snap, name).m],
                      [v.copy() for v in getattr(snap, name).v])

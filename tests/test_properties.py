@@ -1,5 +1,7 @@
 """Property tests of the environment's invariants over generated actions,
-profiles and seeds."""
+profiles and seeds, and of the SAC policy squash over extreme outputs."""
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from lyaq.config import get_profile
 from lyaq.env import (ARRIVAL_WINDOW, Action, EdgeCloudEnv, actual_cpu_use,
                       cloud_cost, compute_departure, compute_offload,
                       edge_cost, queue_update)
+from lyaq.sac import SacConfig, squashed_sample
 
 PROFILES = st.sampled_from(["desk", "paper", "paper8"])
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -71,6 +74,49 @@ def test_edge_cost_is_monotone_in_total_cpu_share(profile, data):
     if first.alpha_eff.sum() > second.alpha_eff.sum():
         first, second = second, first
     assert 0.0 <= edge_cost(first, cfg) <= edge_cost(second, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile=PROFILES, kind=st.sampled_from(["cubic", "per-core"]), data=st.data())
+def test_cloud_cost_is_monotone_in_offloaded_load(profile, kind, data):
+    cfg = replace(get_profile(profile), cloud_cost_kind=kind)
+    bits = st.sampled_from([0.0, 1e-6, 1.0]) | st.floats(0.0, 1e9)
+    offloads = st.lists(bits, min_size=cfg.n_queues, max_size=cfg.n_queues)
+    low = np.array(data.draw(offloads))
+    high = low + np.array(data.draw(offloads))
+    assert 0.0 <= cloud_cost(low, cfg) <= cloud_cost(high, cfg)
+
+
+@st.composite
+def policy_outputs(draw):
+    """Policy outputs of one state or of a batch, entries of either sign with
+    magnitudes from 1e-300 to 1e300 or exactly zero, and finite noise of the
+    matching shape."""
+    action_dim = 2 * draw(st.integers(2, 9))
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+    entry = st.just(0.0) | st.builds(lambda sign, m: sign * m,
+                                     st.sampled_from([-1.0, 1.0]), magnitude)
+    size = int(np.prod(lead, dtype=int))
+    out = draw(st.lists(entry, min_size=2 * action_dim * size,
+                        max_size=2 * action_dim * size))
+    eps = draw(st.lists(st.floats(-1e3, 1e3), min_size=action_dim * size,
+                        max_size=action_dim * size))
+    return (np.reshape(out, lead + (2 * action_dim,)),
+            np.reshape(eps, lead + (action_dim,)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample=policy_outputs())
+def test_squashed_actions_lie_on_both_simplexes(sample):
+    out, eps = sample
+    for noise in (eps, np.zeros_like(eps)):  # stochastic, then deterministic
+        action, logp, _, _ = squashed_sample(out, noise, SacConfig())
+        half = action.shape[-1] // 2
+        for part in (action[..., :half], action[..., half:]):
+            assert np.all(part >= 0.0)
+            np.testing.assert_allclose(part.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.all(np.isfinite(logp))
 
 
 @settings(max_examples=15, deadline=None)

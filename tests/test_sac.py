@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,19 @@ class TestPolicyOutputs:
         assert out[0, 3:].sum() == pytest.approx(1.0)
         assert out[0, 2] > 0.9
 
+
+    def test_dual_softmax_matches_a_per_half_loop(self):
+        rng = np.random.default_rng(26)
+        for shape in [(6,), (1, 18), (256, 6), (3, 4, 10)]:
+            z = rng.normal(0.0, 10.0, shape)
+            ref = np.empty_like(z)
+            half = shape[-1] // 2
+            for sl in (np.s_[..., :half], np.s_[..., half:]):
+                e = np.exp(z[sl] - z[sl].max(axis=-1, keepdims=True))
+                ref[sl] = e / e.sum(axis=-1, keepdims=True)
+            out = dual_softmax(z)
+            assert np.array_equal(out, ref)
+            assert out.base is None  # owns its data
 
 class TestGradients:
     """Finite-difference agreement at 1e-4 relative on toy networks."""
@@ -239,6 +254,35 @@ class TestUpdates:
         assert np.allclose(after, expect, rtol=1e-10)
         assert not np.array_equal(online_prev, online_new)
 
+    def test_update_matches_a_hand_written_step(self, cfg):
+        # reference step with the next action squashed inline; eps2 is drawn
+        # before the actor's eps
+        agent = SacAgent(cfg, TOY, rng=np.random.default_rng(24))
+        self._fill_buffer(agent, cfg, n=8)
+        ref = SacAgent.from_state_dict(agent.state_dict())
+        agent.update(np.random.default_rng(25))
+
+        rng = np.random.default_rng(25)
+        s, a, r, s2 = agent.buffer.sample(TOY.batch_size, rng)
+        n = cfg.action_dim
+        out2 = ref.policy.forward(s2)
+        eps2 = rng.standard_normal((len(s), n))
+        log_std2 = np.clip(out2[:, n:], TOY.log_std_min, TOY.log_std_max)
+        a2 = dual_softmax(out2[:, :n] + np.exp(log_std2) * eps2)
+        x2 = np.concatenate([s2, a2], axis=1)
+        q_next = np.minimum(ref.q1_target.forward(x2), ref.q2_target.forward(x2))[:, 0]
+        y = r + TOY.discount * (q_next - TOY.entropy_weight * gaussian_logp(eps2, log_std2))
+        _, g1, g2 = critic_loss_and_grads(ref.q1, ref.q2, s, a, y[:, None])
+        ref.q1_opt.step(ref.q1.params, g1)
+        ref.q2_opt.step(ref.q2.params, g2)
+        eps = rng.standard_normal((len(s), n))
+        _, pg = actor_loss_and_grads(ref.policy, ref.q1, ref.q2, s, eps,
+                                     TOY.entropy_weight, TOY)
+        ref.policy_opt.step(ref.policy.params, pg)
+        for name in ("policy", "q1", "q2"):
+            assert np.array_equal(getattr(agent, name).get_flat(),
+                                  getattr(ref, name).get_flat()), name
+
     def test_training_is_bit_reproducible(self, cfg):
         outs = []
         for _ in range(2):
@@ -307,3 +351,61 @@ class TestCheckpoint:
         a1, _ = agent.policy_sample(x, deterministic=True)
         a2, _ = loaded.policy_sample(x, deterministic=True)
         assert np.array_equal(a1, a2)
+
+    def test_copy_is_independent_with_an_empty_buffer(self, cfg):
+        agent = SacAgent(cfg, TOY, rng=np.random.default_rng(17))
+        rng = np.random.default_rng(18)
+        for _ in range(8):
+            agent.store_transition(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
+                                   -rng.random(), rng.random(cfg.state_dim))
+        copy = SacAgent.from_state_dict(agent.state_dict())
+        before = copy.policy.get_flat()
+        agent.update(rng)
+        assert np.array_equal(copy.policy.get_flat(), before)
+        assert not np.array_equal(agent.policy.get_flat(), before)
+        assert len(copy.buffer) == 0 and len(agent.buffer) == 8
+
+    def test_meta_with_a_buffer_record_still_loads(self, cfg):
+        # checkpoints of earlier versions carry a "buffer" record in meta
+        agent = SacAgent(cfg, TOY, rng=np.random.default_rng(19))
+        arrays = agent.state_dict()
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["buffer"] = {"size": 40, "cursor": 40}
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        loaded = SacAgent.from_state_dict(arrays)
+        assert np.array_equal(loaded.q2.get_flat(), agent.q2.get_flat())
+
+    @pytest.mark.parametrize("key", ["q1.0", "policy_opt.v3", "normalizer.scale"])
+    def test_missing_array_is_named(self, cfg, key):
+        arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(20)).state_dict()
+        del arrays[key]
+        with pytest.raises(ValueError, match=f"lacks array '{key}'"):
+            SacAgent.from_state_dict(arrays)
+
+    def test_misshapen_array_is_named(self, cfg):
+        arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(21)).state_dict()
+        arrays["q2_target.2"] = np.zeros((8, 9))
+        with pytest.raises(ValueError, match=r"'q2_target.2' has shape \(8, 9\), "
+                                             r"expected \(8, 8\)"):
+            SacAgent.from_state_dict(arrays)
+
+    def test_surplus_array_is_named(self, cfg):
+        arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(22)).state_dict()
+        arrays["q1.6"] = np.zeros(1)
+        with pytest.raises(ValueError, match=r"unexpected arrays \['q1.6'\]"):
+            SacAgent.from_state_dict(arrays)
+
+    def test_missing_meta_fails_to_load(self, tmp_path, cfg):
+        arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(23)).state_dict()
+        del arrays["meta"]
+        np.savez(tmp_path / "a.npz", **arrays)
+        with pytest.raises(ValueError, match="no 'meta'"):
+            SacAgent.load(tmp_path / "a.npz")
+
+    def test_incomplete_meta_fails_to_load(self, cfg):
+        arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(24)).state_dict()
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        del meta["net_sizes"]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with pytest.raises(ValueError, match="meta is incomplete.*net_sizes"):
+            SacAgent.from_state_dict(arrays)

@@ -7,7 +7,7 @@ from .config import (AppProfile, SystemConfig, FeasibilityReport,
                      save_config, get_profile, three_app_config,
                      eight_app_config, desk_config)
 from .traffic import sample_task_size, sample_task_sizes, sample_arrivals
-from .env import (Action, StateVector, StepOutcome, RewardInputs, EdgeCloudEnv,
+from .env import (Action, StateVector, StepOutcome, EdgeCloudEnv,
                   Trace, compute_departure, compute_offload, queue_update,
                   edge_cost, cloud_cost)
 from .rewards import (RewardSpec, reward_power, reward_reshaped, reward_diff,

@@ -118,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=20000,
                    help="training budget per grid point (sac)")
     p.add_argument("--episodes", type=int, default=5)
-    p.add_argument("--restarts", type=int, default=2,
-                   help="DPP random descent restarts (full-bound only)")
     p.add_argument("--out", required=True, help="trade-off CSV path")
 
     p = sub.add_parser("compare", help="DPP vs SAC on both cloud-cost kinds")
@@ -187,8 +185,8 @@ def cmd_simulate(args) -> int:
     env_rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
     controller = _controller_for(args, cfg)
     spec = harness.default_reward_spec(cfg, kind=args.reward)
-    trace, reward_sum, _ = harness.run_episode(controller, cfg, env_rng,
-                                               reward_spec=spec)
+    trace, reward_sum = harness.run_episode(controller, cfg, env_rng,
+                                            reward_spec=spec)
     m = harness.metrics_from_trace(trace)
     if args.out:
         trace.write_csv(args.out)
@@ -208,7 +206,7 @@ def cmd_dpp(args) -> int:
     # it, so solver draws never shift the arrivals
     rng = np.random.default_rng(args.seed)
     controller = DppController(cfg, dpp_cfg, rng.spawn(1)[0])
-    trace, _, _ = harness.run_episode(controller, cfg, rng, T=T)
+    trace, _ = harness.run_episode(controller, cfg, rng, T=T)
     metrics = harness.metrics_from_trace(trace)
     if args.out:
         trace.write_csv(args.out)
@@ -225,6 +223,10 @@ def cmd_train(args) -> int:
     result = harness.train(cfg, sac_cfg, args.steps, args.seed, spec,
                            progress=lambda r: print(
                                f"steps={r['steps']} reward_sum={r['reward_sum']:.6g}"))
+    if result.agent.update_count == 0:
+        print(f"warning: the budget of {args.steps} steps never filled one batch of "
+              f"{sac_cfg.batch_size} transitions; no gradient step was taken and "
+              "the agent is untrained", file=sys.stderr)
     if args.out:
         result.write_curve_csv(args.out)
         print(f"learning curve written to {args.out}")
@@ -239,8 +241,7 @@ def cmd_eval(args) -> int:
     controller = _controller_for(args, cfg)
     spec = harness.default_reward_spec(cfg, kind=args.reward)
     records = harness.evaluate(controller, cfg, args.episodes, args.seed, spec,
-                               controller_name=args.controller,
-                               keep_traces=False)
+                               controller_name=args.controller)
     if args.out:
         with open(args.out, "w", newline="") as f:
             writer = csv.writer(f)
@@ -268,7 +269,6 @@ def cmd_sweep(args) -> int:
     seeds = _int_list(args.seeds)
     sac_cfg = SacConfig(hidden_sizes=(64, 64)) if args.controller == "sac" else None
     rows = harness.sweep(args.controller, cfg, grid, seeds, out_csv=args.out,
-                         dpp_cfg=DppConfig(restarts=args.restarts),
                          sac_cfg=sac_cfg, total_steps=args.steps,
                          reward_kind=args.reward, episodes=args.episodes,
                          progress=lambda r: print(

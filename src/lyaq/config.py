@@ -4,13 +4,18 @@ Units: task sizes and queue lengths in bits, clock rates in cycles/s,
 bandwidth in bits/s. One slot is one second, so per-slot and per-second
 rates coincide. Size suffix convention follows the usual storage units:
 1 kB = 8*1024 bits, 1 MB = 8*1024*1024 bits.
+
+Power costs are in kappa*(Gcycles/s)^3 units. The constant kappa itself is
+not modelled: it would only rescale the penalty weight V. The learner's
+discount factor gamma is `SacConfig.discount`, not part of the system.
+`config_from_dict` ignores the `kappa` and `discount` keys that configs
+written by earlier versions hold.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -84,12 +89,10 @@ class SystemConfig:
     edge_cores: int                  # N_E
     bandwidth: float                 # B, bits/s edge->cloud
     cloud_cores: int                 # N_C
-    kappa: float                     # cost per (cycles/s)^3
     rho: float                       # queue-reward weight
     penalty_weight: float            # V
     reward_exponent: float           # nu >= 1
     episode_length: int              # T, slots
-    discount: float                  # gamma in (0,1)
     apps: tuple[AppProfile, ...]
     cloud_cost_kind: str = "cubic"   # "cubic" | "per-core"
     cloud_core_clock: float = 4e9    # cycles/s of one cloud core
@@ -145,8 +148,6 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         errors.append(f"cloud_cores {cfg.cloud_cores} < 0")
     if cfg.cloud_core_clock <= 0:
         errors.append(f"cloud_core_clock {cfg.cloud_core_clock} <= 0")
-    if cfg.kappa <= 0:
-        errors.append(f"kappa {cfg.kappa} <= 0")
     if cfg.rho <= 0:
         errors.append(f"rho {cfg.rho} <= 0")
     if cfg.penalty_weight < 0:
@@ -155,8 +156,6 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         errors.append(f"reward_exponent {cfg.reward_exponent} < 1")
     if cfg.episode_length < 1:
         errors.append(f"episode_length {cfg.episode_length} < 1")
-    if not (0.0 < cfg.discount < 1.0):
-        errors.append(f"discount {cfg.discount} out of (0,1)")
     if cfg.cloud_cost_kind not in CLOUD_COST_KINDS:
         errors.append(f"cloud_cost_kind {cfg.cloud_cost_kind!r} not in {CLOUD_COST_KINDS}")
     if cfg.state_aux not in ("arrival", "backlog"):
@@ -204,12 +203,10 @@ def config_to_dict(cfg: SystemConfig) -> dict:
         "bandwidth": cfg.bandwidth,
         "cloud_cores": cfg.cloud_cores,
         "cloud_core_clock": cfg.cloud_core_clock,
-        "kappa": cfg.kappa,
         "rho": cfg.rho,
         "penalty_weight": cfg.penalty_weight,
         "reward_exponent": cfg.reward_exponent,
         "episode_length": cfg.episode_length,
-        "discount": cfg.discount,
         "cloud_cost_kind": cfg.cloud_cost_kind,
         "state_aux": cfg.state_aux,
         "apps": [
@@ -248,12 +245,10 @@ def config_from_dict(d: dict) -> SystemConfig:
         edge_cores=int(d["edge_cores"]),
         bandwidth=float(d["bandwidth"]),
         cloud_cores=int(d["cloud_cores"]),
-        kappa=float(d["kappa"]),
         rho=float(d["rho"]),
         penalty_weight=float(d["penalty_weight"]),
         reward_exponent=float(d["reward_exponent"]),
         episode_length=int(d["episode_length"]),
-        discount=float(d["discount"]),
         apps=tuple(apps),
         cloud_cost_kind=d.get("cloud_cost_kind", "cubic"),
         cloud_core_clock=float(d.get("cloud_core_clock", 4e9)),
@@ -275,10 +270,6 @@ def save_config(cfg: SystemConfig, path) -> None:
 # ---------------------------------------------------------------------------
 # Built-in profiles
 
-# kappa calibrated so a 4 GHz core burns ~35 W at ~1 dollar per 10 kWh
-KAPPA_DEFAULT = 1.0 / (400e9) ** 3
-
-
 def three_app_config(**overrides) -> SystemConfig:
     """Three AI application types on a 10-core 40 Gcycles/s edge node with a
     54-core cloud behind a 20 Mbps link."""
@@ -293,12 +284,10 @@ def three_app_config(**overrides) -> SystemConfig:
         edge_cores=10,
         bandwidth=20e6,
         cloud_cores=54,
-        kappa=KAPPA_DEFAULT,
         rho=1e-9,
         penalty_weight=0.0,
         reward_exponent=1.0,
         episode_length=5000,
-        discount=0.999,
         apps=apps,
     )
     return replace(cfg, **overrides) if overrides else cfg
@@ -322,12 +311,10 @@ def eight_app_config(**overrides) -> SystemConfig:
         edge_cores=10,
         bandwidth=20e6,
         cloud_cores=54,
-        kappa=KAPPA_DEFAULT,
         rho=1e-9,
         penalty_weight=0.0,
         reward_exponent=1.0,
         episode_length=5000,
-        discount=0.999,
         apps=apps,
     )
     return replace(cfg, **overrides) if overrides else cfg
@@ -346,12 +333,10 @@ def desk_config(**overrides) -> SystemConfig:
         edge_cores=2,
         bandwidth=3e6,
         cloud_cores=4,
-        kappa=KAPPA_DEFAULT,
         rho=1e-9,
         penalty_weight=0.0,
         reward_exponent=1.0,
         episode_length=500,
-        discount=0.99,
         apps=apps,
     )
     return replace(cfg, **overrides) if overrides else cfg

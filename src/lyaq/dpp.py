@@ -52,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .env import Action, cloud_cost, compute_offload, edge_cost
+from .env import (Action, check_cloud_cores, cloud_cost, compute_offload,
+                  edge_cost)
 
 
 class UnsupportedObjectiveError(RuntimeError):
@@ -353,10 +354,7 @@ def dpp_step_optimize(q, a, cfg: SystemConfig, dpp_cfg: DppConfig,
         raise UnsupportedObjectiveError(
             f"cloud cost kind {cfg.cloud_cost_kind!r} is discontinuous; "
             "the drift-plus-penalty solver does not support it")
-    if cfg.cloud_cores < 1:
-        raise ValueError(
-            f"cubic cloud cost needs cloud_cores >= 1, got {cfg.cloud_cores}: "
-            "every offloaded bit would cost infinity")
+    check_cloud_cores(cfg)
     q = np.asarray(q, dtype=float)
     a = np.asarray(a, dtype=float)
     if dpp_cfg.objective_kind == "full-bound":
@@ -368,21 +366,18 @@ def dpp_step_optimize(q, a, cfg: SystemConfig, dpp_cfg: DppConfig,
 
 
 class DppController:
-    """Per-slot solver wrapper usable wherever a policy is expected.
-
-    warm_start (full-bound only) adds the previous slot's action to the
-    descent starts."""
+    """Per-slot solver wrapper usable wherever a policy is expected. The
+    full-bound descent also starts from the previous slot's action."""
 
     def __init__(self, cfg: SystemConfig, dpp_cfg: DppConfig,
-                 rng: np.random.Generator, warm_start: bool = True):
+                 rng: np.random.Generator):
         self.cfg = cfg
         self.dpp_cfg = dpp_cfg
         self.rng = rng
-        self.warm_start = warm_start
         self._last: Action | None = None
 
     def act(self, state) -> Action:
-        extra = (self._last,) if (self.warm_start and self._last is not None) else ()
+        extra = () if self._last is None else (self._last,)
         action = dpp_step_optimize(state.queue, state.arrival, self.cfg,
                                    self.dpp_cfg, self.rng, extra_starts=extra)
         self._last = action

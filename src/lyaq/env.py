@@ -13,8 +13,9 @@ one runs out. Replacing `env.rng` therefore changes the arrivals from the
 next block on (right after a `reset`, from the next step on), not those
 already drawn.
 
-Costs are carried in G^3*kappa units (cube of Gcycles/s times kappa), the
-natural dynamic range of the cubic power model.
+Costs are carried in kappa*(Gcycles/s)^3 units, the natural dynamic range of
+the cubic power model. kappa itself is not modelled: a cost weight V
+absorbs it (see the config module).
 """
 
 from __future__ import annotations
@@ -128,24 +129,17 @@ class StateVector:
 
 @dataclass(frozen=True)
 class StepOutcome:
+    """The record of one slot: what the reward family and the trace read,
+    and the state the next action is taken on."""
+
     next_state: StateVector
+    queue_before: np.ndarray  # q_i(t), bits
     queue_after: np.ndarray   # q_i(t+1), bits
     departures: np.ndarray    # b_i(t), bits
     offloads: np.ndarray      # o_i(t), bits
     edge_cost: float          # C_E(t), G^3 kappa
     cloud_cost: float         # C_C(t), G^3 kappa
-
-
-@dataclass(frozen=True)
-class RewardInputs:
-    """Everything the reward family consumes about one step."""
-
-    queue_before: np.ndarray  # q_i(t)
-    queue_after: np.ndarray   # q_i(t+1)
-    departures: np.ndarray    # b_i(t)
-    edge_cost: float
-    cloud_cost: float
-    t: int
+    t: int                    # slot index of the step
 
     @property
     def penalty_cost(self) -> float:
@@ -205,6 +199,15 @@ def cloud_cost(offloads, cfg: SystemConfig):
     return float(cost) if cost.ndim == 0 else cost
 
 
+def check_cloud_cores(cfg: SystemConfig) -> None:
+    """Refuse a cubic cloud cost without cloud cores, under which every
+    offloaded bit would cost infinity."""
+    if cfg.cloud_cost_kind == "cubic" and cfg.cloud_cores < 1:
+        raise ValueError(
+            f"cubic cloud cost needs cloud_cores >= 1, got {cfg.cloud_cores}: "
+            "every offloaded bit would cost infinity")
+
+
 def actual_cpu_use(queue_plus_arrival, action: Action, cfg: SystemConfig) -> np.ndarray:
     """Realized CPU fraction: alpha_i capped when the backlog is smaller than
     the nominal allocation alpha_i f_E / w_i."""
@@ -223,6 +226,7 @@ class EdgeCloudEnv:
 
     def __init__(self, cfg: SystemConfig, rng: np.random.Generator | None = None,
                  seed: int | None = None):
+        check_cloud_cores(cfg)
         self.cfg = cfg
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self._q = np.zeros(cfg.n_queues)
@@ -288,10 +292,11 @@ class EdgeCloudEnv:
         self._push_window(self._a)
         return self.state()
 
-    def step(self, action: Action) -> tuple[StepOutcome, RewardInputs]:
+    def step(self, action: Action) -> StepOutcome:
         """compute_departure, compute_offload, queue_update, the two costs
         and actual_cpu_use for one slot, with the CPU bits alpha_i f_E / w_i
-        computed once."""
+        computed once. The environment never writes into the queue arrays
+        it hands out."""
         cfg = self.cfg
         w = cfg.workloads
         q_before = self._q
@@ -303,35 +308,25 @@ class EdgeCloudEnv:
         b = cpu_bits + bw_bits
         o = np.maximum(0.0, np.minimum(bw_bits, qpa - cpu_bits))
         q_after = np.maximum(0.0, qpa - b)
-        c_edge = edge_cost(action, cfg)
-        c_cloud = cloud_cost(o, cfg)
+        t = self._t
 
         self._prev_actual_cpu = np.minimum(alpha, w * qpa / cfg.edge_clock)
         self._prev_offloaded_cycles = float(np.dot(w, o))
-
-        reward_inputs = RewardInputs(
-            queue_before=q_before,
-            queue_after=q_after.copy(),
-            departures=b,
-            edge_cost=c_edge,
-            cloud_cost=c_cloud,
-            t=self._t,
-        )
-
         self._q = q_after
         self._a = self._next_arrival()
         self._push_window(self._a)
         self._t += 1
 
-        outcome = StepOutcome(
+        return StepOutcome(
             next_state=self.state(),
-            queue_after=q_after.copy(),
+            queue_before=q_before,
+            queue_after=q_after,
             departures=b,
             offloads=o,
-            edge_cost=c_edge,
-            cloud_cost=c_cloud,
+            edge_cost=edge_cost(action, cfg),
+            cloud_cost=cloud_cost(o, cfg),
+            t=t,
         )
-        return outcome, reward_inputs
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,11 @@ from one SeedSequence, so identical inputs give byte-identical metric CSVs.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SystemConfig, config_to_dict
+from .config import SystemConfig
 from .dpp import (DppConfig, DppController, SolverDivergedError,
                   UnsupportedObjectiveError)
 from .env import Action, EdgeCloudEnv, Trace
@@ -83,9 +82,9 @@ def make_controller(kind: str, cfg: SystemConfig, rng: np.random.Generator,
 
 def run_episode(controller, cfg: SystemConfig, rng: np.random.Generator,
                 T: int | None = None, reward_spec: RewardSpec | None = None):
-    """One T-slot episode from empty queues; returns (trace, reward_sum,
-    queue_trajectory) where the trajectory holds sum_i q_i(t) for t = 0..T.
-    A solver error is re-raised with the slot it happened in."""
+    """One T-slot episode from empty queues; returns (trace, reward_sum),
+    the reward sum staying 0.0 without a reward_spec. A solver error is
+    re-raised with the slot it happened in."""
     T = T or cfg.episode_length
     env = EdgeCloudEnv(cfg, rng=rng)
     state = env.reset()
@@ -96,15 +95,14 @@ def run_episode(controller, cfg: SystemConfig, rng: np.random.Generator,
             action = controller.act(state)
         except (SolverDivergedError, UnsupportedObjectiveError) as exc:
             raise type(exc)(f"slot {t}: {exc}") from exc
-        outcome, inputs = env.step(action)
+        outcome = env.step(action)
         if reward_spec is not None:
-            reward_sum += compute_reward(inputs, T, reward_spec)
-        trace.append(t, inputs.queue_before, state.arrival, action,
+            reward_sum += compute_reward(outcome, T, reward_spec)
+        trace.append(t, outcome.queue_before, state.arrival, action,
                      outcome.departures, outcome.offloads,
                      outcome.edge_cost, outcome.cloud_cost)
         state = outcome.next_state
-    queue_traj = np.append(trace.queue_totals, env.queue.sum())
-    return trace, reward_sum, queue_traj
+    return trace, reward_sum
 
 
 def metrics_from_trace(trace: Trace) -> dict:
@@ -135,7 +133,9 @@ def default_reward_spec(cfg: SystemConfig, kind: str = "diff") -> RewardSpec:
 
 @dataclass
 class RunRecord:
-    run_id: str
+    """One evaluation episode: the controller and reward it ran under, its
+    undiscounted reward sum and the two headline averages of its trace."""
+
     controller: str
     V: float
     nu: float
@@ -144,33 +144,22 @@ class RunRecord:
     episode_reward_sum: float
     avg_penalty: float
     avg_queue: float
-    queue_trajectory: np.ndarray
-    config_snapshot: dict = field(default_factory=dict)
-    trace: Trace | None = None
-
-    def check_metrics(self, tol: float = 1e-9) -> bool:
-        """Summary metrics must equal recomputation from the stored trace."""
-        if self.trace is None:
-            return True
-        m = metrics_from_trace(self.trace)
-        return (abs(m["avg_penalty"] - self.avg_penalty) <= tol * max(1.0, abs(self.avg_penalty))
-                and abs(m["avg_queue"] - self.avg_queue) <= tol * max(1.0, abs(self.avg_queue)))
 
 
 def evaluate(controller, cfg: SystemConfig, episodes: int, seed: int,
-             reward_spec: RewardSpec | None = None, controller_name: str = "",
-             keep_traces: bool = True) -> list[RunRecord]:
-    """Deterministic-policy evaluation episodes with full bookkeeping."""
+             reward_spec: RewardSpec | None = None,
+             controller_name: str = "") -> list[RunRecord]:
+    """One RunRecord per deterministic-policy episode; episode k draws its
+    arrivals from SeedSequence(seed).spawn(episodes)[k]. The traces are not
+    kept."""
     reward_spec = reward_spec or default_reward_spec(cfg)
     records = []
-    streams = np.random.SeedSequence(seed).spawn(episodes)
-    for ep, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        trace, reward_sum, traj = run_episode(controller, cfg, rng,
-                                              reward_spec=reward_spec)
+    for stream in np.random.SeedSequence(seed).spawn(episodes):
+        trace, reward_sum = run_episode(controller, cfg,
+                                        np.random.default_rng(stream),
+                                        reward_spec=reward_spec)
         m = metrics_from_trace(trace)
         records.append(RunRecord(
-            run_id=f"{controller_name or 'eval'}-s{seed}-e{ep}",
             controller=controller_name,
             V=reward_spec.penalty_weight,
             nu=reward_spec.exponent,
@@ -179,15 +168,14 @@ def evaluate(controller, cfg: SystemConfig, episodes: int, seed: int,
             episode_reward_sum=reward_sum,
             avg_penalty=m["avg_penalty"],
             avg_queue=m["avg_queue"],
-            queue_trajectory=traj,
-            config_snapshot=config_to_dict(cfg),
-            trace=trace if keep_traces else None,
         ))
     return records
 
 
 # ---------------------------------------------------------------------------
 # Training
+
+EPISODES_PER_CYCLE = 4  # episodes collected between two rounds of updates
 
 
 @dataclass
@@ -208,11 +196,11 @@ class TrainResult:
 
 
 def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
-          reward_spec: RewardSpec | None = None, episodes_per_cycle: int = 4,
-          updates_per_step: float = 1.0, progress=None) -> TrainResult:
-    """Mirror of the paper's schedule: repeatedly collect four episodes from
-    empty queues into the buffer, take gradient steps, then log one
-    deterministic evaluation episode (undiscounted reward sum).
+          reward_spec: RewardSpec | None = None, progress=None) -> TrainResult:
+    """Mirror of the paper's schedule: repeatedly collect EPISODES_PER_CYCLE
+    episodes from empty queues into the buffer, take one gradient step per
+    collected transition (none until the buffer holds one batch), then log
+    one deterministic evaluation episode (undiscounted reward sum).
     """
     reward_spec = reward_spec or default_reward_spec(cfg)
     T = cfg.episode_length
@@ -228,8 +216,8 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
 
     def eval_record(steps: int) -> dict:
         rng = np.random.default_rng(eval_ss.spawn(1)[0])
-        trace, reward_sum, traj = run_episode(SacController(agent), cfg, rng,
-                                              reward_spec=reward_spec)
+        trace, reward_sum = run_episode(SacController(agent), cfg, rng,
+                                        reward_spec=reward_spec)
         m = metrics_from_trace(trace)
         return {"steps": steps, "reward_sum": reward_sum,
                 "avg_penalty": m["avg_penalty"], "avg_queue": m["avg_queue"]}
@@ -241,13 +229,13 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
 
     while steps_done < total_steps:
         pending = []
-        for _ in range(episodes_per_cycle):
+        for _ in range(EPISODES_PER_CYCLE):
             state = env.reset()
             s_norm = agent.normalizer.normalize(state.as_vector(aux))
             for _ in range(T):
                 flat, _ = agent.policy_sample(s_norm, rng=collect_rng)
-                outcome, inputs = env.step(Action.from_flat(flat))
-                r = compute_reward(inputs, T, reward_spec)
+                outcome = env.step(Action.from_flat(flat))
+                r = compute_reward(outcome, T, reward_spec)
                 s2_norm = agent.normalizer.normalize(
                     outcome.next_state.as_vector(aux))
                 pending.append((s_norm, flat, r, s2_norm))
@@ -260,10 +248,8 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
         for s_n, a_f, r, s2_n in pending:
             agent.store_transition(s_n, a_f, r * agent.reward_scale, s2_n)
 
-        n_updates = int(round(len(pending) * updates_per_step
-                              * agent.sac_cfg.gradient_steps))
         if len(agent.buffer) >= sac_cfg.batch_size:
-            for _ in range(n_updates):
+            for _ in range(len(pending)):
                 agent.update(update_rng)
 
         record = eval_record(steps_done)
@@ -300,13 +286,14 @@ def _sweep_csv_rows(path) -> set:
 
 
 def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds,
-          out_csv=None, dpp_cfg: DppConfig | None = None,
-          sac_cfg: SacConfig | None = None, total_steps: int = 20000,
-          reward_kind: str = "diff", episodes: int = 5,
-          progress=None) -> list[dict]:
+          out_csv=None, sac_cfg: SacConfig | None = None,
+          total_steps: int = 20000, reward_kind: str = "diff",
+          episodes: int = 5, progress=None) -> list[dict]:
     """Trade-off sweep: one (V, seed) per row, appended idempotently, plus
-    per-V means. DPP reads V as its own weighting factor V'."""
-    if not len(list(V_grid)):
+    per-V means. DPP reads V as its own weighting factor V' and solves the
+    linear-drift objective. V_grid and seeds may be any iterables."""
+    V_grid, seeds = list(V_grid), list(seeds)
+    if not V_grid:
         raise ValueError("V grid must be non-empty")
     rows = []
     done = _sweep_csv_rows(out_csv) if out_csv else set()
@@ -329,8 +316,8 @@ def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds,
                        "seed": seed, "status": "ok"}
                 try:
                     rec = _sweep_entry(controller_kind, cfg, float(V), int(seed),
-                                       dpp_cfg, sac_cfg, total_steps,
-                                       reward_kind, episodes)
+                                       sac_cfg, total_steps, reward_kind,
+                                       episodes)
                     row.update(avg_queue=repr(rec["avg_queue"]),
                                avg_penalty=repr(rec["avg_penalty"]),
                                reward_sum=repr(rec["reward_sum"]))
@@ -351,22 +338,21 @@ def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds,
     return rows
 
 
-def _sweep_entry(controller_kind, cfg, V, seed, dpp_cfg, sac_cfg, total_steps,
+def _sweep_entry(controller_kind, cfg, V, seed, sac_cfg, total_steps,
                  reward_kind, episodes) -> dict:
     """Means over `episodes` evaluation episodes for one grid point."""
     cfg = replace(cfg, penalty_weight=V)
     spec = default_reward_spec(cfg, kind=reward_kind)
     rng = controller_rng(seed)
     if controller_kind == "dpp":
-        controller = DppController(cfg, replace(dpp_cfg or DppConfig(),
-                                                penalty_weight=V), rng)
+        controller = DppController(cfg, DppConfig(penalty_weight=V), rng)
     elif controller_kind == "sac":
         result = train(cfg, sac_cfg or SacConfig(), total_steps, seed, spec)
         controller = SacController(result.best_agent)
     else:
         controller = make_controller(controller_kind, cfg, rng)
     records = evaluate(controller, cfg, episodes, seed, spec,
-                       controller_name=controller_kind, keep_traces=False)
+                       controller_name=controller_kind)
     return {
         "avg_queue": float(np.mean([r.avg_queue for r in records])),
         "avg_penalty": float(np.mean([r.avg_penalty for r in records])),
@@ -410,7 +396,7 @@ def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
         try:
             controller = DppController(cfg_k, dpp_cfg, controller_rng(seed))
             recs = evaluate(controller, cfg_k, 1, seed, spec,
-                            controller_name="dpp", keep_traces=False)
+                            controller_name="dpp")
             row.update(avg_queue=repr(recs[0].avg_queue),
                        avg_penalty=repr(recs[0].avg_penalty))
         except UnsupportedObjectiveError as exc:
@@ -421,7 +407,7 @@ def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
 
         result = train(cfg_k, sac_cfg, total_steps, seed, spec)
         recs = evaluate(SacController(result.best_agent), cfg_k, 1, seed, spec,
-                        controller_name="sac", keep_traces=False)
+                        controller_name="sac")
         rows.append({
             "controller": "sac", "cost_kind": cost_kind, "status": "ok",
             "avg_queue": repr(recs[0].avg_queue),

@@ -87,19 +87,19 @@ def reward_mean_diff(q_prev, b, cost: float, spec: RewardSpec) -> float:
     return float(queue_part - spec.penalty_weight * cost)
 
 
-def compute_reward(inputs, T: int, spec: RewardSpec) -> float:
-    """Dispatch on spec.kind for a step's RewardInputs."""
+def compute_reward(outcome, T: int, spec: RewardSpec) -> float:
+    """Dispatch on spec.kind for one step's `env.StepOutcome`."""
     if spec.kind == "power":
-        return reward_power(inputs.queue_after, inputs.penalty_cost, spec)
+        return reward_power(outcome.queue_after, outcome.penalty_cost, spec)
     if spec.kind == "reshaped":
-        return reward_reshaped(inputs.queue_before, inputs.queue_after,
-                               inputs.t % T, T, spec)
+        return reward_reshaped(outcome.queue_before, outcome.queue_after,
+                               outcome.t % T, T, spec)
     if spec.kind == "diff":
-        return reward_diff(inputs.queue_before, inputs.queue_after,
-                           inputs.penalty_cost, spec)
+        return reward_diff(outcome.queue_before, outcome.queue_after,
+                           outcome.penalty_cost, spec)
     if spec.kind == "mean-diff":
-        return reward_mean_diff(inputs.queue_before, inputs.departures,
-                                inputs.penalty_cost, spec)
+        return reward_mean_diff(outcome.queue_before, outcome.departures,
+                                outcome.penalty_cost, spec)
     raise UnsupportedRewardError(f"unknown reward kind {spec.kind!r}")
 
 

@@ -18,7 +18,9 @@ q2_target; `<opt>.m<i>` and `<opt>.v<i>` for the Adam moments of policy_opt,
 q1_opt and q2_opt; `normalizer.scale`; and `meta`, the UTF-8 JSON bytes of
 format_version, sac_cfg, state_dim, action_dim, state_aux, reward_scale,
 update_count, opt_steps (Adam step counts) and net_sizes. Replay transitions
-are not saved: a loaded agent starts with an empty buffer.
+are not saved: a loaded agent starts with an empty buffer. The sac_cfg of
+earlier checkpoints may hold gradient_steps and target_update_interval;
+loading drops them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .env import Action, StateVector
 from .nets import Adam, DenseNet, soft_update
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# SacConfig fields that earlier checkpoints hold; they could only name the
+# schedule every agent runs, a soft target update after each gradient step
+_RETIRED_CFG_KEYS = ("gradient_steps", "target_update_interval")
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,6 @@ class SacConfig:
     buffer_capacity: int = 1_000_000
     batch_size: int = 256
     target_smoothing: float = 0.005
-    target_update_interval: int = 1
-    gradient_steps: int = 1
     entropy_weight: float = 0.2       # zeta
     hidden_sizes: tuple = (256, 256)
     log_std_min: float = -5.0
@@ -309,9 +312,8 @@ class SacAgent:
         self.policy_opt.step(self.policy.params, pgrads)
 
         self.update_count += 1
-        if self.update_count % cfg.target_update_interval == 0:
-            soft_update(self.q1_target, self.q1, cfg.target_smoothing)
-            soft_update(self.q2_target, self.q2, cfg.target_smoothing)
+        soft_update(self.q1_target, self.q1, cfg.target_smoothing)
+        soft_update(self.q2_target, self.q2, cfg.target_smoothing)
 
         if not (np.isfinite(closs) and np.isfinite(aloss)):
             raise FloatingPointError(
@@ -380,6 +382,8 @@ class SacAgent:
         try:
             cfg_dict = dict(meta["sac_cfg"])
             cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
+            for key in _RETIRED_CFG_KEYS:
+                cfg_dict.pop(key, None)
             agent = cls.__new__(cls)
             agent.sac_cfg = SacConfig(**cfg_dict)
             agent.state_dim = meta["state_dim"]

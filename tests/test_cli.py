@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,28 @@ def test_dpp_without_cloud_cores_fails_clearly(tmp_path, capsys):
                  "--Vprime", "1e11"])
     assert code == 1
     assert "cloud_cores" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["eval", "--controller", "uniform", "--episodes", "1"],
+                                  ["simulate", "--controller", "idle"]],
+                         ids=["eval-uniform", "simulate-idle"])
+def test_cubic_cost_without_cloud_cores_fails_clearly(tmp_path, capsys, argv):
+    code = main(argv + ["--config", desk_config_file(tmp_path, cloud_cores=0)])
+    assert code == 1
+    assert "cloud_cores" in capsys.readouterr().err
+
+
+def test_sac_sweep_writes_an_ok_row_per_grid_point(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", desk_config_file(tmp_path), "--controller",
+                 "sac", "--Vgrid", "0,1e9", "--seeds", "0", "--steps", "80",
+                 "--episodes", "1", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert [float(r["V"]) for r in rows] == [0.0, 1e9]
+    for r in rows:
+        assert r["status"] == "ok"
+        assert all(math.isfinite(float(r[k]))
+                   for k in ("avg_queue", "avg_penalty", "reward_sum"))
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +189,17 @@ def test_training_divergence_fails_clearly(tmp_path, monkeypatch, capsys):
     assert main(["train", "--config", desk_config_file(tmp_path), "--steps", "320",
                  "--hidden", "8,8"]) == 1
     assert "error: non-finite loss" in capsys.readouterr().err
+
+
+def test_train_warns_when_no_gradient_step_is_taken(tmp_path, capsys):
+    config = desk_config_file(tmp_path)
+    # 40 steps collect one 4x20-slot cycle, 80 transitions, short of a batch
+    assert main(["train", "--config", config, "--steps", "40", "--hidden", "8,8"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning:")
+    assert "40 steps" in err and "256 transitions" in err
+    assert main(["train", "--config", config, "--steps", "320", "--hidden", "8,8"]) == 0
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_train_is_byte_reproducible(tmp_path):

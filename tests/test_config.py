@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -29,12 +30,6 @@ def test_profile_from_bounds_convention():
 def test_validate_ok_for_builtin_profiles():
     for cfg in (three_app_config(), eight_app_config(), desk_config()):
         assert validate_config(cfg) == []
-
-
-def test_validate_flags_discount_boundary():
-    cfg = three_app_config(discount=1.0)
-    errors = validate_config(cfg)
-    assert any("discount" in e and "out of (0,1)" in e for e in errors)
 
 
 def test_validate_flags_exponent_below_one():
@@ -89,6 +84,15 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+def test_json_of_earlier_versions_still_loads(tmp_path):
+    # earlier versions wrote the unused kappa and discount keys
+    d = config_to_dict(desk_config())
+    d.update(kappa=1.0 / 400e9 ** 3, discount=0.99)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d, indent=2))
+    assert load_config(path) == desk_config()
 
 
 def test_json_accepts_size_suffixes_and_derives_moments(tmp_path):

@@ -27,9 +27,8 @@ def project_simplex_sort(v):
 def speech_cfg(**overrides):
     app = AppProfile.from_bounds(10435, 5.0, "40kB", "300kB", name="speech")
     base = dict(n_queues=1, edge_clock=40e9, edge_cores=10, bandwidth=20e6,
-                cloud_cores=54, kappa=1.0 / 400e9 ** 3, rho=1e-9,
-                penalty_weight=0.0, reward_exponent=1.0, episode_length=100,
-                discount=0.99, apps=(app,))
+                cloud_cores=54, rho=1e-9, penalty_weight=0.0,
+                reward_exponent=1.0, episode_length=100, apps=(app,))
     base.update(overrides)
     return SystemConfig(**base)
 
@@ -272,9 +271,9 @@ class TestOptimizer:
         # deficits, so the optimum of a symmetric instance is symmetric
         app = AppProfile.from_bounds(10000, 5.0, "10kB", "50kB")
         cfg = SystemConfig(n_queues=2, edge_clock=8e9, edge_cores=2,
-                           bandwidth=3e6, cloud_cores=4, kappa=1.0 / 400e9 ** 3,
-                           rho=1e-9, penalty_weight=0.0, reward_exponent=1.0,
-                           episode_length=100, discount=0.99, apps=(app, app))
+                           bandwidth=3e6, cloud_cores=4, rho=1e-9,
+                           penalty_weight=0.0, reward_exponent=1.0,
+                           episode_length=100, apps=(app, app))
         dc = DppConfig(penalty_weight=1e8, objective_kind="full-bound")
         rng = np.random.default_rng(9)
         for _ in range(5):
@@ -289,9 +288,9 @@ class TestOptimizer:
     def test_symmetry_swapped_instance_swaps_solution(self):
         app1 = AppProfile.from_bounds(8000, 5.0, "10kB", "50kB")
         cfg = SystemConfig(n_queues=2, edge_clock=8e9, edge_cores=2,
-                           bandwidth=3e6, cloud_cores=4, kappa=1.0 / 400e9 ** 3,
-                           rho=1e-9, penalty_weight=0.0, reward_exponent=1.0,
-                           episode_length=100, discount=0.99, apps=(app1, app1))
+                           bandwidth=3e6, cloud_cores=4, rho=1e-9,
+                           penalty_weight=0.0, reward_exponent=1.0,
+                           episode_length=100, apps=(app1, app1))
         dc = DppConfig(penalty_weight=1e8, objective_kind="full-bound")
         q = np.array([2e6, 8e6])
         a = np.array([1e6, 3e6])
@@ -323,7 +322,7 @@ def dpp_episode(cfg, dpp_cfg, T, rng):
     """The episode `lyaq dpp` runs: the solver on a stream spawned from the
     arrivals' generator."""
     controller = DppController(cfg, dpp_cfg, rng.spawn(1)[0])
-    trace, _, _ = run_episode(controller, cfg, rng, T=T)
+    trace, _ = run_episode(controller, cfg, rng, T=T)
     return trace, metrics_from_trace(trace)
 
 
@@ -353,7 +352,7 @@ class TestEpisode:
         env = EdgeCloudEnv(cfg, rng=np.random.default_rng(3))
         arrivals = [env.reset().arrival]
         for _ in range(9):
-            arrivals.append(env.step(Action.idle(2))[0].next_state.arrival)
+            arrivals.append(env.step(Action.idle(2)).next_state.arrival)
         np.testing.assert_array_equal(np.array(trace.a), np.array(arrivals))
 
     def test_desk_episode_metrics_match_trace(self):

@@ -18,9 +18,8 @@ def cfg3():
 def single_queue_cfg(w=10435.0, f_E=40e9, B=20e6, **overrides):
     app = AppProfile.from_bounds(w, 5.0, "40kB", "300kB")
     base = dict(n_queues=1, edge_clock=f_E, edge_cores=10, bandwidth=B,
-                cloud_cores=54, kappa=1.0 / 400e9 ** 3, rho=1e-9,
-                penalty_weight=0.0, reward_exponent=1.0, episode_length=100,
-                discount=0.99, apps=(app,))
+                cloud_cores=54, rho=1e-9, penalty_weight=0.0,
+                reward_exponent=1.0, episode_length=100, apps=(app,))
     base.update(overrides)
     from lyaq.config import SystemConfig
     return SystemConfig(**base)
@@ -165,10 +164,10 @@ class TestEnv:
         cfg = dataclasses.replace(cfg, apps=(silent,))
         env = EdgeCloudEnv(cfg, seed=1)
         state = env.reset()
-        outcome, inputs = env.step(Action.idle(1))
+        outcome = env.step(Action.idle(1))
         assert np.allclose(outcome.queue_after, state.queue + state.arrival)
         assert outcome.edge_cost == 0.0 and outcome.cloud_cost == 0.0
-        assert inputs.penalty_cost == 0.0
+        assert outcome.penalty_cost == 0.0
 
     def test_determinism_split(self, cfg3):
         # queue_after/b/o/costs are pinned by (state, action); only the
@@ -179,7 +178,7 @@ class TestEnv:
             env = EdgeCloudEnv(cfg3, seed=42)
             env.reset()
             env.rng = np.random.default_rng(seed)  # divergent future arrivals
-            outcome, _ = env.step(action)
+            outcome = env.step(action)
             results.append(outcome)
         a, b = results
         assert np.array_equal(a.queue_after, b.queue_after)
@@ -195,10 +194,10 @@ class TestEnv:
         state = env.reset()
         for _ in range(300):
             action = Action(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
-            outcome, inputs = env.step(action)
+            outcome = env.step(action)
             assert np.all(outcome.queue_after >= 0.0)
             # served = min(q+a, cpu bits) + o <= b elementwise
-            qpa = inputs.queue_before + state.arrival
+            qpa = outcome.queue_before + state.arrival
             cpu_bits = action.alpha_eff * cfg3.edge_clock / cfg3.workloads
             served = np.minimum(qpa, cpu_bits) + outcome.offloads
             assert np.all(served <= outcome.departures + 1e-6)
@@ -223,7 +222,7 @@ class TestEnv:
                            state.arrival / ARRIVAL_WINDOW)
         arrivals = [state.arrival]
         for _ in range(10):
-            outcome, _ = env.step(Action.idle(3))
+            outcome = env.step(Action.idle(3))
             arrivals.append(outcome.next_state.arrival)
             expect = np.sum(arrivals, axis=0) / ARRIVAL_WINDOW
             assert np.allclose(outcome.next_state.windowed_arrival_avg, expect)
@@ -267,7 +266,7 @@ class TestTrace:
         trace = Trace(n_queues=3)
         for t in range(20):
             action = Action(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
-            outcome, _ = env.step(action)
+            outcome = env.step(action)
             trace.append(t, state.queue, state.arrival, action,
                          outcome.departures, outcome.offloads,
                          outcome.edge_cost, outcome.cloud_cost)

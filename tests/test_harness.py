@@ -6,7 +6,8 @@ import numpy as np
 from lyaq.config import desk_config
 from lyaq.env import EdgeCloudEnv
 from lyaq.harness import (UniformController, controller_rng,
-                          default_reward_spec, run_episode, sweep)
+                          default_reward_spec, queue_slope_ok, run_episode,
+                          sweep)
 from lyaq.plots import emit_plots
 from lyaq.rewards import compute_reward
 from lyaq.sac import SacAgent, SacConfig
@@ -45,6 +46,22 @@ class TestSweepResume:
         assert out.read_bytes() == before
 
 
+def test_sweep_takes_iterators():
+    rows = sweep("uniform", short_desk(), iter([0.0, 1e9]), (s for s in [0, 1]),
+                 episodes=1)
+    assert [(r["V"], r["seed"]) for r in rows] == [
+        ("0.0", 0), ("0.0", 1), ("1000000000.0", 0), ("1000000000.0", 1)]
+    assert all(r["status"] == "ok" for r in rows)
+
+
+def test_queue_slope_ok():
+    load = 1e5  # growth allowed: 1% of it, 1e3 bits a slot
+    assert queue_slope_ok(np.full(100, 5e5), load)
+    assert queue_slope_ok(5e5 + 500.0 * np.arange(100), load)
+    assert not queue_slope_ok(1e4 * np.arange(100), load)
+    assert queue_slope_ok([7.0], load)
+
+
 def test_controller_stream_is_no_episode_stream():
     # evaluate gives episode k the stream SeedSequence(seed).spawn(episodes)[k]
     for seed in (0, 1, 7, 12345):
@@ -56,15 +73,15 @@ def test_controller_stream_is_no_episode_stream():
 def test_run_episode_matches_a_hand_rolled_loop():
     cfg = short_desk()
     spec = default_reward_spec(cfg)
-    trace, reward_sum, traj = run_episode(UniformController(2), cfg,
-                                          np.random.default_rng(5), T=30,
-                                          reward_spec=spec)
+    trace, reward_sum = run_episode(UniformController(2), cfg,
+                                    np.random.default_rng(5), T=30,
+                                    reward_spec=spec)
     env = EdgeCloudEnv(cfg, rng=np.random.default_rng(5))
     state = env.reset()
     queues, arrivals, rewards = [env.queue], [state.arrival], []
     for _ in range(30):
-        outcome, inputs = env.step(UniformController(2).act(state))
-        rewards.append(compute_reward(inputs, 30, spec))
+        outcome = env.step(UniformController(2).act(state))
+        rewards.append(compute_reward(outcome, 30, spec))
         queues.append(outcome.queue_after)
         state = outcome.next_state
         arrivals.append(state.arrival)
@@ -72,7 +89,6 @@ def test_run_episode_matches_a_hand_rolled_loop():
     np.testing.assert_array_equal(trace.t, np.arange(30))
     np.testing.assert_array_equal(trace.q, queues[:-1])
     np.testing.assert_array_equal(trace.a, arrivals[:-1])
-    np.testing.assert_array_equal(traj, [q.sum() for q in queues])
     assert reward_sum == sum(rewards)
 
 

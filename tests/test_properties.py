@@ -41,7 +41,7 @@ def test_step_obeys_the_queue_and_offload_laws(profile, seed, data):
     for _ in range(data.draw(st.integers(1, 25))):
         action = data.draw(actions(cfg.n_queues))
         q, a = env.queue, env.arrival
-        outcome, inputs = env.step(action)
+        outcome = env.step(action)
         b = outcome.departures
 
         # queues stay non-negative and follow q(t+1) = max(0, q + a - b)
@@ -63,7 +63,7 @@ def test_step_obeys_the_queue_and_offload_laws(profile, seed, data):
                                       actual_cpu_use(q + a, action, cfg))
         assert outcome.edge_cost == edge_cost(action, cfg)
         assert outcome.cloud_cost == cloud_cost(o, cfg)
-        np.testing.assert_array_equal(inputs.queue_before, q)
+        np.testing.assert_array_equal(outcome.queue_before, q)
 
 
 @settings(max_examples=100, deadline=None)
@@ -132,7 +132,7 @@ def test_ring_window_matches_a_rolled_window(profile, seed, steps):
     ref[0] = state.arrival
     action = Action.uniform(cfg.n_queues)
     for _ in range(steps):
-        state = env.step(action)[0].next_state
+        state = env.step(action).next_state
         ref = np.roll(ref, 1, axis=0)
         ref[0] = state.arrival
         newest_first = np.roll(env._window, -env._slot, axis=0)[::-1]

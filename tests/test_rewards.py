@@ -223,10 +223,10 @@ class TestEpisodeIdentities:
 
 
 def test_compute_reward_dispatch():
-    from lyaq.env import RewardInputs
-    inputs = RewardInputs(queue_before=np.array([1.0]),
+    from lyaq.env import StepOutcome
+    outcome = StepOutcome(next_state=None, queue_before=np.array([1.0]),
                           queue_after=np.array([4.0]),
-                          departures=np.array([2.0]),
+                          departures=np.array([2.0]), offloads=np.array([0.0]),
                           edge_cost=1.5, cloud_cost=0.5, t=3)
     m = np.array([5.0])
     cases = {
@@ -237,4 +237,4 @@ def test_compute_reward_dispatch():
     }
     for kind, expected in cases.items():
         s = spec(kind=kind, penalty_weight=1.0, mean_arrival_bits=m)
-        assert compute_reward(inputs, 10, s) == pytest.approx(expected)
+        assert compute_reward(outcome, 10, s) == pytest.approx(expected)

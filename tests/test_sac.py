@@ -180,10 +180,10 @@ class TestUpdates:
         x = agent.normalizer.normalize(state.as_vector(cfg.state_aux))
         for _ in range(n):
             flat, _ = agent.policy_sample(x, rng=rng)
-            outcome, inputs = env.step(Action.from_flat(flat))
+            outcome = env.step(Action.from_flat(flat))
             x2 = agent.normalizer.normalize(
                 outcome.next_state.as_vector(cfg.state_aux))
-            r = -1e-9 * inputs.queue_after.sum()
+            r = -1e-9 * outcome.queue_after.sum()
             agent.store_transition(x, flat, r, x2)
             x = x2
 
@@ -304,7 +304,7 @@ class TestCheckpoint:
         x = agent.normalizer.normalize(state.as_vector(cfg.state_aux))
         for _ in range(10):
             flat, _ = agent.policy_sample(x, rng=rng)
-            outcome, inputs = env.step(Action.from_flat(flat))
+            outcome = env.step(Action.from_flat(flat))
             x2 = agent.normalizer.normalize(
                 outcome.next_state.as_vector(cfg.state_aux))
             agent.store_transition(x, flat, -1.0, x2)
@@ -374,6 +374,25 @@ class TestCheckpoint:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         loaded = SacAgent.from_state_dict(arrays)
         assert np.array_equal(loaded.q2.get_flat(), agent.q2.get_flat())
+
+    def test_meta_with_retired_schedule_keys_still_loads(self, cfg):
+        # checkpoints of earlier versions name the fixed update schedule
+        agent = SacAgent(cfg, TOY, rng=np.random.default_rng(22))
+        arrays = agent.state_dict()
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["sac_cfg"].update(gradient_steps=1, target_update_interval=1)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        loaded = SacAgent.from_state_dict(arrays)
+        assert loaded.sac_cfg == TOY
+        assert np.array_equal(loaded.q2.get_flat(), agent.q2.get_flat())
+
+    def test_meta_with_an_unknown_setting_fails_to_load(self, cfg):
+        arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(23)).state_dict()
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["sac_cfg"]["gradient_clip"] = 1.0
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with pytest.raises(ValueError, match="gradient_clip"):
+            SacAgent.from_state_dict(arrays)
 
     @pytest.mark.parametrize("key", ["q1.0", "policy_opt.v3", "normalizer.scale"])
     def test_missing_array_is_named(self, cfg, key):

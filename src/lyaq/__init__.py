@@ -15,8 +15,7 @@ from .rewards import (RewardSpec, reward_power, reward_reshaped, reward_diff,
                       power_reward_bound, check_theorem1_conditions,
                       episode_reward_identities, UnsupportedRewardError)
 from .dpp import (DppConfig, DppController, dpp_objective, dpp_step_optimize,
-                  project_simplex, UnsupportedObjectiveError,
-                  SolverDivergedError)
+                  project_simplex, UnsupportedObjectiveError)
 from .nets import DenseNet, Adam, soft_update
 from .sac import SacAgent, SacConfig, ReplayBuffer, StateNormalizer
 from .harness import (evaluate, train, sweep, compare, run_episode,

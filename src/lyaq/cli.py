@@ -1,4 +1,4 @@
-"""Command-line front end: lyaq feasibility|simulate|dpp|train|eval|sweep|compare|plot."""
+"""Command-line front end: lyaq feasibility|simulate|train|eval|sweep|compare|plot."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 from . import harness, plots
 from .config import (get_profile, load_config, validate_config,
                      feasibility_check, PROFILES)
-from .dpp import DppConfig, DppController, UnsupportedObjectiveError
+from .dpp import DppConfig, UnsupportedObjectiveError
 from .sac import SacAgent, SacConfig
 
 
@@ -27,6 +27,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cost", choices=("cubic", "per-core"), default=None,
                    help="cloud cost kind")
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_reward(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--reward", choices=("power", "diff", "mean-diff"),
+                   default="diff",
+                   help="reward kind; 'reshaped', which ignores V, is a "
+                        "queue-only analysis form reachable only through "
+                        "rewards.compute_reward")
 
 
 def _resolve_config(args):
@@ -67,25 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default="uniform")
     p.add_argument("--checkpoint", help="agent checkpoint for --controller sac")
     p.add_argument("--Vprime", type=float, default=0.0, help="DPP weight")
-    p.add_argument("--reward", choices=("power", "diff", "mean-diff"),
-                   default="diff")
-    p.add_argument("--steps", type=int, default=None, help="episode length")
-    p.add_argument("--out", help="trace CSV path")
-
-    p = sub.add_parser("dpp", help="drift-plus-penalty episode")
-    _add_common(p)
-    p.add_argument("--Vprime", type=float, default=0.0)
-    p.add_argument("--objective", choices=("linear-drift", "full-bound"),
-                   default="linear-drift")
-    p.add_argument("--restarts", type=int, default=8,
-                   help="random descent restarts (full-bound only)")
+    _add_reward(p)
     p.add_argument("--steps", type=int, default=None, help="episode length")
     p.add_argument("--out", help="trace CSV path")
 
     p = sub.add_parser("train", help="train the soft actor-critic agent")
     _add_common(p)
-    p.add_argument("--reward", choices=("power", "diff", "mean-diff"),
-                   default="diff")
+    _add_reward(p)
     p.add_argument("--steps", type=int, default=20000,
                    help="environment-step training budget")
     p.add_argument("--hidden", default=None,
@@ -100,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="uniform")
     p.add_argument("--checkpoint", help="agent checkpoint for --controller sac")
     p.add_argument("--Vprime", type=float, default=0.0)
-    p.add_argument("--reward", choices=("power", "diff", "mean-diff"),
-                   default="diff")
+    _add_reward(p)
     p.add_argument("--episodes", type=int, default=5)
     p.add_argument("--out", help="records CSV path")
 
@@ -113,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of V' values (DPP)")
     p.add_argument("--Vgrid", default=None, help="comma list of V values")
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma list of seeds")
-    p.add_argument("--reward", choices=("power", "diff", "mean-diff"),
-                   default="diff")
+    _add_reward(p)
     p.add_argument("--steps", type=int, default=20000,
                    help="training budget per grid point (sac)")
     p.add_argument("--episodes", type=int, default=5)
@@ -123,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="DPP vs SAC on both cloud-cost kinds")
     _add_common(p)
     p.add_argument("--Vprime", type=float, default=0.0)
-    p.add_argument("--reward", choices=("power", "diff", "mean-diff"),
-                   default="diff")
+    _add_reward(p)
     p.add_argument("--steps", type=int, default=20000)
     p.add_argument("--out", help="report CSV path")
 
@@ -158,8 +151,7 @@ def cmd_feasibility(args) -> int:
 
 
 def _controller_for(args, cfg):
-    """The controller of --controller; a solver that draws gets the seed's
-    controller stream, never an episode's arrival stream."""
+    """The controller of --controller."""
     agent = None
     if args.controller == "sac":
         if not args.checkpoint:
@@ -172,9 +164,8 @@ def _controller_for(args, cfg):
                 raise ValueError(f"checkpoint {args.checkpoint} has {name}={got!r} "
                                  f"but the config has {name}={want!r}")
     dpp_cfg = DppConfig(penalty_weight=args.Vprime)
-    return harness.make_controller(args.controller, cfg,
-                                   harness.controller_rng(args.seed),
-                                   dpp_cfg=dpp_cfg, agent=agent)
+    return harness.make_controller(args.controller, cfg, dpp_cfg=dpp_cfg,
+                                   agent=agent)
 
 
 def cmd_simulate(args) -> int:
@@ -193,26 +184,6 @@ def cmd_simulate(args) -> int:
         print(f"trace written to {args.out}")
     print(f"reward_sum={reward_sum!r} avg_penalty={m['avg_penalty']!r} "
           f"avg_queue={m['avg_queue']!r}")
-    return 0
-
-
-def cmd_dpp(args) -> int:
-    cfg = _resolve_config(args)
-    T = args.steps or cfg.episode_length
-    dpp_cfg = DppConfig(penalty_weight=args.Vprime,
-                        objective_kind=args.objective,
-                        restarts=args.restarts)
-    # the arrivals draw from rng and the solver from a stream spawned from
-    # it, so solver draws never shift the arrivals
-    rng = np.random.default_rng(args.seed)
-    controller = DppController(cfg, dpp_cfg, rng.spawn(1)[0])
-    trace, _ = harness.run_episode(controller, cfg, rng, T=T)
-    metrics = harness.metrics_from_trace(trace)
-    if args.out:
-        trace.write_csv(args.out)
-        print(f"trace written to {args.out}")
-    print(f"avg_penalty={metrics['avg_penalty']!r} "
-          f"avg_queue={metrics['avg_queue']!r}")
     return 0
 
 
@@ -277,6 +248,10 @@ def cmd_sweep(args) -> int:
         print(f"V={m['V']}: mean avg_queue={m['avg_queue']:.6g} "
               f"mean avg_penalty={m['avg_penalty']:.6g} ({m['n']} runs)")
     print(f"sweep rows appended to {args.out}")
+    if rows and not any(r["status"] == "ok" for r in rows):
+        print(f"error: all {len(rows)} sweep rows failed; their status column "
+              f"in {args.out} says why", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -304,7 +279,6 @@ def cmd_plot(args) -> int:
 COMMANDS = {
     "feasibility": cmd_feasibility,
     "simulate": cmd_simulate,
-    "dpp": cmd_dpp,
     "train": cmd_train,
     "eval": cmd_eval,
     "sweep": cmd_sweep,

@@ -146,6 +146,9 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         errors.append(f"bandwidth {cfg.bandwidth} <= 0")
     if cfg.cloud_cores < 0:
         errors.append(f"cloud_cores {cfg.cloud_cores} < 0")
+    elif cfg.cloud_cost_kind == "cubic" and cfg.cloud_cores < 1:
+        errors.append(f"cloud_cores {cfg.cloud_cores} < 1 under the cubic cloud "
+                      "cost, which would charge infinity for every offloaded bit")
     if cfg.cloud_core_clock <= 0:
         errors.append(f"cloud_core_clock {cfg.cloud_core_clock} <= 0")
     if cfg.rho <= 0:
@@ -225,7 +228,21 @@ def config_to_dict(cfg: SystemConfig) -> dict:
     return d
 
 
+_REQUIRED_KEYS = ("n_queues", "edge_clock", "edge_cores", "bandwidth",
+                  "cloud_cores", "rho", "penalty_weight", "reward_exponent",
+                  "episode_length", "apps")
+_REQUIRED_APP_KEYS = ("workload_cycles_per_bit", "arrival_rate", "size_min",
+                      "size_max")
+
+
 def config_from_dict(d: dict) -> SystemConfig:
+    """Inverse of config_to_dict; a ValueError names every missing required
+    key, the apps' keys as apps[i].key."""
+    missing = [k for k in _REQUIRED_KEYS if k not in d]
+    missing += [f"apps[{i}].{k}" for i, entry in enumerate(d.get("apps", ()))
+                for k in _REQUIRED_APP_KEYS if k not in entry]
+    if missing:
+        raise ValueError(f"config lacks required key(s): {', '.join(missing)}")
     apps = []
     for entry in d["apps"]:
         size_min = parse_size(entry["size_min"])

@@ -35,14 +35,9 @@ The linear-drift objective (the program above) is solved exactly:
   point finds the maximum on [L_k, 1] for every k at once.
 
 The uniform action, the idle action and the structured candidates are
-scored in one batched objective call; the first minimum wins. The solve
-draws nothing from the random stream.
-
-The full-bound objective adds the quadratic drift 0.5 |a - b|^2 and is
-minimized by multi-start projected gradient descent with an analytic
-subgradient and exact Euclidean simplex projection. The discontinuous
-per-core cloud cost has neither structure nor gradient, so the solver
-refuses it outright instead of returning garbage.
+scored in one batched objective call; the first minimum wins. The solve is
+deterministic. The discontinuous per-core cloud cost has no such structure,
+so the solver refuses it outright instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -60,12 +55,6 @@ class UnsupportedObjectiveError(RuntimeError):
     """Objective the solver cannot minimize (discontinuous cost)."""
 
 
-class SolverDivergedError(RuntimeError):
-    """Non-finite objective or gradient during descent."""
-
-
-OBJECTIVE_KINDS = ("linear-drift", "full-bound")
-
 # The 1-D search over t = alpha_k evaluates _SEARCH_GRID points per round and
 # keeps the two cells around the best: (2 / 64)^9 < 4e-14 of [L_k, 1] is left.
 _SEARCH_GRID = 65
@@ -75,20 +64,10 @@ _SEARCH_ROUNDS = 9
 @dataclass(frozen=True)
 class DppConfig:
     penalty_weight: float = 0.0          # V'
-    objective_kind: str = "linear-drift"
-    # descent settings, full-bound only
-    iterations: int = 200
-    step_size: float = 0.5
-    restarts: int = 8                    # random starts beside uniform + idle
-    tolerance: float = 1e-8              # relative objective-change stop
 
     def __post_init__(self):
-        if self.objective_kind not in OBJECTIVE_KINDS:
-            raise ValueError(f"unknown objective kind {self.objective_kind!r}")
         if not self.penalty_weight >= 0.0:
             raise ValueError(f"penalty weight V' must be >= 0, got {self.penalty_weight}")
-        if self.iterations < 1 or self.restarts < 1 or self.tolerance <= 0:
-            raise ValueError("iterations >= 1, restarts >= 1, tolerance > 0 required")
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -119,105 +98,11 @@ def dpp_objective(q, a, action: Action, cfg: SystemConfig,
     d = a - action.alpha_eff * cfg.edge_clock / cfg.workloads \
         - action.beta_eff * cfg.bandwidth
     value = d @ q
-    if dpp_cfg.objective_kind == "full-bound":
-        value = value + 0.5 * (d * d).sum(axis=-1)
     if dpp_cfg.penalty_weight != 0.0:
         o = compute_offload(q + a, action, cfg)
         value = value + dpp_cfg.penalty_weight * (edge_cost(action, cfg)
                                                   + cloud_cost(o, cfg))
     return float(value) if value.ndim == 0 else value
-
-
-def _objective_and_gradient(q, a, alpha, beta, cfg: SystemConfig,
-                            dpp_cfg: DppConfig):
-    """Value plus subgradient w.r.t. the full (N+1)-vectors; the dummy slack
-    coordinates never enter the objective, so their gradient is zero."""
-    n = cfg.n_queues
-    s = cfg.edge_clock / cfg.workloads          # bits served per unit alpha
-    B = cfg.bandwidth
-    ae, be = alpha[:n], beta[:n]
-    d = a - ae * s - be * B
-
-    value = float(np.dot(q, d))
-    g_alpha = np.zeros(n + 1)
-    g_beta = np.zeros(n + 1)
-    g_alpha[:n] = -q * s
-    g_beta[:n] = -q * B
-    if dpp_cfg.objective_kind == "full-bound":
-        value += 0.5 * float(np.dot(d, d))
-        g_alpha[:n] += -s * d
-        g_beta[:n] += -B * d
-
-    Vp = dpp_cfg.penalty_weight
-    if Vp != 0.0:
-        ghz = 1e9
-        sum_alpha = float(ae.sum())
-        per_core = cfg.edge_clock * sum_alpha / cfg.edge_cores / ghz
-        value += Vp * cfg.edge_cores * per_core ** 3
-        g_alpha[:n] += Vp * 3.0 * per_core ** 2 * cfg.edge_clock / ghz
-
-        remaining = q + a - ae * s
-        o = np.maximum(0.0, np.minimum(be * B, remaining))
-        W = float(np.dot(cfg.workloads, o))
-        if W > 0.0:
-            value += Vp * cfg.cloud_cores * (W / cfg.cloud_cores / ghz) ** 3
-            dC_dW = 3.0 * (W / cfg.cloud_cores / ghz) ** 2 / ghz
-            # min() subgradient: bandwidth-limited branch wins at ties
-            bw_branch = (remaining > 0.0) & (be * B <= remaining)
-            bl_branch = (remaining > 0.0) & ~bw_branch
-            g_beta[:n] += np.where(bw_branch, Vp * dC_dW * cfg.workloads * B, 0.0)
-            g_alpha[:n] += np.where(bl_branch, -Vp * dC_dW * cfg.workloads * s, 0.0)
-    return value, g_alpha, g_beta
-
-
-def _descend(q, a, alpha, beta, cfg, dpp_cfg):
-    """Projected gradient descent from one start; objective never increases."""
-    f, g_a, g_b = _objective_and_gradient(q, a, alpha, beta, cfg, dpp_cfg)
-    step = dpp_cfg.step_size
-    for _ in range(dpp_cfg.iterations):
-        if not (np.isfinite(f) and np.all(np.isfinite(g_a)) and np.all(np.isfinite(g_b))):
-            raise SolverDivergedError(
-                f"non-finite objective/gradient: f={f}, "
-                f"|g|={np.max(np.abs(np.concatenate([g_a, g_b])))}")
-        trial = min(2.0 * step, dpp_cfg.step_size)
-        accepted = False
-        for _ in range(60):
-            na = project_simplex(alpha - trial * g_a)
-            nb = project_simplex(beta - trial * g_b)
-            fn = dpp_objective(q, a, Action(na, nb), cfg, dpp_cfg)
-            if fn < f:
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            break
-        step = trial
-        done = (f - fn) <= dpp_cfg.tolerance * max(1.0, abs(fn))
-        alpha, beta, f = na, nb, fn
-        if done:
-            break
-        _, g_a, g_b = _objective_and_gradient(q, a, alpha, beta, cfg, dpp_cfg)
-    return f, alpha, beta
-
-
-def _multistart_descent(q, a, cfg: SystemConfig, dpp_cfg: DppConfig,
-                        rng: np.random.Generator, extra_starts=()) -> Action:
-    """Best projected-gradient descent over the uniform, all-idle, any extra
-    and dpp_cfg.restarts random simplex starts."""
-    n = cfg.n_queues
-    starts = [Action.uniform(n), Action.idle(n)]
-    starts.extend(extra_starts)
-    ones = np.ones(n + 1)
-    for _ in range(dpp_cfg.restarts):
-        starts.append(Action(rng.dirichlet(ones), rng.dirichlet(ones)))
-
-    best = None
-    for start in starts:
-        f, alpha, beta = _descend(q, a, start.alpha.copy(), start.beta.copy(),
-                                  cfg, dpp_cfg)
-        if best is None or f < best[0]:
-            best = (f, alpha, beta)
-    return Action(alpha=best[1], beta=best[2])
 
 
 class _OffloadCandidates:
@@ -342,14 +227,8 @@ def _structured_candidates(q, a, cfg: SystemConfig, penalty_weight: float):
             np.vstack([uniform.beta, idle.beta, beta]))
 
 
-def dpp_step_optimize(q, a, cfg: SystemConfig, dpp_cfg: DppConfig,
-                      rng: np.random.Generator,
-                      extra_starts: tuple = ()) -> Action:
-    """Minimizer of one slot's drift-plus-penalty program.
-
-    linear-drift: the exact structured solve; draws nothing from rng and
-    ignores extra_starts. full-bound: multi-start descent from uniform, idle,
-    extra_starts and dpp_cfg.restarts random simplex points drawn from rng."""
+def dpp_step_optimize(q, a, cfg: SystemConfig, dpp_cfg: DppConfig) -> Action:
+    """Exact minimizer of one slot's drift-plus-penalty program."""
     if cfg.cloud_cost_kind != "cubic":
         raise UnsupportedObjectiveError(
             f"cloud cost kind {cfg.cloud_cost_kind!r} is discontinuous; "
@@ -357,8 +236,6 @@ def dpp_step_optimize(q, a, cfg: SystemConfig, dpp_cfg: DppConfig,
     check_cloud_cores(cfg)
     q = np.asarray(q, dtype=float)
     a = np.asarray(a, dtype=float)
-    if dpp_cfg.objective_kind == "full-bound":
-        return _multistart_descent(q, a, cfg, dpp_cfg, rng, extra_starts)
     _, alpha, beta = _structured_candidates(q, a, cfg, dpp_cfg.penalty_weight)
     best = int(np.argmin(dpp_objective(q, a, Action(alpha, beta), cfg, dpp_cfg)))
     return Action(alpha=project_simplex(alpha[best]),
@@ -366,19 +243,12 @@ def dpp_step_optimize(q, a, cfg: SystemConfig, dpp_cfg: DppConfig,
 
 
 class DppController:
-    """Per-slot solver wrapper usable wherever a policy is expected. The
-    full-bound descent also starts from the previous slot's action."""
+    """Per-slot solver wrapper usable wherever a policy is expected."""
 
-    def __init__(self, cfg: SystemConfig, dpp_cfg: DppConfig,
-                 rng: np.random.Generator):
+    def __init__(self, cfg: SystemConfig, dpp_cfg: DppConfig):
         self.cfg = cfg
         self.dpp_cfg = dpp_cfg
-        self.rng = rng
-        self._last: Action | None = None
 
     def act(self, state) -> Action:
-        extra = () if self._last is None else (self._last,)
-        action = dpp_step_optimize(state.queue, state.arrival, self.cfg,
-                                   self.dpp_cfg, self.rng, extra_starts=extra)
-        self._last = action
-        return action
+        return dpp_step_optimize(state.queue, state.arrival, self.cfg,
+                                 self.dpp_cfg)

@@ -12,8 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SystemConfig
-from .dpp import (DppConfig, DppController, SolverDivergedError,
-                  UnsupportedObjectiveError)
+from .dpp import DppConfig, DppController, UnsupportedObjectiveError
 from .env import Action, EdgeCloudEnv, Trace
 from .rewards import RewardSpec, compute_reward
 from .sac import SacAgent, SacConfig
@@ -53,22 +52,14 @@ class SacController:
         return self.agent.act(state)
 
 
-def controller_rng(seed: int) -> np.random.Generator:
-    """A controller's own random stream under `seed`: the generator of the
-    root SeedSequence(seed), whose spawned children are the episode streams
-    of `evaluate`, so the two never coincide."""
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
-def make_controller(kind: str, cfg: SystemConfig, rng: np.random.Generator,
-                    dpp_cfg: DppConfig | None = None,
+def make_controller(kind: str, cfg: SystemConfig, dpp_cfg: DppConfig | None = None,
                     agent: SacAgent | None = None):
     if kind == "idle":
         return IdleController(cfg.n_queues)
     if kind == "uniform":
         return UniformController(cfg.n_queues)
     if kind == "dpp":
-        return DppController(cfg, dpp_cfg or DppConfig(), rng)
+        return DppController(cfg, dpp_cfg or DppConfig())
     if kind == "sac":
         if agent is None:
             raise ValueError("sac controller needs a trained agent")
@@ -93,7 +84,7 @@ def run_episode(controller, cfg: SystemConfig, rng: np.random.Generator,
     for t in range(T):
         try:
             action = controller.act(state)
-        except (SolverDivergedError, UnsupportedObjectiveError) as exc:
+        except UnsupportedObjectiveError as exc:
             raise type(exc)(f"slot {t}: {exc}") from exc
         outcome = env.step(action)
         if reward_spec is not None:
@@ -343,14 +334,12 @@ def _sweep_entry(controller_kind, cfg, V, seed, sac_cfg, total_steps,
     """Means over `episodes` evaluation episodes for one grid point."""
     cfg = replace(cfg, penalty_weight=V)
     spec = default_reward_spec(cfg, kind=reward_kind)
-    rng = controller_rng(seed)
-    if controller_kind == "dpp":
-        controller = DppController(cfg, DppConfig(penalty_weight=V), rng)
-    elif controller_kind == "sac":
+    if controller_kind == "sac":
         result = train(cfg, sac_cfg or SacConfig(), total_steps, seed, spec)
         controller = SacController(result.best_agent)
     else:
-        controller = make_controller(controller_kind, cfg, rng)
+        controller = make_controller(controller_kind, cfg,
+                                     dpp_cfg=DppConfig(penalty_weight=V))
     records = evaluate(controller, cfg, episodes, seed, spec,
                        controller_name=controller_kind)
     return {
@@ -394,7 +383,7 @@ def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
                "avg_queue": "", "avg_penalty": "", "reward_first": "",
                "reward_final": ""}
         try:
-            controller = DppController(cfg_k, dpp_cfg, controller_rng(seed))
+            controller = DppController(cfg_k, dpp_cfg)
             recs = evaluate(controller, cfg_k, 1, seed, spec,
                             controller_name="dpp")
             row.update(avg_queue=repr(recs[0].avg_queue),

@@ -1,12 +1,14 @@
+import argparse
 import csv
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lyaq.cli import main
-from lyaq.config import desk_config, save_config
+from lyaq.cli import COMMANDS, build_parser, main
+from lyaq.config import config_to_dict, desk_config, save_config
 from lyaq.env import read_trace_csv
 from lyaq.sac import SacAgent
 
@@ -24,8 +26,8 @@ def desk_config_file(tmp_path, **overrides):
 
 def test_dpp_episode(tmp_path):
     out = tmp_path / "trace.csv"
-    assert main(["dpp", "--profile", "desk", "--steps", "20", "--Vprime", "1e11",
-                 "--out", str(out)]) == 0
+    assert main(["simulate", "--controller", "dpp", "--profile", "desk",
+                 "--steps", "20", "--Vprime", "1e11", "--out", str(out)]) == 0
     trace = read_trace_csv(out)
     assert len(trace) == 20
     assert trace.penalties.min() >= 0.0
@@ -44,20 +46,52 @@ def test_dpp_sweep_trades_queue_for_penalty(tmp_path):
     assert float(rows[1e11]["avg_queue"]) > float(rows[0.0]["avg_queue"])
 
 
-def test_dpp_without_cloud_cores_fails_clearly(tmp_path, capsys):
-    code = main(["dpp", "--config", desk_config_file(tmp_path, cloud_cores=0),
-                 "--Vprime", "1e11"])
-    assert code == 1
-    assert "cloud_cores" in capsys.readouterr().err
+def test_dpp_sweep_whose_every_row_fails_exits_1(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", desk_config_file(tmp_path), "--controller", "dpp",
+            "--cost", "per-core", "--Vprime", "0", "--seeds", "0", "--episodes", "1",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: all 1 sweep rows failed")
+    rows = read_rows(out)
+    assert len(rows) == 1
+    assert rows[0]["status"].startswith("unsupported-objective")
+    # a fully resumed sweep runs no row, so no row failed
+    assert main(argv) == 0
+    assert len(read_rows(out)) == 1
 
 
-@pytest.mark.parametrize("argv", [["eval", "--controller", "uniform", "--episodes", "1"],
-                                  ["simulate", "--controller", "idle"]],
-                         ids=["eval-uniform", "simulate-idle"])
+@pytest.mark.parametrize("argv", [["feasibility"],
+                                  ["eval", "--controller", "uniform", "--episodes", "1"],
+                                  ["simulate", "--controller", "idle"],
+                                  ["simulate", "--controller", "dpp", "--Vprime", "1e11"]],
+                         ids=["feasibility", "eval-uniform", "simulate-idle", "simulate-dpp"])
 def test_cubic_cost_without_cloud_cores_fails_clearly(tmp_path, capsys, argv):
-    code = main(argv + ["--config", desk_config_file(tmp_path, cloud_cores=0)])
-    assert code == 1
-    assert "cloud_cores" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", desk_config_file(tmp_path, cloud_cores=0)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "cloud_cores" in err
+
+
+def test_config_with_missing_keys_fails_clearly(tmp_path, capsys):
+    d = config_to_dict(replace(desk_config(), episode_length=20))
+    del d["rho"], d["apps"][1]["arrival_rate"]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(d))
+    assert main(["eval", "--config", str(path), "--controller", "uniform",
+                 "--episodes", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config lacks required key(s): rho, apps[1].arrival_rate\n"
+
+
+def test_every_subcommand_has_a_handler():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        main(["dpp"])
+    assert exc.value.code == 2
 
 
 def test_sac_sweep_writes_an_ok_row_per_grid_point(tmp_path):
@@ -150,7 +184,8 @@ def test_compare_refuses_dpp_on_per_core_cost(tmp_path):
 def test_plot_renders_every_csv_kind(tmp_path, trained):
     _, _, curve = trained
     trace, sweep = tmp_path / "trace.csv", tmp_path / "sweep.csv"
-    assert main(["dpp", "--profile", "desk", "--steps", "20", "--out", str(trace)]) == 0
+    assert main(["simulate", "--controller", "dpp", "--profile", "desk",
+                 "--steps", "20", "--out", str(trace)]) == 0
     assert main(["sweep", "--config", desk_config_file(tmp_path), "--controller",
                  "uniform", "--Vgrid", "0", "--seeds", "0", "--episodes", "1",
                  "--out", str(sweep)]) == 0

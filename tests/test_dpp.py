@@ -5,11 +5,9 @@ import pytest
 
 from lyaq.config import (AppProfile, SystemConfig, desk_config,
                          eight_app_config, three_app_config)
-from lyaq.dpp import (OBJECTIVE_KINDS, DppConfig, DppController,
-                      SolverDivergedError, UnsupportedObjectiveError,
+from lyaq.dpp import (DppConfig, DppController, UnsupportedObjectiveError,
                       dpp_objective, dpp_step_optimize, project_simplex,
-                      _descend, _multistart_descent,
-                      _objective_and_gradient, _structured_candidates)
+                      _structured_candidates)
 from lyaq.env import Action, EdgeCloudEnv, action_errors
 from lyaq.harness import metrics_from_trace, run_episode
 
@@ -22,6 +20,98 @@ def project_simplex_sort(v):
     rho = np.nonzero(u + (1.0 - css) / ks > 0)[0][-1]
     lam = (1.0 - css[rho]) / (rho + 1.0)
     return np.maximum(v + lam, 0.0)
+
+
+def objective_and_gradient(q, a, alpha, beta, cfg: SystemConfig,
+                           dpp_cfg: DppConfig):
+    """Linear-drift value plus subgradient w.r.t. the full (N+1)-vectors; the
+    dummy slack coordinates never enter the objective, so their gradient is
+    zero."""
+    n = cfg.n_queues
+    s = cfg.edge_clock / cfg.workloads          # bits served per unit alpha
+    B = cfg.bandwidth
+    ae, be = alpha[:n], beta[:n]
+    d = a - ae * s - be * B
+
+    value = float(np.dot(q, d))
+    g_alpha = np.zeros(n + 1)
+    g_beta = np.zeros(n + 1)
+    g_alpha[:n] = -q * s
+    g_beta[:n] = -q * B
+
+    Vp = dpp_cfg.penalty_weight
+    if Vp != 0.0:
+        ghz = 1e9
+        sum_alpha = float(ae.sum())
+        per_core = cfg.edge_clock * sum_alpha / cfg.edge_cores / ghz
+        value += Vp * cfg.edge_cores * per_core ** 3
+        g_alpha[:n] += Vp * 3.0 * per_core ** 2 * cfg.edge_clock / ghz
+
+        remaining = q + a - ae * s
+        o = np.maximum(0.0, np.minimum(be * B, remaining))
+        W = float(np.dot(cfg.workloads, o))
+        if W > 0.0:
+            value += Vp * cfg.cloud_cores * (W / cfg.cloud_cores / ghz) ** 3
+            dC_dW = 3.0 * (W / cfg.cloud_cores / ghz) ** 2 / ghz
+            # min() subgradient: bandwidth-limited branch wins at ties
+            bw_branch = (remaining > 0.0) & (be * B <= remaining)
+            bl_branch = (remaining > 0.0) & ~bw_branch
+            g_beta[:n] += np.where(bw_branch, Vp * dC_dW * cfg.workloads * B, 0.0)
+            g_alpha[:n] += np.where(bl_branch, -Vp * dC_dW * cfg.workloads * s, 0.0)
+    return value, g_alpha, g_beta
+
+
+DESCENT_ITERATIONS = 200
+DESCENT_STEP = 0.5
+DESCENT_TOLERANCE = 1e-8      # relative objective-change stop
+DESCENT_RESTARTS = 8          # random starts beside uniform + idle
+
+
+def descend(q, a, alpha, beta, cfg, dpp_cfg):
+    """Projected gradient descent with backtracking from one start; the
+    objective never increases."""
+    f, g_a, g_b = objective_and_gradient(q, a, alpha, beta, cfg, dpp_cfg)
+    step = DESCENT_STEP
+    for _ in range(DESCENT_ITERATIONS):
+        assert np.isfinite(f) and np.all(np.isfinite(g_a)) and np.all(np.isfinite(g_b))
+        trial = min(2.0 * step, DESCENT_STEP)
+        accepted = False
+        for _ in range(60):
+            na = project_simplex(alpha - trial * g_a)
+            nb = project_simplex(beta - trial * g_b)
+            fn = dpp_objective(q, a, Action(na, nb), cfg, dpp_cfg)
+            if fn < f:
+                accepted = True
+                break
+            trial *= 0.5
+        if not accepted:
+            break
+        step = trial
+        done = (f - fn) <= DESCENT_TOLERANCE * max(1.0, abs(fn))
+        alpha, beta, f = na, nb, fn
+        if done:
+            break
+        _, g_a, g_b = objective_and_gradient(q, a, alpha, beta, cfg, dpp_cfg)
+    return f, alpha, beta
+
+
+def multistart_descent(q, a, cfg: SystemConfig, dpp_cfg: DppConfig,
+                       rng: np.random.Generator) -> Action:
+    """Best descent over the uniform, all-idle and DESCENT_RESTARTS random
+    simplex starts drawn from rng: the reference the exact solve must beat."""
+    n = cfg.n_queues
+    starts = [Action.uniform(n), Action.idle(n)]
+    ones = np.ones(n + 1)
+    for _ in range(DESCENT_RESTARTS):
+        starts.append(Action(rng.dirichlet(ones), rng.dirichlet(ones)))
+
+    best = None
+    for start in starts:
+        f, alpha, beta = descend(q, a, start.alpha.copy(), start.beta.copy(),
+                                 cfg, dpp_cfg)
+        if best is None or f < best[0]:
+            best = (f, alpha, beta)
+    return Action(alpha=best[1], beta=best[2])
 
 
 def speech_cfg(**overrides):
@@ -80,52 +170,44 @@ class TestObjective:
             a = Action(rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2)))
             assert dpp_objective([0.0], [3e6], a, cfg, dc) == 0.0
 
-    def test_full_bound_quadratic_term(self):
-        # service exactly 1 bit against arrival 4: 0.5 * (4-1)^2 = 4.5
-        cfg = speech_cfg(bandwidth=1.0)
-        dc = DppConfig(penalty_weight=0.0, objective_kind="full-bound")
-        act = Action.from_effective([0.0], [1.0])
-        assert dpp_objective([0.0], [4.0], act, cfg, dc) == pytest.approx(4.5)
-
     def test_gradient_matches_finite_differences(self):
-        # central differences on interior points of both objective kinds
+        # central differences on interior points: the descent reference of
+        # test_never_worse_than_multistart_descent is only as strong as this
+        # gradient
         cfg3 = three_app_config()
         rng = np.random.default_rng(4)
-        for kind in ("linear-drift", "full-bound"):
-            dc = DppConfig(penalty_weight=10.0 ** rng.uniform(0, 8),
-                           objective_kind=kind)
-            for _ in range(30):
-                q = rng.uniform(0, 3e7, 3)
-                a = rng.uniform(0, 2e7, 3)
-                alpha = rng.dirichlet(np.ones(4))
-                beta = rng.dirichlet(np.ones(4))
-                f, g_a, g_b = _objective_and_gradient(q, a, alpha, beta, cfg3, dc)
-                assert f == pytest.approx(
-                    dpp_objective(q, a, Action(alpha, beta), cfg3, dc), rel=1e-12)
-                h = 1e-7
-                for vec, grad in ((alpha, g_a), (beta, g_b)):
-                    for i in range(3):
-                        e = np.zeros(4)
-                        e[i] = h
-                        up = dpp_objective(q, a, Action(alpha + e if vec is alpha else alpha,
-                                                        beta + e if vec is beta else beta),
-                                           cfg3, dc)
-                        dn = dpp_objective(q, a, Action(alpha - e if vec is alpha else alpha,
-                                                        beta - e if vec is beta else beta),
-                                           cfg3, dc)
-                        fd = (up - dn) / (2 * h)
-                        scale = max(abs(fd), abs(grad[i]), 1e-3)
-                        # kinks of the min() make isolated points disagree;
-                        # interior randomness keeps them measure-zero
-                        assert abs(fd - grad[i]) / scale < 1e-4
+        dc = DppConfig(penalty_weight=10.0 ** rng.uniform(0, 8))
+        for _ in range(30):
+            q = rng.uniform(0, 3e7, 3)
+            a = rng.uniform(0, 2e7, 3)
+            alpha = rng.dirichlet(np.ones(4))
+            beta = rng.dirichlet(np.ones(4))
+            f, g_a, g_b = objective_and_gradient(q, a, alpha, beta, cfg3, dc)
+            assert f == pytest.approx(
+                dpp_objective(q, a, Action(alpha, beta), cfg3, dc), rel=1e-12)
+            h = 1e-7
+            for vec, grad in ((alpha, g_a), (beta, g_b)):
+                for i in range(3):
+                    e = np.zeros(4)
+                    e[i] = h
+                    up = dpp_objective(q, a, Action(alpha + e if vec is alpha else alpha,
+                                                    beta + e if vec is beta else beta),
+                                       cfg3, dc)
+                    dn = dpp_objective(q, a, Action(alpha - e if vec is alpha else alpha,
+                                                    beta - e if vec is beta else beta),
+                                       cfg3, dc)
+                    fd = (up - dn) / (2 * h)
+                    scale = max(abs(fd), abs(grad[i]), 1e-3)
+                    # kinks of the min() make isolated points disagree;
+                    # interior randomness keeps them measure-zero
+                    assert abs(fd - grad[i]) / scale < 1e-4
 
 
 class TestOptimizer:
     def test_monotone_linear_objective_returns_full_service(self):
         cfg = speech_cfg()
         dc = DppConfig(penalty_weight=0.0)
-        rng = np.random.default_rng(5)
-        act = dpp_step_optimize([10.0], [0.0], cfg, dc, rng)
+        act = dpp_step_optimize([10.0], [0.0], cfg, dc)
         assert act.alpha[0] == pytest.approx(1.0, abs=1e-9)
         assert act.beta[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -144,7 +226,7 @@ class TestOptimizer:
             Vp = 10.0 ** rng.uniform(0.0, 10.0)
             dc = DppConfig(penalty_weight=Vp)
             best = dpp_objective([q], [a], grid, cfg, dc).min()
-            act = dpp_step_optimize([q], [a], cfg, dc, rng)
+            act = dpp_step_optimize([q], [a], cfg, dc)
             # the instances were first drawn beside a solver that took 8
             # random starts per call from this stream; burning those draws
             # keeps the same 50 instances
@@ -161,15 +243,14 @@ class TestOptimizer:
         beta = rng.dirichlet(np.ones(4), 64)
         q = rng.uniform(0, 3e7, 3)
         a = rng.uniform(0, 2e7, 3)
-        for kind in OBJECTIVE_KINDS:
-            for Vp in (0.0, 1e9):
-                dc = DppConfig(penalty_weight=Vp, objective_kind=kind)
-                batch = dpp_objective(q, a, Action(alpha, beta), cfg, dc)
-                assert batch.shape == (64,)
-                for k in range(64):
-                    single = dpp_objective(q, a, Action(alpha[k], beta[k]), cfg, dc)
-                    assert type(single) is float
-                    assert batch[k] == pytest.approx(single, rel=1e-12)
+        for Vp in (0.0, 1e9):
+            dc = DppConfig(penalty_weight=Vp)
+            batch = dpp_objective(q, a, Action(alpha, beta), cfg, dc)
+            assert batch.shape == (64,)
+            for k in range(64):
+                single = dpp_objective(q, a, Action(alpha[k], beta[k]), cfg, dc)
+                assert type(single) is float
+                assert batch[k] == pytest.approx(single, rel=1e-12)
 
     def test_never_worse_than_multistart_descent(self):
         # the exact solve against the best of uniform, idle and 8 random
@@ -182,11 +263,11 @@ class TestOptimizer:
             Vp = 10.0 ** rng.uniform(0.0, 12.0)
             q = 10.0 ** rng.uniform(4.0, 8.0, n) * (rng.random(n) < 0.8)
             a = 10.0 ** rng.uniform(4.0, 8.0, n) * (rng.random(n) < 0.8)
-            dc = DppConfig(penalty_weight=Vp, restarts=8)
-            act = dpp_step_optimize(q, a, cfg, dc, rng)
+            dc = DppConfig(penalty_weight=Vp)
+            act = dpp_step_optimize(q, a, cfg, dc)
             assert action_errors(act, tol=1e-12) == []
             exact = dpp_objective(q, a, act, cfg, dc)
-            descent = dpp_objective(q, a, _multistart_descent(q, a, cfg, dc, rng),
+            descent = dpp_objective(q, a, multistart_descent(q, a, cfg, dc, rng),
                                     cfg, dc)
             assert exact <= descent + 1e-9 * max(1.0, abs(descent))
 
@@ -198,10 +279,10 @@ class TestOptimizer:
         for _ in range(20):
             q = rng.uniform(0, 1e8, 3)
             a = rng.uniform(0, 2e7, 3)
-            act = dpp_step_optimize(q, a, cfg, dc, rng)
+            act = dpp_step_optimize(q, a, cfg, dc)
             np.testing.assert_array_equal(act.alpha, np.eye(4)[np.argmax(q * s)])
             np.testing.assert_array_equal(act.beta, np.eye(4)[np.argmax(q)])
-        act = dpp_step_optimize(np.zeros(3), a, cfg, dc, rng)
+        act = dpp_step_optimize(np.zeros(3), a, cfg, dc)
         np.testing.assert_array_equal(act.alpha, Action.uniform(3).alpha)
         np.testing.assert_array_equal(act.beta, Action.uniform(3).beta)
 
@@ -223,24 +304,12 @@ class TestOptimizer:
                 winners.add(labels[best].split("-")[0])
         assert {"none", "overflow"} <= winners
 
-    def test_exact_solve_draws_nothing_from_rng(self):
-        cfg = three_app_config()
-        rng = np.random.default_rng(14)
-        q = rng.uniform(0, 3e7, 3)
-        a = rng.uniform(0, 2e7, 3)
-        before = rng.bit_generator.state
-        for Vp in (0.0, 1e6, 1e11):
-            dpp_step_optimize(q, a, cfg, DppConfig(penalty_weight=Vp), rng)
-        assert rng.bit_generator.state == before
-
     def test_cubic_cost_without_cloud_cores_fails_clearly(self):
         cfg = three_app_config(cloud_cores=0)
-        for kind in OBJECTIVE_KINDS:
-            for Vp in (0.0, 1e11):
-                with pytest.raises(ValueError, match="cloud_cores"):
-                    dpp_step_optimize([1e7, 0.0, 3e6], [2e6, 1e6, 0.0], cfg,
-                                      DppConfig(penalty_weight=Vp, objective_kind=kind),
-                                      np.random.default_rng(0))
+        for Vp in (0.0, 1e11):
+            with pytest.raises(ValueError, match="cloud_cores"):
+                dpp_step_optimize([1e7, 0.0, 3e6], [2e6, 1e6, 0.0], cfg,
+                                  DppConfig(penalty_weight=Vp))
 
     def test_emitted_actions_satisfy_simplex(self):
         cfg = three_app_config()
@@ -248,81 +317,50 @@ class TestOptimizer:
         for _ in range(10):
             q = rng.uniform(0, 1e8, 3)
             a = rng.uniform(0, 2e7, 3)
-            dc = DppConfig(penalty_weight=10.0 ** rng.uniform(0, 8), restarts=3)
-            act = dpp_step_optimize(q, a, cfg, dc, rng)
+            dc = DppConfig(penalty_weight=10.0 ** rng.uniform(0, 8))
+            act = dpp_step_optimize(q, a, cfg, dc)
             assert action_errors(act, tol=1e-9) == []
 
-    def test_descent_is_monotone_in_iteration_budget(self):
-        cfg = three_app_config()
-        dc = DppConfig(penalty_weight=1e6)
-        rng = np.random.default_rng(8)
-        q = rng.uniform(0, 1e8, 3)
-        a = rng.uniform(0, 2e7, 3)
-        start = Action.uniform(3)
-        prev = np.inf
-        for iters in (1, 2, 5, 10, 30, 80, 200):
-            f, _, _ = _descend(q, a, start.alpha.copy(), start.beta.copy(),
-                               cfg, dataclasses.replace(dc, iterations=iters))
-            assert f <= prev + 1e-9
-            prev = f
-
-    def test_symmetry_identical_queues_get_equal_service(self):
-        # full-bound objective is strictly convex in the per-queue service
-        # deficits, so the optimum of a symmetric instance is symmetric
-        app = AppProfile.from_bounds(10000, 5.0, "10kB", "50kB")
-        cfg = SystemConfig(n_queues=2, edge_clock=8e9, edge_cores=2,
-                           bandwidth=3e6, cloud_cores=4, rho=1e-9,
-                           penalty_weight=0.0, reward_exponent=1.0,
-                           episode_length=100, apps=(app, app))
-        dc = DppConfig(penalty_weight=1e8, objective_kind="full-bound")
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            q = float(rng.uniform(1e5, 1e7))
-            a = float(rng.uniform(1e5, 5e6))
-            act = dpp_step_optimize([q, q], [a, a], cfg, dc,
-                                    np.random.default_rng(0))
-            b = act.alpha_eff * cfg.edge_clock / cfg.workloads \
-                + act.beta_eff * cfg.bandwidth
-            assert b[0] == pytest.approx(b[1], rel=1e-2, abs=1.0)
-
     def test_symmetry_swapped_instance_swaps_solution(self):
+        # relabelling the queues relabels the program, so the optimal value
+        # must not move; a solve that depended on queue order would
         app1 = AppProfile.from_bounds(8000, 5.0, "10kB", "50kB")
         cfg = SystemConfig(n_queues=2, edge_clock=8e9, edge_cores=2,
                            bandwidth=3e6, cloud_cores=4, rho=1e-9,
                            penalty_weight=0.0, reward_exponent=1.0,
                            episode_length=100, apps=(app1, app1))
-        dc = DppConfig(penalty_weight=1e8, objective_kind="full-bound")
+        dc = DppConfig(penalty_weight=1e8)
         q = np.array([2e6, 8e6])
         a = np.array([1e6, 3e6])
-        act1 = dpp_step_optimize(q, a, cfg, dc, np.random.default_rng(0))
-        act2 = dpp_step_optimize(q[::-1], a[::-1], cfg, dc,
-                                 np.random.default_rng(0))
-        b1 = act1.alpha_eff * cfg.edge_clock / cfg.workloads \
-            + act1.beta_eff * cfg.bandwidth
-        b2 = act2.alpha_eff * cfg.edge_clock / cfg.workloads \
-            + act2.beta_eff * cfg.bandwidth
-        assert b1[0] == pytest.approx(b2[1], rel=1e-2)
-        assert b1[1] == pytest.approx(b2[0], rel=1e-2)
+        cases = [(cfg, dc, q, a, np.array([1, 0]))]
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            base = three_app_config()
+            perm = rng.permutation(3)
+            cases.append((base, DppConfig(penalty_weight=10.0 ** rng.uniform(0.0, 12.0)),
+                          10.0 ** rng.uniform(4.0, 8.0, 3),
+                          10.0 ** rng.uniform(4.0, 8.0, 3), perm))
+        for cfg, dc, q, a, perm in cases:
+            swapped = dataclasses.replace(cfg, apps=tuple(cfg.apps[k] for k in perm))
+            f1 = dpp_objective(q, a, dpp_step_optimize(q, a, cfg, dc), cfg, dc)
+            f2 = dpp_objective(q[perm], a[perm],
+                               dpp_step_optimize(q[perm], a[perm], swapped, dc),
+                               swapped, dc)
+            assert f2 == pytest.approx(f1, rel=1e-12)
 
     def test_per_core_cost_refused(self):
         cfg = speech_cfg(cloud_cost_kind="per-core")
         with pytest.raises(UnsupportedObjectiveError):
-            dpp_step_optimize([1.0], [1.0], cfg, DppConfig(), np.random.default_rng(0))
+            dpp_step_optimize([1.0], [1.0], cfg, DppConfig())
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DppConfig(objective_kind="nope")
-        with pytest.raises(ValueError):
-            DppConfig(iterations=0)
         with pytest.raises(ValueError):
             DppConfig(penalty_weight=-1.0)
 
 
 def dpp_episode(cfg, dpp_cfg, T, rng):
-    """The episode `lyaq dpp` runs: the solver on a stream spawned from the
-    arrivals' generator."""
-    controller = DppController(cfg, dpp_cfg, rng.spawn(1)[0])
-    trace, _ = run_episode(controller, cfg, rng, T=T)
+    """A T-slot DPP episode whose arrivals draw from rng."""
+    trace, _ = run_episode(DppController(cfg, dpp_cfg), cfg, rng, T=T)
     return trace, metrics_from_trace(trace)
 
 
@@ -332,8 +370,7 @@ class TestEpisode:
                             size_min=1.0, size_max=2.0, size_mean=1.5,
                             size_std=0.25)
         cfg = speech_cfg(apps=(silent,))
-        trace, metrics = dpp_episode(cfg, DppConfig(restarts=1, iterations=5),
-                                     50, np.random.default_rng(0))
+        trace, metrics = dpp_episode(cfg, DppConfig(), 50, np.random.default_rng(0))
         assert metrics["avg_queue"] == 0.0
         assert len(trace) == 50
 
@@ -343,11 +380,10 @@ class TestEpisode:
             dpp_episode(cfg, DppConfig(), 10, np.random.default_rng(0))
 
     def test_solver_draws_leave_the_arrivals_alone(self):
-        # full-bound draws random starts; the arrivals must still be those
-        # of an environment that owns the generator alone
+        # the arrivals must be those of an environment that owns the
+        # generator alone
         cfg = desk_config()
-        dc = DppConfig(penalty_weight=1e8, objective_kind="full-bound",
-                       restarts=1, iterations=5)
+        dc = DppConfig(penalty_weight=1e8)
         trace, _ = dpp_episode(cfg, dc, 10, np.random.default_rng(3))
         env = EdgeCloudEnv(cfg, rng=np.random.default_rng(3))
         arrivals = [env.reset().arrival]
@@ -357,7 +393,7 @@ class TestEpisode:
 
     def test_desk_episode_metrics_match_trace(self):
         cfg = desk_config()
-        dc = DppConfig(penalty_weight=0.0, restarts=2, iterations=60)
+        dc = DppConfig(penalty_weight=0.0)
         trace, metrics = dpp_episode(cfg, dc, 60, np.random.default_rng(1))
         assert metrics["avg_penalty"] == pytest.approx(trace.penalties.mean())
         assert metrics["avg_queue"] == pytest.approx(trace.queue_totals.mean())

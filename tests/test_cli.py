@@ -63,12 +63,20 @@ def test_dpp_sweep_whose_every_row_fails_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["feasibility"],
                                   ["eval", "--controller", "uniform", "--episodes", "1"],
-                                  ["simulate", "--controller", "idle"],
-                                  ["simulate", "--controller", "dpp", "--Vprime", "1e11"]],
-                         ids=["feasibility", "eval-uniform", "simulate-idle", "simulate-dpp"])
+                                  ["simulate", "--controller", "idle"]],
+                         ids=["feasibility", "eval-uniform", "simulate-idle"])
 def test_cubic_cost_without_cloud_cores_fails_clearly(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--config", desk_config_file(tmp_path, cloud_cores=0)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "cloud_cores" in err
+
+
+def test_dpp_without_cloud_cores_fails_clearly(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--controller", "dpp", "--Vprime", "1e11",
+              "--config", desk_config_file(tmp_path, cloud_cores=0)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "cloud_cores" in err

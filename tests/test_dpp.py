@@ -67,12 +67,12 @@ DESCENT_TOLERANCE = 1e-8      # relative objective-change stop
 DESCENT_RESTARTS = 8          # random starts beside uniform + idle
 
 
-def descend(q, a, alpha, beta, cfg, dpp_cfg):
+def descend(q, a, alpha, beta, cfg, dpp_cfg, iterations=DESCENT_ITERATIONS):
     """Projected gradient descent with backtracking from one start; the
     objective never increases."""
     f, g_a, g_b = objective_and_gradient(q, a, alpha, beta, cfg, dpp_cfg)
     step = DESCENT_STEP
-    for _ in range(DESCENT_ITERATIONS):
+    for _ in range(iterations):
         assert np.isfinite(f) and np.all(np.isfinite(g_a)) and np.all(np.isfinite(g_b))
         trial = min(2.0 * step, DESCENT_STEP)
         accepted = False
@@ -310,6 +310,39 @@ class TestOptimizer:
             with pytest.raises(ValueError, match="cloud_cores"):
                 dpp_step_optimize([1e7, 0.0, 3e6], [2e6, 1e6, 0.0], cfg,
                                   DppConfig(penalty_weight=Vp))
+
+    def test_exact_solve_draws_nothing_from_rng(self):
+        # the solve takes no generator, and it must not fall back on numpy's
+        # global one: the same instance gives the same action every time
+        cfg = three_app_config()
+        rng = np.random.default_rng(14)
+        q = rng.uniform(0, 3e7, 3)
+        a = rng.uniform(0, 2e7, 3)
+        before = np.random.get_state()
+        for Vp in (0.0, 1e6, 1e11):
+            dc = DppConfig(penalty_weight=Vp)
+            first = dpp_step_optimize(q, a, cfg, dc)
+            again = dpp_step_optimize(q, a, cfg, dc)
+            assert np.array_equal(first.alpha, again.alpha)
+            assert np.array_equal(first.beta, again.beta)
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+
+    def test_descent_is_monotone_in_iteration_budget(self):
+        # the gate's reference descent: a larger budget never ends higher
+        cfg = three_app_config()
+        dc = DppConfig(penalty_weight=1e6)
+        rng = np.random.default_rng(8)
+        q = rng.uniform(0, 1e8, 3)
+        a = rng.uniform(0, 2e7, 3)
+        start = Action.uniform(3)
+        prev = np.inf
+        for iters in (1, 2, 5, 10, 30, 80, 200):
+            f, _, _ = descend(q, a, start.alpha.copy(), start.beta.copy(),
+                              cfg, dc, iterations=iters)
+            assert f <= prev + 1e-9
+            prev = f
 
     def test_emitted_actions_satisfy_simplex(self):
         cfg = three_app_config()

@@ -20,7 +20,7 @@ from .nets import DenseNet, Adam, soft_update
 from .sac import SacAgent, SacConfig, ReplayBuffer, StateNormalizer
 from .harness import (evaluate, train, sweep, compare, run_episode,
                       metrics_from_trace, queue_slope_ok, default_reward_spec,
-                      RunRecord, TrainResult)
+                      TrainResult)
 from .plots import emit_plots
 
 __version__ = "0.1.0"

@@ -16,17 +16,24 @@ from .dpp import DppConfig, UnsupportedObjectiveError
 from .sac import SacAgent, SacConfig
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_SYSTEM_FLAGS = {
+    "--V": dict(type=float, default=None, help="penalty weight V for the reward"),
+    "--nu": dict(type=float, choices=(1.0, 2.0), default=None,
+                 help="queue-reward exponent"),
+    "--cost": dict(choices=("cubic", "per-core"), default=None,
+                   help="cloud cost kind"),
+    "--seed": dict(type=int, default=0),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, flags=tuple(_SYSTEM_FLAGS)) -> None:
+    """--config and --profile, plus those of --V, --nu, --cost and --seed
+    that the command reads."""
     p.add_argument("--config", help="JSON system config file")
     p.add_argument("--profile", choices=sorted(PROFILES), default="desk",
                    help="built-in profile when no --config is given")
-    p.add_argument("--V", type=float, default=None,
-                   help="penalty weight V for the reward")
-    p.add_argument("--nu", type=float, choices=(1.0, 2.0), default=None,
-                   help="queue-reward exponent")
-    p.add_argument("--cost", choices=("cubic", "per-core"), default=None,
-                   help="cloud cost kind")
-    p.add_argument("--seed", type=int, default=0)
+    for flag in flags:
+        p.add_argument(flag, **_SYSTEM_FLAGS[flag])
 
 
 def _add_reward(p: argparse.ArgumentParser) -> None:
@@ -61,13 +68,20 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _count(text: str) -> int:
+    """A step or episode count: a positive integer."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lyaq",
                                  description="Edge-cloud queue control toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("feasibility", help="closed-form load vs capacity check")
-    _add_common(p)
+    _add_common(p, flags=())
 
     p = sub.add_parser("simulate", help="run one episode with a fixed controller")
     _add_common(p)
@@ -76,13 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="agent checkpoint for --controller sac")
     p.add_argument("--Vprime", type=float, default=0.0, help="DPP weight")
     _add_reward(p)
-    p.add_argument("--steps", type=int, default=None, help="episode length")
+    p.add_argument("--steps", type=_count, default=None, help="episode length")
     p.add_argument("--out", help="trace CSV path")
 
     p = sub.add_parser("train", help="train the soft actor-critic agent")
     _add_common(p)
     _add_reward(p)
-    p.add_argument("--steps", type=int, default=20000,
+    p.add_argument("--steps", type=_count, default=20000,
                    help="environment-step training budget")
     p.add_argument("--hidden", default=None,
                    help="comma list of hidden widths, e.g. 64,64")
@@ -97,11 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="agent checkpoint for --controller sac")
     p.add_argument("--Vprime", type=float, default=0.0)
     _add_reward(p)
-    p.add_argument("--episodes", type=int, default=5)
+    p.add_argument("--episodes", type=_count, default=5)
     p.add_argument("--out", help="records CSV path")
 
     p = sub.add_parser("sweep", help="V sweep producing the trade-off CSV")
-    _add_common(p)
+    _add_common(p, flags=("--nu", "--cost"))
     p.add_argument("--controller", choices=("dpp", "sac", "idle", "uniform"),
                    default="dpp")
     p.add_argument("--Vprime", default=None,
@@ -109,21 +123,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Vgrid", default=None, help="comma list of V values")
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma list of seeds")
     _add_reward(p)
-    p.add_argument("--steps", type=int, default=20000,
+    p.add_argument("--steps", type=_count, default=20000,
                    help="training budget per grid point (sac)")
-    p.add_argument("--episodes", type=int, default=5)
+    p.add_argument("--episodes", type=_count, default=5)
     p.add_argument("--out", required=True, help="trade-off CSV path")
 
     p = sub.add_parser("compare", help="DPP vs SAC on both cloud-cost kinds")
-    _add_common(p)
+    _add_common(p, flags=("--V", "--nu", "--seed"))
     p.add_argument("--Vprime", type=float, default=0.0)
     _add_reward(p)
-    p.add_argument("--steps", type=int, default=20000)
+    p.add_argument("--steps", type=_count, default=20000)
     p.add_argument("--out", help="report CSV path")
 
     p = sub.add_parser("plot", help="render metric CSVs to SVG charts")
     p.add_argument("csvs", nargs="+", help="input CSV files")
     p.add_argument("--out", help="output directory (default: beside inputs)")
+    for p in sub.choices.values():
+        # no prefixes: `sweep --seed` would pass as --seeds
+        p.allow_abbrev = False
     return ap
 
 
@@ -178,11 +195,11 @@ def cmd_simulate(args) -> int:
     spec = harness.default_reward_spec(cfg, kind=args.reward)
     trace, reward_sum = harness.run_episode(controller, cfg, env_rng,
                                             reward_spec=spec)
-    m = harness.metrics_from_trace(trace)
+    m = harness.metrics_from_trace(trace, reward_sum)
     if args.out:
         trace.write_csv(args.out)
         print(f"trace written to {args.out}")
-    print(f"reward_sum={reward_sum!r} avg_penalty={m['avg_penalty']!r} "
+    print(f"reward_sum={m['reward_sum']!r} avg_penalty={m['avg_penalty']!r} "
           f"avg_queue={m['avg_queue']!r}")
     return 0
 
@@ -211,22 +228,21 @@ def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     controller = _controller_for(args, cfg)
     spec = harness.default_reward_spec(cfg, kind=args.reward)
-    records = harness.evaluate(controller, cfg, args.episodes, args.seed, spec,
-                               controller_name=args.controller)
+    records = harness.evaluate(controller, cfg, args.episodes, args.seed, spec)
     if args.out:
         with open(args.out, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["controller", "V", "nu", "reward", "seed",
                              "episode", "reward_sum", "avg_penalty", "avg_queue"])
             for ep, r in enumerate(records):
-                writer.writerow([r.controller, repr(r.V), repr(r.nu),
-                                 r.reward_kind, r.seed, ep,
-                                 repr(r.episode_reward_sum),
-                                 repr(r.avg_penalty), repr(r.avg_queue)])
+                writer.writerow([args.controller, repr(spec.penalty_weight),
+                                 repr(spec.exponent), spec.kind, args.seed, ep,
+                                 repr(r["reward_sum"]), repr(r["avg_penalty"]),
+                                 repr(r["avg_queue"])])
         print(f"records written to {args.out}")
     for ep, r in enumerate(records):
-        print(f"episode {ep}: reward_sum={r.episode_reward_sum!r} "
-              f"avg_penalty={r.avg_penalty!r} avg_queue={r.avg_queue!r}")
+        print(f"episode {ep}: reward_sum={r['reward_sum']!r} "
+              f"avg_penalty={r['avg_penalty']!r} avg_queue={r['avg_queue']!r}")
     return 0
 
 

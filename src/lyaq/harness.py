@@ -1,5 +1,11 @@
 """Experiment harness: episode runners, training loop, V-sweeps, comparisons.
 
+`episode_slots` is the one loop that resets an `EdgeCloudEnv` and steps it.
+`run_episode` consumes it with a controller to build a trace (eval,
+simulate, sweep, compare and train's evaluation episodes); `train` consumes
+it with its exploring policy to fill the replay buffer. `metrics_from_trace`
+is the one per-episode summary every command reports.
+
 All runs are keyed by (command, config, seed): every random stream descends
 from one SeedSequence, so identical inputs give byte-identical metric CSVs.
 """
@@ -22,21 +28,12 @@ from .sac import SacAgent, SacConfig
 # Controllers
 
 
-class IdleController:
-    """All-dummy action: no CPU, no offloading."""
+class FixedController:
+    """The same action in every slot (idle: all-dummy; uniform: an even
+    split over each (N+1)-simplex)."""
 
-    def __init__(self, n_queues: int):
-        self._action = Action.idle(n_queues)
-
-    def act(self, state) -> Action:
-        return self._action
-
-
-class UniformController:
-    """Uniform split over each (N+1)-simplex."""
-
-    def __init__(self, n_queues: int):
-        self._action = Action.uniform(n_queues)
+    def __init__(self, action: Action):
+        self._action = action
 
     def act(self, state) -> Action:
         return self._action
@@ -55,9 +52,9 @@ class SacController:
 def make_controller(kind: str, cfg: SystemConfig, dpp_cfg: DppConfig | None = None,
                     agent: SacAgent | None = None):
     if kind == "idle":
-        return IdleController(cfg.n_queues)
+        return FixedController(Action.idle(cfg.n_queues))
     if kind == "uniform":
-        return UniformController(cfg.n_queues)
+        return FixedController(Action.uniform(cfg.n_queues))
     if kind == "dpp":
         return DppController(cfg, dpp_cfg or DppConfig())
     if kind == "sac":
@@ -71,34 +68,43 @@ def make_controller(kind: str, cfg: SystemConfig, dpp_cfg: DppConfig | None = No
 # Episode running and metrics
 
 
-def run_episode(controller, cfg: SystemConfig, rng: np.random.Generator,
-                T: int | None = None, reward_spec: RewardSpec | None = None):
-    """One T-slot episode from empty queues; returns (trace, reward_sum),
-    the reward sum staying 0.0 without a reward_spec. A solver error is
-    re-raised with the slot it happened in."""
-    T = T or cfg.episode_length
-    env = EdgeCloudEnv(cfg, rng=rng)
+def episode_slots(act, env: EdgeCloudEnv, T: int):
+    """The one episode loop: reset env to empty queues, then for each of T
+    slots choose act(state), step, and yield (state, action, outcome). A
+    solver error is re-raised with the slot it happened in."""
     state = env.reset()
-    trace = Trace(n_queues=cfg.n_queues, capacity=T)
-    reward_sum = 0.0
     for t in range(T):
         try:
-            action = controller.act(state)
+            action = act(state)
         except UnsupportedObjectiveError as exc:
             raise type(exc)(f"slot {t}: {exc}") from exc
         outcome = env.step(action)
+        yield state, action, outcome
+        state = outcome.next_state
+
+
+def run_episode(controller, cfg: SystemConfig, rng: np.random.Generator,
+                T: int | None = None, reward_spec: RewardSpec | None = None):
+    """One T-slot episode from empty queues; returns (trace, reward_sum),
+    the reward sum staying 0.0 without a reward_spec."""
+    T = T or cfg.episode_length
+    trace = Trace(n_queues=cfg.n_queues, capacity=T)
+    reward_sum = 0.0
+    for t, (state, action, outcome) in enumerate(
+            episode_slots(controller.act, EdgeCloudEnv(cfg, rng=rng), T)):
         if reward_spec is not None:
             reward_sum += compute_reward(outcome, T, reward_spec)
         trace.append(t, outcome.queue_before, state.arrival, action,
                      outcome.departures, outcome.offloads,
                      outcome.edge_cost, outcome.cloud_cost)
-        state = outcome.next_state
     return trace, reward_sum
 
 
-def metrics_from_trace(trace: Trace) -> dict:
-    """The two headline averages, recomputable from any exported trace."""
+def metrics_from_trace(trace: Trace, reward_sum: float) -> dict:
+    """The one per-episode summary: the reward sum and the two headline
+    averages, recomputable from any exported trace."""
     return {
+        "reward_sum": reward_sum,
         "avg_penalty": float(trace.penalties.mean()),
         "avg_queue": float(trace.queue_totals.mean()),
     }
@@ -122,45 +128,18 @@ def default_reward_spec(cfg: SystemConfig, kind: str = "diff") -> RewardSpec:
                       mean_arrival_bits=cfg.mean_bits_per_slot)
 
 
-@dataclass
-class RunRecord:
-    """One evaluation episode: the controller and reward it ran under, its
-    undiscounted reward sum and the two headline averages of its trace."""
-
-    controller: str
-    V: float
-    nu: float
-    reward_kind: str
-    seed: int
-    episode_reward_sum: float
-    avg_penalty: float
-    avg_queue: float
-
-
 def evaluate(controller, cfg: SystemConfig, episodes: int, seed: int,
-             reward_spec: RewardSpec | None = None,
-             controller_name: str = "") -> list[RunRecord]:
-    """One RunRecord per deterministic-policy episode; episode k draws its
-    arrivals from SeedSequence(seed).spawn(episodes)[k]. The traces are not
-    kept."""
+             reward_spec: RewardSpec | None = None) -> list[dict]:
+    """One metrics_from_trace dict per deterministic-policy episode; episode
+    k draws its arrivals from SeedSequence(seed).spawn(episodes)[k]. The
+    traces are not kept."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
     reward_spec = reward_spec or default_reward_spec(cfg)
-    records = []
-    for stream in np.random.SeedSequence(seed).spawn(episodes):
-        trace, reward_sum = run_episode(controller, cfg,
-                                        np.random.default_rng(stream),
-                                        reward_spec=reward_spec)
-        m = metrics_from_trace(trace)
-        records.append(RunRecord(
-            controller=controller_name,
-            V=reward_spec.penalty_weight,
-            nu=reward_spec.exponent,
-            reward_kind=reward_spec.kind,
-            seed=seed,
-            episode_reward_sum=reward_sum,
-            avg_penalty=m["avg_penalty"],
-            avg_queue=m["avg_queue"],
-        ))
-    return records
+    return [metrics_from_trace(*run_episode(controller, cfg,
+                                            np.random.default_rng(stream),
+                                            reward_spec=reward_spec))
+            for stream in np.random.SeedSequence(seed).spawn(episodes)]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +153,6 @@ class TrainResult:
     agent: SacAgent
     curve: list            # dicts: steps, reward_sum, avg_penalty, avg_queue
     best_agent: SacAgent   # best eval reward over the final 20% of training
-    reward_scale: float
-    reward_spec: RewardSpec
 
     def write_curve_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -204,14 +181,22 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
     agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(agent_ss))
     env = EdgeCloudEnv(cfg, rng=env_rng)
     aux = cfg.state_aux
+    last = [None, None]  # the latest state and its normalized vector
+
+    def norm(state):
+        # one array per state, shared by the transitions it ends and starts
+        if state is not last[0]:
+            last[:] = state, agent.normalizer.normalize(state.as_vector(aux))
+        return last[1]
+
+    def explore(state) -> Action:
+        flat, _ = agent.policy_sample(norm(state), rng=collect_rng)
+        return Action.from_flat(flat)
 
     def eval_record(steps: int) -> dict:
         rng = np.random.default_rng(eval_ss.spawn(1)[0])
-        trace, reward_sum = run_episode(SacController(agent), cfg, rng,
-                                        reward_spec=reward_spec)
-        m = metrics_from_trace(trace)
-        return {"steps": steps, "reward_sum": reward_sum,
-                "avg_penalty": m["avg_penalty"], "avg_queue": m["avg_queue"]}
+        return {"steps": steps, **metrics_from_trace(*run_episode(
+            SacController(agent), cfg, rng, reward_spec=reward_spec))}
 
     curve = [eval_record(0)]
     best = None  # best eval over the final 20% of the step budget
@@ -221,23 +206,17 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
     while steps_done < total_steps:
         pending = []
         for _ in range(EPISODES_PER_CYCLE):
-            state = env.reset()
-            s_norm = agent.normalizer.normalize(state.as_vector(aux))
-            for _ in range(T):
-                flat, _ = agent.policy_sample(s_norm, rng=collect_rng)
-                outcome = env.step(Action.from_flat(flat))
-                r = compute_reward(outcome, T, reward_spec)
-                s2_norm = agent.normalizer.normalize(
-                    outcome.next_state.as_vector(aux))
-                pending.append((s_norm, flat, r, s2_norm))
-                s_norm = s2_norm
-                steps_done += 1
+            for state, action, outcome in episode_slots(explore, env, T):
+                pending.append((norm(state), action.as_flat(),
+                                compute_reward(outcome, T, reward_spec),
+                                norm(outcome.next_state)))
+        steps_done += len(pending)
         if not scale_set:
             typical = float(np.mean(np.abs([p[2] for p in pending[:T]])))
             agent.reward_scale = 1.0 / typical if typical > 0 else 1.0
             scale_set = True
         for s_n, a_f, r, s2_n in pending:
-            agent.store_transition(s_n, a_f, r * agent.reward_scale, s2_n)
+            agent.buffer.push(s_n, a_f, r * agent.reward_scale, s2_n)
 
         if len(agent.buffer) >= sac_cfg.batch_size:
             for _ in range(len(pending)):
@@ -257,8 +236,7 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
 
     if best is None:
         best = (curve[-1]["reward_sum"], SacAgent.from_state_dict(agent.state_dict()))
-    return TrainResult(agent=agent, curve=curve, best_agent=best[1],
-                       reward_scale=agent.reward_scale, reward_spec=reward_spec)
+    return TrainResult(agent=agent, curve=curve, best_agent=best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +318,9 @@ def _sweep_entry(controller_kind, cfg, V, seed, sac_cfg, total_steps,
     else:
         controller = make_controller(controller_kind, cfg,
                                      dpp_cfg=DppConfig(penalty_weight=V))
-    records = evaluate(controller, cfg, episodes, seed, spec,
-                       controller_name=controller_kind)
-    return {
-        "avg_queue": float(np.mean([r.avg_queue for r in records])),
-        "avg_penalty": float(np.mean([r.avg_penalty for r in records])),
-        "reward_sum": float(np.mean([r.episode_reward_sum for r in records])),
-    }
+    records = evaluate(controller, cfg, episodes, seed, spec)
+    return {key: float(np.mean([r[key] for r in records]))
+            for key in ("avg_queue", "avg_penalty", "reward_sum")}
 
 
 def sweep_means(rows) -> list[dict]:
@@ -384,10 +358,9 @@ def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
                "reward_final": ""}
         try:
             controller = DppController(cfg_k, dpp_cfg)
-            recs = evaluate(controller, cfg_k, 1, seed, spec,
-                            controller_name="dpp")
-            row.update(avg_queue=repr(recs[0].avg_queue),
-                       avg_penalty=repr(recs[0].avg_penalty))
+            m = evaluate(controller, cfg_k, 1, seed, spec)[0]
+            row.update(avg_queue=repr(m["avg_queue"]),
+                       avg_penalty=repr(m["avg_penalty"]))
         except UnsupportedObjectiveError as exc:
             row["status"] = f"unsupported-objective: {exc}"
         rows.append(row)
@@ -395,12 +368,11 @@ def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
             progress(row)
 
         result = train(cfg_k, sac_cfg, total_steps, seed, spec)
-        recs = evaluate(SacController(result.best_agent), cfg_k, 1, seed, spec,
-                        controller_name="sac")
+        m = evaluate(SacController(result.best_agent), cfg_k, 1, seed, spec)[0]
         rows.append({
             "controller": "sac", "cost_kind": cost_kind, "status": "ok",
-            "avg_queue": repr(recs[0].avg_queue),
-            "avg_penalty": repr(recs[0].avg_penalty),
+            "avg_queue": repr(m["avg_queue"]),
+            "avg_penalty": repr(m["avg_penalty"]),
             "reward_first": repr(result.curve[0]["reward_sum"]),
             "reward_final": repr(max(r["reward_sum"] for r in result.curve[1:])
                                  if len(result.curve) > 1

@@ -12,6 +12,12 @@ rather than the entropy of the squashed distribution.
 deterministic = zero noise), the critic target's next action in
 `SacAgent.update` and the actor loss all call it.
 
+The agent never steps an environment. `harness.train` collects through the
+harness's one episode loop with `policy_sample` as the exploring policy and
+pushes each transition (normalized states, flat action, reward times
+`reward_scale`) straight into `agent.buffer`; `reward_scale` is set once,
+from the first collected episode, and saved with the checkpoint.
+
 Checkpoints are `np.savez` archives of `SacAgent.state_dict()`, format 1:
 `<net>.<i>` for the i-th parameter of policy, q1, q2, q1_target and
 q2_target; `<opt>.m<i>` and `<opt>.v<i>` for the Adam moments of policy_opt,
@@ -280,10 +286,6 @@ class SacAgent:
         return Action.from_flat(flat)
 
     # -- learning ----------------------------------------------------------
-
-    def store_transition(self, state_norm, action_flat, scaled_reward: float,
-                         next_state_norm) -> None:
-        self.buffer.push(state_norm, action_flat, scaled_reward, next_state_norm)
 
     def update(self, rng: np.random.Generator) -> dict:
         """One critic and one actor gradient step plus a soft target update."""

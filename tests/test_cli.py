@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lyaq.cli
 from lyaq.cli import COMMANDS, build_parser, main
-from lyaq.config import config_to_dict, desk_config, save_config
+from lyaq.config import config_to_dict, desk_config, get_profile, save_config
 from lyaq.env import read_trace_csv
 from lyaq.sac import SacAgent
 
@@ -100,6 +101,91 @@ def test_every_subcommand_has_a_handler():
     with pytest.raises(SystemExit) as exc:
         main(["dpp"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--controller", "uniform", "--Vgrid", "0", "--seeds", "0",
+     "--episodes", "0"],
+    ["eval", "--controller", "uniform", "--episodes", "-1"],
+    ["simulate", "--steps", "-5"],
+    ["simulate", "--steps", "0"],
+    ["train", "--steps", "-3", "--hidden", "8,8"],
+    ["train", "--steps", "many", "--hidden", "8,8"],
+], ids=["sweep-episodes-0", "eval-episodes-neg", "simulate-steps-neg",
+        "simulate-steps-0", "train-steps-neg", "train-steps-text"])
+def test_counts_must_be_positive(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out), "--config", desk_config_file(tmp_path)])
+    assert exc.value.code == 2
+    flag = next(a for a in argv if a in ("--steps", "--episodes"))
+    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasibility", "--V", "1e9"], ["feasibility", "--nu", "2"],
+    ["feasibility", "--cost", "cubic"], ["feasibility", "--seed", "1"],
+    ["sweep", "--Vgrid", "0", "--out", "never.csv", "--V", "1e9"],
+    ["sweep", "--Vgrid", "0", "--out", "never.csv", "--seed", "1"],
+    ["compare", "--cost", "cubic"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_inert_flags_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+class ReadRecorder(argparse.Namespace):
+    """A Namespace that notes every attribute a handler reads."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("_reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_option_is_read(tmp_path, monkeypatch, capsys):
+    # the desk profile with T=20 keeps every run tiny while --profile is read
+    monkeypatch.setattr(lyaq.cli, "get_profile",
+                        lambda name: replace(get_profile(name), episode_length=20))
+    ckpt, curve = str(tmp_path / "agent.npz"), str(tmp_path / "curve.csv")
+    system = ["--V", "1e9", "--nu", "2", "--cost", "cubic", "--seed", "1"]
+    runs = [
+        ["feasibility"],
+        ["train", *system, "--reward", "power", "--steps", "40", "--hidden", "8,8",
+         "--zeta", "0.1", "--out", curve, "--checkpoint", ckpt],
+        ["simulate", *system, "--controller", "sac", "--checkpoint", ckpt,
+         "--Vprime", "0", "--reward", "power", "--steps", "10",
+         "--out", str(tmp_path / "trace.csv")],
+        ["eval", *system, "--controller", "sac", "--checkpoint", ckpt,
+         "--Vprime", "0", "--reward", "power", "--episodes", "1",
+         "--out", str(tmp_path / "records.csv")],
+        ["sweep", "--nu", "2", "--cost", "cubic", "--controller", "dpp",
+         "--Vprime", "0", "--seeds", "0", "--reward", "power", "--steps", "40",
+         "--episodes", "1", "--out", str(tmp_path / "dpp.csv")],
+        ["sweep", "--controller", "uniform", "--Vgrid", "0", "--seeds", "0",
+         "--episodes", "1", "--out", str(tmp_path / "uniform.csv")],
+        ["compare", "--V", "1e9", "--nu", "2", "--seed", "1", "--Vprime", "1e11",
+         "--reward", "power", "--steps", "40", "--out", str(tmp_path / "report.csv")],
+        ["plot", curve, "--out", str(tmp_path)],
+    ]
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    read = {command: set() for command in subparsers.choices}
+    for argv in runs:
+        args = parser.parse_args(argv, namespace=ReadRecorder())
+        args._reads = read[argv[0]]
+        assert COMMANDS[argv[0]](args) == 0, argv
+    capsys.readouterr()
+    unread = {command: sorted(a.option_strings[0] if a.option_strings else a.dest
+                              for a in sub._actions
+                              if a.dest != "help" and a.dest not in read[command])
+              for command, sub in subparsers.choices.items()}
+    assert unread == {command: [] for command in subparsers.choices}
 
 
 def test_sac_sweep_writes_an_ok_row_per_grid_point(tmp_path):

@@ -393,8 +393,8 @@ class TestOptimizer:
 
 def dpp_episode(cfg, dpp_cfg, T, rng):
     """A T-slot DPP episode whose arrivals draw from rng."""
-    trace, _ = run_episode(DppController(cfg, dpp_cfg), cfg, rng, T=T)
-    return trace, metrics_from_trace(trace)
+    trace, reward_sum = run_episode(DppController(cfg, dpp_cfg), cfg, rng, T=T)
+    return trace, metrics_from_trace(trace, reward_sum)
 
 
 class TestEpisode:

@@ -2,11 +2,13 @@ import csv
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from lyaq.config import desk_config
-from lyaq.env import EdgeCloudEnv
-from lyaq.harness import (UniformController, default_reward_spec,
-                          queue_slope_ok, run_episode, sweep)
+from lyaq.env import Action, EdgeCloudEnv
+from lyaq.harness import (EPISODES_PER_CYCLE, FixedController,
+                          default_reward_spec, evaluate, queue_slope_ok,
+                          run_episode, sweep, train)
 from lyaq.plots import emit_plots
 from lyaq.rewards import compute_reward
 from lyaq.sac import SacAgent, SacConfig
@@ -64,14 +66,14 @@ def test_queue_slope_ok():
 def test_run_episode_matches_a_hand_rolled_loop():
     cfg = short_desk()
     spec = default_reward_spec(cfg)
-    trace, reward_sum = run_episode(UniformController(2), cfg,
+    trace, reward_sum = run_episode(FixedController(Action.uniform(2)), cfg,
                                     np.random.default_rng(5), T=30,
                                     reward_spec=spec)
     env = EdgeCloudEnv(cfg, rng=np.random.default_rng(5))
     state = env.reset()
     queues, arrivals, rewards = [env.queue], [state.arrival], []
     for _ in range(30):
-        outcome = env.step(UniformController(2).act(state))
+        outcome = env.step(Action.uniform(2))
         rewards.append(compute_reward(outcome, 30, spec))
         queues.append(outcome.queue_after)
         state = outcome.next_state
@@ -83,14 +85,83 @@ def test_run_episode_matches_a_hand_rolled_loop():
     assert reward_sum == sum(rewards)
 
 
+def reference_collect(cfg, sac_cfg, total_steps, seed, reward_spec):
+    """`train`'s collection and update schedule as the inline loop it once
+    was, kept as the reference for the loop through `episode_slots`. The
+    evaluation episodes are left out: they draw from their own stream and
+    leave the agent as it is."""
+    T = cfg.episode_length
+    ss = np.random.SeedSequence(seed)
+    env_ss, agent_ss, update_ss, eval_ss = ss.spawn(4)
+    env_rng = np.random.default_rng(env_ss)
+    update_rng = np.random.default_rng(update_ss)
+    collect_rng = np.random.default_rng(agent_ss.spawn(1)[0])
+
+    agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(agent_ss))
+    env = EdgeCloudEnv(cfg, rng=env_rng)
+    aux = cfg.state_aux
+    steps_done = 0
+    scale_set = False
+
+    while steps_done < total_steps:
+        pending = []
+        for _ in range(EPISODES_PER_CYCLE):
+            state = env.reset()
+            s_norm = agent.normalizer.normalize(state.as_vector(aux))
+            for _ in range(T):
+                flat, _ = agent.policy_sample(s_norm, rng=collect_rng)
+                outcome = env.step(Action.from_flat(flat))
+                r = compute_reward(outcome, T, reward_spec)
+                s2_norm = agent.normalizer.normalize(
+                    outcome.next_state.as_vector(aux))
+                pending.append((s_norm, flat, r, s2_norm))
+                s_norm = s2_norm
+                steps_done += 1
+        if not scale_set:
+            typical = float(np.mean(np.abs([p[2] for p in pending[:T]])))
+            agent.reward_scale = 1.0 / typical if typical > 0 else 1.0
+            scale_set = True
+        for s_n, a_f, r, s2_n in pending:
+            agent.buffer.push(s_n, a_f, r * agent.reward_scale, s2_n)
+
+        if len(agent.buffer) >= sac_cfg.batch_size:
+            for _ in range(len(pending)):
+                agent.update(update_rng)
+    return agent
+
+
+@pytest.mark.parametrize("kind", ["diff", "power"])
+def test_train_collects_like_the_reference_loop(kind):
+    cfg = short_desk()
+    sac_cfg = SacConfig(hidden_sizes=(8, 8), batch_size=64)
+    spec = default_reward_spec(cfg, kind=kind)
+    # three 4x10-slot cycles; updates start after the first
+    agent = train(cfg, sac_cfg, 120, seed=4, reward_spec=spec).agent
+    ref = reference_collect(cfg, sac_cfg, 120, 4, spec)
+    assert len(agent.buffer) == len(ref.buffer) == 120
+    for name in ("states", "actions", "rewards", "next_states"):
+        np.testing.assert_array_equal(getattr(agent.buffer, name)[:120],
+                                      getattr(ref.buffer, name)[:120])
+    assert agent.reward_scale == ref.reward_scale
+    assert agent.update_count == ref.update_count == 80
+    for got, want in zip(agent.policy.params, ref.policy.params):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_evaluate_refuses_a_non_positive_episode_count(episodes):
+    with pytest.raises(ValueError, match="episodes must be at least 1"):
+        evaluate(FixedController(Action.idle(2)), short_desk(), episodes, seed=0)
+
+
 def test_snapshot_keeps_its_optimizer_state():
     cfg = short_desk()
     agent = SacAgent(cfg, SacConfig(hidden_sizes=(8, 8), batch_size=4),
                      rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
     for _ in range(8):
-        agent.store_transition(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
-                               -rng.random(), rng.random(cfg.state_dim))
+        agent.buffer.push(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
+                          -rng.random(), rng.random(cfg.state_dim))
     agent.update(rng)
     snap = SacAgent.from_state_dict(agent.state_dict())
     frozen = {name: (getattr(snap, name).t,

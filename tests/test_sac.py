@@ -184,7 +184,7 @@ class TestUpdates:
             x2 = agent.normalizer.normalize(
                 outcome.next_state.as_vector(cfg.state_aux))
             r = -1e-9 * outcome.queue_after.sum()
-            agent.store_transition(x, flat, r, x2)
+            agent.buffer.push(x, flat, r, x2)
             x = x2
 
     def test_update_runs_and_reports_finite_losses(self, agent, cfg):
@@ -231,7 +231,7 @@ class TestUpdates:
         s = np.full(cfg.state_dim, 0.3)
         a = Action.uniform(cfg.n_queues).as_flat()
         r = -2.5
-        agent.store_transition(s, a, r, s)
+        agent.buffer.push(s, a, r, s)
         rng = np.random.default_rng(11)
         x = np.concatenate([s, a])[None, :]
         gaps = []
@@ -307,7 +307,7 @@ class TestCheckpoint:
             outcome = env.step(Action.from_flat(flat))
             x2 = agent.normalizer.normalize(
                 outcome.next_state.as_vector(cfg.state_aux))
-            agent.store_transition(x, flat, -1.0, x2)
+            agent.buffer.push(x, flat, -1.0, x2)
             x = x2
         for _ in range(3):
             agent.update(rng)
@@ -356,8 +356,8 @@ class TestCheckpoint:
         agent = SacAgent(cfg, TOY, rng=np.random.default_rng(17))
         rng = np.random.default_rng(18)
         for _ in range(8):
-            agent.store_transition(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
-                                   -rng.random(), rng.random(cfg.state_dim))
+            agent.buffer.push(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
+                              -rng.random(), rng.random(cfg.state_dim))
         copy = SacAgent.from_state_dict(agent.state_dict())
         before = copy.policy.get_flat()
         agent.update(rng)

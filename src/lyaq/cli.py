@@ -60,12 +60,14 @@ def _resolve_config(args):
     return cfg
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _widths(text: str) -> tuple:
+    """Hidden-layer widths: a comma list of one or more positive integers."""
+    widths = tuple(int(x) if x.strip().isdecimal() else 0
+                   for x in text.split(",") if x.strip())
+    if not widths or min(widths) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma list of positive integers, got {text!r}")
+    return widths
 
 
 def _count(text: str) -> int:
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_reward(p)
     p.add_argument("--steps", type=_count, default=20000,
                    help="environment-step training budget")
-    p.add_argument("--hidden", default=None,
+    p.add_argument("--hidden", type=_widths, default=None,
                    help="comma list of hidden widths, e.g. 64,64")
     p.add_argument("--zeta", type=float, default=None, help="entropy weight")
     p.add_argument("--out", help="learning-curve CSV path")
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_sac_cfg(args, seed) -> SacConfig:
     kwargs = {"seed": seed}
     if getattr(args, "hidden", None):
-        kwargs["hidden_sizes"] = tuple(_int_list(args.hidden))
+        kwargs["hidden_sizes"] = args.hidden
     if getattr(args, "zeta", None) is not None:
         kwargs["entropy_weight"] = args.zeta
     return SacConfig(**kwargs)
@@ -252,8 +254,8 @@ def cmd_sweep(args) -> int:
     if not grid_text:
         print("sweep needs --Vgrid (or --Vprime for dpp)", file=sys.stderr)
         raise SystemExit(2)
-    grid = _float_list(grid_text)
-    seeds = _int_list(args.seeds)
+    grid = [float(x) for x in grid_text.split(",") if x.strip()]
+    seeds = [int(x) for x in args.seeds.split(",") if x.strip()]
     sac_cfg = SacConfig(hidden_sizes=(64, 64)) if args.controller == "sac" else None
     rows = harness.sweep(args.controller, cfg, grid, seeds, out_csv=args.out,
                          sac_cfg=sac_cfg, total_steps=args.steps,

@@ -199,7 +199,7 @@ def feasibility_check(cfg: SystemConfig) -> FeasibilityReport:
 
 
 def config_to_dict(cfg: SystemConfig) -> dict:
-    d = {
+    return {
         "n_queues": cfg.n_queues,
         "edge_clock": cfg.edge_clock,
         "edge_cores": cfg.edge_cores,
@@ -225,7 +225,6 @@ def config_to_dict(cfg: SystemConfig) -> dict:
             for a in cfg.apps
         ],
     }
-    return d
 
 
 _REQUIRED_KEYS = ("n_queues", "edge_clock", "edge_cores", "bandwidth",
@@ -287,32 +286,32 @@ def save_config(cfg: SystemConfig, path) -> None:
 # ---------------------------------------------------------------------------
 # Built-in profiles
 
+# the paper's node: a 10-core 40 Gcycles/s edge with a 54-core cloud behind a
+# 20 Mbps link, and 5000-slot episodes
+_PAPER_NODE = dict(edge_clock=40e9, edge_cores=10, bandwidth=20e6, cloud_cores=54,
+                   episode_length=5000)
+
+
+def _profile(apps, overrides, **node) -> SystemConfig:
+    """A built-in profile: one queue per app on `node`, rho = 1e-9, V = 0 and
+    nu = 1, then `overrides`."""
+    cfg = SystemConfig(n_queues=len(apps), rho=1e-9, penalty_weight=0.0,
+                       reward_exponent=1.0, apps=apps, **node)
+    return replace(cfg, **overrides) if overrides else cfg
+
+
 def three_app_config(**overrides) -> SystemConfig:
-    """Three AI application types on a 10-core 40 Gcycles/s edge node with a
-    54-core cloud behind a 20 Mbps link."""
-    apps = (
+    """Three AI application types on the paper's node."""
+    return _profile((
         AppProfile.from_bounds(10435, 5.0, "40kB", "300kB", name="speech"),
         AppProfile.from_bounds(25346, 8.0, "4kB", "100kB", name="nlp"),
         AppProfile.from_bounds(45043, 4.0, "10kB", "100kB", name="face"),
-    )
-    cfg = SystemConfig(
-        n_queues=3,
-        edge_clock=40e9,
-        edge_cores=10,
-        bandwidth=20e6,
-        cloud_cores=54,
-        rho=1e-9,
-        penalty_weight=0.0,
-        reward_exponent=1.0,
-        episode_length=5000,
-        apps=apps,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    ), overrides, **_PAPER_NODE)
 
 
 def eight_app_config(**overrides) -> SystemConfig:
     """Eight application types (adds low-rate web/AR/VR traffic), same node."""
-    apps = (
+    return _profile((
         AppProfile.from_bounds(10435, 0.5, "40kB", "300kB", name="speech"),
         AppProfile.from_bounds(25346, 0.8, "4kB", "100kB", name="nlp"),
         AppProfile.from_bounds(45043, 0.4, "10kB", "100kB", name="face"),
@@ -321,42 +320,17 @@ def eight_app_config(**overrides) -> SystemConfig:
         AppProfile.from_bounds(54633, 0.1, "0.1MB", "3MB", name="3dgame"),
         AppProfile.from_bounds(40305, 0.1, "0.1MB", "3MB", name="vr"),
         AppProfile.from_bounds(34532, 0.1, "0.1MB", "3MB", name="ar"),
-    )
-    cfg = SystemConfig(
-        n_queues=8,
-        edge_clock=40e9,
-        edge_cores=10,
-        bandwidth=20e6,
-        cloud_cores=54,
-        rho=1e-9,
-        penalty_weight=0.0,
-        reward_exponent=1.0,
-        episode_length=5000,
-        apps=apps,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    ), overrides, **_PAPER_NODE)
 
 
 def desk_config(**overrides) -> SystemConfig:
     """Two-queue configuration small enough for CI: 2-core 8 Gcycles/s edge,
     4-core cloud, cycle demand at ~90% of joint capacity."""
-    apps = (
+    return _profile((
         AppProfile.from_bounds(8000, 5.5, "10kB", "50kB", name="compress"),
         AppProfile.from_bounds(20000, 4.4, "5kB", "25kB", name="detect"),
-    )
-    cfg = SystemConfig(
-        n_queues=2,
-        edge_clock=8e9,
-        edge_cores=2,
-        bandwidth=3e6,
-        cloud_cores=4,
-        rho=1e-9,
-        penalty_weight=0.0,
-        reward_exponent=1.0,
-        episode_length=500,
-        apps=apps,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    ), overrides, edge_clock=8e9, edge_cores=2, bandwidth=3e6, cloud_cores=4,
+        episode_length=500)
 
 
 PROFILES = {

@@ -264,6 +264,8 @@ def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds,
     V_grid, seeds = list(V_grid), list(seeds)
     if not V_grid:
         raise ValueError("V grid must be non-empty")
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
     rows = []
     done = _sweep_csv_rows(out_csv) if out_csv else set()
     fieldnames = ["controller", "V", "seed", "avg_queue", "avg_penalty",

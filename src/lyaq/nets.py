@@ -1,34 +1,52 @@
 """Dense networks with hand-written backprop and an adaptive-moment optimizer.
 
-Everything is float64 numpy; inputs are (batch, features). Parameters live in
-a flat list [W0, b0, W1, b1, ...] so optimizers and checkpoints can treat all
-networks uniformly.
+Everything is float64 numpy; inputs are (batch, features). A net keeps all its
+parameters in one flat buffer, `flat`, laid out [W0, b0, W1, b1, ...] with each
+array raveled in C order, and `params` are per-layer views of it. `backward`
+returns the parameter gradients only, in that layout, so `Adam` and
+`soft_update` act on whole buffers. `input_grad` returns the gradient w.r.t.
+the input only, for a loss that reaches a net's input but trains another net.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def param_shapes(sizes) -> list[tuple]:
+    """Shapes of [W0, b0, W1, b1, ...] for the layer widths `sizes`."""
+    return [shape for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+            for shape in ((fan_in, fan_out), (fan_out,))]
 
 
 class DenseNet:
     """Fully connected net, rectifier on hidden layers, linear output."""
 
-    def __init__(self, sizes, rng: np.random.Generator | None = None,
+    def __init__(self, sizes, rng: np.random.Generator,
                  final_weight_scale: float = 1.0):
         self.sizes = tuple(int(s) for s in sizes)
-        self.params: list[np.ndarray] = []
-        if rng is None:
-            rng = np.random.default_rng(0)
-        for k in range(len(self.sizes) - 1):
-            fan_in = self.sizes[k]
-            bound = 1.0 / np.sqrt(fan_in)
-            W = rng.uniform(-bound, bound, size=(fan_in, self.sizes[k + 1]))
-            b = rng.uniform(-bound, bound, size=self.sizes[k + 1])
-            if k == len(self.sizes) - 2 and final_weight_scale != 1.0:
+        self.bind(np.empty(sum(math.prod(s) for s in param_shapes(self.sizes))))
+        for k in range(self.n_layers):
+            W, b = self.params[2 * k], self.params[2 * k + 1]
+            bound = 1.0 / np.sqrt(self.sizes[k])
+            W[...] = rng.uniform(-bound, bound, size=W.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+            if k == self.n_layers - 1 and final_weight_scale != 1.0:
                 W *= final_weight_scale
                 b *= final_weight_scale
-            self.params.append(W)
-            self.params.append(b)
+
+    def bind(self, flat: np.ndarray) -> None:
+        """Adopt `flat` as the parameter buffer; `params` become its views."""
+        self.flat = flat
+        self.params = self.views(flat)
+
+    def views(self, buf: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views of a buffer laid out like `flat`."""
+        shapes = param_shapes(self.sizes)
+        ends = np.cumsum([math.prod(s) for s in shapes])
+        return [buf[end - math.prod(s):end].reshape(s) for s, end in zip(shapes, ends)]
 
     @property
     def n_layers(self) -> int:
@@ -37,9 +55,10 @@ class DenseNet:
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = x
         for k in range(self.n_layers):
-            h = h @ self.params[2 * k] + self.params[2 * k + 1]
+            h = h @ self.params[2 * k]
+            h += self.params[2 * k + 1]
             if k < self.n_layers - 1:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
         return h
 
     def forward_cache(self, x: np.ndarray):
@@ -47,68 +66,73 @@ class DenseNet:
         acts = [x]
         h = x
         for k in range(self.n_layers):
-            h = h @ self.params[2 * k] + self.params[2 * k + 1]
+            h = h @ self.params[2 * k]
+            h += self.params[2 * k + 1]
             if k < self.n_layers - 1:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
             acts.append(h)
         return h, acts
 
-    def backward(self, acts, grad_out: np.ndarray):
-        """Gradients of sum(grad_out * output) w.r.t. params and input."""
-        grads = [None] * len(self.params)
+    def backward(self, acts, grad_out: np.ndarray) -> np.ndarray:
+        """Gradient of sum(grad_out * output) w.r.t. the parameters, laid out
+        like `flat`."""
+        grad = np.empty_like(self.flat)
+        g = self.views(grad)
+        last = self.n_layers - 1
         delta = grad_out
-        for k in range(self.n_layers - 1, -1, -1):
-            if k < self.n_layers - 1:
-                delta = delta * (acts[k + 1] > 0.0)
-            grads[2 * k] = acts[k].T @ delta
-            grads[2 * k + 1] = delta.sum(axis=0)
+        for k in range(last, -1, -1):
+            if k < last:  # delta is the fresh product of the layer above
+                delta *= acts[k + 1] > 0.0
+            np.matmul(acts[k].T, delta, out=g[2 * k])
+            np.add.reduce(delta, axis=0, out=g[2 * k + 1])
+            if k:
+                delta = delta @ self.params[2 * k].T
+        return grad
+
+    def input_grad(self, acts, grad_out: np.ndarray) -> np.ndarray:
+        """Gradient of sum(grad_out * output) w.r.t. the input."""
+        last = self.n_layers - 1
+        delta = grad_out
+        for k in range(last, -1, -1):
+            if k < last:
+                delta *= acts[k + 1] > 0.0
             delta = delta @ self.params[2 * k].T
-        return grads, delta
+        return delta
 
     def clone(self) -> "DenseNet":
         other = DenseNet.__new__(DenseNet)
         other.sizes = self.sizes
-        other.params = [p.copy() for p in self.params]
+        other.bind(self.flat.copy())
         return other
-
-    # flat views make finite-difference checks and norms painless
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params])
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        i = 0
-        for p in self.params:
-            p[...] = vec[i:i + p.size].reshape(p.shape)
-            i += p.size
 
 
 class Adam:
-    """Adaptive-moment gradient descent with bias correction."""
+    """Adaptive-moment gradient descent with bias correction over one flat
+    parameter buffer of `size` entries."""
 
-    def __init__(self, params, lr: float = 3e-4, beta1: float = 0.9,
+    def __init__(self, size: int, lr: float = 3e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, params, grads) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        flat -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def soft_update(target: DenseNet, online: DenseNet, coef: float) -> None:
     """target <- (1 - coef) * target + coef * online."""
-    for pt, po in zip(target.params, online.params):
-        pt *= 1.0 - coef
-        pt += coef * po
+    target.flat *= 1.0 - coef
+    target.flat += coef * online.flat

@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .env import Action, StateVector
-from .nets import Adam, DenseNet, soft_update
+from .nets import Adam, DenseNet, param_shapes, soft_update
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 # SacConfig fields that earlier checkpoints hold; they could only name the
@@ -186,9 +186,7 @@ def critic_loss_and_grads(q1: DenseNet, q2: DenseNet, s, a, y):
     e1 = v1 - y
     e2 = v2 - y
     loss = float(np.mean(e1 ** 2) + np.mean(e2 ** 2))
-    g1, _ = q1.backward(c1, 2.0 * e1 / m)
-    g2, _ = q2.backward(c2, 2.0 * e2 / m)
-    return loss, g1, g2
+    return loss, q1.backward(c1, 2.0 * e1 / m), q2.backward(c2, 2.0 * e2 / m)
 
 
 def actor_loss_and_grads(policy: DenseNet, q1: DenseNet, q2: DenseNet, s,
@@ -207,22 +205,18 @@ def actor_loss_and_grads(policy: DenseNet, q1: DenseNet, q2: DenseNet, s,
     loss = float(np.mean(zeta * logp - qmin))
 
     use1 = (v1 <= v2).astype(float)
-    _, gin1 = q1.backward(c1, -use1 / m)
-    _, gin2 = q2.backward(c2, -(1.0 - use1) / m)
-    g_a = (gin1 + gin2)[:, s.shape[1]:]
+    g_a = (q1.input_grad(c1, -use1 / m)
+           + q2.input_grad(c2, -(1.0 - use1) / m))[:, s.shape[1]:]
 
     # softmax Jacobian per half: dz = a * (g - <g, a>)
-    half = a.shape[1] // 2
-    g_z = np.empty_like(g_a)
-    for sl in (np.s_[:, :half], np.s_[:, half:]):
-        ah, gh = a[sl], g_a[sl]
-        g_z[sl] = ah * (gh - np.sum(gh * ah, axis=1, keepdims=True))
+    ah = a.reshape(m, 2, -1)
+    gh = g_a.reshape(ah.shape)
+    g_z = (ah * (gh - np.sum(gh * ah, axis=-1, keepdims=True))).reshape(a.shape)
 
     g_mu = g_z
     g_log_std = g_z * (std * eps) - zeta / m  # entropy term: d logp / d log_std = -1
     g_raw = g_log_std * clip_mask
-    grads, _ = policy.backward(cache, np.concatenate([g_mu, g_raw], axis=1))
-    return loss, grads
+    return loss, policy.backward(cache, np.concatenate([g_mu, g_raw], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +235,9 @@ class SacAgent:
         self.action_dim = sys_cfg.action_dim
         self.state_aux = sys_cfg.state_aux
         hidden = list(sac_cfg.hidden_sizes)
+        if not hidden or any(int(h) != h or h < 1 for h in hidden):
+            raise ValueError("hidden_sizes must be one or more positive integers, "
+                             f"got {sac_cfg.hidden_sizes!r}")
 
         # near-zero final policy layer: the initial policy is near-uniform
         # over both simplexes, a safe exploration start
@@ -252,9 +249,9 @@ class SacAgent:
         self.q2_target = self.q2.clone()
 
         lr = sac_cfg.learning_rate
-        self.policy_opt = Adam(self.policy.params, lr=lr)
-        self.q1_opt = Adam(self.q1.params, lr=lr)
-        self.q2_opt = Adam(self.q2.params, lr=lr)
+        self.policy_opt = Adam(self.policy.flat.size, lr=lr)
+        self.q1_opt = Adam(self.q1.flat.size, lr=lr)
+        self.q2_opt = Adam(self.q2.flat.size, lr=lr)
 
         self.buffer = ReplayBuffer(sac_cfg.buffer_capacity, self.state_dim,
                                    self.action_dim)
@@ -305,13 +302,13 @@ class SacAgent:
         y = (r + cfg.discount * (q_next - zeta * logp2))[:, None]
 
         closs, g1, g2 = critic_loss_and_grads(self.q1, self.q2, s, a, y)
-        self.q1_opt.step(self.q1.params, g1)
-        self.q2_opt.step(self.q2.params, g2)
+        self.q1_opt.step(self.q1.flat, g1)
+        self.q2_opt.step(self.q2.flat, g2)
 
         eps = rng.standard_normal((m, self.action_dim))
         aloss, pgrads = actor_loss_and_grads(self.policy, self.q1, self.q2, s,
                                              eps, zeta, cfg)
-        self.policy_opt.step(self.policy.params, pgrads)
+        self.policy_opt.step(self.policy.flat, pgrads)
 
         self.update_count += 1
         soft_update(self.q1_target, self.q1, cfg.target_smoothing)
@@ -338,11 +335,10 @@ class SacAgent:
             for i, p in enumerate(getattr(self, name).params):
                 arrays[f"{name}.{i}"] = p
         for name in self._OPTS:
-            opt = getattr(self, name)
-            for i, mom in enumerate(opt.m):
-                arrays[f"{name}.m{i}"] = mom
-            for i, mom in enumerate(opt.v):
-                arrays[f"{name}.v{i}"] = mom
+            opt, net = getattr(self, name), getattr(self, name[:-len("_opt")])
+            for key in ("m", "v"):
+                for i, mom in enumerate(net.views(getattr(opt, key))):
+                    arrays[f"{name}.{key}{i}"] = mom
         arrays["normalizer.scale"] = self.normalizer.scale
         meta = {
             "format_version": 1,
@@ -381,6 +377,10 @@ class SacAgent:
             used.add(key)
             return arr
 
+        def gather(prefix, sizes):  # one flat buffer from arrays <prefix><i>
+            return np.concatenate([take(f"{prefix}{i}", shape).ravel()
+                                   for i, shape in enumerate(param_shapes(sizes))])
+
         try:
             cfg_dict = dict(meta["sac_cfg"])
             cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
@@ -396,17 +396,13 @@ class SacAgent:
             for name in cls._NETS:
                 net = DenseNet.__new__(DenseNet)
                 net.sizes = tuple(meta["net_sizes"][name])
-                shapes = []
-                for fan_in, fan_out in zip(net.sizes[:-1], net.sizes[1:]):
-                    shapes += [(fan_in, fan_out), (fan_out,)]
-                net.params = [take(f"{name}.{i}", s) for i, s in enumerate(shapes)]
+                net.bind(gather(f"{name}.", net.sizes))
                 setattr(agent, name, net)
             for name in cls._OPTS:
-                shapes = [p.shape for p in getattr(agent, name.rsplit("_", 1)[0]).params]
-                opt = Adam([], lr=agent.sac_cfg.learning_rate)
+                sizes = getattr(agent, name[:-len("_opt")]).sizes
+                opt = Adam(0, lr=agent.sac_cfg.learning_rate)
                 opt.t = meta["opt_steps"][name]
-                opt.m = [take(f"{name}.m{i}", s) for i, s in enumerate(shapes)]
-                opt.v = [take(f"{name}.v{i}", s) for i, s in enumerate(shapes)]
+                opt.m, opt.v = gather(f"{name}.m", sizes), gather(f"{name}.v", sizes)
                 setattr(agent, name, opt)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"checkpoint meta is incomplete: {exc!r}") from exc

@@ -123,6 +123,28 @@ def test_counts_must_be_positive(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("hidden", ["0,64", "-4", ",", "", "64,x", "1.5"])
+def test_hidden_widths_must_be_positive_integers(tmp_path, capsys, hidden):
+    out = tmp_path / "curve.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", desk_config_file(tmp_path), "--steps", "40",
+              f"--hidden={hidden}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert ("argument --hidden: must be a comma list of positive integers, "
+            f"got {hidden!r}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["", ","])
+def test_sweep_refuses_an_empty_seed_list(tmp_path, capsys, seeds):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", desk_config_file(tmp_path), "--controller",
+                 "uniform", "--Vgrid", "0", f"--seeds={seeds}", "--episodes", "1",
+                 "--out", str(out)]) == 1
+    assert "error: seeds must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["feasibility", "--V", "1e9"], ["feasibility", "--nu", "2"],
     ["feasibility", "--cost", "cubic"], ["feasibility", "--seed", "1"],

@@ -27,7 +27,10 @@ class TestSweepResume:
     def test_resume_on_header_only_csv_writes_one_header(self, tmp_path):
         out = tmp_path / "sweep.csv"
         # a sweep interrupted before its first row leaves only the header
-        sweep("uniform", short_desk(), [0.0], [], out_csv=out, episodes=1)
+        sweep("uniform", short_desk(), [0.0], [0], out_csv=out, episodes=1)
+        header = read_lines(out)[0]
+        with open(out, "w", newline="") as f:
+            csv.writer(f).writerow(header)
         assert len(read_lines(out)) == 1
         rows = sweep("uniform", short_desk(), [0.0, 1e9], [0, 1], out_csv=out,
                      episodes=1)
@@ -45,6 +48,15 @@ class TestSweepResume:
         assert sweep("uniform", short_desk(), [0.0, 1e9], [0, 1], out_csv=out,
                      episodes=1) == []
         assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("grid, seeds, message", [
+    ([], [0], "V grid must be non-empty"), ([0.0], iter([]), "seeds must be non-empty")])
+def test_sweep_refuses_an_empty_grid_or_seed_list(tmp_path, grid, seeds, message):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match=message):
+        sweep("uniform", short_desk(), grid, seeds, out_csv=out, episodes=1)
+    assert not out.exists()
 
 
 def test_sweep_takes_iterators():
@@ -164,14 +176,13 @@ def test_snapshot_keeps_its_optimizer_state():
                           -rng.random(), rng.random(cfg.state_dim))
     agent.update(rng)
     snap = SacAgent.from_state_dict(agent.state_dict())
-    frozen = {name: (getattr(snap, name).t,
-                     [m.copy() for m in getattr(snap, name).m],
-                     [v.copy() for v in getattr(snap, name).v])
+    frozen = {name: (getattr(snap, name).t, getattr(snap, name).m.copy(),
+                     getattr(snap, name).v.copy())
               for name in SacAgent._OPTS}
     agent.update(rng)
     for name, (t, m, v) in frozen.items():
         opt = getattr(snap, name)
         assert opt.t == t == 1
         assert getattr(agent, name).t == 2
-        for got, want in zip(opt.m + opt.v, m + v):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(opt.m, m)
+        np.testing.assert_array_equal(opt.v, v)

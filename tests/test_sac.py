@@ -8,7 +8,10 @@ from lyaq.env import Action, EdgeCloudEnv
 from lyaq.nets import DenseNet
 from lyaq.sac import (ReplayBuffer, SacAgent, SacConfig, StateNormalizer,
                       actor_loss_and_grads, critic_loss_and_grads,
-                      dual_softmax, gaussian_logp)
+                      dual_softmax, gaussian_logp, squashed_sample)
+from test_nets import (reference_adam_step, reference_backward,
+                       reference_forward, reference_forward_cache,
+                       reference_soft_update)
 
 TOY = SacConfig(hidden_sizes=(8, 8), batch_size=4, buffer_capacity=64)
 
@@ -76,7 +79,7 @@ class TestNormalizer:
 class TestPolicyOutputs:
     def test_zero_weights_give_uniform_action(self, cfg):
         agent = SacAgent(cfg, TOY, rng=np.random.default_rng(0))
-        agent.policy.set_flat(np.zeros(agent.policy.get_flat().size))
+        agent.policy.flat[:] = 0.0
         flat, _ = agent.policy_sample(np.zeros(cfg.state_dim), deterministic=True)
         assert np.allclose(flat, 1.0 / (cfg.n_queues + 1))
 
@@ -117,6 +120,13 @@ class TestPolicyOutputs:
             assert np.array_equal(out, ref)
             assert out.base is None  # owns its data
 
+    @pytest.mark.parametrize("hidden", [(), (0, 64), (-4,), (64, 0), (2.5,)])
+    def test_bad_hidden_sizes_are_refused(self, cfg, hidden):
+        with pytest.raises(ValueError, match="hidden_sizes must be one or more "
+                                             "positive integers"):
+            SacAgent(cfg, SacConfig(hidden_sizes=hidden))
+
+
 class TestGradients:
     """Finite-difference agreement at 1e-4 relative on toy networks."""
 
@@ -129,17 +139,15 @@ class TestGradients:
         y = rng.standard_normal((5, 1))
 
         loss, g1, g2 = critic_loss_and_grads(q1, q2, s, a, y)
-        for net, grads in ((q1, g1), (q2, g2)):
-            an = np.concatenate([g.ravel() for g in grads])
-            flat = net.get_flat()
+        for net, an in ((q1, g1), (q2, g2)):
+            flat = net.flat.copy()
             fd = np.zeros_like(flat)
             for i in range(flat.size):
                 for sign in (1.0, -1.0):
-                    pert = flat.copy()
-                    pert[i] += sign * 1e-5
-                    net.set_flat(pert)
+                    net.flat[:] = flat
+                    net.flat[i] += sign * 1e-5
                     fd[i] += sign * critic_loss_and_grads(q1, q2, s, a, y)[0]
-            net.set_flat(flat)
+            net.flat[:] = flat
             fd /= 2e-5
             denom = np.maximum(np.abs(fd), np.maximum(np.abs(an), 1e-6))
             assert np.max(np.abs(fd - an) / denom) < 1e-4
@@ -155,21 +163,104 @@ class TestGradients:
         eps = rng.standard_normal((6, action_dim))
         zeta = 0.3
 
-        loss, grads = actor_loss_and_grads(policy, q1, q2, s, eps, zeta, sac_cfg)
-        an = np.concatenate([g.ravel() for g in grads])
-        flat = policy.get_flat()
+        loss, an = actor_loss_and_grads(policy, q1, q2, s, eps, zeta, sac_cfg)
+        flat = policy.flat.copy()
         fd = np.zeros_like(flat)
         for i in range(flat.size):
             for sign in (1.0, -1.0):
-                pert = flat.copy()
-                pert[i] += sign * 1e-5
-                policy.set_flat(pert)
+                policy.flat[:] = flat
+                policy.flat[i] += sign * 1e-5
                 fd[i] += sign * actor_loss_and_grads(policy, q1, q2, s, eps,
                                                      zeta, sac_cfg)[0]
-        policy.set_flat(flat)
+        policy.flat[:] = flat
         fd /= 2e-5
         denom = np.maximum(np.abs(fd), np.maximum(np.abs(an), 1e-6))
         assert np.max(np.abs(fd - an) / denom) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# References: the loss functions and `SacAgent.update` as they were before the
+# flat parameter buffer, verbatim but for the networks code, which is the
+# list-form reference of test_nets.py
+
+
+def reference_critic_loss_and_grads(q1, q2, s, a, y):
+    x = np.concatenate([s, a], axis=1)
+    m = len(x)
+    v1, c1 = reference_forward_cache(q1, x)
+    v2, c2 = reference_forward_cache(q2, x)
+    e1 = v1 - y
+    e2 = v2 - y
+    loss = float(np.mean(e1 ** 2) + np.mean(e2 ** 2))
+    g1, _ = reference_backward(q1, c1, 2.0 * e1 / m)
+    g2, _ = reference_backward(q2, c2, 2.0 * e2 / m)
+    return loss, g1, g2
+
+
+def reference_actor_loss_and_grads(policy, q1, q2, s, eps, zeta, sac_cfg):
+    m = len(s)
+    out, cache = reference_forward_cache(policy, s)
+    a, logp, log_std, clip_mask = squashed_sample(out, eps, sac_cfg)
+    std = np.exp(log_std)
+
+    x = np.concatenate([s, a], axis=1)
+    v1, c1 = reference_forward_cache(q1, x)
+    v2, c2 = reference_forward_cache(q2, x)
+    qmin = np.minimum(v1, v2)[:, 0]
+    loss = float(np.mean(zeta * logp - qmin))
+
+    use1 = (v1 <= v2).astype(float)
+    _, gin1 = reference_backward(q1, c1, -use1 / m)
+    _, gin2 = reference_backward(q2, c2, -(1.0 - use1) / m)
+    g_a = (gin1 + gin2)[:, s.shape[1]:]
+
+    # softmax Jacobian per half: dz = a * (g - <g, a>)
+    half = a.shape[1] // 2
+    g_z = np.empty_like(g_a)
+    for sl in (np.s_[:, :half], np.s_[:, half:]):
+        ah, gh = a[sl], g_a[sl]
+        g_z[sl] = ah * (gh - np.sum(gh * ah, axis=1, keepdims=True))
+
+    g_mu = g_z
+    g_log_std = g_z * (std * eps) - zeta / m  # entropy term: d logp / d log_std = -1
+    g_raw = g_log_std * clip_mask
+    grads, _ = reference_backward(policy, cache, np.concatenate([g_mu, g_raw], axis=1))
+    return loss, grads
+
+
+def reference_opt_step(self, name, grads):
+    """The per-parameter Adam step of net `name` on its optimizer's moments."""
+    net, opt = getattr(self, name), getattr(self, f"{name}_opt")
+    reference_adam_step(opt, net.params, grads, net.views(opt.m), net.views(opt.v))
+
+
+def reference_update(self, rng):
+    cfg = self.sac_cfg
+    s, a, r, s2 = self.buffer.sample(cfg.batch_size, rng)
+    m = len(s)
+    zeta = cfg.entropy_weight
+
+    eps2 = rng.standard_normal((m, self.action_dim))
+    a2, logp2, _, _ = squashed_sample(reference_forward(self.policy, s2), eps2, cfg)
+
+    x2 = np.concatenate([s2, a2], axis=1)
+    q_next = np.minimum(reference_forward(self.q1_target, x2),
+                        reference_forward(self.q2_target, x2))[:, 0]
+    y = (r + cfg.discount * (q_next - zeta * logp2))[:, None]
+
+    closs, g1, g2 = reference_critic_loss_and_grads(self.q1, self.q2, s, a, y)
+    reference_opt_step(self, "q1", g1)
+    reference_opt_step(self, "q2", g2)
+
+    eps = rng.standard_normal((m, self.action_dim))
+    aloss, pgrads = reference_actor_loss_and_grads(self.policy, self.q1, self.q2, s,
+                                                   eps, zeta, cfg)
+    reference_opt_step(self, "policy", pgrads)
+
+    self.update_count += 1
+    reference_soft_update(self.q1_target, self.q1, cfg.target_smoothing)
+    reference_soft_update(self.q2_target, self.q2, cfg.target_smoothing)
+    return {"critic_loss": closs, "actor_loss": aloss}
 
 
 class TestUpdates:
@@ -200,7 +291,7 @@ class TestUpdates:
         cfg = desk_config()
         agent = SacAgent(cfg, TOY, rng=np.random.default_rng(8))
         for net, const in ((agent.q1_target, 3.0), (agent.q2_target, 5.0)):
-            net.set_flat(np.zeros(net.get_flat().size))
+            net.flat[:] = 0.0
             net.params[-1][...] = const
         x = np.zeros((2, cfg.state_dim + cfg.action_dim))
         qmin = np.minimum(agent.q1_target.forward(x), agent.q2_target.forward(x))
@@ -245,11 +336,11 @@ class TestUpdates:
     def test_target_soft_update_coefficient(self, agent, cfg):
         self._fill_buffer(agent, cfg)
         rng = np.random.default_rng(12)
-        before = agent.q1_target.get_flat()
-        online_prev = agent.q1.get_flat()
+        before = agent.q1_target.flat.copy()
+        online_prev = agent.q1.flat.copy()
         agent.update(rng)
-        after = agent.q1_target.get_flat()
-        online_new = agent.q1.get_flat()
+        after = agent.q1_target.flat
+        online_new = agent.q1.flat
         expect = 0.995 * before + 0.005 * online_new
         assert np.allclose(after, expect, rtol=1e-10)
         assert not np.array_equal(online_prev, online_new)
@@ -273,15 +364,34 @@ class TestUpdates:
         q_next = np.minimum(ref.q1_target.forward(x2), ref.q2_target.forward(x2))[:, 0]
         y = r + TOY.discount * (q_next - TOY.entropy_weight * gaussian_logp(eps2, log_std2))
         _, g1, g2 = critic_loss_and_grads(ref.q1, ref.q2, s, a, y[:, None])
-        ref.q1_opt.step(ref.q1.params, g1)
-        ref.q2_opt.step(ref.q2.params, g2)
+        ref.q1_opt.step(ref.q1.flat, g1)
+        ref.q2_opt.step(ref.q2.flat, g2)
         eps = rng.standard_normal((len(s), n))
         _, pg = actor_loss_and_grads(ref.policy, ref.q1, ref.q2, s, eps,
                                      TOY.entropy_weight, TOY)
-        ref.policy_opt.step(ref.policy.params, pg)
+        ref.policy_opt.step(ref.policy.flat, pg)
         for name in ("policy", "q1", "q2"):
-            assert np.array_equal(getattr(agent, name).get_flat(),
-                                  getattr(ref, name).get_flat()), name
+            assert np.array_equal(getattr(agent, name).flat,
+                                  getattr(ref, name).flat), name
+
+    @pytest.mark.parametrize("sac_cfg", [
+        TOY, SacConfig(hidden_sizes=(24, 16, 12), batch_size=32, buffer_capacity=64)])
+    def test_update_matches_the_list_form_reference(self, cfg, sac_cfg):
+        # 50 updates through the flat buffers against a twin stepped by the
+        # list-form references: every array, moment and count bit for bit
+        agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(27))
+        twin = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(27))
+        self._fill_buffer(agent, cfg)
+        self._fill_buffer(twin, cfg)
+        rng, twin_rng = np.random.default_rng(28), np.random.default_rng(28)
+        for _ in range(50):
+            assert agent.update(rng) == reference_update(twin, twin_rng)
+        got, want = agent.state_dict(), twin.state_dict()
+        assert got.keys() == want.keys()
+        for key in got:
+            assert np.array_equal(got[key], want[key]), key
+        assert json.loads(bytes(got["meta"]))["opt_steps"] == {
+            "policy_opt": 50, "q1_opt": 50, "q2_opt": 50}
 
     def test_training_is_bit_reproducible(self, cfg):
         outs = []
@@ -291,7 +401,7 @@ class TestUpdates:
             rng = np.random.default_rng(4)
             for _ in range(10):
                 agent.update(rng)
-            outs.append(agent.policy.get_flat())
+            outs.append(agent.policy.flat)
         assert np.array_equal(outs[0], outs[1])
 
 
@@ -326,8 +436,8 @@ class TestCheckpoint:
         for name in SacAgent._OPTS:
             o1, o2 = getattr(agent, name), getattr(loaded, name)
             assert o1.t == o2.t
-            for m1, m2 in zip(o1.m + o1.v, o2.m + o2.v):
-                assert np.array_equal(m1, m2)
+            assert np.array_equal(o1.m, o2.m)
+            assert np.array_equal(o1.v, o2.v)
         assert loaded.sac_cfg == agent.sac_cfg
         assert loaded.reward_scale == agent.reward_scale
         assert loaded.update_count == agent.update_count
@@ -341,6 +451,33 @@ class TestCheckpoint:
                 if key == "meta":
                     continue
                 assert np.array_equal(d1[key], d2[key]), key
+
+    def test_weights_alias_the_buffers_the_optimizers_step(self, tmp_path, cfg):
+        # a fresh, a cloned and a loaded agent: every parameter is a view of
+        # its net's flat buffer, and one update moves what state_dict returns
+        fresh = SacAgent(cfg, TOY, rng=np.random.default_rng(29))
+        fresh.save(tmp_path / "a.npz")
+        agents = [fresh, SacAgent.from_state_dict(fresh.state_dict()),
+                  SacAgent.load(tmp_path / "a.npz")]
+        for agent in agents:
+            for name in SacAgent._NETS:
+                net = getattr(agent, name)
+                assert all(np.shares_memory(p, net.flat) for p in net.params), name
+            assert not np.shares_memory(agent.q1_target.flat, agent.q1.flat)
+        for n, agent in enumerate(agents):
+            rng = np.random.default_rng(30)
+            for _ in range(8):
+                agent.buffer.push(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
+                                  -rng.random(), rng.random(cfg.state_dim))
+            live = agent.state_dict()
+            before = {key: arr.copy() for key, arr in live.items()}
+            x = rng.random((3, cfg.state_dim))
+            out = agent.policy.forward(x)
+            agent.update(rng)
+            for key, arr in live.items():
+                if key not in ("meta", "normalizer.scale"):
+                    assert not np.array_equal(arr, before[key]), (n, key)
+            assert not np.array_equal(agent.policy.forward(x), out)
 
     def test_loaded_agent_acts_identically(self, tmp_path, cfg):
         agent = SacAgent(cfg, TOY, rng=np.random.default_rng(15))
@@ -359,10 +496,10 @@ class TestCheckpoint:
             agent.buffer.push(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
                               -rng.random(), rng.random(cfg.state_dim))
         copy = SacAgent.from_state_dict(agent.state_dict())
-        before = copy.policy.get_flat()
+        before = copy.policy.flat.copy()
         agent.update(rng)
-        assert np.array_equal(copy.policy.get_flat(), before)
-        assert not np.array_equal(agent.policy.get_flat(), before)
+        assert np.array_equal(copy.policy.flat, before)
+        assert not np.array_equal(agent.policy.flat, before)
         assert len(copy.buffer) == 0 and len(agent.buffer) == 8
 
     def test_meta_with_a_buffer_record_still_loads(self, cfg):
@@ -373,7 +510,7 @@ class TestCheckpoint:
         meta["buffer"] = {"size": 40, "cursor": 40}
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         loaded = SacAgent.from_state_dict(arrays)
-        assert np.array_equal(loaded.q2.get_flat(), agent.q2.get_flat())
+        assert np.array_equal(loaded.q2.flat, agent.q2.flat)
 
     def test_meta_with_retired_schedule_keys_still_loads(self, cfg):
         # checkpoints of earlier versions name the fixed update schedule
@@ -384,7 +521,7 @@ class TestCheckpoint:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         loaded = SacAgent.from_state_dict(arrays)
         assert loaded.sac_cfg == TOY
-        assert np.array_equal(loaded.q2.get_flat(), agent.q2.get_flat())
+        assert np.array_equal(loaded.q2.flat, agent.q2.flat)
 
     def test_meta_with_an_unknown_setting_fails_to_load(self, cfg):
         arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(23)).state_dict()

@@ -15,7 +15,8 @@ written by earlier versions hold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -133,7 +134,11 @@ class FeasibilityReport:
 
 def validate_config(cfg: SystemConfig) -> list[str]:
     """Return every violated invariant as a message; empty list means ok."""
-    errors = []
+    named = [(f.name, getattr(cfg, f.name)) for f in fields(cfg)]
+    named += [(f"{app.name or f'app {i}'}: {f.name}", getattr(app, f.name))
+              for i, app in enumerate(cfg.apps) for f in fields(app)]
+    errors = [f"{name} {value} not finite" for name, value in named
+              if isinstance(value, float) and not math.isfinite(value)]
     if cfg.n_queues < 1:
         errors.append(f"n_queues {cfg.n_queues} < 1")
     if len(cfg.apps) != cfg.n_queues:

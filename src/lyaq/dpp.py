@@ -31,8 +31,20 @@ The linear-drift objective (the program above) is solved exactly:
   stationary point clipped to [0, B'], or a pair that fills B' at
   3 c_C W^2 = (v_i - v_l) / (w_i - w_l). D_none has v = q, W_0 = 0, B' = B;
   D_k has v_i = q_i - q_k, W_0 = w_k r_k(t), B' = B - r_k(t).
-* The value of D_k is concave in t; a grid search refined around its best
-  point finds the maximum on [L_k, 1] for every k at once.
+* The maximum over t in [L_k, 1] is exact. Let f_c(t) be D_k's value when
+  its cloud part takes candidate c (y = 0, one queue, a pair); then
+  max_t max_c f_c(t) = max_c max_t f_c(t). A candidate that fills B' (a
+  pair, or one queue at its clip) leaves y_k = r_k, no overflow, so D_none
+  already holds that point and scores it no lower: those pieces need no
+  point of their own. The t-slope of the rest is an edge slope
+  (q_k s_k - q_m s_m below a*, q_k s_k - 3 c_E t^2 above) plus a cloud
+  slope: 3 c_C w_k^3 s_k r_k^2 for y = 0, the constant s_k v_i w_k / w_i for
+  queue i inside its clip, and 0 once r_k = 0. It jumps only where r_k(t)
+  reaches 0: at a* the two edge slopes agree, and at the ends of a clip
+  the two cloud slopes do. So each f_c peaks at L_k, 1, r_k(t) = 0 or a
+  real root of its slope, 7 points at most, and one batched evaluation of
+  every f_c at its own points, for every k at once, finds the maximum; no
+  search is left.
 
 The uniform action, the idle action and the structured candidates are
 scored in one batched objective call; the first minimum wins. The solve is
@@ -42,6 +54,7 @@ so the solver refuses it outright instead of returning garbage.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,19 +68,14 @@ class UnsupportedObjectiveError(RuntimeError):
     """Objective the solver cannot minimize (discontinuous cost)."""
 
 
-# The 1-D search over t = alpha_k evaluates _SEARCH_GRID points per round and
-# keeps the two cells around the best: (2 / 64)^9 < 4e-14 of [L_k, 1] is left.
-_SEARCH_GRID = 65
-_SEARCH_ROUNDS = 9
-
-
 @dataclass(frozen=True)
 class DppConfig:
     penalty_weight: float = 0.0          # V'
 
     def __post_init__(self):
-        if not self.penalty_weight >= 0.0:
-            raise ValueError(f"penalty weight V' must be >= 0, got {self.penalty_weight}")
+        if not 0.0 <= self.penalty_weight < np.inf:
+            raise ValueError(f"penalty weight V' must be finite and >= 0, "
+                             f"got {self.penalty_weight}")
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -105,6 +113,23 @@ def dpp_objective(q, a, action: Action, cfg: SystemConfig,
     return float(value) if value.ndim == 0 else value
 
 
+def _quadratic_roots(a2, a1, a0):
+    """Both roots of a2 t^2 + a1 t + a0 = 0 by the cancellation-free formula
+    (a2 = 0 leaves the linear root and an infinite one). A negative
+    discriminant counts as zero, so a near-double root survives rounding."""
+    h = -0.5 * (a1 + np.copysign(np.sqrt(np.maximum(a1 * a1 - 4.0 * a2 * a0, 0.0)), a1))
+    return h / a2, a0 / h
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n):
+    """np.triu_indices(n, 1) and np.eye(n), read-only, built once per N."""
+    out = (*np.triu_indices(n, 1), np.eye(n))
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
 class _OffloadCandidates:
     """Candidate maximizers y of the cloud part of each program,
 
@@ -119,7 +144,8 @@ class _OffloadCandidates:
     def __init__(self, v, w, cC, excluded):
         n = w.size
         self.v, self.w, self.cC, self.n = v, w, cC, n
-        self.I, self.L = np.triu_indices(n, 1)
+        self.I, self.L, self.eye = _pairs(n)
+        self.size = 1 + n + self.I.size
         self.W_single = np.sqrt(np.maximum(v, 0.0) / (3.0 * cC * w))
         dw = w[self.I] - w[self.L]
         self.dw = np.where(dw == 0.0, 1.0, dw)
@@ -131,22 +157,25 @@ class _OffloadCandidates:
             & (dw != 0.0) & (mu > 0.0)
 
     def __call__(self, W0, Bp):
-        """(values (..., C), y_single (..., N), y_pair_i, y_pair_l (..., P))."""
-        W0e, Bpe = W0[..., None], Bp[..., None]
-        single = np.minimum(np.maximum((self.W_single - W0e) / self.w, 0.0), Bpe)
-        y_i = (self.W_pair - W0e - self.w_l * Bpe) / self.dw
-        y_l = Bpe - y_i
+        """(values (..., C), y_single (..., N), y_pair_i, y_pair_l (..., P))
+        of every candidate c at its own W0[..., c] and Bp[..., c]."""
+        n = self.n
+        W0, Ws, Wp = W0[..., :1], W0[..., 1:n + 1], W0[..., n + 1:]
+        Bs, Bpp = Bp[..., 1:n + 1], Bp[..., n + 1:]
+        single = np.minimum(np.maximum((self.W_single - Ws) / self.w, 0.0), Bs)
+        y_i = (self.W_pair - Wp - self.w_l * Bpp) / self.dw
+        y_l = Bpp - y_i
         pair = self.v_i * y_i + self.v_l * y_l - self.pair_cost
         values = np.concatenate([
-            -self.cC * W0e ** 3,
-            self.v * single - self.cC * (W0e + self.w * single) ** 3,
+            -self.cC * W0 ** 3,
+            self.v * single - self.cC * (Ws + self.w * single) ** 3,
             np.where(self.pair_ok & (y_i >= 0.0) & (y_l >= 0.0), pair, -np.inf),
         ], axis=-1)
         return values, single, y_i, y_l
 
     def dense(self, single, y_i, y_l):
         """Every candidate as a full vector, shape (..., C, N)."""
-        eye = np.eye(self.n)
+        eye = self.eye
         return np.concatenate([np.zeros(single.shape[:-1] + (1, self.n)),
                                single[..., :, None] * eye,
                                y_i[..., :, None] * eye[self.I]
@@ -184,43 +213,52 @@ def _structured_candidates(q, a, cfg: SystemConfig, penalty_weight: float):
     own[rows[1:], ks] = True
 
     def per_program(x, none_value):
-        return np.concatenate([[none_value], x[ks]])[:, None]
+        return np.concatenate([[none_value], x[ks]])[:, None, None]
 
     qk, gk = per_program(q, 0.0), per_program(g, 0.0)
     rk0, sk, wk = per_program(backlog, 0.0), per_program(s, 1.0), per_program(w, 0.0)
+    lo, hi = per_program(lower, 0.0), per_program(np.ones(n), 0.0)
     g_rest = np.where(own, 0.0, g)
     m = np.argmax(g_rest, axis=1)
-    gm = g_rest[rows, m][:, None]
+    gm = g_rest[rows, m][:, None, None]
     a_star = np.minimum(np.sqrt(gm / (3.0 * cE)), 1.0)
-    offload = _OffloadCandidates((q - qk)[:, None, :], w, cC, own[:, None, :])
+    offload = _OffloadCandidates(q - qk, w, cC, own[:, None, :])
 
-    def solve(t):
-        """Edge total A, cloud candidates and value of every program at
-        alpha_k = t, each with leading shape t.shape."""
-        r = np.maximum(0.0, rk0 - sk * t)
-        A = np.maximum(a_star, t)
-        cloud = offload(wk * r, B - r)
-        edge = gk * t + gm * (A - t) - cE * A ** 3
-        return A, cloud, edge + qk * B + cloud[0].max(axis=-1)
+    # Every candidate is scored at its own critical points (module
+    # docstring), G = 7 of them: 4 that all share, then the roots of the
+    # slope of y = 0, or the one of a queue inside its clip. Pairs add none;
+    # a candidate with fewer points repeats L_k.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shared = [lo, hi, rk0 / sk, np.sqrt(gk / (3.0 * cE))]
+        # y = 0 has cloud value -cC (wk r)^3, so t-slope 3 cC wk^3 sk r^2:
+        # set against gk - gm below a*, and against gk - 3 cE t^2 above a*
+        # (a quadratic in t, as wk r = U - ds t)
+        U, ds = wk * rk0, wk * sk
+        empty = [rk0 / sk - np.sqrt((gm - gk) / (3.0 * cC * ds ** 3)),
+                 *_quadratic_roots(3.0 * cC * ds ** 3 - 3.0 * cE,
+                                   -6.0 * cC * ds * ds * U, 3.0 * cC * ds * U * U + gk)]
+        # queue i inside its clip: the constant t-slope sk v_i wk / w_i
+        # against gk - 3 cE t^2 (against gk - gm it leaves f monotone)
+        alone = np.sqrt((gk + sk * offload.v * wk / w) / (3.0 * cE))
+    t = np.zeros((rows.size, 7, offload.size)) + lo
+    t[:, :4] = np.concatenate(shared, axis=1)
+    t[:, 4:, :1] = np.concatenate(empty, axis=1)
+    t[:, 4:5, 1:n + 1] = alone
+    t = np.fmin(np.fmax(t, lo), hi)  # NaN -> L_k
 
-    t = lo = per_program(lower, 0.0)
-    hi = per_program(np.ones(n), 0.0)
-    if ks.size:  # D_none alone needs no search
-        frac = np.linspace(0.0, 1.0, _SEARCH_GRID)
-        for _ in range(_SEARCH_ROUNDS):
-            grid = lo + (hi - lo) * frac
-            j = np.argmax(solve(grid)[2], axis=1)
-            lo = grid[rows, np.maximum(j - 1, 0)][:, None]
-            hi = grid[rows, np.minimum(j + 1, _SEARCH_GRID - 1)][:, None]
-        t = grid[rows, j][:, None]
-
-    A, (values, *parts), _ = solve(t)
-    y = offload.dense(*parts)[rows, 0, np.argmax(values[:, 0], axis=-1)]
+    # the value of every program with cloud candidate c at alpha_k = t[..., c]
+    r = np.maximum(0.0, rk0 - sk * t)
+    A = np.maximum(a_star, t)
+    values, *parts = offload(wk * r, B - r)
+    total = gk * t + gm * (A - t) - cE * A ** 3 + qk * B + values
+    j, c = np.divmod(np.argmax(total.reshape(rows.size, -1), axis=1), total.shape[2])
+    t, A = t[rows, j, c], A[rows, j, c]
+    y = offload.dense(*(p[rows, j] for p in parts))[rows, c]
     y = np.where(own, B - y.sum(axis=1, keepdims=True), y)
     alpha = np.zeros((rows.size, n + 1))
-    alpha[rows, m] = A[:, 0] - t[:, 0]
-    alpha[:, :n] += own * t
-    alpha[:, n] = 1.0 - A[:, 0]
+    alpha[rows, m] = A - t
+    alpha[:, :n] += own * t[:, None]
+    alpha[:, n] = 1.0 - A
     beta = np.concatenate([y / B, 1.0 - y.sum(axis=1, keepdims=True) / B], axis=1)
     labels = ("uniform", "idle", "none") + tuple(f"overflow-{k}" for k in ks)
     return (labels, np.vstack([uniform.alpha, idle.alpha, alpha]),

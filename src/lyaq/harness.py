@@ -266,6 +266,9 @@ def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds,
         raise ValueError("V grid must be non-empty")
     if not seeds:
         raise ValueError("seeds must be non-empty")
+    bad = [V for V in V_grid if not 0.0 <= float(V) < np.inf]
+    if bad:
+        raise ValueError(f"V grid values must be finite and >= 0, got {bad}")
     rows = []
     done = _sweep_csv_rows(out_csv) if out_csv else set()
     fieldnames = ["controller", "V", "seed", "avg_queue", "avg_penalty",
@@ -299,6 +302,7 @@ def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds,
                     row.update(avg_queue="", avg_penalty="", reward_sum="",
                                status=f"error: {exc}")
                 rows.append(row)
+                done.add(key)  # a repeated (V, seed) runs once, as on resume
                 if writer:
                     writer.writerow(row)
                 if progress is not None:

@@ -145,6 +145,67 @@ def test_sweep_refuses_an_empty_seed_list(tmp_path, capsys, seeds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "--controller", "uniform", "--episodes", "1", "--V"],
+    ["simulate", "--controller", "dpp", "--steps", "5", "--V"],
+    ["train", "--steps", "40", "--hidden", "8,8", "--V"],
+], ids=["eval", "simulate", "train"])
+def test_non_finite_V_is_refused(tmp_path, capsys, argv, value):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value, "--out", str(out), "--config", desk_config_file(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"config error: penalty_weight {value} not finite\n"
+    assert not out.exists()
+
+
+def test_config_file_with_non_finite_field_is_refused(tmp_path, capsys):
+    d = config_to_dict(replace(desk_config(), episode_length=20))
+    d["bandwidth"] = float("inf")
+    d["apps"][0]["arrival_rate"] = float("nan")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(SystemExit) as exc:
+        main(["feasibility", "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "config error: bandwidth inf not finite" in err
+    assert "config error: compress: arrival_rate nan not finite" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "eval"])
+def test_non_finite_Vprime_is_refused(tmp_path, capsys, command):
+    argv = [command, "--config", desk_config_file(tmp_path), "--controller", "dpp",
+            "--Vprime", "inf"]
+    assert main(argv + (["--steps", "5"] if command == "simulate" else
+                        ["--episodes", "1"])) == 1
+    assert capsys.readouterr().err == (
+        "error: penalty weight V' must be finite and >= 0, got inf\n")
+
+
+@pytest.mark.parametrize("controller, flag", [("dpp", "--Vprime"), ("uniform", "--Vgrid")])
+@pytest.mark.parametrize("bad", ["inf", "nan", "-1"])
+def test_sweep_refuses_a_non_finite_or_negative_V(tmp_path, capsys, controller, flag, bad):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", desk_config_file(tmp_path), "--controller",
+                 controller, flag, f"0,{bad}", "--seeds", "0", "--episodes", "1",
+                 "--out", str(out)]) == 1
+    assert (f"error: V grid values must be finite and >= 0, got [{float(bad)}]"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, seeds", [("1e9,1000000000", "0"), ("1e9", "0,0")])
+def test_sweep_runs_a_repeated_point_once(tmp_path, capsys, grid, seeds):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", desk_config_file(tmp_path), "--controller",
+                 "dpp", "--Vprime", grid, "--seeds", seeds, "--episodes", "1",
+                 "--out", str(out)]) == 0
+    assert len(read_rows(out)) == 1
+    assert "(1 runs)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["feasibility", "--V", "1e9"], ["feasibility", "--nu", "2"],
     ["feasibility", "--cost", "cubic"], ["feasibility", "--seed", "1"],

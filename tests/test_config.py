@@ -49,6 +49,20 @@ def test_validate_flags_app_fields():
     assert any("size bounds" in e for e in errors)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_validate_flags_non_finite_floats(bad):
+    cfg = desk_config()
+    cases = {
+        "edge_clock": dataclasses.replace(cfg, edge_clock=bad),
+        "penalty_weight": dataclasses.replace(cfg, penalty_weight=bad),
+        "rho": dataclasses.replace(cfg, rho=bad),
+        "detect: size_std": dataclasses.replace(cfg, apps=(
+            cfg.apps[0], dataclasses.replace(cfg.apps[1], size_std=bad))),
+    }
+    for name, bad_cfg in cases.items():
+        assert f"{name} {bad} not finite" in validate_config(bad_cfg)
+
+
 class TestFeasibility:
     def test_three_app_rates_match_hand_arithmetic(self):
         # lambda * mu * w with mu = (min+max)/2 in bits

@@ -114,6 +114,174 @@ def multistart_descent(q, a, cfg: SystemConfig, dpp_cfg: DppConfig,
     return Action(alpha=best[1], beta=best[2])
 
 
+# The V' > 0 solve before the closed form: the same decomposition, with a
+# 9-round refined grid search over t = alpha_k. Kept verbatim (two names
+# changed) as the reference the closed form must match.
+# The 1-D search over t = alpha_k evaluates _SEARCH_GRID points per round and
+# keeps the two cells around the best: (2 / 64)^9 < 4e-14 of [L_k, 1] is left.
+_SEARCH_GRID = 65
+_SEARCH_ROUNDS = 9
+
+
+class GridSearchOffloadCandidates:
+    """Candidate maximizers y of the cloud part of each program,
+
+        sum_i v_i y_i - cC (W0 + sum_i w_i y_i)^3,  y >= 0, sum_i y_i <= Bp,
+
+    with C = 1 + N + N(N-1)/2 candidates: y = 0, each queue alone at its
+    stationary point clipped to [0, Bp], and each pair (i, l) filling Bp at
+    W = W0 + sum w y with 3 cC W^2 = (v_i - v_l) / (w_i - w_l). v is fixed
+    per program, and no pair may include a queue marked in `excluded`
+    (whose v is 0, so it never gets y alone either); W0 and Bp vary with t."""
+
+    def __init__(self, v, w, cC, excluded):
+        n = w.size
+        self.v, self.w, self.cC, self.n = v, w, cC, n
+        self.I, self.L = np.triu_indices(n, 1)
+        self.W_single = np.sqrt(np.maximum(v, 0.0) / (3.0 * cC * w))
+        dw = w[self.I] - w[self.L]
+        self.dw = np.where(dw == 0.0, 1.0, dw)
+        self.v_i, self.v_l, self.w_l = v[..., self.I], v[..., self.L], w[self.L]
+        mu = (self.v_i - self.v_l) / self.dw
+        self.W_pair = np.sqrt(np.maximum(mu, 0.0) / (3.0 * cC))
+        self.pair_cost = cC * self.W_pair ** 3
+        self.pair_ok = ~(excluded[..., self.I] | excluded[..., self.L]) \
+            & (dw != 0.0) & (mu > 0.0)
+
+    def __call__(self, W0, Bp):
+        """(values (..., C), y_single (..., N), y_pair_i, y_pair_l (..., P))."""
+        W0e, Bpe = W0[..., None], Bp[..., None]
+        single = np.minimum(np.maximum((self.W_single - W0e) / self.w, 0.0), Bpe)
+        y_i = (self.W_pair - W0e - self.w_l * Bpe) / self.dw
+        y_l = Bpe - y_i
+        pair = self.v_i * y_i + self.v_l * y_l - self.pair_cost
+        values = np.concatenate([
+            -self.cC * W0e ** 3,
+            self.v * single - self.cC * (W0e + self.w * single) ** 3,
+            np.where(self.pair_ok & (y_i >= 0.0) & (y_l >= 0.0), pair, -np.inf),
+        ], axis=-1)
+        return values, single, y_i, y_l
+
+    def dense(self, single, y_i, y_l):
+        """Every candidate as a full vector, shape (..., C, N)."""
+        eye = np.eye(self.n)
+        return np.concatenate([np.zeros(single.shape[:-1] + (1, self.n)),
+                               single[..., :, None] * eye,
+                               y_i[..., :, None] * eye[self.I]
+                               + y_l[..., :, None] * eye[self.L]], axis=-2)
+
+
+def grid_search_candidates(q, a, cfg: SystemConfig, penalty_weight: float):
+    """(labels, alpha (S, N+1), beta (S, N+1)) of the candidate actions the
+    exact linear-drift solve scores: uniform, idle, then the LP vertex at
+    V' = 0, else the optima of D_none and of every feasible D_k (see the
+    module docstring)."""
+    n = cfg.n_queues
+    uniform, idle = Action.uniform(n), Action.idle(n)
+    w = cfg.workloads
+    s = cfg.edge_clock / w
+    B = cfg.bandwidth
+    g = q * s
+    if penalty_weight == 0.0:
+        alpha = np.zeros(n + 1)
+        beta = np.zeros(n + 1)
+        alpha[np.argmax(g)] = 1.0
+        beta[np.argmax(q)] = 1.0
+        return (("uniform", "idle", "lp-vertex"),
+                np.stack([uniform.alpha, idle.alpha, alpha]),
+                np.stack([uniform.beta, idle.beta, beta]))
+
+    cE = penalty_weight * cfg.edge_cores * (cfg.edge_clock / cfg.edge_cores / 1e9) ** 3
+    cC = penalty_weight * cfg.cloud_cores * (1.0 / cfg.cloud_cores / 1e9) ** 3
+    backlog = q + a
+    lower = np.maximum(0.0, (backlog - B) / s)
+    ks = np.flatnonzero(lower <= 1.0)
+    # program 0 is D_none, a D_k with no overflow queue and t pinned at 0
+    rows = np.arange(ks.size + 1)
+    own = np.zeros((rows.size, n), dtype=bool)
+    own[rows[1:], ks] = True
+
+    def per_program(x, none_value):
+        return np.concatenate([[none_value], x[ks]])[:, None]
+
+    qk, gk = per_program(q, 0.0), per_program(g, 0.0)
+    rk0, sk, wk = per_program(backlog, 0.0), per_program(s, 1.0), per_program(w, 0.0)
+    g_rest = np.where(own, 0.0, g)
+    m = np.argmax(g_rest, axis=1)
+    gm = g_rest[rows, m][:, None]
+    a_star = np.minimum(np.sqrt(gm / (3.0 * cE)), 1.0)
+    offload = GridSearchOffloadCandidates((q - qk)[:, None, :], w, cC, own[:, None, :])
+
+    def solve(t):
+        """Edge total A, cloud candidates and value of every program at
+        alpha_k = t, each with leading shape t.shape."""
+        r = np.maximum(0.0, rk0 - sk * t)
+        A = np.maximum(a_star, t)
+        cloud = offload(wk * r, B - r)
+        edge = gk * t + gm * (A - t) - cE * A ** 3
+        return A, cloud, edge + qk * B + cloud[0].max(axis=-1)
+
+    t = lo = per_program(lower, 0.0)
+    hi = per_program(np.ones(n), 0.0)
+    if ks.size:  # D_none alone needs no search
+        frac = np.linspace(0.0, 1.0, _SEARCH_GRID)
+        for _ in range(_SEARCH_ROUNDS):
+            grid = lo + (hi - lo) * frac
+            j = np.argmax(solve(grid)[2], axis=1)
+            lo = grid[rows, np.maximum(j - 1, 0)][:, None]
+            hi = grid[rows, np.minimum(j + 1, _SEARCH_GRID - 1)][:, None]
+        t = grid[rows, j][:, None]
+
+    A, (values, *parts), _ = solve(t)
+    y = offload.dense(*parts)[rows, 0, np.argmax(values[:, 0], axis=-1)]
+    y = np.where(own, B - y.sum(axis=1, keepdims=True), y)
+    alpha = np.zeros((rows.size, n + 1))
+    alpha[rows, m] = A[:, 0] - t[:, 0]
+    alpha[:, :n] += own * t
+    alpha[:, n] = 1.0 - A[:, 0]
+    beta = np.concatenate([y / B, 1.0 - y.sum(axis=1, keepdims=True) / B], axis=1)
+    labels = ("uniform", "idle", "none") + tuple(f"overflow-{k}" for k in ks)
+    return (labels, np.vstack([uniform.alpha, idle.alpha, alpha]),
+            np.vstack([uniform.beta, idle.beta, beta]))
+
+
+
+def grid_search_value(q, a, cfg, dpp_cfg):
+    """Objective value of the action the retired grid search returned."""
+    _, alpha, beta = grid_search_candidates(q, a, cfg, dpp_cfg.penalty_weight)
+    best = int(np.argmin(dpp_objective(q, a, Action(alpha, beta), cfg, dpp_cfg)))
+    act = Action(alpha=project_simplex(alpha[best]), beta=project_simplex(beta[best]))
+    return dpp_objective(q, a, act, cfg, dpp_cfg)
+
+
+def tied_config(base, ties):
+    """base with app i given app j's workload for every i: j in ties."""
+    apps = list(base.apps)
+    for i, j in ties.items():
+        apps[i] = dataclasses.replace(
+            apps[i], workload_cycles_per_bit=apps[j].workload_cycles_per_bit)
+    return dataclasses.replace(base, apps=tuple(apps))
+
+
+def tied_three_app_config():
+    """paper with face at nlp's workload."""
+    return tied_config(three_app_config(), {2: 1})
+
+
+def tied_eight_app_config():
+    """paper8 with search at speech's, 3dgame at face's and ar at vr's
+    workload."""
+    return tied_config(eight_app_config(), {3: 0, 5: 2, 7: 6})
+
+
+def random_instance(rng, n):
+    """V', q and a drawn as in the optimality gates."""
+    Vp = 10.0 ** rng.uniform(0.0, 12.0)
+    q = 10.0 ** rng.uniform(4.0, 8.0, n) * (rng.random(n) < 0.8)
+    a = 10.0 ** rng.uniform(4.0, 8.0, n) * (rng.random(n) < 0.8)
+    return Vp, q, a
+
+
 def speech_cfg(**overrides):
     app = AppProfile.from_bounds(10435, 5.0, "40kB", "300kB", name="speech")
     base = dict(n_queues=1, edge_clock=40e9, edge_cores=10, bandwidth=20e6,
@@ -271,6 +439,53 @@ class TestOptimizer:
                                     cfg, dc)
             assert exact <= descent + 1e-9 * max(1.0, abs(descent))
 
+    def test_tied_workloads_never_worse_than_multistart_descent(self):
+        # the gate above on configs where two or more apps share a workload,
+        # which no profile has: pairs of equal w never fill B' together, and
+        # the breakpoints of a queue tied with w_k drop out
+        cfgs = (tied_three_app_config(), tied_eight_app_config())
+        assert [cfg.n_queues - np.unique(cfg.workloads).size for cfg in cfgs] == [1, 3]
+        rng = np.random.default_rng(16)
+        for i in range(40):
+            cfg = cfgs[i % len(cfgs)]
+            Vp, q, a = random_instance(rng, cfg.n_queues)
+            dc = DppConfig(penalty_weight=Vp)
+            act = dpp_step_optimize(q, a, cfg, dc)
+            assert action_errors(act, tol=1e-12) == []
+            exact = dpp_objective(q, a, act, cfg, dc)
+            descent = dpp_objective(q, a, multistart_descent(q, a, cfg, dc, rng),
+                                    cfg, dc)
+            assert exact <= descent + 1e-9 * max(1.0, abs(descent))
+
+    @pytest.mark.parametrize("name, seed", [
+        ("speech", 30), ("desk", 31), ("paper", 32), ("paper8", 33),
+        ("tied3", 34), ("tied8", 35)])
+    def test_never_worse_than_the_retired_grid_search(self, name, seed):
+        # 350 seeded instances per config, 2,100 in all
+        cfg = {"speech": speech_cfg, "desk": desk_config, "paper": three_app_config,
+               "paper8": eight_app_config, "tied3": tied_three_app_config,
+               "tied8": tied_eight_app_config}[name]()
+        rng = np.random.default_rng(seed)
+        for _ in range(350):
+            Vp, q, a = random_instance(rng, cfg.n_queues)
+            dc = DppConfig(penalty_weight=Vp)
+            exact = dpp_objective(q, a, dpp_step_optimize(q, a, cfg, dc), cfg, dc)
+            ref = grid_search_value(q, a, cfg, dc)
+            assert exact <= ref + 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("cfg_fn", [three_app_config, eight_app_config,
+                                        tied_three_app_config])
+    def test_episode_states_match_the_retired_grid_search(self, cfg_fn):
+        cfg = cfg_fn()
+        for Vp in (1e9, 1e11):
+            dc = DppConfig(penalty_weight=Vp)
+            trace, _ = run_episode(DppController(cfg, dc), cfg,
+                                   np.random.default_rng(5), T=60)
+            for q, a in zip(trace.q, trace.a):
+                exact = dpp_objective(q, a, dpp_step_optimize(q, a, cfg, dc), cfg, dc)
+                ref = grid_search_value(q, a, cfg, dc)
+                assert exact <= ref + 1e-12 * max(1.0, abs(ref))
+
     def test_pure_drift_returns_lp_vertex(self):
         cfg = three_app_config()
         dc = DppConfig(penalty_weight=0.0)
@@ -389,6 +604,11 @@ class TestOptimizer:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DppConfig(penalty_weight=-1.0)
+
+    @pytest.mark.parametrize("Vp", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_weight_is_refused(self, Vp):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            DppConfig(penalty_weight=Vp)
 
 
 def dpp_episode(cfg, dpp_cfg, T, rng):

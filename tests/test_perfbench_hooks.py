@@ -33,3 +33,32 @@ def test_every_hook_site_resolves(monkeypatch):
         except LookupError as exc:
             pytest.fail(f"span {span}: {exc}")
         assert callable(getattr(raw, "__func__", raw)), span
+
+
+def test_every_dpp_sweep_decision_passes_the_benchmark_check(tmp_path, monkeypatch):
+    # the benchmark's dpp-sweep-paper run calls a decision `incorrect` when
+    # check_decision fails; a solver change that would do so fails here first
+    from dataclasses import replace
+
+    import lyaq
+    from lyaq.cli import main
+    from lyaq.dpp import DppController
+
+    workloads = load("workloads", monkeypatch)
+    decisions = []
+    act = DppController.act
+
+    def recording_act(self, state):
+        action = act(self, state)
+        decisions.append(((self, state), action))
+        return action
+
+    monkeypatch.setattr(DppController, "act", recording_act)
+    config = tmp_path / "paper.json"
+    lyaq.save_config(replace(lyaq.get_profile("paper"), episode_length=20), config)
+    assert main(["sweep", "--config", str(config), "--controller", "dpp",
+                 "--Vprime", "0,1e11", "--seeds", "0", "--episodes", "1",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    regimes = [workloads.dpp_regime(args[0]) for args, _ in decisions]
+    assert regimes == ["v0"] * 20 + ["vcost"] * 20
+    assert [workloads.check_decision(*d) for d in decisions] == [""] * 40

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import replace
 
@@ -77,7 +78,10 @@ def _count(text: str) -> int:
     return int(text)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it as it
+    was, and each parse returns a fresh namespace."""
     ap = argparse.ArgumentParser(prog="lyaq",
                                  description="Edge-cloud queue control toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

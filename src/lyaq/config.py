@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -134,11 +135,13 @@ class FeasibilityReport:
 
 def validate_config(cfg: SystemConfig) -> list[str]:
     """Return every violated invariant as a message; empty list means ok."""
-    named = [(f.name, getattr(cfg, f.name)) for f in fields(cfg)]
-    named += [(f"{app.name or f'app {i}'}: {f.name}", getattr(app, f.name))
+    named = [(f.name, f.type, getattr(cfg, f.name)) for f in fields(cfg)]
+    named += [(f"{app.name or f'app {i}'}: {f.name}", f.type, getattr(app, f.name))
               for i, app in enumerate(cfg.apps) for f in fields(app)]
-    errors = [f"{name} {value} not finite" for name, value in named
-              if isinstance(value, float) and not math.isfinite(value)]
+    errors = [f"{name} {value} is not a whole number" for name, kind, value in named
+              if kind == "int" and not isinstance(value, numbers.Integral)]
+    errors += [f"{name} {value} not finite" for name, kind, value in named
+               if kind != "int" and isinstance(value, float) and not math.isfinite(value)]
     if cfg.n_queues < 1:
         errors.append(f"n_queues {cfg.n_queues} < 1")
     if len(cfg.apps) != cfg.n_queues:
@@ -239,6 +242,13 @@ _REQUIRED_APP_KEYS = ("workload_cycles_per_bit", "arrival_rate", "size_min",
                       "size_max")
 
 
+def _whole(value):
+    """int(value) for a whole number; anything else (2.5, inf, nan) stays a
+    float, which validate_config refuses."""
+    x = float(value)
+    return int(x) if x.is_integer() else x
+
+
 def config_from_dict(d: dict) -> SystemConfig:
     """Inverse of config_to_dict; a ValueError names every missing required
     key, the apps' keys as apps[i].key."""
@@ -261,15 +271,15 @@ def config_from_dict(d: dict) -> SystemConfig:
             name=entry.get("name", ""),
         ))
     return SystemConfig(
-        n_queues=int(d["n_queues"]),
+        n_queues=_whole(d["n_queues"]),
         edge_clock=float(d["edge_clock"]),
-        edge_cores=int(d["edge_cores"]),
+        edge_cores=_whole(d["edge_cores"]),
         bandwidth=float(d["bandwidth"]),
-        cloud_cores=int(d["cloud_cores"]),
+        cloud_cores=_whole(d["cloud_cores"]),
         rho=float(d["rho"]),
         penalty_weight=float(d["penalty_weight"]),
         reward_exponent=float(d["reward_exponent"]),
-        episode_length=int(d["episode_length"]),
+        episode_length=_whole(d["episode_length"]),
         apps=tuple(apps),
         cloud_cost_kind=d.get("cloud_cost_kind", "cubic"),
         cloud_core_clock=float(d.get("cloud_core_clock", 4e9)),

@@ -50,6 +50,13 @@ The uniform action, the idle action and the structured candidates are
 scored in one batched objective call; the first minimum wins. The solve is
 deterministic. The discontinuous per-core cloud cost has no such structure,
 so the solver refuses it outright instead of returning garbage.
+
+A `DppController` builds once what a solve reads from (cfg, V') alone, its
+`_SolveConstants`: s, w, B, c_E, c_C, the uniform and idle rows, the w-only
+arrays of the cloud candidates (pair indices, w_i - w_l and its safe
+divisor, w_l, 3 c_C w) and the per-program table that one index reads per
+solve; `dpp_step_optimize` builds them per call. A decision writes only
+fresh arrays, so a controller keeps no state across decisions.
 """
 
 from __future__ import annotations
@@ -60,8 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .env import (Action, check_cloud_cores, cloud_cost, compute_offload,
-                  edge_cost)
+from .env import Action, check_cloud_cores, cloud_cost, edge_cost
 
 
 class UnsupportedObjectiveError(RuntimeError):
@@ -85,15 +91,15 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     active = np.ones(v.size, dtype=bool)
     n_active = v.size
-    tau = (v.sum() - 1.0) / n_active
+    tau = (np.add.reduce(v) - 1.0) / n_active
     for _ in range(v.size):
         keep = active & (v > tau)
-        n_keep = int(keep.sum())
+        n_keep = np.count_nonzero(keep)
         if n_keep == n_active or n_keep == 0:
             break
         active = keep
         n_active = n_keep
-        tau = (v[active].sum() - 1.0) / n_active
+        tau = (np.add.reduce(v[active]) - 1.0) / n_active
     return np.maximum(v - tau, 0.0)
 
 
@@ -103,11 +109,12 @@ def dpp_objective(q, a, action: Action, cfg: SystemConfig,
     float for one action, an (S,) array when alpha and beta are (S, N+1)."""
     q = np.asarray(q, dtype=float)
     a = np.asarray(a, dtype=float)
-    d = a - action.alpha_eff * cfg.edge_clock / cfg.workloads \
-        - action.beta_eff * cfg.bandwidth
-    value = d @ q
+    cpu_bits = action.alpha_eff * cfg.edge_clock / cfg.workloads
+    link_bits = action.beta_eff * cfg.bandwidth
+    value = (a - cpu_bits - link_bits) @ q
     if dpp_cfg.penalty_weight != 0.0:
-        o = compute_offload(q + a, action, cfg)
+        # env.compute_offload, on the CPU bits computed above
+        o = np.maximum(0.0, np.minimum(link_bits, q + a - cpu_bits))
         value = value + dpp_cfg.penalty_weight * (edge_cost(action, cfg)
                                                   + cloud_cost(o, cfg))
     return float(value) if value.ndim == 0 else value
@@ -130,6 +137,42 @@ def _pairs(n):
     return out
 
 
+class _SolveConstants:
+    """What a solve reads from (cfg, V') alone: s, w, B, c_E, c_C, the
+    uniform and idle rows, the w-only arrays of the cloud candidates and the
+    per-program table, whose column 0 is D_none and column k + 1 is D_k and
+    whose rows are q, g = q s, q + a, s, w, L_k and 1 (the q- and a-rows
+    are written per solve, into a copy)."""
+
+    def __init__(self, cfg: SystemConfig, penalty_weight: float):
+        n = self.n = cfg.n_queues
+        self.penalty_weight = penalty_weight
+        w = self.w = cfg.workloads
+        s = self.s = cfg.edge_clock / w
+        self.B = cfg.bandwidth
+        # uniform, idle and the LP vertex's row (V' = 0 only)
+        uniform, idle = Action.uniform(n), Action.idle(n)
+        self.alpha = np.stack([uniform.alpha, idle.alpha, np.zeros(n + 1)])
+        self.beta = np.stack([uniform.beta, idle.beta, np.zeros(n + 1)])
+        if penalty_weight == 0.0:
+            return
+        self.cE = penalty_weight * cfg.edge_cores * (cfg.edge_clock / cfg.edge_cores / 1e9) ** 3
+        # each solve refuses a config without cloud cores
+        self.cC = (penalty_weight * cfg.cloud_cores * (1.0 / cfg.cloud_cores / 1e9) ** 3
+                   if cfg.cloud_cores >= 1 else np.inf)
+        self.I, self.L, self.eye = _pairs(n)
+        dw = w[self.I] - w[self.L]
+        self.dw = np.where(dw == 0.0, 1.0, dw)
+        self.dw_ok = dw != 0.0
+        self.w_l = w[self.L]
+        self.cC3w = 3.0 * self.cC * w
+        self.table = np.zeros((7, n + 1))
+        self.table[3:5, 1:] = s, w
+        self.table[3, 0] = 1.0
+        self.table[6, 1:] = 1.0
+        self.own = np.concatenate([np.zeros((1, n), dtype=bool), np.eye(n, dtype=bool)])
+
+
 class _OffloadCandidates:
     """Candidate maximizers y of the cloud part of each program,
 
@@ -139,90 +182,75 @@ class _OffloadCandidates:
     stationary point clipped to [0, Bp], and each pair (i, l) filling Bp at
     W = W0 + sum w y with 3 cC W^2 = (v_i - v_l) / (w_i - w_l). v is fixed
     per program, and no pair may include a queue marked in `excluded`
-    (whose v is 0, so it never gets y alone either); W0 and Bp vary with t."""
+    (whose v is 0, so it never gets y alone either); W0 and Bp vary with t.
+    What depends on w alone comes from the solve constants `k`."""
 
-    def __init__(self, v, w, cC, excluded):
-        n = w.size
-        self.v, self.w, self.cC, self.n = v, w, cC, n
-        self.I, self.L, self.eye = _pairs(n)
-        self.size = 1 + n + self.I.size
-        self.W_single = np.sqrt(np.maximum(v, 0.0) / (3.0 * cC * w))
-        dw = w[self.I] - w[self.L]
-        self.dw = np.where(dw == 0.0, 1.0, dw)
-        self.v_i, self.v_l, self.w_l = v[..., self.I], v[..., self.L], w[self.L]
-        mu = (self.v_i - self.v_l) / self.dw
-        self.W_pair = np.sqrt(np.maximum(mu, 0.0) / (3.0 * cC))
-        self.pair_cost = cC * self.W_pair ** 3
-        self.pair_ok = ~(excluded[..., self.I] | excluded[..., self.L]) \
-            & (dw != 0.0) & (mu > 0.0)
+    def __init__(self, v, k: _SolveConstants, excluded):
+        self.v, self.k = v, k
+        self.size = 1 + k.n + k.I.size
+        self.W_single = np.sqrt(np.maximum(v, 0.0) / k.cC3w)
+        self.v_i, self.v_l = v[..., k.I], v[..., k.L]
+        mu = (self.v_i - self.v_l) / k.dw
+        self.W_pair = np.sqrt(np.maximum(mu, 0.0) / (3.0 * k.cC))
+        self.pair_cost = k.cC * self.W_pair ** 3
+        self.pair_ok = ~(excluded[..., k.I] | excluded[..., k.L]) \
+            & k.dw_ok & (mu > 0.0)
 
     def __call__(self, W0, Bp):
         """(values (..., C), y_single (..., N), y_pair_i, y_pair_l (..., P))
         of every candidate c at its own W0[..., c] and Bp[..., c]."""
-        n = self.n
+        k = self.k
+        n, w, cC = k.n, k.w, k.cC
         W0, Ws, Wp = W0[..., :1], W0[..., 1:n + 1], W0[..., n + 1:]
         Bs, Bpp = Bp[..., 1:n + 1], Bp[..., n + 1:]
-        single = np.minimum(np.maximum((self.W_single - Ws) / self.w, 0.0), Bs)
-        y_i = (self.W_pair - Wp - self.w_l * Bpp) / self.dw
+        single = np.minimum(np.maximum((self.W_single - Ws) / w, 0.0), Bs)
+        y_i = (self.W_pair - Wp - k.w_l * Bpp) / k.dw
         y_l = Bpp - y_i
         pair = self.v_i * y_i + self.v_l * y_l - self.pair_cost
         values = np.concatenate([
-            -self.cC * W0 ** 3,
-            self.v * single - self.cC * (Ws + self.w * single) ** 3,
+            -cC * W0 ** 3,
+            self.v * single - cC * (Ws + w * single) ** 3,
             np.where(self.pair_ok & (y_i >= 0.0) & (y_l >= 0.0), pair, -np.inf),
         ], axis=-1)
         return values, single, y_i, y_l
 
     def dense(self, single, y_i, y_l):
         """Every candidate as a full vector, shape (..., C, N)."""
-        eye = self.eye
-        return np.concatenate([np.zeros(single.shape[:-1] + (1, self.n)),
-                               single[..., :, None] * eye,
-                               y_i[..., :, None] * eye[self.I]
-                               + y_l[..., :, None] * eye[self.L]], axis=-2)
+        k = self.k
+        return np.concatenate([np.zeros(single.shape[:-1] + (1, k.n)),
+                               single[..., :, None] * k.eye,
+                               y_i[..., :, None] * k.eye[k.I]
+                               + y_l[..., :, None] * k.eye[k.L]], axis=-2)
 
 
-def _structured_candidates(q, a, cfg: SystemConfig, penalty_weight: float):
+def _structured_candidates(q, a, k: _SolveConstants):
     """(labels, alpha (S, N+1), beta (S, N+1)) of the candidate actions the
     exact linear-drift solve scores: uniform, idle, then the LP vertex at
     V' = 0, else the optima of D_none and of every feasible D_k (see the
     module docstring)."""
-    n = cfg.n_queues
-    uniform, idle = Action.uniform(n), Action.idle(n)
-    w = cfg.workloads
-    s = cfg.edge_clock / w
-    B = cfg.bandwidth
+    n, s, B = k.n, k.s, k.B
     g = q * s
-    if penalty_weight == 0.0:
-        alpha = np.zeros(n + 1)
-        beta = np.zeros(n + 1)
-        alpha[np.argmax(g)] = 1.0
-        beta[np.argmax(q)] = 1.0
-        return (("uniform", "idle", "lp-vertex"),
-                np.stack([uniform.alpha, idle.alpha, alpha]),
-                np.stack([uniform.beta, idle.beta, beta]))
+    if k.penalty_weight == 0.0:
+        alpha, beta = k.alpha.copy(), k.beta.copy()
+        alpha[2, np.argmax(g)] = 1.0
+        beta[2, np.argmax(q)] = 1.0
+        return ("uniform", "idle", "lp-vertex"), alpha, beta
 
-    cE = penalty_weight * cfg.edge_cores * (cfg.edge_clock / cfg.edge_cores / 1e9) ** 3
-    cC = penalty_weight * cfg.cloud_cores * (1.0 / cfg.cloud_cores / 1e9) ** 3
-    backlog = q + a
-    lower = np.maximum(0.0, (backlog - B) / s)
-    ks = np.flatnonzero(lower <= 1.0)
+    cE, cC, w = k.cE, k.cC, k.w
+    table = k.table.copy()
+    table[:3, 1:] = q, g, q + a
+    table[5, 1:] = np.maximum(0.0, (table[2, 1:] - B) / s)
     # program 0 is D_none, a D_k with no overflow queue and t pinned at 0
-    rows = np.arange(ks.size + 1)
-    own = np.zeros((rows.size, n), dtype=bool)
-    own[rows[1:], ks] = True
-
-    def per_program(x, none_value):
-        return np.concatenate([[none_value], x[ks]])[:, None, None]
-
-    qk, gk = per_program(q, 0.0), per_program(g, 0.0)
-    rk0, sk, wk = per_program(backlog, 0.0), per_program(s, 1.0), per_program(w, 0.0)
-    lo, hi = per_program(lower, 0.0), per_program(np.ones(n), 0.0)
+    programs = np.flatnonzero(table[5] <= 1.0)
+    ks = programs[1:] - 1
+    rows = np.arange(programs.size)
+    own = k.own[programs]
+    qk, gk, rk0, sk, wk, lo, hi = table[:, programs, None, None]
     g_rest = np.where(own, 0.0, g)
     m = np.argmax(g_rest, axis=1)
     gm = g_rest[rows, m][:, None, None]
     a_star = np.minimum(np.sqrt(gm / (3.0 * cE)), 1.0)
-    offload = _OffloadCandidates(q - qk, w, cC, own[:, None, :])
+    offload = _OffloadCandidates(q - qk, k, own[:, None, :])
 
     # Every candidate is scored at its own critical points (module
     # docstring), G = 7 of them: 4 that all share, then the roots of the
@@ -260,33 +288,38 @@ def _structured_candidates(q, a, cfg: SystemConfig, penalty_weight: float):
     alpha[:, :n] += own * t[:, None]
     alpha[:, n] = 1.0 - A
     beta = np.concatenate([y / B, 1.0 - y.sum(axis=1, keepdims=True) / B], axis=1)
-    labels = ("uniform", "idle", "none") + tuple(f"overflow-{k}" for k in ks)
-    return (labels, np.vstack([uniform.alpha, idle.alpha, alpha]),
-            np.vstack([uniform.beta, idle.beta, beta]))
+    labels = ("uniform", "idle", "none") + tuple(f"overflow-{i}" for i in ks)
+    return labels, np.vstack([k.alpha[:2], alpha]), np.vstack([k.beta[:2], beta])
 
 
 def dpp_step_optimize(q, a, cfg: SystemConfig, dpp_cfg: DppConfig) -> Action:
     """Exact minimizer of one slot's drift-plus-penalty program."""
-    if cfg.cloud_cost_kind != "cubic":
-        raise UnsupportedObjectiveError(
-            f"cloud cost kind {cfg.cloud_cost_kind!r} is discontinuous; "
-            "the drift-plus-penalty solver does not support it")
-    check_cloud_cores(cfg)
-    q = np.asarray(q, dtype=float)
-    a = np.asarray(a, dtype=float)
-    _, alpha, beta = _structured_candidates(q, a, cfg, dpp_cfg.penalty_weight)
-    best = int(np.argmin(dpp_objective(q, a, Action(alpha, beta), cfg, dpp_cfg)))
-    return Action(alpha=project_simplex(alpha[best]),
-                  beta=project_simplex(beta[best]))
+    return DppController(cfg, dpp_cfg).solve(q, a)
 
 
 class DppController:
-    """Per-slot solver wrapper usable wherever a policy is expected."""
+    """Per-slot solver wrapper usable wherever a policy is expected. It
+    builds its solve constants once and keeps no state across decisions."""
 
     def __init__(self, cfg: SystemConfig, dpp_cfg: DppConfig):
         self.cfg = cfg
         self.dpp_cfg = dpp_cfg
+        self.constants = _SolveConstants(cfg, dpp_cfg.penalty_weight)
+
+    def solve(self, q, a) -> Action:
+        """Exact minimizer of the program at queues q and arrivals a."""
+        cfg = self.cfg
+        if cfg.cloud_cost_kind != "cubic":
+            raise UnsupportedObjectiveError(
+                f"cloud cost kind {cfg.cloud_cost_kind!r} is discontinuous; "
+                "the drift-plus-penalty solver does not support it")
+        check_cloud_cores(cfg)
+        q = np.asarray(q, dtype=float)
+        a = np.asarray(a, dtype=float)
+        _, alpha, beta = _structured_candidates(q, a, self.constants)
+        best = int(np.argmin(dpp_objective(q, a, Action(alpha, beta), cfg, self.dpp_cfg)))
+        return Action(alpha=project_simplex(alpha[best]),
+                      beta=project_simplex(beta[best]))
 
     def act(self, state) -> Action:
-        return dpp_step_optimize(state.queue, state.arrival, self.cfg,
-                                 self.dpp_cfg)
+        return self.solve(state.queue, state.arrival)

@@ -8,9 +8,13 @@ Gaussian log-density of the pre-softmax sample; the (rank-deficient) softmax
 Jacobian correction is deliberately omitted, making this a surrogate entropy
 rather than the entropy of the squashed distribution.
 
-`squashed_sample` is the one sampling path: acting (`SacAgent.policy_sample`,
-deterministic = zero noise), the critic target's next action in
-`SacAgent.update` and the actor loss all call it.
+`squashed_sample` is the one path for noisy samples: the exploring policy
+(`SacAgent.policy_sample`), the critic target's next action in
+`SacAgent.update` and the actor loss all call it. The deterministic action
+(`SacAgent.act`) is the softmax pair of the mean, `dual_softmax` of the mean
+half of the policy output: `squashed_sample` at zero noise for every finite
+output (mu + exp(log_std) * 0 = mu), without the log-std clip and the
+log-density nothing reads.
 
 The agent never steps an environment. `harness.train` collects through the
 harness's one episode loop with `policy_sample` as the exploring policy and
@@ -264,15 +268,15 @@ class SacAgent:
     def policy_sample(self, state_norm: np.ndarray, deterministic: bool = False,
                       rng: np.random.Generator | None = None):
         """Sample a flat (2N+2) simplex-pair action plus its surrogate
-        log-probability from one normalized state vector; the deterministic
-        action squashes the mean (zero noise)."""
+        log-probability from one normalized state vector. The deterministic
+        action is the softmax pair of the mean, with no log-probability
+        (None)."""
         out = self.policy.forward(np.asarray(state_norm, dtype=float)[None, :])[0]
         if deterministic:
-            eps = np.zeros(self.action_dim)
-        elif rng is None:
+            return dual_softmax(out[:self.action_dim]), None
+        if rng is None:
             raise ValueError("stochastic sampling needs an rng")
-        else:
-            eps = rng.standard_normal(self.action_dim)
+        eps = rng.standard_normal(self.action_dim)
         action, logp, _, _ = squashed_sample(out, eps, self.sac_cfg)
         return action, float(logp)
 
@@ -280,7 +284,8 @@ class SacAgent:
         """The deterministic policy's action for a raw state."""
         x = self.normalizer.normalize(state.as_vector(self.state_aux))
         flat, _ = self.policy_sample(x, deterministic=True)
-        return Action.from_flat(flat)
+        half = flat.size // 2
+        return Action(alpha=flat[:half], beta=flat[half:])
 
     # -- learning ----------------------------------------------------------
 

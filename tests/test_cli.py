@@ -174,6 +174,45 @@ def test_config_file_with_non_finite_field_is_refused(tmp_path, capsys):
     assert "config error: compress: arrival_rate nan not finite" in err
 
 
+@pytest.mark.parametrize("field", ["n_queues", "edge_cores", "cloud_cores",
+                                   "episode_length"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 2.5])
+def test_config_file_with_a_count_that_is_not_whole_is_refused(tmp_path, capsys,
+                                                                field, value):
+    d = config_to_dict(replace(desk_config(), episode_length=20))
+    d[field] = value  # JSON Infinity, NaN or 2.5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(SystemExit) as exc:
+        main(["feasibility", "--config", str(path)])
+    assert exc.value.code == 2
+    assert f"config error: {field} {value} is not a whole number\n" in capsys.readouterr().err
+
+
+def test_a_whole_float_count_is_read_as_an_integer(tmp_path):
+    d = config_to_dict(replace(desk_config(), episode_length=20))
+    d["edge_cores"] = 10.0
+    path = tmp_path / "whole.json"
+    path.write_text(json.dumps(d))
+    assert main(["feasibility", "--config", str(path)]) == 0
+    assert lyaq.cli.load_config(path).edge_cores == 10
+    assert isinstance(lyaq.cli.load_config(path).edge_cores, int)
+
+
+def test_back_to_back_calls_share_the_parser_but_no_options(monkeypatch):
+    seen = []
+    monkeypatch.setitem(COMMANDS, "eval", lambda args: seen.append(vars(args)) or 0)
+    first = ["eval", "--profile", "paper8", "--V", "1e9", "--nu", "2", "--cost",
+             "per-core", "--seed", "7", "--controller", "dpp", "--checkpoint", "a.npz",
+             "--Vprime", "1e11", "--reward", "power", "--episodes", "3", "--out", "r.csv"]
+    second = ["eval"]
+    assert main(first) == 0 and main(second) == 0
+    assert build_parser() is build_parser()
+    fresh = build_parser.__wrapped__()
+    assert seen == [vars(fresh.parse_args(first)), vars(fresh.parse_args(second))]
+    assert seen[1]["seed"] == 0 and seen[1]["out"] is None
+
+
 @pytest.mark.parametrize("command", ["simulate", "eval"])
 def test_non_finite_Vprime_is_refused(tmp_path, capsys, command):
     argv = [command, "--config", desk_config_file(tmp_path), "--controller", "dpp",

@@ -7,8 +7,9 @@ from lyaq.config import (AppProfile, SystemConfig, desk_config,
                          eight_app_config, three_app_config)
 from lyaq.dpp import (DppConfig, DppController, UnsupportedObjectiveError,
                       dpp_objective, dpp_step_optimize, project_simplex,
-                      _structured_candidates)
-from lyaq.env import Action, EdgeCloudEnv, action_errors
+                      _pairs, _quadratic_roots, _structured_candidates)
+from lyaq.env import (Action, EdgeCloudEnv, action_errors, check_cloud_cores,
+                      cloud_cost, compute_offload, edge_cost)
 from lyaq.harness import metrics_from_trace, run_episode
 
 
@@ -244,6 +245,197 @@ def grid_search_candidates(q, a, cfg: SystemConfig, penalty_weight: float):
     return (labels, np.vstack([uniform.alpha, idle.alpha, alpha]),
             np.vstack([uniform.beta, idle.beta, beta]))
 
+
+
+# The solve before its constants moved into the controller, kept verbatim
+# (names aside) as the bit-for-bit reference: every (cfg, V') constant is
+# rebuilt per call, the programs' values are seven concatenations, and the
+# objective calls env.compute_offload.
+
+
+def reference_project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum x = 1} by iterative active-set
+    removal: shift the active coordinates to sum to one, drop any that went
+    nonpositive, repeat. Exact in at most n passes."""
+    v = np.asarray(v, dtype=float)
+    active = np.ones(v.size, dtype=bool)
+    n_active = v.size
+    tau = (v.sum() - 1.0) / n_active
+    for _ in range(v.size):
+        keep = active & (v > tau)
+        n_keep = int(keep.sum())
+        if n_keep == n_active or n_keep == 0:
+            break
+        active = keep
+        n_active = n_keep
+        tau = (v[active].sum() - 1.0) / n_active
+    return np.maximum(v - tau, 0.0)
+
+
+def reference_dpp_objective(q, a, action: Action, cfg: SystemConfig,
+                  dpp_cfg: DppConfig):
+    """Drift-plus-penalty value of a candidate action at observed (q, a): a
+    float for one action, an (S,) array when alpha and beta are (S, N+1)."""
+    q = np.asarray(q, dtype=float)
+    a = np.asarray(a, dtype=float)
+    d = a - action.alpha_eff * cfg.edge_clock / cfg.workloads \
+        - action.beta_eff * cfg.bandwidth
+    value = d @ q
+    if dpp_cfg.penalty_weight != 0.0:
+        o = compute_offload(q + a, action, cfg)
+        value = value + dpp_cfg.penalty_weight * (edge_cost(action, cfg)
+                                                  + cloud_cost(o, cfg))
+    return float(value) if value.ndim == 0 else value
+
+
+class ReferenceOffloadCandidates:
+    """Candidate maximizers y of the cloud part of each program,
+
+        sum_i v_i y_i - cC (W0 + sum_i w_i y_i)^3,  y >= 0, sum_i y_i <= Bp,
+
+    with C = 1 + N + N(N-1)/2 candidates: y = 0, each queue alone at its
+    stationary point clipped to [0, Bp], and each pair (i, l) filling Bp at
+    W = W0 + sum w y with 3 cC W^2 = (v_i - v_l) / (w_i - w_l). v is fixed
+    per program, and no pair may include a queue marked in `excluded`
+    (whose v is 0, so it never gets y alone either); W0 and Bp vary with t."""
+
+    def __init__(self, v, w, cC, excluded):
+        n = w.size
+        self.v, self.w, self.cC, self.n = v, w, cC, n
+        self.I, self.L, self.eye = _pairs(n)
+        self.size = 1 + n + self.I.size
+        self.W_single = np.sqrt(np.maximum(v, 0.0) / (3.0 * cC * w))
+        dw = w[self.I] - w[self.L]
+        self.dw = np.where(dw == 0.0, 1.0, dw)
+        self.v_i, self.v_l, self.w_l = v[..., self.I], v[..., self.L], w[self.L]
+        mu = (self.v_i - self.v_l) / self.dw
+        self.W_pair = np.sqrt(np.maximum(mu, 0.0) / (3.0 * cC))
+        self.pair_cost = cC * self.W_pair ** 3
+        self.pair_ok = ~(excluded[..., self.I] | excluded[..., self.L]) \
+            & (dw != 0.0) & (mu > 0.0)
+
+    def __call__(self, W0, Bp):
+        """(values (..., C), y_single (..., N), y_pair_i, y_pair_l (..., P))
+        of every candidate c at its own W0[..., c] and Bp[..., c]."""
+        n = self.n
+        W0, Ws, Wp = W0[..., :1], W0[..., 1:n + 1], W0[..., n + 1:]
+        Bs, Bpp = Bp[..., 1:n + 1], Bp[..., n + 1:]
+        single = np.minimum(np.maximum((self.W_single - Ws) / self.w, 0.0), Bs)
+        y_i = (self.W_pair - Wp - self.w_l * Bpp) / self.dw
+        y_l = Bpp - y_i
+        pair = self.v_i * y_i + self.v_l * y_l - self.pair_cost
+        values = np.concatenate([
+            -self.cC * W0 ** 3,
+            self.v * single - self.cC * (Ws + self.w * single) ** 3,
+            np.where(self.pair_ok & (y_i >= 0.0) & (y_l >= 0.0), pair, -np.inf),
+        ], axis=-1)
+        return values, single, y_i, y_l
+
+    def dense(self, single, y_i, y_l):
+        """Every candidate as a full vector, shape (..., C, N)."""
+        eye = self.eye
+        return np.concatenate([np.zeros(single.shape[:-1] + (1, self.n)),
+                               single[..., :, None] * eye,
+                               y_i[..., :, None] * eye[self.I]
+                               + y_l[..., :, None] * eye[self.L]], axis=-2)
+
+
+def reference_structured_candidates(q, a, cfg: SystemConfig, penalty_weight: float):
+    """(labels, alpha (S, N+1), beta (S, N+1)) of the candidate actions the
+    exact linear-drift solve scores: uniform, idle, then the LP vertex at
+    V' = 0, else the optima of D_none and of every feasible D_k (see the
+    module docstring)."""
+    n = cfg.n_queues
+    uniform, idle = Action.uniform(n), Action.idle(n)
+    w = cfg.workloads
+    s = cfg.edge_clock / w
+    B = cfg.bandwidth
+    g = q * s
+    if penalty_weight == 0.0:
+        alpha = np.zeros(n + 1)
+        beta = np.zeros(n + 1)
+        alpha[np.argmax(g)] = 1.0
+        beta[np.argmax(q)] = 1.0
+        return (("uniform", "idle", "lp-vertex"),
+                np.stack([uniform.alpha, idle.alpha, alpha]),
+                np.stack([uniform.beta, idle.beta, beta]))
+
+    cE = penalty_weight * cfg.edge_cores * (cfg.edge_clock / cfg.edge_cores / 1e9) ** 3
+    cC = penalty_weight * cfg.cloud_cores * (1.0 / cfg.cloud_cores / 1e9) ** 3
+    backlog = q + a
+    lower = np.maximum(0.0, (backlog - B) / s)
+    ks = np.flatnonzero(lower <= 1.0)
+    # program 0 is D_none, a D_k with no overflow queue and t pinned at 0
+    rows = np.arange(ks.size + 1)
+    own = np.zeros((rows.size, n), dtype=bool)
+    own[rows[1:], ks] = True
+
+    def per_program(x, none_value):
+        return np.concatenate([[none_value], x[ks]])[:, None, None]
+
+    qk, gk = per_program(q, 0.0), per_program(g, 0.0)
+    rk0, sk, wk = per_program(backlog, 0.0), per_program(s, 1.0), per_program(w, 0.0)
+    lo, hi = per_program(lower, 0.0), per_program(np.ones(n), 0.0)
+    g_rest = np.where(own, 0.0, g)
+    m = np.argmax(g_rest, axis=1)
+    gm = g_rest[rows, m][:, None, None]
+    a_star = np.minimum(np.sqrt(gm / (3.0 * cE)), 1.0)
+    offload = ReferenceOffloadCandidates(q - qk, w, cC, own[:, None, :])
+
+    # Every candidate is scored at its own critical points (module
+    # docstring), G = 7 of them: 4 that all share, then the roots of the
+    # slope of y = 0, or the one of a queue inside its clip. Pairs add none;
+    # a candidate with fewer points repeats L_k.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shared = [lo, hi, rk0 / sk, np.sqrt(gk / (3.0 * cE))]
+        # y = 0 has cloud value -cC (wk r)^3, so t-slope 3 cC wk^3 sk r^2:
+        # set against gk - gm below a*, and against gk - 3 cE t^2 above a*
+        # (a quadratic in t, as wk r = U - ds t)
+        U, ds = wk * rk0, wk * sk
+        empty = [rk0 / sk - np.sqrt((gm - gk) / (3.0 * cC * ds ** 3)),
+                 *_quadratic_roots(3.0 * cC * ds ** 3 - 3.0 * cE,
+                                   -6.0 * cC * ds * ds * U, 3.0 * cC * ds * U * U + gk)]
+        # queue i inside its clip: the constant t-slope sk v_i wk / w_i
+        # against gk - 3 cE t^2 (against gk - gm it leaves f monotone)
+        alone = np.sqrt((gk + sk * offload.v * wk / w) / (3.0 * cE))
+    t = np.zeros((rows.size, 7, offload.size)) + lo
+    t[:, :4] = np.concatenate(shared, axis=1)
+    t[:, 4:, :1] = np.concatenate(empty, axis=1)
+    t[:, 4:5, 1:n + 1] = alone
+    t = np.fmin(np.fmax(t, lo), hi)  # NaN -> L_k
+
+    # the value of every program with cloud candidate c at alpha_k = t[..., c]
+    r = np.maximum(0.0, rk0 - sk * t)
+    A = np.maximum(a_star, t)
+    values, *parts = offload(wk * r, B - r)
+    total = gk * t + gm * (A - t) - cE * A ** 3 + qk * B + values
+    j, c = np.divmod(np.argmax(total.reshape(rows.size, -1), axis=1), total.shape[2])
+    t, A = t[rows, j, c], A[rows, j, c]
+    y = offload.dense(*(p[rows, j] for p in parts))[rows, c]
+    y = np.where(own, B - y.sum(axis=1, keepdims=True), y)
+    alpha = np.zeros((rows.size, n + 1))
+    alpha[rows, m] = A - t
+    alpha[:, :n] += own * t[:, None]
+    alpha[:, n] = 1.0 - A
+    beta = np.concatenate([y / B, 1.0 - y.sum(axis=1, keepdims=True) / B], axis=1)
+    labels = ("uniform", "idle", "none") + tuple(f"overflow-{k}" for k in ks)
+    return (labels, np.vstack([uniform.alpha, idle.alpha, alpha]),
+            np.vstack([uniform.beta, idle.beta, beta]))
+
+
+def reference_dpp_step_optimize(q, a, cfg: SystemConfig, dpp_cfg: DppConfig) -> Action:
+    """Exact minimizer of one slot's drift-plus-penalty program."""
+    if cfg.cloud_cost_kind != "cubic":
+        raise UnsupportedObjectiveError(
+            f"cloud cost kind {cfg.cloud_cost_kind!r} is discontinuous; "
+            "the drift-plus-penalty solver does not support it")
+    check_cloud_cores(cfg)
+    q = np.asarray(q, dtype=float)
+    a = np.asarray(a, dtype=float)
+    _, alpha, beta = reference_structured_candidates(q, a, cfg, dpp_cfg.penalty_weight)
+    best = int(np.argmin(reference_dpp_objective(q, a, Action(alpha, beta), cfg, dpp_cfg)))
+    return Action(alpha=reference_project_simplex(alpha[best]),
+                  beta=reference_project_simplex(beta[best]))
 
 
 def grid_search_value(q, a, cfg, dpp_cfg):
@@ -511,9 +703,10 @@ class TestOptimizer:
             Vp = 10.0 ** rng.uniform(0.0, 12.0)
             q = 10.0 ** rng.uniform(4.0, 8.0, 3)
             a = 10.0 ** rng.uniform(4.0, 8.0, 3)
-            labels, alpha, beta = _structured_candidates(q, a, cfg, Vp)
-            values = dpp_objective(q, a, Action(alpha, beta), cfg,
-                                   DppConfig(penalty_weight=Vp))
+            dc = DppConfig(penalty_weight=Vp)
+            labels, alpha, beta = _structured_candidates(
+                q, a, DppController(cfg, dc).constants)
+            values = dpp_objective(q, a, Action(alpha, beta), cfg, dc)
             best = int(np.argmin(values))
             if np.sum(values == values[best]) == 1:
                 winners.add(labels[best].split("-")[0])
@@ -609,6 +802,121 @@ class TestOptimizer:
     def test_non_finite_weight_is_refused(self, Vp):
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             DppConfig(penalty_weight=Vp)
+
+
+TEST_CONFIGS = {"speech": speech_cfg, "desk": desk_config, "paper": three_app_config,
+                "paper8": eight_app_config, "tied3": tied_three_app_config,
+                "tied8": tied_eight_app_config}
+
+
+def same_bytes(action, ref):
+    return (action.alpha.tobytes() == ref.alpha.tobytes()
+            and action.beta.tobytes() == ref.beta.tobytes())
+
+
+class ReferenceController:
+    """The controller before it held its solve constants."""
+
+    def __init__(self, cfg, dpp_cfg):
+        self.cfg, self.dpp_cfg = cfg, dpp_cfg
+
+    def act(self, state):
+        return reference_dpp_step_optimize(state.queue, state.arrival, self.cfg,
+                                           self.dpp_cfg)
+
+
+class TestSolveConstants:
+    """The controller's constants change no output bit: every decision equals
+    the pre-change code's, kept verbatim above as reference_*."""
+
+    @pytest.mark.parametrize("name, seed", [
+        ("speech", 40), ("desk", 41), ("paper", 42), ("paper8", 43),
+        ("tied3", 44), ("tied8", 45)])
+    def test_decisions_match_the_reference_bit_for_bit(self, name, seed):
+        cfg = TEST_CONFIGS[name]()
+        rng = np.random.default_rng(seed)
+        pure_drift = DppController(cfg, DppConfig(penalty_weight=0.0))
+        for _ in range(200):
+            Vp, q, a = random_instance(rng, cfg.n_queues)
+            for controller in (pure_drift, DppController(cfg, DppConfig(penalty_weight=Vp))):
+                dc = controller.dpp_cfg
+                ref = reference_dpp_step_optimize(q, a, cfg, dc)
+                assert same_bytes(controller.solve(q, a), ref), (Vp, q, a)
+                assert same_bytes(dpp_step_optimize(q, a, cfg, dc), ref), (Vp, q, a)
+                labels, alpha, beta = _structured_candidates(q, a, controller.constants)
+                ref_labels, ref_alpha, ref_beta = reference_structured_candidates(
+                    q, a, cfg, dc.penalty_weight)
+                assert labels == ref_labels
+                assert alpha.tobytes() == ref_alpha.tobytes()
+                assert beta.tobytes() == ref_beta.tobytes()
+
+    @pytest.mark.parametrize("name", ["paper", "paper8", "tied3"])
+    def test_episode_decisions_match_the_reference_bit_for_bit(self, name):
+        cfg = TEST_CONFIGS[name]()
+        for Vp in (0.0, 1e9, 1e11):
+            dc = DppConfig(penalty_weight=Vp)
+            trace, _ = run_episode(DppController(cfg, dc), cfg,
+                                   np.random.default_rng(6), T=60)
+            ref, _ = run_episode(ReferenceController(cfg, dc), cfg,
+                                 np.random.default_rng(6), T=60)
+            assert np.asarray(trace.alpha).tobytes() == np.asarray(ref.alpha).tobytes()
+            assert np.asarray(trace.beta).tobytes() == np.asarray(ref.beta).tobytes()
+            assert np.asarray(trace.q).tobytes() == np.asarray(ref.q).tobytes()
+
+    @pytest.mark.parametrize("name", list(TEST_CONFIGS))
+    def test_objective_matches_the_reference_bit_for_bit(self, name):
+        cfg = TEST_CONFIGS[name]()
+        rng = np.random.default_rng(46)
+        n = cfg.n_queues
+        for _ in range(50):
+            Vp, q, a = random_instance(rng, n)
+            batch = Action(rng.dirichlet(np.ones(n + 1), 9), rng.dirichlet(np.ones(n + 1), 9))
+            for dc in (DppConfig(penalty_weight=0.0), DppConfig(penalty_weight=Vp)):
+                got = dpp_objective(q, a, batch, cfg, dc)
+                assert got.tobytes() == reference_dpp_objective(q, a, batch, cfg, dc).tobytes()
+                one = Action(batch.alpha[0], batch.beta[0])
+                assert dpp_objective(q, a, one, cfg, dc) == reference_dpp_objective(
+                    q, a, one, cfg, dc)
+
+    def test_projection_matches_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        for _ in range(2000):
+            n = int(rng.integers(1, 10))
+            v = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), n)
+            if rng.random() < 0.3:  # near the simplex, as a solve's rows are
+                v = rng.dirichlet(np.ones(n)) + rng.normal(0.0, 1e-15, n)
+            assert project_simplex(v).tobytes() == reference_project_simplex(v).tobytes()
+
+    @pytest.mark.parametrize("Vp", [0.0, 1e11])
+    def test_a_controller_keeps_no_state_across_decisions(self, Vp):
+        cfg = eight_app_config()
+        controller = DppController(cfg, DppConfig(penalty_weight=Vp))
+        rng = np.random.default_rng(48)
+        for _ in range(20):
+            (_, qa, aa), (_, qb, ab) = random_instance(rng, 8), random_instance(rng, 8)
+            first = controller.solve(qa, aa)
+            controller.solve(qb, ab)
+            assert same_bytes(controller.solve(qa, aa), first)
+
+    def test_controllers_share_no_writable_array(self):
+        cfg = three_app_config()
+
+        def arrays(controller):
+            found = []
+            for obj in (controller, controller.constants):
+                for x in vars(obj).values():
+                    found += [y for y in (x if isinstance(x, tuple) else (x,))
+                              if isinstance(y, np.ndarray)]
+            return found
+
+        controllers = [DppController(cfg, DppConfig(penalty_weight=Vp))
+                       for Vp in (0.0, 1e9, 1e11)]
+        for i, one in enumerate(controllers):
+            for other in controllers[i + 1:]:
+                for x in arrays(one):
+                    for y in arrays(other):
+                        if x.flags.writeable or y.flags.writeable:
+                            assert not np.shares_memory(x, y)
 
 
 def dpp_episode(cfg, dpp_cfg, T, rng):

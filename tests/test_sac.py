@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from lyaq.config import desk_config
-from lyaq.env import Action, EdgeCloudEnv
+from lyaq.config import desk_config, get_profile
+from lyaq.env import Action, EdgeCloudEnv, StateVector
 from lyaq.nets import DenseNet
 from lyaq.sac import (ReplayBuffer, SacAgent, SacConfig, StateNormalizer,
                       actor_loss_and_grads, critic_loss_and_grads,
@@ -125,6 +125,63 @@ class TestPolicyOutputs:
         with pytest.raises(ValueError, match="hidden_sizes must be one or more "
                                              "positive integers"):
             SacAgent(cfg, SacConfig(hidden_sizes=hidden))
+
+
+# The deterministic act before it squashed only the mean, kept verbatim
+# (names aside) as the bit-for-bit reference: the full squashed_sample at
+# zero noise, copied into the Action through Action.from_flat.
+def reference_policy_sample(self, state_norm, deterministic=False, rng=None):
+    out = self.policy.forward(np.asarray(state_norm, dtype=float)[None, :])[0]
+    if deterministic:
+        eps = np.zeros(self.action_dim)
+    elif rng is None:
+        raise ValueError("stochastic sampling needs an rng")
+    else:
+        eps = rng.standard_normal(self.action_dim)
+    action, logp, _, _ = squashed_sample(out, eps, self.sac_cfg)
+    return action, float(logp)
+
+
+def reference_act(self, state):
+    x = self.normalizer.normalize(state.as_vector(self.state_aux))
+    flat, _ = reference_policy_sample(self, x, deterministic=True)
+    return Action.from_flat(flat)
+
+
+def as_state(x, n):
+    """The StateVector whose flat layout (second block: arrivals) is x."""
+    return StateVector(x[:n], x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n],
+                       float(x[4 * n]), x[4 * n + 1:])
+
+
+class TestDeterministicAct:
+    @pytest.mark.parametrize("hidden", [(8, 8), (64, 64), (256, 256)])
+    @pytest.mark.parametrize("profile", ["desk", "paper", "paper8"])
+    def test_matches_the_reference_bit_for_bit(self, profile, hidden):
+        cfg = get_profile(profile)
+        agent = SacAgent(cfg, SacConfig(hidden_sizes=hidden, seed=3))
+        # a policy whose outputs span the softmax's and the log-std clip's
+        # regimes, not only the near-uniform start
+        agent.policy.params[-2][:] *= 300.0
+        rng = np.random.default_rng(hidden[0] + cfg.n_queues)
+        n = cfg.n_queues
+        for _ in range(2000):
+            x = np.abs(rng.normal(0.0, 1.0, cfg.state_dim)) * 10.0 ** rng.uniform(-2, 2)
+            flat, logp = agent.policy_sample(x, deterministic=True)
+            ref, _ = reference_policy_sample(agent, x, deterministic=True)
+            assert logp is None
+            assert flat.tobytes() == ref.tobytes()
+            state = as_state(agent.normalizer.denormalize(x), n)
+            action, ref_action = agent.act(state), reference_act(agent, state)
+            assert action.alpha.tobytes() == ref_action.alpha.tobytes()
+            assert action.beta.tobytes() == ref_action.beta.tobytes()
+
+    def test_stochastic_sample_is_unchanged(self, agent, cfg):
+        x = np.random.default_rng(4).normal(size=cfg.state_dim)
+        for seed in range(20):
+            got = agent.policy_sample(x, rng=np.random.default_rng(seed))
+            ref = reference_policy_sample(agent, x, rng=np.random.default_rng(seed))
+            assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
 
 
 class TestGradients:

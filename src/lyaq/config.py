@@ -8,16 +8,17 @@ rates coincide. Size suffix convention follows the usual storage units:
 Power costs are in kappa*(Gcycles/s)^3 units. The constant kappa itself is
 not modelled: it would only rescale the penalty weight V. The learner's
 discount factor gamma is `SacConfig.discount`, not part of the system.
-`config_from_dict` ignores the `kappa` and `discount` keys that configs
-written by earlier versions hold.
+`config_from_dict` ignores keys that are not fields, such as the `kappa` and
+`discount` keys that configs written by earlier versions hold.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -206,42 +207,6 @@ def feasibility_check(cfg: SystemConfig) -> FeasibilityReport:
 # JSON round trip
 
 
-def config_to_dict(cfg: SystemConfig) -> dict:
-    return {
-        "n_queues": cfg.n_queues,
-        "edge_clock": cfg.edge_clock,
-        "edge_cores": cfg.edge_cores,
-        "bandwidth": cfg.bandwidth,
-        "cloud_cores": cfg.cloud_cores,
-        "cloud_core_clock": cfg.cloud_core_clock,
-        "rho": cfg.rho,
-        "penalty_weight": cfg.penalty_weight,
-        "reward_exponent": cfg.reward_exponent,
-        "episode_length": cfg.episode_length,
-        "cloud_cost_kind": cfg.cloud_cost_kind,
-        "state_aux": cfg.state_aux,
-        "apps": [
-            {
-                "name": a.name,
-                "workload_cycles_per_bit": a.workload_cycles_per_bit,
-                "arrival_rate": a.arrival_rate,
-                "size_min": a.size_min,
-                "size_max": a.size_max,
-                "size_mean": a.size_mean,
-                "size_std": a.size_std,
-            }
-            for a in cfg.apps
-        ],
-    }
-
-
-_REQUIRED_KEYS = ("n_queues", "edge_clock", "edge_cores", "bandwidth",
-                  "cloud_cores", "rho", "penalty_weight", "reward_exponent",
-                  "episode_length", "apps")
-_REQUIRED_APP_KEYS = ("workload_cycles_per_bit", "arrival_rate", "size_min",
-                      "size_max")
-
-
 def _whole(value):
     """int(value) for a whole number; anything else (2.5, inf, nan) stays a
     float, which validate_config refuses."""
@@ -249,42 +214,43 @@ def _whole(value):
     return int(x) if x.is_integer() else x
 
 
+def _parsed(cls, d: dict) -> dict:
+    """The fields of dataclass cls that d holds, each read by its type: a
+    whole number for an int, a size for a size_* field, a float for any
+    other float; other values pass as they are. Other keys are ignored."""
+    out = {}
+    for f in fields(cls):
+        if f.name in d:
+            value = d[f.name]
+            if f.type == "int":
+                value = _whole(value)
+            elif f.name.startswith("size_"):
+                value = parse_size(value)
+            elif f.type == "float":
+                value = float(value)
+            out[f.name] = value
+    return out
+
+
 def config_from_dict(d: dict) -> SystemConfig:
-    """Inverse of config_to_dict; a ValueError names every missing required
-    key, the apps' keys as apps[i].key."""
-    missing = [k for k in _REQUIRED_KEYS if k not in d]
+    """Inverse of `dataclasses.asdict` on a SystemConfig. The required keys
+    are the SystemConfig fields without a default and, per app, the
+    arguments of AppProfile.from_bounds, whose rule fills a missing size_mean
+    or size_std. A ValueError names every missing required key, the apps'
+    keys as apps[i].key."""
+    app_keys = [p.name for p in inspect.signature(AppProfile.from_bounds).parameters.values()
+                if p.default is p.empty]
+    missing = [f.name for f in fields(SystemConfig) if f.default is MISSING and f.name not in d]
     missing += [f"apps[{i}].{k}" for i, entry in enumerate(d.get("apps", ()))
-                for k in _REQUIRED_APP_KEYS if k not in entry]
+                for k in app_keys if k not in entry]
     if missing:
         raise ValueError(f"config lacks required key(s): {', '.join(missing)}")
     apps = []
     for entry in d["apps"]:
-        size_min = parse_size(entry["size_min"])
-        size_max = parse_size(entry["size_max"])
-        mean = parse_size(entry["size_mean"]) if "size_mean" in entry else (size_max + size_min) / 2.0
-        std = parse_size(entry["size_std"]) if "size_std" in entry else (size_max - size_min) / 4.0
-        apps.append(AppProfile(
-            workload_cycles_per_bit=float(entry["workload_cycles_per_bit"]),
-            arrival_rate=float(entry["arrival_rate"]),
-            size_min=size_min, size_max=size_max,
-            size_mean=mean, size_std=std,
-            name=entry.get("name", ""),
-        ))
-    return SystemConfig(
-        n_queues=_whole(d["n_queues"]),
-        edge_clock=float(d["edge_clock"]),
-        edge_cores=_whole(d["edge_cores"]),
-        bandwidth=float(d["bandwidth"]),
-        cloud_cores=_whole(d["cloud_cores"]),
-        rho=float(d["rho"]),
-        penalty_weight=float(d["penalty_weight"]),
-        reward_exponent=float(d["reward_exponent"]),
-        episode_length=_whole(d["episode_length"]),
-        apps=tuple(apps),
-        cloud_cost_kind=d.get("cloud_cost_kind", "cubic"),
-        cloud_core_clock=float(d.get("cloud_core_clock", 4e9)),
-        state_aux=d.get("state_aux", "arrival"),
-    )
+        given = _parsed(AppProfile, entry)
+        app = AppProfile.from_bounds(**{k: given[k] for k in app_keys})
+        apps.append(replace(app, **given))
+    return SystemConfig(**{**_parsed(SystemConfig, d), "apps": tuple(apps)})
 
 
 def load_config(path) -> SystemConfig:
@@ -294,7 +260,7 @@ def load_config(path) -> SystemConfig:
 
 def save_config(cfg: SystemConfig, path) -> None:
     with open(path, "w") as f:
-        json.dump(config_to_dict(cfg), f, indent=2)
+        json.dump(asdict(cfg), f, indent=2)
         f.write("\n")
 
 

@@ -49,14 +49,15 @@ The linear-drift objective (the program above) is solved exactly:
 The uniform action, the idle action and the structured candidates are
 scored in one batched objective call; the first minimum wins. The solve is
 deterministic. The discontinuous per-core cloud cost has no such structure,
-so the solver refuses it outright instead of returning garbage.
+so a `DppController` refuses it when it is built, as it does a cubic cost
+without cloud cores, instead of returning garbage.
 
 A `DppController` builds once what a solve reads from (cfg, V') alone, its
 `_SolveConstants`: s, w, B, c_E, c_C, the uniform and idle rows, the w-only
 arrays of the cloud candidates (pair indices, w_i - w_l and its safe
 divisor, w_l, 3 c_C w) and the per-program table that one index reads per
-solve; `dpp_step_optimize` builds them per call. A decision writes only
-fresh arrays, so a controller keeps no state across decisions.
+solve. A decision writes only fresh arrays, so a controller keeps no state
+across decisions.
 """
 
 from __future__ import annotations
@@ -157,9 +158,7 @@ class _SolveConstants:
         if penalty_weight == 0.0:
             return
         self.cE = penalty_weight * cfg.edge_cores * (cfg.edge_clock / cfg.edge_cores / 1e9) ** 3
-        # each solve refuses a config without cloud cores
-        self.cC = (penalty_weight * cfg.cloud_cores * (1.0 / cfg.cloud_cores / 1e9) ** 3
-                   if cfg.cloud_cores >= 1 else np.inf)
+        self.cC = penalty_weight * cfg.cloud_cores * (1.0 / cfg.cloud_cores / 1e9) ** 3
         self.I, self.L, self.eye = _pairs(n)
         dw = w[self.I] - w[self.L]
         self.dw = np.where(dw == 0.0, 1.0, dw)
@@ -224,17 +223,17 @@ class _OffloadCandidates:
 
 
 def _structured_candidates(q, a, k: _SolveConstants):
-    """(labels, alpha (S, N+1), beta (S, N+1)) of the candidate actions the
-    exact linear-drift solve scores: uniform, idle, then the LP vertex at
-    V' = 0, else the optima of D_none and of every feasible D_k (see the
-    module docstring)."""
+    """(alpha (S, N+1), beta (S, N+1)) of the candidate actions the exact
+    linear-drift solve scores: row 0 is uniform and row 1 idle, then the LP
+    vertex at V' = 0, else the optima of D_none (row 2) and of every
+    feasible D_k in increasing k (see the module docstring)."""
     n, s, B = k.n, k.s, k.B
     g = q * s
     if k.penalty_weight == 0.0:
         alpha, beta = k.alpha.copy(), k.beta.copy()
         alpha[2, np.argmax(g)] = 1.0
         beta[2, np.argmax(q)] = 1.0
-        return ("uniform", "idle", "lp-vertex"), alpha, beta
+        return alpha, beta
 
     cE, cC, w = k.cE, k.cC, k.w
     table = k.table.copy()
@@ -242,7 +241,6 @@ def _structured_candidates(q, a, k: _SolveConstants):
     table[5, 1:] = np.maximum(0.0, (table[2, 1:] - B) / s)
     # program 0 is D_none, a D_k with no overflow queue and t pinned at 0
     programs = np.flatnonzero(table[5] <= 1.0)
-    ks = programs[1:] - 1
     rows = np.arange(programs.size)
     own = k.own[programs]
     qk, gk, rk0, sk, wk, lo, hi = table[:, programs, None, None]
@@ -288,36 +286,31 @@ def _structured_candidates(q, a, k: _SolveConstants):
     alpha[:, :n] += own * t[:, None]
     alpha[:, n] = 1.0 - A
     beta = np.concatenate([y / B, 1.0 - y.sum(axis=1, keepdims=True) / B], axis=1)
-    labels = ("uniform", "idle", "none") + tuple(f"overflow-{i}" for i in ks)
-    return labels, np.vstack([k.alpha[:2], alpha]), np.vstack([k.beta[:2], beta])
-
-
-def dpp_step_optimize(q, a, cfg: SystemConfig, dpp_cfg: DppConfig) -> Action:
-    """Exact minimizer of one slot's drift-plus-penalty program."""
-    return DppController(cfg, dpp_cfg).solve(q, a)
+    return np.vstack([k.alpha[:2], alpha]), np.vstack([k.beta[:2], beta])
 
 
 class DppController:
     """Per-slot solver wrapper usable wherever a policy is expected. It
-    builds its solve constants once and keeps no state across decisions."""
+    refuses a config it cannot solve when it is built, builds its solve
+    constants once and keeps no state across decisions."""
 
     def __init__(self, cfg: SystemConfig, dpp_cfg: DppConfig):
+        if cfg.cloud_cost_kind != "cubic":
+            raise UnsupportedObjectiveError(
+                f"cloud cost kind {cfg.cloud_cost_kind!r} is discontinuous; "
+                "the drift-plus-penalty solver does not support it")
+        check_cloud_cores(cfg)
         self.cfg = cfg
         self.dpp_cfg = dpp_cfg
         self.constants = _SolveConstants(cfg, dpp_cfg.penalty_weight)
 
     def solve(self, q, a) -> Action:
         """Exact minimizer of the program at queues q and arrivals a."""
-        cfg = self.cfg
-        if cfg.cloud_cost_kind != "cubic":
-            raise UnsupportedObjectiveError(
-                f"cloud cost kind {cfg.cloud_cost_kind!r} is discontinuous; "
-                "the drift-plus-penalty solver does not support it")
-        check_cloud_cores(cfg)
         q = np.asarray(q, dtype=float)
         a = np.asarray(a, dtype=float)
-        _, alpha, beta = _structured_candidates(q, a, self.constants)
-        best = int(np.argmin(dpp_objective(q, a, Action(alpha, beta), cfg, self.dpp_cfg)))
+        alpha, beta = _structured_candidates(q, a, self.constants)
+        best = int(np.argmin(dpp_objective(q, a, Action(alpha, beta), self.cfg,
+                                           self.dpp_cfg)))
         return Action(alpha=project_simplex(alpha[best]),
                       beta=project_simplex(beta[best]))
 

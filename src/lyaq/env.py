@@ -66,13 +66,6 @@ class Action:
         return cls(alpha=v.copy(), beta=v.copy())
 
     @classmethod
-    def from_effective(cls, alpha_eff, beta_eff) -> "Action":
-        alpha_eff = np.asarray(alpha_eff, dtype=float)
-        beta_eff = np.asarray(beta_eff, dtype=float)
-        return cls(alpha=np.append(alpha_eff, 1.0 - alpha_eff.sum()),
-                   beta=np.append(beta_eff, 1.0 - beta_eff.sum()))
-
-    @classmethod
     def from_flat(cls, vec) -> "Action":
         vec = np.asarray(vec, dtype=float)
         half = vec.size // 2
@@ -80,17 +73,6 @@ class Action:
 
     def as_flat(self) -> np.ndarray:
         return np.concatenate([self.alpha, self.beta])
-
-
-def action_errors(action: Action, tol: float = 1e-9) -> list[str]:
-    """Simplex violations of an action; empty list means valid."""
-    errors = []
-    for name, v in (("alpha", action.alpha), ("beta", action.beta)):
-        if np.any(v < -tol):
-            errors.append(f"{name} has negative entries")
-        if abs(v.sum() - 1.0) > tol:
-            errors.append(f"{name} sums to {v.sum()}, not 1")
-    return errors
 
 
 @dataclass(frozen=True)
@@ -224,11 +206,10 @@ class EdgeCloudEnv:
     window. One instance per thread; randomness comes only from the injected
     generator, in blocks of ARRIVAL_BLOCK slots (see the module docstring)."""
 
-    def __init__(self, cfg: SystemConfig, rng: np.random.Generator | None = None,
-                 seed: int | None = None):
+    def __init__(self, cfg: SystemConfig, rng: np.random.Generator):
         check_cloud_cores(cfg)
         self.cfg = cfg
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = rng
         self._q = np.zeros(cfg.n_queues)
         self._a = np.zeros(cfg.n_queues)
         # ring of the last ARRIVAL_WINDOW arrivals; _slot is the row the
@@ -240,18 +221,6 @@ class EdgeCloudEnv:
         self._prev_actual_cpu = np.zeros(cfg.n_queues)
         self._prev_offloaded_cycles = 0.0
         self._t = 0
-
-    @property
-    def t(self) -> int:
-        return self._t
-
-    @property
-    def queue(self) -> np.ndarray:
-        return self._q.copy()
-
-    @property
-    def arrival(self) -> np.ndarray:
-        return self._a.copy()
 
     def _push_window(self, arrival: np.ndarray) -> None:
         self._window[self._slot] = arrival
@@ -337,25 +306,17 @@ class Trace:
 
     Rows live in one (capacity, 6N+2) array laid out like the CSV row after
     its t column: q_i(t) at slot start, a_i(t), the effective alpha and
-    beta entries, b_i(t), o_i(t), C_E and C_C. Storage doubles on demand,
-    like ReplayBuffer's; the column properties are views of the rows so far.
+    beta entries, b_i(t), o_i(t), C_E and C_C. The capacity is the episode
+    length: row t is slot t, and the column properties are views of the rows
+    so far.
     """
 
-    def __init__(self, n_queues: int, capacity: int = 64):
+    def __init__(self, n_queues: int, capacity: int):
         self.n_queues = n_queues
         self._len = 0
-        self._t = np.empty(capacity, dtype=np.int64)
         self._rows = np.empty((capacity, 6 * n_queues + 2))
 
-    def _grow(self) -> None:
-        # np.resize keeps the leading rows in place
-        capacity = max(2 * len(self._t), 64)
-        self._t = np.resize(self._t, capacity)
-        self._rows = np.resize(self._rows, (capacity, self._rows.shape[1]))
-
-    def append(self, t, q, a, action: Action, b, o, c_edge, c_cloud) -> None:
-        if self._len == len(self._t):
-            self._grow()
+    def append(self, q, a, action: Action, b, o, c_edge, c_cloud) -> None:
         k, n = self._len, self.n_queues
         row = self._rows[k]
         row[:n] = q
@@ -366,7 +327,6 @@ class Trace:
         row[5 * n:6 * n] = o
         row[6 * n] = c_edge
         row[6 * n + 1] = c_cloud
-        self._t[k] = t
         self._len = k + 1
 
     def __len__(self) -> int:
@@ -376,7 +336,7 @@ class Trace:
         n = self.n_queues
         return self._rows[: self._len, i * n:(i + 1) * n]
 
-    t = property(lambda self: self._t[: self._len])
+    t = property(lambda self: np.arange(self._len))
     q = property(lambda self: self._column_block(0))      # q_i(t) at slot start
     a = property(lambda self: self._column_block(1))      # a_i(t)
     alpha = property(lambda self: self._column_block(2))  # effective entries
@@ -404,7 +364,7 @@ class Trace:
         return cols
 
     def rows(self):
-        for t, row in zip(self.t.tolist(), self._rows[: self._len].tolist()):
+        for t, row in enumerate(self._rows[: self._len].tolist()):
             yield [t] + row
 
     def write_csv(self, path) -> None:
@@ -413,17 +373,3 @@ class Trace:
             writer.writerow(self.header())
             for row in self.rows():
                 writer.writerow([row[0]] + [repr(x) for x in row[1:]])
-
-
-def read_trace_csv(path) -> Trace:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        lines = [[float(x) for x in line] for line in reader]
-    n = sum(1 for c in header if c.startswith("q_"))
-    trace = Trace(n_queues=n, capacity=len(lines))
-    table = np.array(lines).reshape(len(lines), 6 * n + 3)
-    trace._t[:] = table[:, 0]
-    trace._rows[:] = table[:, 1:]
-    trace._len = len(lines)
-    return trace

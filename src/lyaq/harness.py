@@ -70,14 +70,10 @@ def make_controller(kind: str, cfg: SystemConfig, dpp_cfg: DppConfig | None = No
 
 def episode_slots(act, env: EdgeCloudEnv, T: int):
     """The one episode loop: reset env to empty queues, then for each of T
-    slots choose act(state), step, and yield (state, action, outcome). A
-    solver error is re-raised with the slot it happened in."""
+    slots choose act(state), step, and yield (state, action, outcome)."""
     state = env.reset()
-    for t in range(T):
-        try:
-            action = act(state)
-        except UnsupportedObjectiveError as exc:
-            raise type(exc)(f"slot {t}: {exc}") from exc
+    for _ in range(T):
+        action = act(state)
         outcome = env.step(action)
         yield state, action, outcome
         state = outcome.next_state
@@ -90,11 +86,11 @@ def run_episode(controller, cfg: SystemConfig, rng: np.random.Generator,
     T = T or cfg.episode_length
     trace = Trace(n_queues=cfg.n_queues, capacity=T)
     reward_sum = 0.0
-    for t, (state, action, outcome) in enumerate(
-            episode_slots(controller.act, EdgeCloudEnv(cfg, rng=rng), T)):
+    for state, action, outcome in episode_slots(controller.act,
+                                                EdgeCloudEnv(cfg, rng=rng), T):
         if reward_spec is not None:
             reward_sum += compute_reward(outcome, T, reward_spec)
-        trace.append(t, outcome.queue_before, state.arrival, action,
+        trace.append(outcome.queue_before, state.arrival, action,
                      outcome.departures, outcome.offloads,
                      outcome.edge_cost, outcome.cloud_cost)
     return trace, reward_sum

@@ -28,9 +28,8 @@ q2_target; `<opt>.m<i>` and `<opt>.v<i>` for the Adam moments of policy_opt,
 q1_opt and q2_opt; `normalizer.scale`; and `meta`, the UTF-8 JSON bytes of
 format_version, sac_cfg, state_dim, action_dim, state_aux, reward_scale,
 update_count, opt_steps (Adam step counts) and net_sizes. Replay transitions
-are not saved: a loaded agent starts with an empty buffer. The sac_cfg of
-earlier checkpoints may hold gradient_steps and target_update_interval;
-loading drops them.
+are not saved: a loaded agent starts with an empty buffer. A sac_cfg key
+that `SacConfig` does not have fails the load.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ from .env import Action, StateVector
 from .nets import Adam, DenseNet, param_shapes, soft_update
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-# SacConfig fields that earlier checkpoints hold; they could only name the
-# schedule every agent runs, a soft target update after each gradient step
-_RETIRED_CFG_KEYS = ("gradient_steps", "target_update_interval")
 
 
 @dataclass(frozen=True)
@@ -143,9 +139,6 @@ class StateNormalizer:
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) / self.scale
-
-    def denormalize(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) * self.scale
 
 
 def dual_softmax(z: np.ndarray) -> np.ndarray:
@@ -389,8 +382,6 @@ class SacAgent:
         try:
             cfg_dict = dict(meta["sac_cfg"])
             cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
-            for key in _RETIRED_CFG_KEYS:
-                cfg_dict.pop(key, None)
             agent = cls.__new__(cls)
             agent.sac_cfg = SacConfig(**cfg_dict)
             agent.state_dim = meta["state_dim"]

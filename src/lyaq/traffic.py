@@ -49,11 +49,6 @@ def sample_task_sizes(app: AppProfile, n: int, rng: np.random.Generator) -> np.n
     return out
 
 
-def sample_task_size(app: AppProfile, rng: np.random.Generator) -> float:
-    """Single truncated-normal task size in bits."""
-    return float(sample_task_sizes(app, 1, rng)[0])
-
-
 def sample_arrivals(apps, rng: np.random.Generator) -> np.ndarray:
     """One slot of arrivals: a_i = sum of K_i task sizes, K_i ~ Poisson(lambda_i)."""
     out = np.zeros(len(apps))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lyaq.config import (AppProfile, SystemConfig, parse_size, validate_config,
-                         feasibility_check, config_to_dict, config_from_dict,
+                         feasibility_check, config_from_dict,
                          load_config, save_config, three_app_config,
                          eight_app_config, desk_config, get_profile,
                          BITS_PER_KB, BITS_PER_MB)
@@ -100,9 +100,15 @@ def test_json_round_trip(tmp_path):
     assert load_config(path) == cfg
 
 
+@pytest.mark.parametrize("profile", ["paper", "paper8", "desk"])
+def test_dict_round_trip_through_json(profile):
+    cfg = get_profile(profile)
+    assert config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
+
+
 def test_json_of_earlier_versions_still_loads(tmp_path):
     # earlier versions wrote the unused kappa and discount keys
-    d = config_to_dict(desk_config())
+    d = dataclasses.asdict(desk_config())
     d.update(kappa=1.0 / 400e9 ** 3, discount=0.99)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(d, indent=2))
@@ -110,7 +116,7 @@ def test_json_of_earlier_versions_still_loads(tmp_path):
 
 
 def test_json_accepts_size_suffixes_and_derives_moments(tmp_path):
-    d = config_to_dict(desk_config())
+    d = dataclasses.asdict(desk_config())
     d["apps"][0]["size_min"] = "10kB"
     d["apps"][0]["size_max"] = "50kB"
     del d["apps"][0]["size_mean"]

@@ -6,11 +6,13 @@ import pytest
 from lyaq.config import (AppProfile, SystemConfig, desk_config,
                          eight_app_config, three_app_config)
 from lyaq.dpp import (DppConfig, DppController, UnsupportedObjectiveError,
-                      dpp_objective, dpp_step_optimize, project_simplex,
+                      dpp_objective, project_simplex,
                       _pairs, _quadratic_roots, _structured_candidates)
-from lyaq.env import (Action, EdgeCloudEnv, action_errors, check_cloud_cores,
+from lyaq.env import (Action, EdgeCloudEnv, check_cloud_cores,
                       cloud_cost, compute_offload, edge_cost)
 from lyaq.harness import metrics_from_trace, run_episode
+
+from test_env import action_errors
 
 
 def project_simplex_sort(v):
@@ -567,7 +569,7 @@ class TestOptimizer:
     def test_monotone_linear_objective_returns_full_service(self):
         cfg = speech_cfg()
         dc = DppConfig(penalty_weight=0.0)
-        act = dpp_step_optimize([10.0], [0.0], cfg, dc)
+        act = DppController(cfg, dc).solve([10.0], [0.0])
         assert act.alpha[0] == pytest.approx(1.0, abs=1e-9)
         assert act.beta[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -586,7 +588,7 @@ class TestOptimizer:
             Vp = 10.0 ** rng.uniform(0.0, 10.0)
             dc = DppConfig(penalty_weight=Vp)
             best = dpp_objective([q], [a], grid, cfg, dc).min()
-            act = dpp_step_optimize([q], [a], cfg, dc)
+            act = DppController(cfg, dc).solve([q], [a])
             # the instances were first drawn beside a solver that took 8
             # random starts per call from this stream; burning those draws
             # keeps the same 50 instances
@@ -624,7 +626,7 @@ class TestOptimizer:
             q = 10.0 ** rng.uniform(4.0, 8.0, n) * (rng.random(n) < 0.8)
             a = 10.0 ** rng.uniform(4.0, 8.0, n) * (rng.random(n) < 0.8)
             dc = DppConfig(penalty_weight=Vp)
-            act = dpp_step_optimize(q, a, cfg, dc)
+            act = DppController(cfg, dc).solve(q, a)
             assert action_errors(act, tol=1e-12) == []
             exact = dpp_objective(q, a, act, cfg, dc)
             descent = dpp_objective(q, a, multistart_descent(q, a, cfg, dc, rng),
@@ -642,7 +644,7 @@ class TestOptimizer:
             cfg = cfgs[i % len(cfgs)]
             Vp, q, a = random_instance(rng, cfg.n_queues)
             dc = DppConfig(penalty_weight=Vp)
-            act = dpp_step_optimize(q, a, cfg, dc)
+            act = DppController(cfg, dc).solve(q, a)
             assert action_errors(act, tol=1e-12) == []
             exact = dpp_objective(q, a, act, cfg, dc)
             descent = dpp_objective(q, a, multistart_descent(q, a, cfg, dc, rng),
@@ -661,7 +663,7 @@ class TestOptimizer:
         for _ in range(350):
             Vp, q, a = random_instance(rng, cfg.n_queues)
             dc = DppConfig(penalty_weight=Vp)
-            exact = dpp_objective(q, a, dpp_step_optimize(q, a, cfg, dc), cfg, dc)
+            exact = dpp_objective(q, a, DppController(cfg, dc).solve(q, a), cfg, dc)
             ref = grid_search_value(q, a, cfg, dc)
             assert exact <= ref + 1e-12 * max(1.0, abs(ref))
 
@@ -674,7 +676,7 @@ class TestOptimizer:
             trace, _ = run_episode(DppController(cfg, dc), cfg,
                                    np.random.default_rng(5), T=60)
             for q, a in zip(trace.q, trace.a):
-                exact = dpp_objective(q, a, dpp_step_optimize(q, a, cfg, dc), cfg, dc)
+                exact = dpp_objective(q, a, DppController(cfg, dc).solve(q, a), cfg, dc)
                 ref = grid_search_value(q, a, cfg, dc)
                 assert exact <= ref + 1e-12 * max(1.0, abs(ref))
 
@@ -686,10 +688,10 @@ class TestOptimizer:
         for _ in range(20):
             q = rng.uniform(0, 1e8, 3)
             a = rng.uniform(0, 2e7, 3)
-            act = dpp_step_optimize(q, a, cfg, dc)
+            act = DppController(cfg, dc).solve(q, a)
             np.testing.assert_array_equal(act.alpha, np.eye(4)[np.argmax(q * s)])
             np.testing.assert_array_equal(act.beta, np.eye(4)[np.argmax(q)])
-        act = dpp_step_optimize(np.zeros(3), a, cfg, dc)
+        act = DppController(cfg, dc).solve(np.zeros(3), a)
         np.testing.assert_array_equal(act.alpha, Action.uniform(3).alpha)
         np.testing.assert_array_equal(act.beta, Action.uniform(3).beta)
 
@@ -704,20 +706,20 @@ class TestOptimizer:
             q = 10.0 ** rng.uniform(4.0, 8.0, 3)
             a = 10.0 ** rng.uniform(4.0, 8.0, 3)
             dc = DppConfig(penalty_weight=Vp)
-            labels, alpha, beta = _structured_candidates(
-                q, a, DppController(cfg, dc).constants)
+            alpha, beta = _structured_candidates(q, a, DppController(cfg, dc).constants)
             values = dpp_objective(q, a, Action(alpha, beta), cfg, dc)
             best = int(np.argmin(values))
-            if np.sum(values == values[best]) == 1:
-                winners.add(labels[best].split("-")[0])
+            # rows 0 and 1 are uniform and idle, row 2 is D_none and the
+            # rows after it the overflow programs D_k
+            if np.sum(values == values[best]) == 1 and best >= 2:
+                winners.add("none" if best == 2 else "overflow")
         assert {"none", "overflow"} <= winners
 
     def test_cubic_cost_without_cloud_cores_fails_clearly(self):
         cfg = three_app_config(cloud_cores=0)
         for Vp in (0.0, 1e11):
             with pytest.raises(ValueError, match="cloud_cores"):
-                dpp_step_optimize([1e7, 0.0, 3e6], [2e6, 1e6, 0.0], cfg,
-                                  DppConfig(penalty_weight=Vp))
+                DppController(cfg, DppConfig(penalty_weight=Vp))
 
     def test_exact_solve_draws_nothing_from_rng(self):
         # the solve takes no generator, and it must not fall back on numpy's
@@ -729,8 +731,8 @@ class TestOptimizer:
         before = np.random.get_state()
         for Vp in (0.0, 1e6, 1e11):
             dc = DppConfig(penalty_weight=Vp)
-            first = dpp_step_optimize(q, a, cfg, dc)
-            again = dpp_step_optimize(q, a, cfg, dc)
+            first = DppController(cfg, dc).solve(q, a)
+            again = DppController(cfg, dc).solve(q, a)
             assert np.array_equal(first.alpha, again.alpha)
             assert np.array_equal(first.beta, again.beta)
         after = np.random.get_state()
@@ -759,7 +761,7 @@ class TestOptimizer:
             q = rng.uniform(0, 1e8, 3)
             a = rng.uniform(0, 2e7, 3)
             dc = DppConfig(penalty_weight=10.0 ** rng.uniform(0, 8))
-            act = dpp_step_optimize(q, a, cfg, dc)
+            act = DppController(cfg, dc).solve(q, a)
             assert action_errors(act, tol=1e-9) == []
 
     def test_symmetry_swapped_instance_swaps_solution(self):
@@ -783,16 +785,16 @@ class TestOptimizer:
                           10.0 ** rng.uniform(4.0, 8.0, 3), perm))
         for cfg, dc, q, a, perm in cases:
             swapped = dataclasses.replace(cfg, apps=tuple(cfg.apps[k] for k in perm))
-            f1 = dpp_objective(q, a, dpp_step_optimize(q, a, cfg, dc), cfg, dc)
+            f1 = dpp_objective(q, a, DppController(cfg, dc).solve(q, a), cfg, dc)
             f2 = dpp_objective(q[perm], a[perm],
-                               dpp_step_optimize(q[perm], a[perm], swapped, dc),
+                               DppController(swapped, dc).solve(q[perm], a[perm]),
                                swapped, dc)
             assert f2 == pytest.approx(f1, rel=1e-12)
 
     def test_per_core_cost_refused(self):
         cfg = speech_cfg(cloud_cost_kind="per-core")
         with pytest.raises(UnsupportedObjectiveError):
-            dpp_step_optimize([1.0], [1.0], cfg, DppConfig())
+            DppController(cfg, DppConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -842,11 +844,14 @@ class TestSolveConstants:
                 dc = controller.dpp_cfg
                 ref = reference_dpp_step_optimize(q, a, cfg, dc)
                 assert same_bytes(controller.solve(q, a), ref), (Vp, q, a)
-                assert same_bytes(dpp_step_optimize(q, a, cfg, dc), ref), (Vp, q, a)
-                labels, alpha, beta = _structured_candidates(q, a, controller.constants)
+                assert same_bytes(DppController(cfg, dc).solve(q, a), ref), (Vp, q, a)
+                alpha, beta = _structured_candidates(q, a, controller.constants)
                 ref_labels, ref_alpha, ref_beta = reference_structured_candidates(
                     q, a, cfg, dc.penalty_weight)
-                assert labels == ref_labels
+                # row i is the reference's candidate ref_labels[i]: uniform,
+                # idle, the LP vertex or D_none, then the overflow programs
+                assert len(alpha) == len(ref_labels)
+                assert all(label.startswith("overflow") for label in ref_labels[3:])
                 assert alpha.tobytes() == ref_alpha.tobytes()
                 assert beta.tobytes() == ref_beta.tobytes()
 
@@ -935,10 +940,12 @@ class TestEpisode:
         assert metrics["avg_queue"] == 0.0
         assert len(trace) == 50
 
-    def test_per_core_error_carries_slot_index(self):
+    def test_per_core_cost_is_refused_when_the_controller_is_built(self):
+        # the refusal depends on the config alone, so no episode starts
         cfg = desk_config(cloud_cost_kind="per-core")
-        with pytest.raises(UnsupportedObjectiveError, match="slot 0"):
-            dpp_episode(cfg, DppConfig(), 10, np.random.default_rng(0))
+        for Vp in (0.0, 1e11):
+            with pytest.raises(UnsupportedObjectiveError, match="'per-core'"):
+                DppController(cfg, DppConfig(penalty_weight=Vp))
 
     def test_solver_draws_leave_the_arrivals_alone(self):
         # the arrivals must be those of an environment that owns the

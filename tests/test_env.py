@@ -4,10 +4,29 @@ import numpy as np
 import pytest
 
 from lyaq.config import AppProfile, three_app_config, desk_config
-from lyaq.env import (Action, EdgeCloudEnv, StateVector, Trace, action_errors,
+from lyaq.env import (Action, EdgeCloudEnv, StateVector, Trace,
                       actual_cpu_use, cloud_cost, compute_departure,
-                      compute_offload, edge_cost, queue_update, read_trace_csv,
+                      compute_offload, edge_cost, queue_update,
                       ARRIVAL_WINDOW)
+
+
+def from_effective(alpha_eff, beta_eff) -> Action:
+    """The action with these effective entries and the idle slack appended."""
+    alpha_eff = np.asarray(alpha_eff, dtype=float)
+    beta_eff = np.asarray(beta_eff, dtype=float)
+    return Action(alpha=np.append(alpha_eff, 1.0 - alpha_eff.sum()),
+                  beta=np.append(beta_eff, 1.0 - beta_eff.sum()))
+
+
+def action_errors(action: Action, tol: float = 1e-9) -> list[str]:
+    """Simplex violations of an action; empty list means valid."""
+    errors = []
+    for name, v in (("alpha", action.alpha), ("beta", action.beta)):
+        if np.any(v < -tol):
+            errors.append(f"{name} has negative entries")
+        if abs(v.sum() - 1.0) > tol:
+            errors.append(f"{name} sums to {v.sum()}, not 1")
+    return errors
 
 
 @pytest.fixture
@@ -32,7 +51,7 @@ class TestAction:
             assert a.alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_from_effective_appends_slack(self):
-        a = Action.from_effective([0.2, 0.3], [0.5, 0.1])
+        a = from_effective([0.2, 0.3], [0.5, 0.1])
         assert a.alpha[-1] == pytest.approx(0.5)
         assert a.beta[-1] == pytest.approx(0.4)
         assert action_errors(a) == []
@@ -51,7 +70,7 @@ class TestAction:
 class TestDeparture:
     def test_direct_substitution(self):
         cfg = single_queue_cfg()
-        a = Action.from_effective([0.5], [0.25])
+        a = from_effective([0.5], [0.25])
         b = compute_departure(a, cfg)
         assert b[0] == pytest.approx(40e9 * 0.5 / 10435 + 0.25 * 20e6)
         assert b[0] == pytest.approx(6.9166e6, rel=1e-4)
@@ -62,26 +81,26 @@ class TestDeparture:
 
     def test_full_cpu_unit_workload(self):
         cfg = single_queue_cfg(w=1.0)
-        b = compute_departure(Action.from_effective([1.0], [0.0]), cfg)
+        b = compute_departure(from_effective([1.0], [0.0]), cfg)
         assert b[0] == pytest.approx(4e10)
 
 
 class TestOffload:
     def test_backlog_limited(self):
         cfg = single_queue_cfg(w=1.0, f_E=4e5, B=5e6)
-        a = Action.from_effective([1.0], [1.0])
+        a = from_effective([1.0], [1.0])
         o = compute_offload([1e6], a, cfg)
         assert o[0] == pytest.approx(6e5)
 
     def test_bandwidth_limited(self):
         cfg = single_queue_cfg(w=1.0, f_E=4e5, B=5e6)
-        a = Action.from_effective([1.0], [1.0])
+        a = from_effective([1.0], [1.0])
         o = compute_offload([1e7], a, cfg)
         assert o[0] == pytest.approx(5e6)
 
     def test_cpu_exhausts_backlog_clamps_to_zero(self):
         cfg = single_queue_cfg(w=1.0, f_E=4e5, B=5e6)
-        a = Action.from_effective([1.0], [1.0])
+        a = from_effective([1.0], [1.0])
         o = compute_offload([3e5], a, cfg)
         assert o[0] == 0.0
 
@@ -105,7 +124,7 @@ class TestCosts:
     @pytest.mark.parametrize("alpha_sum,expected", [(1.0, 640.0), (0.75, 270.0),
                                                     (0.5, 80.0), (0.0, 0.0)])
     def test_edge_cost_table(self, cfg3, alpha_sum, expected):
-        a = Action.from_effective([alpha_sum, 0.0, 0.0], [0.0, 0.0, 0.0])
+        a = from_effective([alpha_sum, 0.0, 0.0], [0.0, 0.0, 0.0])
         assert edge_cost(a, cfg3) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("cloud_g,expected", [(200.0, 2743.0),
@@ -143,7 +162,7 @@ class TestCosts:
 
 class TestEnv:
     def test_reset_dimensions_and_zero_queues(self, cfg3):
-        env = EdgeCloudEnv(cfg3, seed=0)
+        env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(0))
         state = env.reset()
         assert state.as_vector().shape == (16,)
         assert np.allclose(state.queue, 0.0)
@@ -153,7 +172,7 @@ class TestEnv:
 
     def test_reset_dimension_eight_queues(self):
         from lyaq.config import eight_app_config
-        env = EdgeCloudEnv(eight_app_config(), seed=0)
+        env = EdgeCloudEnv(eight_app_config(), rng=np.random.default_rng(0))
         assert env.reset().as_vector().shape == (41,)
 
     def test_null_dynamics(self):
@@ -162,7 +181,7 @@ class TestEnv:
                             size_min=1.0, size_max=2.0, size_mean=1.5,
                             size_std=0.25)
         cfg = dataclasses.replace(cfg, apps=(silent,))
-        env = EdgeCloudEnv(cfg, seed=1)
+        env = EdgeCloudEnv(cfg, rng=np.random.default_rng(1))
         state = env.reset()
         outcome = env.step(Action.idle(1))
         assert np.allclose(outcome.queue_after, state.queue + state.arrival)
@@ -175,7 +194,7 @@ class TestEnv:
         action = Action.uniform(3)
         results = []
         for seed in (0, 1):
-            env = EdgeCloudEnv(cfg3, seed=42)
+            env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(42))
             env.reset()
             env.rng = np.random.default_rng(seed)  # divergent future arrivals
             outcome = env.step(action)
@@ -190,7 +209,7 @@ class TestEnv:
 
     def test_queue_nonnegative_and_conserved(self, cfg3):
         rng = np.random.default_rng(9)
-        env = EdgeCloudEnv(cfg3, seed=3)
+        env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(3))
         state = env.reset()
         for _ in range(300):
             action = Action(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
@@ -209,14 +228,14 @@ class TestEnv:
     def test_actual_cpu_use_clamp(self):
         # q+a = 10 bits while alpha*f_E/w = 25 -> realized fraction alpha*10/25
         cfg = single_queue_cfg(w=1.0, f_E=100.0)
-        a = Action.from_effective([0.25], [0.0])
+        a = from_effective([0.25], [0.0])
         got = actual_cpu_use([10.0], a, cfg)
         assert got[0] == pytest.approx(0.25 * 10.0 / 25.0)
         full = actual_cpu_use([1e9], a, cfg)
         assert full[0] == pytest.approx(0.25)
 
     def test_window_zero_padding(self, cfg3):
-        env = EdgeCloudEnv(cfg3, seed=5)
+        env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(5))
         state = env.reset()
         assert np.allclose(state.windowed_arrival_avg,
                            state.arrival / ARRIVAL_WINDOW)
@@ -228,7 +247,7 @@ class TestEnv:
             assert np.allclose(outcome.next_state.windowed_arrival_avg, expect)
 
     def test_state_aux_backlog_mode(self, cfg3):
-        env = EdgeCloudEnv(cfg3, seed=6)
+        env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(6))
         state = env.reset()
         env.step(Action.uniform(3))
         state = env.state()
@@ -241,12 +260,12 @@ class TestEnv:
 
 
 class TestTrace:
-    def test_columns_survive_growth(self):
+    def test_columns_are_views_of_the_rows(self):
         rng = np.random.default_rng(3)
         rows = rng.random((150, 14))
-        trace = Trace(n_queues=2, capacity=1)
-        for t, r in enumerate(rows):
-            trace.append(t, r[0:2], r[2:4], Action.from_effective(r[4:6] / 4, r[6:8] / 4),
+        trace = Trace(n_queues=2, capacity=150)
+        for r in rows:
+            trace.append(r[0:2], r[2:4], from_effective(r[4:6] / 4, r[6:8] / 4),
                          r[8:10], r[10:12], r[12], r[13])
         assert len(trace) == 150
         np.testing.assert_array_equal(trace.t, np.arange(150))
@@ -261,24 +280,24 @@ class TestTrace:
 
     def test_csv_round_trip(self, tmp_path, cfg3):
         rng = np.random.default_rng(12)
-        env = EdgeCloudEnv(cfg3, seed=8)
+        env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(8))
         state = env.reset()
-        trace = Trace(n_queues=3)
-        for t in range(20):
+        trace = Trace(n_queues=3, capacity=20)
+        for _ in range(20):
             action = Action(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
             outcome = env.step(action)
-            trace.append(t, state.queue, state.arrival, action,
+            trace.append(state.queue, state.arrival, action,
                          outcome.departures, outcome.offloads,
                          outcome.edge_cost, outcome.cloud_cost)
             state = outcome.next_state
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
-        back = read_trace_csv(path)
-        assert np.array_equal(back.t, trace.t)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 0], trace.t)
         for k in range(20):
-            assert np.array_equal(back.q[k], trace.q[k])
-            assert np.array_equal(back.o[k], trace.o[k])
-        assert np.array_equal(back.penalties, trace.penalties)
+            assert np.array_equal(back[k, 1:4], trace.q[k])
+            assert np.array_equal(back[k, 16:19], trace.o[k])
+        assert np.array_equal(back[:, 19] + back[:, 20], trace.penalties)
         header = path.read_text().splitlines()[0]
         assert header == ("t,q_1,q_2,q_3,a_1,a_2,a_3,alpha_1,alpha_2,alpha_3,"
                           "beta_1,beta_2,beta_3,b_1,b_2,b_3,o_1,o_2,o_3,C_E,C_C")

@@ -83,7 +83,7 @@ def test_run_episode_matches_a_hand_rolled_loop():
                                     reward_spec=spec)
     env = EdgeCloudEnv(cfg, rng=np.random.default_rng(5))
     state = env.reset()
-    queues, arrivals, rewards = [env.queue], [state.arrival], []
+    queues, arrivals, rewards = [state.queue], [state.arrival], []
     for _ in range(30):
         outcome = env.step(Action.uniform(2))
         rewards.append(compute_reward(outcome, 30, spec))

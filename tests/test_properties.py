@@ -36,11 +36,11 @@ def actions(draw, n_queues):
 @given(profile=PROFILES, seed=SEEDS, data=st.data())
 def test_step_obeys_the_queue_and_offload_laws(profile, seed, data):
     cfg = get_profile(profile)
-    env = EdgeCloudEnv(cfg, seed=seed)
-    env.reset()
+    env = EdgeCloudEnv(cfg, rng=np.random.default_rng(seed))
+    # q(t) is the last step's q(t+1); state.queue = (q + a) - a may round
+    q, a = np.zeros(cfg.n_queues), env.reset().arrival
     for _ in range(data.draw(st.integers(1, 25))):
         action = data.draw(actions(cfg.n_queues))
-        q, a = env.queue, env.arrival
         outcome = env.step(action)
         b = outcome.departures
 
@@ -64,6 +64,7 @@ def test_step_obeys_the_queue_and_offload_laws(profile, seed, data):
         assert outcome.edge_cost == edge_cost(action, cfg)
         assert outcome.cloud_cost == cloud_cost(o, cfg)
         np.testing.assert_array_equal(outcome.queue_before, q)
+        q, a = outcome.queue_after, outcome.next_state.arrival
 
 
 @settings(max_examples=100, deadline=None)
@@ -126,7 +127,7 @@ def test_ring_window_matches_a_rolled_window(profile, seed, steps):
     # the reference shifts the whole window down one row each slot and
     # writes the newest arrival to row 0
     cfg = get_profile(profile)
-    env = EdgeCloudEnv(cfg, seed=seed)
+    env = EdgeCloudEnv(cfg, rng=np.random.default_rng(seed))
     state = env.reset()
     ref = np.zeros((ARRIVAL_WINDOW, cfg.n_queues))
     ref[0] = state.arrival

@@ -1,0 +1,110 @@
+"""`src/lyaq` holds only what a command or the benchmark can reach.
+
+Every module-level function or class in `src/lyaq`, and every public method
+of such a class, must be named somewhere in `src/lyaq` or `perfbench/`
+outside its own definition. `lyaq/__init__.py` does not count: a re-export
+reaches nothing. Names are read from the syntax tree (identifiers, and the
+words of string constants such as perfbench's hook sites), so a docstring
+or a comment that mentions a name does not count either. A definition that
+only tests reach belongs in the test that uses it.
+
+The match is by name, not by type: a method whose name some other object
+also uses (`queue`, `t`) passes. The check catches what no code names at
+all.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lyaq"
+PERFBENCH = ROOT / "perfbench"
+
+# Definitions that stay with no caller yet, one reason each.
+ALLOWED = {
+    "compute_departure": "reference primitive: test_properties checks EdgeCloudEnv.step against it",
+    "compute_offload": "reference primitive: test_properties checks EdgeCloudEnv.step against it",
+    "queue_update": "reference primitive: test_properties checks EdgeCloudEnv.step against it",
+    "actual_cpu_use": "reference primitive: test_properties checks EdgeCloudEnv.step against it",
+    "queue_slope_ok": "paper check: the per-episode stability verdict of ROADMAP item 2",
+    "check_theorem1_conditions": "paper check: the Theorem-1 verdict of ROADMAP items 2 and 3",
+    "power_reward_bound": "paper check: the Theorem-1 constants of ROADMAP items 2 and 3",
+    "episode_reward_identities": "paper check: the reward-sum identities of ROADMAP item 3",
+    "StabilityBound": "report type of power_reward_bound, a paper check",
+    "Theorem1Report": "report type of check_theorem1_conditions, a paper check",
+    "IdentityReport": "report type of episode_reward_identities, a paper check",
+}
+
+
+def _docstrings(tree):
+    """ids of the docstring constants of a module and its defs."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                out.add(id(first.value))
+    return out
+
+
+def _uses(path):
+    """(name, line) for every identifier and string-constant word in path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    skip = _docstrings(tree)
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            uses.append((node.attr, node.lineno))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            uses += [(word, node.lineno) for word in re.findall(r"\w+", node.value)]
+    return uses
+
+
+def _definitions(path):
+    """(qualified name, name, first line, last line) of every module-level
+    function or class and every public method of a module-level class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        out.append((node.name, node.name, start, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    start = min([item.lineno] + [d.lineno for d in item.decorator_list])
+                    out.append((f"{node.name}.{item.name}", item.name, start,
+                                item.end_lineno))
+    return out
+
+
+def unreached():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    uses = {path: _uses(path) for path in modules + sorted(PERFBENCH.glob("*.py"))}
+    missing = []
+    for path in modules:
+        for qualname, name, first, last in _definitions(path):
+            if any(used == name and not (where == path and first <= line <= last)
+                   for where, found in uses.items() for used, line in found):
+                continue
+            missing.append(f"{path.name}:{qualname}")
+    return missing
+
+
+def test_every_definition_is_reached_outside_tests():
+    missing = [m for m in unreached() if m.split(":", 1)[1] not in ALLOWED]
+    assert not missing, ("named nowhere in src/lyaq or perfbench/ outside its own "
+                         f"definition: {missing}")
+
+
+def test_every_allowlist_entry_names_a_definition():
+    # an entry whose definition went is stale
+    defined = {qualname for path in SRC.glob("*.py")
+               for qualname, *_ in _definitions(path)}
+    assert sorted(set(ALLOWED) - defined) == []

@@ -3,7 +3,7 @@ import pytest
 
 from lyaq.config import (AppProfile, eight_app_config, three_app_config,
                          BITS_PER_KB)
-from lyaq.traffic import (sample_task_size, sample_task_sizes, sample_arrivals,
+from lyaq.traffic import (sample_task_sizes, sample_arrivals,
                           sample_arrival_batch, RejectionBudgetError)
 
 
@@ -43,7 +43,7 @@ def test_degenerate_sigma_collapses_to_mean():
 
 def test_single_sample_is_scalar_in_bounds():
     rng = np.random.default_rng(1)
-    s = sample_task_size(speech(), rng)
+    s = sample_task_sizes(speech(), 1, rng)[0]
     assert isinstance(s, float)
     assert speech().size_min <= s <= speech().size_max
 

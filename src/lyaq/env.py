@@ -21,7 +21,6 @@ absorbs it (see the config module).
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,8 @@ class Action:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Observation of a single RL step, laid out as 5N+1 numbers."""
+    """Observation of a single RL step, laid out as 5N+1 numbers, plus the
+    environment's exact backlog `queue`, which the layout does not hold."""
 
     backlog_plus_arrival: np.ndarray  # q_i(t)+a_i(t), bits
     arrival: np.ndarray               # a_i(t), bits
@@ -85,20 +85,18 @@ class StateVector:
     actual_cpu_use: np.ndarray        # realized alpha of the previous step
     offloaded_cycles: float           # sum w_i o_i of the previous step
     windowed_arrival_avg: np.ndarray  # mean a_i over the last 100 slots
+    queue: np.ndarray                 # q_i(t), bits, before this slot's arrival
 
     @property
     def n_queues(self) -> int:
         return len(self.arrival)
 
-    @property
-    def queue(self) -> np.ndarray:
-        """q_i(t), the backlog before this slot's arrival."""
-        return self.backlog_plus_arrival - self.arrival
-
     def as_vector(self, aux: str = "arrival") -> np.ndarray:
         """Flatten to 5N+1; the second block holds a_i(t) or, with
-        aux="backlog", q_i(t) (either one pins down the other)."""
-        second = self.arrival if aux == "arrival" else self.queue
+        aux="backlog", (q_i(t) + a_i(t)) - a_i(t), which may differ from
+        `queue` in the last bits (either block pins down the other)."""
+        second = (self.arrival if aux == "arrival"
+                  else self.backlog_plus_arrival - self.arrival)
         return np.concatenate([
             self.backlog_plus_arrival,
             second,
@@ -164,16 +162,14 @@ def cloud_cost(offloads, cfg: SystemConfig):
     """Cloud charge for the offloaded cycles W = sum w_i o_i; a float for one
     offload vector, an array for a batch of shape (S, N).
 
-    cubic: same even-split cubic law over the N_C cloud cores.
+    cubic: same even-split cubic law over the N_C >= 1 cloud cores
+    (`check_cloud_cores` refuses fewer before any run).
     per-core: ceil(W / core clock) cores activated, each billed at its full
     cubic rate, a discontinuous staircase in W.
     """
     cycles = np.maximum(np.dot(np.asarray(offloads, dtype=float), cfg.workloads), 0.0)
     if cfg.cloud_cost_kind == "cubic":
-        if cfg.cloud_cores < 1:
-            cost = np.where(cycles > 0.0, math.inf, 0.0)
-        else:
-            cost = cfg.cloud_cores * (cycles / cfg.cloud_cores / 1e9) ** 3
+        cost = cfg.cloud_cores * (cycles / cfg.cloud_cores / 1e9) ** 3
     elif cfg.cloud_cost_kind == "per-core":
         cost = np.ceil(cycles / cfg.cloud_core_clock) * (cfg.cloud_core_clock / 1e9) ** 3
     else:
@@ -245,6 +241,7 @@ class EdgeCloudEnv:
             actual_cpu_use=self._prev_actual_cpu.copy(),
             offloaded_cycles=self._prev_offloaded_cycles,
             windowed_arrival_avg=self._windowed_avg(),
+            queue=self._q,
         )
 
     def reset(self) -> StateVector:

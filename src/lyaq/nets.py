@@ -1,16 +1,26 @@
 """Dense networks with hand-written backprop and an adaptive-moment optimizer.
 
-Everything is float64 numpy; inputs are (batch, features). A net keeps all its
-parameters in one flat buffer, `flat`, laid out [W0, b0, W1, b1, ...] with each
-array raveled in C order, and `params` are per-layer views of it. `backward`
-returns the parameter gradients only, in that layout, so `Adam` and
-`soft_update` act on whole buffers. `input_grad` returns the gradient w.r.t.
-the input only, for a loss that reaches a net's input but trains another net.
+Inputs are (batch, features). A net keeps all its parameters in one flat
+buffer, `flat`, laid out [W0, b0, W1, b1, ...] with each array raveled in C
+order, and `params` are per-layer views of it. `backward` returns the
+parameter gradients only, in that layout, so `Adam` and `soft_update` act on
+whole buffers. `input_grad` returns the gradient w.r.t. the input only, for a
+loss that reaches a net's input but trains another net.
+
+Precision: a net computes in the dtype of its buffer and its inputs. The
+nets `DenseNet(...)` builds are float64 masters, and `Adam` keeps float64
+moments and steps a float64 buffer, promoting a float32 gradient to float64
+first; `soft_update` acts on float64 buffers. A float32 working copy
+(`from_flat` over `master.flat.astype(np.float32)`) runs `forward`,
+`forward_cache`, `backward` and `input_grad` in float32 on float32 inputs,
+and its gradients come out float32. Nothing here flushes subnormals: a
+float32 caller keeps them out of what it passes in (see `sac.flush_tiny`).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,16 +47,26 @@ class DenseNet:
                 W *= final_weight_scale
                 b *= final_weight_scale
 
+    @classmethod
+    def from_flat(cls, sizes, flat: np.ndarray) -> "DenseNet":
+        """A net of layer widths `sizes` over the buffer `flat` (not copied)."""
+        net = cls.__new__(cls)
+        net.sizes = tuple(sizes)
+        net.bind(flat)
+        return net
+
     def bind(self, flat: np.ndarray) -> None:
         """Adopt `flat` as the parameter buffer; `params` become its views."""
+        shapes = param_shapes(self.sizes)
+        counts = [math.prod(s) for s in shapes]
+        self._layout = [(slice(end - n, end), s)
+                        for s, n, end in zip(shapes, counts, accumulate(counts))]
         self.flat = flat
         self.params = self.views(flat)
 
     def views(self, buf: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of a buffer laid out like `flat`."""
-        shapes = param_shapes(self.sizes)
-        ends = np.cumsum([math.prod(s) for s in shapes])
-        return [buf[end - math.prod(s):end].reshape(s) for s, end in zip(shapes, ends)]
+        return [buf[sl].reshape(s) for sl, s in self._layout]
 
     @property
     def n_layers(self) -> int:
@@ -100,10 +120,7 @@ class DenseNet:
         return delta
 
     def clone(self) -> "DenseNet":
-        other = DenseNet.__new__(DenseNet)
-        other.sizes = self.sizes
-        other.bind(self.flat.copy())
-        return other
+        return DenseNet.from_flat(self.sizes, self.flat.copy())
 
 
 class Adam:
@@ -121,6 +138,7 @@ class Adam:
         self.v = np.zeros(size)
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        grad = np.asarray(grad, dtype=np.float64)
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t

@@ -16,6 +16,19 @@ half of the policy output: `squashed_sample` at zero noise for every finite
 output (mu + exp(log_std) * 0 = mu), without the log-std clip and the
 log-density nothing reads.
 
+`SacAgent.update` runs every forward and backward pass in float32, on one
+persistent float32 working copy per net that a `np.copyto` from the float64
+master refreshes before the update reads it (q1 and q2 again after their
+Adam step, before the actor loss). Everything else is float64: the master
+weights, the Adam moments and steps, the target nets, the soft update and
+the checkpoint. The replay buffer stores float32, so a sampled batch enters
+the update as it is. Acting (`act`, `policy_sample`) runs on the float64
+master. Float32 subnormals (below 2**-126) slow every product they enter,
+and the softmax entry of a far-off logit is one, as is a state entry that
+carries it (a CPU share, offloaded cycles). So `flush_tiny` zeroes the
+entries below `FLUSH_FLOOR` of what a float32 net reads: each state, action
+and next state the buffer stores, and both squashes of the update.
+
 The agent never steps an environment. `harness.train` collects through the
 harness's one episode loop with `policy_sample` as the exploring policy and
 pushes each transition (normalized states, flat action, reward times
@@ -36,6 +49,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +58,9 @@ from .env import Action, StateVector
 from .nets import Adam, DenseNet, param_shapes, soft_update
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# 2**-63, the square root of float32's smallest normal: a product of two
+# numbers this large is still a normal float32 (see flush_tiny)
+FLUSH_FLOOR = float(np.finfo(np.float32).tiny) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -61,7 +78,7 @@ class SacConfig:
 
 
 class ReplayBuffer:
-    """Ring of transitions; storage grows on demand up to capacity."""
+    """Ring of float32 transitions; storage grows on demand up to capacity."""
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
         self.capacity = int(capacity)
@@ -70,17 +87,17 @@ class ReplayBuffer:
         self.size = 0
         self.cursor = 0
         self._alloc = 0
-        self.states = np.empty((0, state_dim))
-        self.actions = np.empty((0, action_dim))
-        self.rewards = np.empty(0)
-        self.next_states = np.empty((0, state_dim))
+        self.states = np.empty((0, state_dim), dtype=np.float32)
+        self.actions = np.empty((0, action_dim), dtype=np.float32)
+        self.rewards = np.empty(0, dtype=np.float32)
+        self.next_states = np.empty((0, state_dim), dtype=np.float32)
 
     def _grow(self, needed: int) -> None:
         new_alloc = min(self.capacity, max(needed, 2 * self._alloc, 1024))
         for name in ("states", "actions", "rewards", "next_states"):
             old = getattr(self, name)
             shape = (new_alloc,) + old.shape[1:]
-            arr = np.empty(shape)
+            arr = np.empty(shape, dtype=np.float32)
             arr[: self.size] = old[: self.size]
             setattr(self, name, arr)
         self._alloc = new_alloc
@@ -99,6 +116,8 @@ class ReplayBuffer:
         self.actions[self.cursor] = action
         self.rewards[self.cursor] = reward
         self.next_states[self.cursor] = next_state
+        for stored in (self.states, self.actions, self.next_states):
+            flush_tiny(stored[self.cursor])
         self.size = max(self.size, self.cursor + 1)
         self.cursor = (self.cursor + 1) % self.capacity
 
@@ -146,7 +165,7 @@ def dual_softmax(z: np.ndarray) -> np.ndarray:
     halves = z.reshape(z.shape[:-1] + (2, -1))
     e = np.exp(halves - halves.max(axis=-1, keepdims=True))
     # an owning result: a view would pin a (..., 2, half) base per kept action
-    out = np.empty(z.shape)
+    out = np.empty(z.shape, dtype=z.dtype)
     np.divide(e, e.sum(axis=-1, keepdims=True), out=out.reshape(halves.shape))
     return out
 
@@ -154,6 +173,14 @@ def dual_softmax(z: np.ndarray) -> np.ndarray:
 def gaussian_logp(eps: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Diagonal-Gaussian log-density of z = mu + sigma*eps, per row."""
     return np.sum(-0.5 * eps ** 2 - log_std - 0.5 * LOG_2PI, axis=-1)
+
+
+def flush_tiny(x: np.ndarray) -> np.ndarray:
+    """Zero, in place, the entries of x whose magnitude is below
+    FLUSH_FLOOR, so that neither they nor their products with the other
+    factors of a float32 pass are subnormals; returns x."""
+    x[np.abs(x) < FLUSH_FLOOR] = 0.0
+    return x
 
 
 def squashed_sample(out: np.ndarray, eps: np.ndarray, sac_cfg: SacConfig):
@@ -193,6 +220,7 @@ def actor_loss_and_grads(policy: DenseNet, q1: DenseNet, q2: DenseNet, s,
     m = len(s)
     out, cache = policy.forward_cache(s)
     a, logp, log_std, clip_mask = squashed_sample(out, eps, sac_cfg)
+    flush_tiny(a)
     std = np.exp(log_std)
 
     x = np.concatenate([s, a], axis=1)
@@ -201,7 +229,7 @@ def actor_loss_and_grads(policy: DenseNet, q1: DenseNet, q2: DenseNet, s,
     qmin = np.minimum(v1, v2)[:, 0]
     loss = float(np.mean(zeta * logp - qmin))
 
-    use1 = (v1 <= v2).astype(float)
+    use1 = (v1 <= v2).astype(v1.dtype)
     g_a = (q1.input_grad(c1, -use1 / m)
            + q2.input_grad(c2, -(1.0 - use1) / m))[:, s.shape[1]:]
 
@@ -282,30 +310,46 @@ class SacAgent:
 
     # -- learning ----------------------------------------------------------
 
+    @cached_property
+    def _f32(self) -> dict:
+        """The float32 working copy of each net, built at the first update;
+        derived state, never saved."""
+        masters = {name: getattr(self, name) for name in self._NETS}
+        return {name: DenseNet.from_flat(net.sizes, net.flat.astype(np.float32))
+                for name, net in masters.items()}
+
+    def _refreshed(self, *names) -> list[DenseNet]:
+        """The working copies of the named nets, refreshed from their masters."""
+        work = [self._f32[name] for name in names]
+        for name, net in zip(names, work):
+            np.copyto(net.flat, getattr(self, name).flat)
+        return work
+
     def update(self, rng: np.random.Generator) -> dict:
-        """One critic and one actor gradient step plus a soft target update."""
+        """One critic and one actor gradient step plus a soft target update;
+        the passes run in float32 (module docstring)."""
         cfg = self.sac_cfg
         s, a, r, s2 = self.buffer.sample(cfg.batch_size, rng)
         m = len(s)
         zeta = cfg.entropy_weight
+        policy, q1, q2, q1_target, q2_target = self._refreshed(*self._NETS)
 
         # resample the next action from the current policy (eps2 is drawn
-        # before the actor's eps)
-        eps2 = rng.standard_normal((m, self.action_dim))
-        a2, logp2, _, _ = squashed_sample(self.policy.forward(s2), eps2, cfg)
+        # before the actor's eps, both in float64 and then rounded)
+        eps2 = rng.standard_normal((m, self.action_dim)).astype(np.float32)
+        a2, logp2, _, _ = squashed_sample(policy.forward(s2), eps2, cfg)
 
-        x2 = np.concatenate([s2, a2], axis=1)
-        q_next = np.minimum(self.q1_target.forward(x2),
-                            self.q2_target.forward(x2))[:, 0]
+        x2 = np.concatenate([s2, flush_tiny(a2)], axis=1)
+        q_next = np.minimum(q1_target.forward(x2), q2_target.forward(x2))[:, 0]
         y = (r + cfg.discount * (q_next - zeta * logp2))[:, None]
 
-        closs, g1, g2 = critic_loss_and_grads(self.q1, self.q2, s, a, y)
+        closs, g1, g2 = critic_loss_and_grads(q1, q2, s, a, y)
         self.q1_opt.step(self.q1.flat, g1)
         self.q2_opt.step(self.q2.flat, g2)
+        q1, q2 = self._refreshed("q1", "q2")
 
-        eps = rng.standard_normal((m, self.action_dim))
-        aloss, pgrads = actor_loss_and_grads(self.policy, self.q1, self.q2, s,
-                                             eps, zeta, cfg)
+        eps = rng.standard_normal((m, self.action_dim)).astype(np.float32)
+        aloss, pgrads = actor_loss_and_grads(policy, q1, q2, s, eps, zeta, cfg)
         self.policy_opt.step(self.policy.flat, pgrads)
 
         self.update_count += 1
@@ -390,10 +434,8 @@ class SacAgent:
             agent.reward_scale = meta["reward_scale"]
             agent.update_count = meta["update_count"]
             for name in cls._NETS:
-                net = DenseNet.__new__(DenseNet)
-                net.sizes = tuple(meta["net_sizes"][name])
-                net.bind(gather(f"{name}.", net.sizes))
-                setattr(agent, name, net)
+                sizes = meta["net_sizes"][name]
+                setattr(agent, name, DenseNet.from_flat(sizes, gather(f"{name}.", sizes)))
             for name in cls._OPTS:
                 sizes = getattr(agent, name[:-len("_opt")]).sizes
                 opt = Adam(0, lr=agent.sac_cfg.learning_rate)

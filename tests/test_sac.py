@@ -1,14 +1,18 @@
+import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lyaq.config import desk_config, get_profile
 from lyaq.env import Action, EdgeCloudEnv, StateVector
+from lyaq.harness import train
 from lyaq.nets import DenseNet
-from lyaq.sac import (ReplayBuffer, SacAgent, SacConfig, StateNormalizer,
-                      actor_loss_and_grads, critic_loss_and_grads,
-                      dual_softmax, gaussian_logp, squashed_sample)
+from lyaq.sac import (FLUSH_FLOOR, ReplayBuffer, SacAgent, SacConfig,
+                      StateNormalizer, actor_loss_and_grads,
+                      critic_loss_and_grads, dual_softmax, flush_tiny,
+                      gaussian_logp, squashed_sample)
 from test_nets import (reference_adam_step, reference_backward,
                        reference_forward, reference_forward_cache,
                        reference_soft_update)
@@ -53,6 +57,28 @@ class TestReplayBuffer:
         buf = ReplayBuffer(8, 2, 1)
         with pytest.raises(ValueError, match="dimension"):
             buf.push([1.0], [0.0], 0.0, [1.0, 2.0])
+
+    def test_stores_float32_with_tiny_entries_flushed(self):
+        # 1e-40 would round to a float32 subnormal, 1e-20 lies below the floor
+        buf = ReplayBuffer(8, 2, 4)
+        floor2 = float(np.float32(2 * FLUSH_FLOOR))
+        buf.push([0.25, 1e-40], [1e-40, 1e-20, 2 * FLUSH_FLOOR, 1.0], 1e-40,
+                 [-1e-20, 2.0])
+        s, a, r, s2 = buf.sample(1, np.random.default_rng(0))
+        assert [x.dtype for x in (s, a, r, s2)] == [np.dtype(np.float32)] * 4
+        assert s.tolist() == [[0.25, 0.0]] and s2.tolist() == [[0.0, 2.0]]
+        assert a.tolist() == [[0.0, 0.0, floor2, 1.0]]
+        assert r.tolist() == [np.float32(1e-40)]  # no net reads a reward
+
+
+def test_flush_tiny_zeroes_only_entries_below_the_floor():
+    for dtype in (np.float32, np.float64):
+        below = np.nextafter(dtype(FLUSH_FLOOR), dtype(0.0))
+        x = np.array([0.0, below, FLUSH_FLOOR, 0.5, -below, -FLUSH_FLOOR], dtype=dtype)
+        assert flush_tiny(x) is x
+        assert x.tolist() == [0.0, 0.0, FLUSH_FLOOR, 0.5, 0.0, -FLUSH_FLOOR]
+    # a product of two entries at the floor is still a normal float32
+    assert np.float32(FLUSH_FLOOR) ** 2 == np.finfo(np.float32).tiny
 
 
 class TestNormalizer:
@@ -151,7 +177,7 @@ def reference_act(self, state):
 def as_state(x, n):
     """The StateVector whose flat layout (second block: arrivals) is x."""
     return StateVector(x[:n], x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n],
-                       float(x[4 * n]), x[4 * n + 1:])
+                       float(x[4 * n]), x[4 * n + 1:], queue=x[:n] - x[n:2 * n])
 
 
 class TestDeterministicAct:
@@ -238,7 +264,11 @@ class TestGradients:
 # ---------------------------------------------------------------------------
 # References: the loss functions and `SacAgent.update` as they were before the
 # flat parameter buffer, verbatim but for the networks code, which is the
-# list-form reference of test_nets.py
+# list-form reference of test_nets.py, and for what running them in float32
+# takes: the float32 squash's flush, a min-critic mask in the critics' dtype,
+# gradients promoted to float64 before the per-parameter Adam step, and the
+# update's float32 copies of the masters. At float64 they are the update as
+# it was before its passes ran in float32.
 
 
 def reference_critic_loss_and_grads(q1, q2, s, a, y):
@@ -258,6 +288,8 @@ def reference_actor_loss_and_grads(policy, q1, q2, s, eps, zeta, sac_cfg):
     m = len(s)
     out, cache = reference_forward_cache(policy, s)
     a, logp, log_std, clip_mask = squashed_sample(out, eps, sac_cfg)
+    if a.dtype == np.float32:
+        flush_tiny(a)
     std = np.exp(log_std)
 
     x = np.concatenate([s, a], axis=1)
@@ -266,7 +298,7 @@ def reference_actor_loss_and_grads(policy, q1, q2, s, eps, zeta, sac_cfg):
     qmin = np.minimum(v1, v2)[:, 0]
     loss = float(np.mean(zeta * logp - qmin))
 
-    use1 = (v1 <= v2).astype(float)
+    use1 = (v1 <= v2).astype(v1.dtype)
     _, gin1 = reference_backward(q1, c1, -use1 / m)
     _, gin2 = reference_backward(q2, c2, -(1.0 - use1) / m)
     g_a = (gin1 + gin2)[:, s.shape[1]:]
@@ -288,30 +320,43 @@ def reference_actor_loss_and_grads(policy, q1, q2, s, eps, zeta, sac_cfg):
 def reference_opt_step(self, name, grads):
     """The per-parameter Adam step of net `name` on its optimizer's moments."""
     net, opt = getattr(self, name), getattr(self, f"{name}_opt")
+    grads = [np.asarray(g, dtype=np.float64) for g in grads]
     reference_adam_step(opt, net.params, grads, net.views(opt.m), net.views(opt.v))
 
 
-def reference_update(self, rng):
+def reference_update(self, rng, dtype=np.float64):
+    """At float64 every pass runs on the masters; at float32 on float32
+    copies of them, taken where `SacAgent.update` refreshes its working
+    copies. The Adam steps and the soft update act on the masters."""
+    def work(name):
+        net = getattr(self, name)
+        if dtype == np.float64:
+            return net
+        return DenseNet.from_flat(net.sizes, net.flat.astype(dtype))
+
     cfg = self.sac_cfg
     s, a, r, s2 = self.buffer.sample(cfg.batch_size, rng)
     m = len(s)
     zeta = cfg.entropy_weight
+    policy, q1, q2, q1_target, q2_target = map(work, SacAgent._NETS)
 
-    eps2 = rng.standard_normal((m, self.action_dim))
-    a2, logp2, _, _ = squashed_sample(reference_forward(self.policy, s2), eps2, cfg)
+    eps2 = rng.standard_normal((m, self.action_dim)).astype(dtype)
+    a2, logp2, _, _ = squashed_sample(reference_forward(policy, s2), eps2, cfg)
+    if dtype == np.float32:
+        flush_tiny(a2)
 
     x2 = np.concatenate([s2, a2], axis=1)
-    q_next = np.minimum(reference_forward(self.q1_target, x2),
-                        reference_forward(self.q2_target, x2))[:, 0]
+    q_next = np.minimum(reference_forward(q1_target, x2),
+                        reference_forward(q2_target, x2))[:, 0]
     y = (r + cfg.discount * (q_next - zeta * logp2))[:, None]
 
-    closs, g1, g2 = reference_critic_loss_and_grads(self.q1, self.q2, s, a, y)
+    closs, g1, g2 = reference_critic_loss_and_grads(q1, q2, s, a, y)
     reference_opt_step(self, "q1", g1)
     reference_opt_step(self, "q2", g2)
+    q1, q2 = work("q1"), work("q2")
 
-    eps = rng.standard_normal((m, self.action_dim))
-    aloss, pgrads = reference_actor_loss_and_grads(self.policy, self.q1, self.q2, s,
-                                                   eps, zeta, cfg)
+    eps = rng.standard_normal((m, self.action_dim)).astype(dtype)
+    aloss, pgrads = reference_actor_loss_and_grads(policy, q1, q2, s, eps, zeta, cfg)
     reference_opt_step(self, "policy", pgrads)
 
     self.update_count += 1
@@ -403,31 +448,39 @@ class TestUpdates:
         assert not np.array_equal(online_prev, online_new)
 
     def test_update_matches_a_hand_written_step(self, cfg):
-        # reference step with the next action squashed inline; eps2 is drawn
-        # before the actor's eps
+        # reference step with the next action squashed inline, every pass on
+        # float32 copies of the float64 masters; eps2 is drawn before the
+        # actor's eps
         agent = SacAgent(cfg, TOY, rng=np.random.default_rng(24))
         self._fill_buffer(agent, cfg, n=8)
         ref = SacAgent.from_state_dict(agent.state_dict())
         agent.update(np.random.default_rng(25))
 
+        def f32(net):
+            return DenseNet.from_flat(net.sizes, net.flat.astype(np.float32))
+
         rng = np.random.default_rng(25)
         s, a, r, s2 = agent.buffer.sample(TOY.batch_size, rng)
+        assert {x.dtype for x in (s, a, r, s2)} == {np.dtype(np.float32)}
         n = cfg.action_dim
-        out2 = ref.policy.forward(s2)
-        eps2 = rng.standard_normal((len(s), n))
+        out2 = f32(ref.policy).forward(s2)
+        eps2 = rng.standard_normal((len(s), n)).astype(np.float32)
         log_std2 = np.clip(out2[:, n:], TOY.log_std_min, TOY.log_std_max)
-        a2 = dual_softmax(out2[:, :n] + np.exp(log_std2) * eps2)
+        a2 = flush_tiny(dual_softmax(out2[:, :n] + np.exp(log_std2) * eps2))
         x2 = np.concatenate([s2, a2], axis=1)
-        q_next = np.minimum(ref.q1_target.forward(x2), ref.q2_target.forward(x2))[:, 0]
+        q_next = np.minimum(f32(ref.q1_target).forward(x2),
+                            f32(ref.q2_target).forward(x2))[:, 0]
         y = r + TOY.discount * (q_next - TOY.entropy_weight * gaussian_logp(eps2, log_std2))
-        _, g1, g2 = critic_loss_and_grads(ref.q1, ref.q2, s, a, y[:, None])
+        _, g1, g2 = critic_loss_and_grads(f32(ref.q1), f32(ref.q2), s, a, y[:, None])
         ref.q1_opt.step(ref.q1.flat, g1)
         ref.q2_opt.step(ref.q2.flat, g2)
-        eps = rng.standard_normal((len(s), n))
-        _, pg = actor_loss_and_grads(ref.policy, ref.q1, ref.q2, s, eps,
-                                     TOY.entropy_weight, TOY)
+        eps = rng.standard_normal((len(s), n)).astype(np.float32)
+        _, pg = actor_loss_and_grads(f32(ref.policy), f32(ref.q1), f32(ref.q2), s,
+                                     eps, TOY.entropy_weight, TOY)
+        assert g1.dtype == g2.dtype == pg.dtype == np.float32
         ref.policy_opt.step(ref.policy.flat, pg)
         for name in ("policy", "q1", "q2"):
+            assert getattr(agent, name).flat.dtype == np.float64
             assert np.array_equal(getattr(agent, name).flat,
                                   getattr(ref, name).flat), name
 
@@ -435,14 +488,15 @@ class TestUpdates:
         TOY, SacConfig(hidden_sizes=(24, 16, 12), batch_size=32, buffer_capacity=64)])
     def test_update_matches_the_list_form_reference(self, cfg, sac_cfg):
         # 50 updates through the flat buffers against a twin stepped by the
-        # list-form references: every array, moment and count bit for bit
+        # list-form references run in float32: every array, moment and count
+        # bit for bit
         agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(27))
         twin = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(27))
         self._fill_buffer(agent, cfg)
         self._fill_buffer(twin, cfg)
         rng, twin_rng = np.random.default_rng(28), np.random.default_rng(28)
         for _ in range(50):
-            assert agent.update(rng) == reference_update(twin, twin_rng)
+            assert agent.update(rng) == reference_update(twin, twin_rng, np.float32)
         got, want = agent.state_dict(), twin.state_dict()
         assert got.keys() == want.keys()
         for key in got:
@@ -460,6 +514,95 @@ class TestUpdates:
                 agent.update(rng)
             outs.append(agent.policy.flat)
         assert np.array_equal(outs[0], outs[1])
+
+
+class TestFloat32Update:
+    """The update's passes run in float32 on working copies of float64
+    masters: close to the float64 update, free of subnormals, and holding no
+    state a checkpoint loses."""
+
+    @pytest.mark.parametrize("hidden", [(8, 8), (64, 64)])
+    @pytest.mark.parametrize("profile", ["desk", "paper8"])
+    def test_one_update_tracks_the_float64_reference(self, profile, hidden):
+        # from the same warmed-up state (20 updates, so Adam's moments are
+        # not at their first, sign-like step), one float32 update against the
+        # float64 reference: each loss within 1e-5 relative, and each master
+        # array's change within 1e-4 of the reference change in norm (seen:
+        # at most 1.5e-7 and 7.5e-6)
+        cfg = get_profile(profile)
+        sac_cfg = SacConfig(hidden_sizes=hidden, batch_size=32, buffer_capacity=256)
+        agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(40))
+        TestUpdates()._fill_buffer(agent, cfg, n=100)
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            agent.update(rng)
+        twin = SacAgent.from_state_dict(agent.state_dict())
+        twin.buffer = copy.deepcopy(agent.buffer)
+        before = {key: arr.copy() for key, arr in agent.state_dict().items()}
+
+        losses = agent.update(np.random.default_rng(42))
+        ref_losses = reference_update(twin, np.random.default_rng(42))
+        for key, ref in ref_losses.items():
+            assert abs(losses[key] - ref) <= 1e-5 * abs(ref), key
+        got, want = agent.state_dict(), twin.state_dict()
+        assert got.keys() == want.keys()
+        for key in got.keys() - {"meta", "normalizer.scale"}:
+            assert got[key].dtype == np.float64, key
+            change, ref_change = got[key] - before[key], want[key] - before[key]
+            assert np.linalg.norm(ref_change) > 0.0, key
+            assert (np.linalg.norm(change - ref_change)
+                    <= 1e-4 * np.linalg.norm(ref_change)), key
+        assert bytes(got["meta"]) == bytes(want["meta"])
+
+    def test_no_subnormal_enters_a_float32_pass(self, monkeypatch):
+        # a seeded desk training run: no float32 array handed to a net holds
+        # a subnormal, neither the input of a forward pass nor the cached
+        # activations and the gradient of a backward or an input_grad.
+        # Without the flush this run hands them about 2.4e5.
+        tiny = np.finfo(np.float32).tiny
+        seen = {"arrays": 0, "subnormals": 0}
+
+        def counting(method):
+            def wrapped(net, *args):  # (x,) or (acts, grad_out)
+                for x in (x for arg in args
+                          for x in (arg if isinstance(arg, list) else [arg])):
+                    if x.dtype == np.float32:
+                        seen["arrays"] += 1
+                        seen["subnormals"] += int(np.count_nonzero(
+                            (x != 0.0) & (np.abs(x) < tiny)))
+                return method(net, *args)
+            return wrapped
+
+        for name in ("forward", "forward_cache", "backward", "input_grad"):
+            monkeypatch.setattr(DenseNet, name, counting(getattr(DenseNet, name)))
+        train(replace(get_profile("desk"), episode_length=100),
+              SacConfig(hidden_sizes=(32, 32)), 800, seed=0)
+        # 800 updates, each with 3 forward and 5 forward_cache inputs, and
+        # 5 backward or input_grad passes of 4 cached arrays and a gradient
+        assert seen["arrays"] == 800 * (3 + 5 + 5 * 5)
+        assert seen["subnormals"] == 0
+
+    def test_working_copies_are_derived_state(self, cfg):
+        # a few updates, a round trip through state_dict, then more updates
+        # on both agents from the same replay contents and stream: every
+        # master array stays bit-identical, so the float32 copies carry
+        # nothing a checkpoint drops
+        sac_cfg = SacConfig(hidden_sizes=(16, 16), batch_size=16, buffer_capacity=128)
+        agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(31))
+        TestUpdates()._fill_buffer(agent, cfg, n=64)
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            agent.update(rng)
+        arrays = agent.state_dict()
+        assert all(arr.dtype != np.float32 for arr in arrays.values())
+        reload = SacAgent.from_state_dict(arrays)
+        reload.buffer = copy.deepcopy(agent.buffer)
+        rng, reload_rng = np.random.default_rng(33), np.random.default_rng(33)
+        for _ in range(10):
+            assert agent.update(rng) == reload.update(reload_rng)
+        got, want = agent.state_dict(), reload.state_dict()
+        for key in got:
+            assert got[key].tobytes() == want[key].tobytes(), key
 
 
 class TestCheckpoint:

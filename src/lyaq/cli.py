@@ -39,10 +39,7 @@ def _add_common(p: argparse.ArgumentParser, flags=tuple(_SYSTEM_FLAGS)) -> None:
 
 def _add_reward(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reward", choices=("power", "diff", "mean-diff"),
-                   default="diff",
-                   help="reward kind; 'reshaped', which ignores V, is a "
-                        "queue-only analysis form reachable only through "
-                        "rewards.compute_reward")
+                   default="diff", help="reward kind")
 
 
 def _resolve_config(args):
@@ -103,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_reward(p)
     p.add_argument("--steps", type=_count, default=20000,
-                   help="environment-step training budget")
+                   help="environment-step training budget, rounded up to "
+                        "whole episodes")
     p.add_argument("--hidden", type=_widths, default=None,
                    help="comma list of hidden widths, e.g. 64,64")
     p.add_argument("--zeta", type=float, default=None, help="entropy weight")
@@ -130,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma list of seeds")
     _add_reward(p)
     p.add_argument("--steps", type=_count, default=20000,
-                   help="training budget per grid point (sac)")
+                   help="training budget per grid point (sac), rounded up "
+                        "to whole episodes")
     p.add_argument("--episodes", type=_count, default=5)
     p.add_argument("--out", required=True, help="trade-off CSV path")
 
@@ -138,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, flags=("--V", "--nu", "--seed"))
     p.add_argument("--Vprime", type=float, default=0.0)
     _add_reward(p)
-    p.add_argument("--steps", type=_count, default=20000)
+    p.add_argument("--steps", type=_count, default=20000,
+                   help="training budget of each SAC row, rounded up to "
+                        "whole episodes")
     p.add_argument("--out", help="report CSV path")
 
     p = sub.add_parser("plot", help="render metric CSVs to SVG charts")

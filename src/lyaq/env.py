@@ -6,12 +6,12 @@ to q_i(t+1) = [q_i(t)+a_i(t)-b_i(t)]^+, and only then is a_i(t+1) revealed,
 so the per-step reward is a deterministic function of (state, action) and
 all randomness sits in the state transition.
 
-Arrivals come from the environment's generator `rng`: `reset` draws a(0) on
-its own, and `step` takes a(t+1) from a block of ARRIVAL_BLOCK slots drawn
-with `sample_arrival_batch`, drawing the next block only when the current
-one runs out. Replacing `env.rng` therefore changes the arrivals from the
-next block on (right after a `reset`, from the next step on), not those
-already drawn.
+Arrivals come from the environment's generator `rng`, in blocks of
+ARRIVAL_BLOCK slots drawn with `sample_arrivals`: `reset` discards what is
+left of the current block and takes a(0) as row 0 of a fresh one, and
+`step` takes a(t+1) from the block, drawing the next one only when the
+current one runs out. A replaced `env.rng` therefore takes effect at the
+next block or reset, not for arrivals already drawn.
 
 Costs are carried in kappa*(Gcycles/s)^3 units, the natural dynamic range of
 the cubic power model. kappa itself is not modelled: a cost weight V
@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .traffic import sample_arrival_batch, sample_arrivals
+from .traffic import sample_arrivals
 
 ARRIVAL_WINDOW = 100  # slots averaged for the windowed-arrival state block
-ARRIVAL_BLOCK = 256   # slots of arrivals drawn at once by EdgeCloudEnv.step
+ARRIVAL_BLOCK = 256   # slots of arrivals drawn at once by EdgeCloudEnv
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ class EdgeCloudEnv:
 
     def _next_arrival(self) -> np.ndarray:
         if self._next == len(self._block):
-            self._block = sample_arrival_batch(self.cfg.apps, ARRIVAL_BLOCK, self.rng)
+            self._block = sample_arrivals(self.cfg.apps, ARRIVAL_BLOCK, self.rng)
             self._next = 0
         self._next += 1
         return self._block[self._next - 1]
@@ -245,8 +245,8 @@ class EdgeCloudEnv:
         )
 
     def reset(self) -> StateVector:
-        """Empty all queues, clear history and any drawn block, and draw the
-        slot-0 arrivals."""
+        """Empty all queues, clear history, and take the slot-0 arrivals from
+        a fresh block."""
         self._q = np.zeros(self.cfg.n_queues)
         self._window[:] = 0.0
         self._slot = 0
@@ -254,7 +254,7 @@ class EdgeCloudEnv:
         self._prev_actual_cpu = np.zeros(self.cfg.n_queues)
         self._prev_offloaded_cycles = 0.0
         self._t = 0
-        self._a = sample_arrivals(self.cfg.apps, self.rng)
+        self._a = self._next_arrival()
         self._push_window(self._a)
         return self.state()
 

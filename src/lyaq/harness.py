@@ -49,14 +49,14 @@ class SacController:
         return self.agent.act(state)
 
 
-def make_controller(kind: str, cfg: SystemConfig, dpp_cfg: DppConfig | None = None,
+def make_controller(kind: str, cfg: SystemConfig, dpp_cfg: DppConfig,
                     agent: SacAgent | None = None):
     if kind == "idle":
         return FixedController(Action.idle(cfg.n_queues))
     if kind == "uniform":
         return FixedController(Action.uniform(cfg.n_queues))
     if kind == "dpp":
-        return DppController(cfg, dpp_cfg or DppConfig())
+        return DppController(cfg, dpp_cfg)
     if kind == "sac":
         if agent is None:
             raise ValueError("sac controller needs a trained agent")
@@ -80,16 +80,15 @@ def episode_slots(act, env: EdgeCloudEnv, T: int):
 
 
 def run_episode(controller, cfg: SystemConfig, rng: np.random.Generator,
-                T: int | None = None, reward_spec: RewardSpec | None = None):
-    """One T-slot episode from empty queues; returns (trace, reward_sum),
-    the reward sum staying 0.0 without a reward_spec."""
-    T = T or cfg.episode_length
+                reward_spec: RewardSpec):
+    """One cfg.episode_length-slot episode from empty queues; returns
+    (trace, reward_sum)."""
+    T = cfg.episode_length
     trace = Trace(n_queues=cfg.n_queues, capacity=T)
     reward_sum = 0.0
     for state, action, outcome in episode_slots(controller.act,
                                                 EdgeCloudEnv(cfg, rng=rng), T):
-        if reward_spec is not None:
-            reward_sum += compute_reward(outcome, T, reward_spec)
+        reward_sum += compute_reward(outcome, reward_spec)
         trace.append(outcome.queue_before, state.arrival, action,
                      outcome.departures, outcome.offloads,
                      outcome.edge_cost, outcome.cloud_cost)
@@ -118,23 +117,22 @@ def queue_slope_ok(queue_traj, mean_load_bits: float, frac: float = 0.01) -> boo
     return slope <= 0.0 or slope < frac * mean_load_bits
 
 
-def default_reward_spec(cfg: SystemConfig, kind: str = "diff") -> RewardSpec:
+def default_reward_spec(cfg: SystemConfig, kind: str) -> RewardSpec:
     return RewardSpec(kind=kind, exponent=cfg.reward_exponent, rho=cfg.rho,
                       penalty_weight=cfg.penalty_weight,
                       mean_arrival_bits=cfg.mean_bits_per_slot)
 
 
 def evaluate(controller, cfg: SystemConfig, episodes: int, seed: int,
-             reward_spec: RewardSpec | None = None) -> list[dict]:
+             reward_spec: RewardSpec) -> list[dict]:
     """One metrics_from_trace dict per deterministic-policy episode; episode
     k draws its arrivals from SeedSequence(seed).spawn(episodes)[k]. The
     traces are not kept."""
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
-    reward_spec = reward_spec or default_reward_spec(cfg)
     return [metrics_from_trace(*run_episode(controller, cfg,
                                             np.random.default_rng(stream),
-                                            reward_spec=reward_spec))
+                                            reward_spec))
             for stream in np.random.SeedSequence(seed).spawn(episodes)]
 
 
@@ -160,13 +158,15 @@ class TrainResult:
 
 
 def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
-          reward_spec: RewardSpec | None = None, progress=None) -> TrainResult:
+          reward_spec: RewardSpec, progress=None) -> TrainResult:
     """Mirror of the paper's schedule: repeatedly collect EPISODES_PER_CYCLE
     episodes from empty queues into the buffer, take one gradient step per
     collected transition (none until the buffer holds one batch), then log
-    one deterministic evaluation episode (undiscounted reward sum).
+    one deterministic evaluation episode (undiscounted reward sum). The last
+    cycle collects only the episodes the budget still needs, so total_steps
+    is rounded up to whole episodes: the curve ends at ceil(total_steps / T)
+    * T steps.
     """
-    reward_spec = reward_spec or default_reward_spec(cfg)
     T = cfg.episode_length
     ss = np.random.SeedSequence(seed)
     env_ss, agent_ss, update_ss, eval_ss = ss.spawn(4)
@@ -192,7 +192,7 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
     def eval_record(steps: int) -> dict:
         rng = np.random.default_rng(eval_ss.spawn(1)[0])
         return {"steps": steps, **metrics_from_trace(*run_episode(
-            SacController(agent), cfg, rng, reward_spec=reward_spec))}
+            SacController(agent), cfg, rng, reward_spec))}
 
     curve = [eval_record(0)]
     best = None  # best eval over the final 20% of the step budget
@@ -201,10 +201,11 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
 
     while steps_done < total_steps:
         pending = []
-        for _ in range(EPISODES_PER_CYCLE):
+        episodes_left = -(-(total_steps - steps_done) // T)
+        for _ in range(min(EPISODES_PER_CYCLE, episodes_left)):
             for state, action, outcome in episode_slots(explore, env, T):
                 pending.append((norm(state), action.as_flat(),
-                                compute_reward(outcome, T, reward_spec),
+                                compute_reward(outcome, reward_spec),
                                 norm(outcome.next_state)))
         steps_done += len(pending)
         if not scale_set:
@@ -250,10 +251,9 @@ def _sweep_csv_rows(path) -> set:
     return done
 
 
-def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds,
-          out_csv=None, sac_cfg: SacConfig | None = None,
-          total_steps: int = 20000, reward_kind: str = "diff",
-          episodes: int = 5, progress=None) -> list[dict]:
+def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds, *, out_csv,
+          sac_cfg: SacConfig | None = None, total_steps: int, reward_kind: str,
+          episodes: int, progress=None) -> list[dict]:
     """Trade-off sweep: one (V, seed) per row, appended idempotently, plus
     per-V means. DPP reads V as its own weighting factor V' and solves the
     linear-drift objective. V_grid and seeds may be any iterables."""
@@ -266,17 +266,13 @@ def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds,
     if bad:
         raise ValueError(f"V grid values must be finite and >= 0, got {bad}")
     rows = []
-    done = _sweep_csv_rows(out_csv) if out_csv else set()
+    done = _sweep_csv_rows(out_csv)
     fieldnames = ["controller", "V", "seed", "avg_queue", "avg_penalty",
                   "reward_sum", "status"]
-    writer = None
-    if out_csv:
-        f = open(out_csv, "a", newline="")
+    with open(out_csv, "a", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=fieldnames)
         if f.tell() == 0:  # new or empty file; a resumed one has its header
             writer.writeheader()
-
-    try:
         for V in V_grid:
             for seed in seeds:
                 key = (repr(float(V)), str(seed))
@@ -291,21 +287,17 @@ def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds,
                     row.update(avg_queue=repr(rec["avg_queue"]),
                                avg_penalty=repr(rec["avg_penalty"]),
                                reward_sum=repr(rec["reward_sum"]))
-                except UnsupportedObjectiveError as exc:
-                    row.update(avg_queue="", avg_penalty="", reward_sum="",
+                except UnsupportedObjectiveError as exc:  # None writes as ''
+                    row.update(avg_queue=None, avg_penalty=None, reward_sum=None,
                                status=f"unsupported-objective: {exc}")
                 except Exception as exc:  # record, keep sweeping
-                    row.update(avg_queue="", avg_penalty="", reward_sum="",
+                    row.update(avg_queue=None, avg_penalty=None, reward_sum=None,
                                status=f"error: {exc}")
                 rows.append(row)
                 done.add(key)  # a repeated (V, seed) runs once, as on resume
-                if writer:
-                    writer.writerow(row)
+                writer.writerow(row)
                 if progress is not None:
                     progress(row)
-    finally:
-        if writer:
-            f.close()
     return rows
 
 
@@ -326,27 +318,23 @@ def _sweep_entry(controller_kind, cfg, V, seed, sac_cfg, total_steps,
 
 
 def sweep_means(rows) -> list[dict]:
-    """Per-V means of the ok rows, in grid order (the plotted line)."""
-    means = []
-    seen = []
+    """Per-V means of avg_queue and avg_penalty, in grid order: `lyaq
+    sweep`'s summary and the plotted trade-off line. Rows whose averages
+    are None (a failed sweep row, an empty CSV cell) are left out."""
+    groups = {}
     for row in rows:
-        if row["V"] not in seen:
-            seen.append(row["V"])
-    for V in seen:
-        group = [r for r in rows if r["V"] == V and r["status"] == "ok"]
-        if group:
-            means.append({
-                "V": V,
-                "avg_queue": float(np.mean([float(r["avg_queue"]) for r in group])),
-                "avg_penalty": float(np.mean([float(r["avg_penalty"]) for r in group])),
-                "n": len(group),
-            })
-    return means
+        if row["avg_queue"] is not None and row["avg_penalty"] is not None:
+            groups.setdefault(row["V"], []).append(row)
+    return [{"V": V,
+             "avg_queue": float(np.mean([float(r["avg_queue"]) for r in group])),
+             "avg_penalty": float(np.mean([float(r["avg_penalty"]) for r in group])),
+             "n": len(group)}
+            for V, group in groups.items()]
 
 
 def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
-            seed: int = 0, total_steps: int = 20000,
-            reward_kind: str = "diff", progress=None) -> list[dict]:
+            seed: int, total_steps: int, reward_kind: str,
+            progress=None) -> list[dict]:
     """Both controllers on both cloud-cost kinds. On the discontinuous
     per-core cost the DPP row records its structured refusal while the
     learner's row reports the learning-curve improvement."""

@@ -123,16 +123,16 @@ class DenseNet:
         return DenseNet.from_flat(self.sizes, self.flat.copy())
 
 
+# Adam's moment decay rates and denominator floor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adaptive-moment gradient descent with bias correction over one flat
     parameter buffer of `size` entries."""
 
-    def __init__(self, size: int, lr: float = 3e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, size: int, lr: float = 3e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -140,14 +140,14 @@ class Adam:
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         grad = np.asarray(grad, dtype=np.float64)
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         m, v = self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        flat -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
+        flat -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 def soft_update(target: DenseNet, online: DenseNet, coef: float) -> None:

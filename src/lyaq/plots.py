@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+from .harness import sweep_means
+
 WIDTH, HEIGHT = 640, 480
 MARGIN = 60
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -29,7 +31,7 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
 
 
-def render_chart(series, path, title="", xlabel="", ylabel="") -> None:
+def render_chart(series, path, title, xlabel, ylabel) -> None:
     """series: list of dicts with keys x, y (lists), kind ('line'|'scatter'),
     and optional label. Empty series render as bare axes."""
     x0, x1 = MARGIN, WIDTH - MARGIN
@@ -43,17 +45,14 @@ def render_chart(series, path, title="", xlabel="", ylabel="") -> None:
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
+        f'<text x="{WIDTH // 2}" y="30" text-anchor="middle" '
+        f'font-size="16">{title}</text>',
+        f'<text x="{WIDTH // 2}" y="{HEIGHT - 15}" '
+        f'text-anchor="middle" font-size="12">{xlabel}</text>',
+        f'<text x="18" y="{HEIGHT // 2}" text-anchor="middle" '
+        f'font-size="12" transform="rotate(-90 18 {HEIGHT // 2})">'
+        f'{ylabel}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{WIDTH // 2}" y="30" text-anchor="middle" '
-                     f'font-size="16">{title}</text>')
-    if xlabel:
-        parts.append(f'<text x="{WIDTH // 2}" y="{HEIGHT - 15}" '
-                     f'text-anchor="middle" font-size="12">{xlabel}</text>')
-    if ylabel:
-        parts.append(f'<text x="18" y="{HEIGHT // 2}" text-anchor="middle" '
-                     f'font-size="12" transform="rotate(-90 18 {HEIGHT // 2})">'
-                     f'{ylabel}</text>')
 
     if xs and ys:
         xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
@@ -94,13 +93,11 @@ def _read_csv(path):
     return header, rows
 
 
-def _column(header, rows, name, path, required=True):
+def _column(header, rows, name, path):
     try:
         idx = header.index(name)
     except ValueError:
-        if required:
-            raise PlotError(f"{path}: line 1: missing column {name!r}") from None
-        return None
+        raise PlotError(f"{path}: line 1: missing column {name!r}") from None
     out = []
     for k, row in enumerate(rows):
         cell = row[idx] if idx < len(row) else ""
@@ -134,22 +131,16 @@ def plot_tradeoff(csv_path, out_svg) -> None:
     V = _column(header, rows, "V", csv_path)
     q = _column(header, rows, "avg_queue", csv_path)
     p = _column(header, rows, "avg_penalty", csv_path)
-    ok = [(vv, qq, pp) for vv, qq, pp in zip(V, q, p)
-          if qq is not None and pp is not None]
+    means = sweep_means({"V": vv, "avg_queue": qq, "avg_penalty": pp}
+                        for vv, qq, pp in zip(V, q, p))
     series = []
-    if ok:
-        series.append({"x": [r[1] for r in ok], "y": [r[2] for r in ok],
+    if means:
+        ok = [(qq, pp) for qq, pp in zip(q, p) if qq is not None and pp is not None]
+        series.append({"x": [r[0] for r in ok], "y": [r[1] for r in ok],
                        "kind": "scatter", "label": "episodes"})
-        means, order = {}, []
-        for vv, qq, pp in ok:
-            if vv not in means:
-                means[vv] = []
-                order.append(vv)
-            means[vv].append((qq, pp))
-        mx = [sum(a for a, _ in means[vv]) / len(means[vv]) for vv in order]
-        my = [sum(b for _, b in means[vv]) / len(means[vv]) for vv in order]
-        series.append({"x": mx, "y": my, "kind": "line", "label": "per-V mean",
-                       "color": "#d62728"})
+        series.append({"x": [m["avg_queue"] for m in means],
+                       "y": [m["avg_penalty"] for m in means],
+                       "kind": "line", "label": "per-V mean", "color": "#d62728"})
     render_chart(series, out_svg, title="Penalty vs queue length trade-off",
                  xlabel="average episode queue length (bits)",
                  ylabel="average episode penalty")

@@ -1,14 +1,19 @@
 """The stability-shaped reward family and its verifiable identities.
 
-Four interchangeable step rewards drive the controllers:
+Three interchangeable step rewards drive the controllers through
+`compute_reward`:
 
   power      r_t = -rho * sum_i q_i(t+1)^nu - V * (C_E + C_C)
-  reshaped   queue part only, weighted by the in-episode discount (T-t)/T:
-             -rho * (T-t)/T * sum_i [q_i(t+1)^nu - q_i(t)^nu]
   diff       one-step difference form suited to discounted RL:
              -rho * sum_i [q_i(t+1)^nu - q_i(t)^nu] - V * (C_E + C_C)
   mean-diff  diff form with the random arrival replaced by its per-slot mean
              m_i, supported for nu in {1, 2}
+
+A fourth, `reshaped`, is a queue-only analysis form that
+`episode_reward_identities` evaluates; `compute_reward` refuses it:
+
+  reshaped   queue part only, weighted by the in-episode discount (T-t)/T:
+             -rho * (T-t)/T * sum_i [q_i(t+1)^nu - q_i(t)^nu]
 
 The episode-sum identities relating these forms, and the sufficient reward
 condition for strong queue stability, are exposed as checkable reports so a
@@ -87,20 +92,19 @@ def reward_mean_diff(q_prev, b, cost: float, spec: RewardSpec) -> float:
     return float(queue_part - spec.penalty_weight * cost)
 
 
-def compute_reward(outcome, T: int, spec: RewardSpec) -> float:
+def compute_reward(outcome, spec: RewardSpec) -> float:
     """Dispatch on spec.kind for one step's `env.StepOutcome`."""
     if spec.kind == "power":
         return reward_power(outcome.queue_after, outcome.penalty_cost, spec)
-    if spec.kind == "reshaped":
-        return reward_reshaped(outcome.queue_before, outcome.queue_after,
-                               outcome.t % T, T, spec)
     if spec.kind == "diff":
         return reward_diff(outcome.queue_before, outcome.queue_after,
                            outcome.penalty_cost, spec)
     if spec.kind == "mean-diff":
         return reward_mean_diff(outcome.queue_before, outcome.departures,
                                 outcome.penalty_cost, spec)
-    raise UnsupportedRewardError(f"unknown reward kind {spec.kind!r}")
+    raise UnsupportedRewardError(
+        f"the {spec.kind!r} reward is a queue-only analysis form "
+        "(see episode_reward_identities), not a step reward")
 
 
 # ---------------------------------------------------------------------------

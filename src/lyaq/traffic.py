@@ -1,9 +1,8 @@
 """Stochastic task arrivals: truncated-normal sizes under compound Poisson counts.
 
-`sample_arrivals` draws one slot; `sample_arrival_batch` draws many slots at
-once and is what `EdgeCloudEnv` uses, one block of slots at a time. The two
-have the same distribution but consume the random stream differently, so a
-seed gives different arrival sequences through each.
+`sample_arrivals` is the one arrival sampler: it draws a block of slots at
+once, each app's Poisson counts first and then all its task sizes.
+`EdgeCloudEnv` calls it one block of slots at a time.
 """
 
 from __future__ import annotations
@@ -49,23 +48,9 @@ def sample_task_sizes(app: AppProfile, n: int, rng: np.random.Generator) -> np.n
     return out
 
 
-def sample_arrivals(apps, rng: np.random.Generator) -> np.ndarray:
-    """One slot of arrivals: a_i = sum of K_i task sizes, K_i ~ Poisson(lambda_i)."""
-    out = np.zeros(len(apps))
-    for i, app in enumerate(apps):
-        k = rng.poisson(app.arrival_rate)
-        if k:
-            out[i] = sample_task_sizes(app, k, rng).sum()
-    return out
-
-
-def sample_arrival_batch(apps, n_slots: int, rng: np.random.Generator) -> np.ndarray:
-    """Arrivals for n_slots slots at once, shape (n_slots, N).
-
-    Statistically identical to calling sample_arrivals per slot but draws each
-    app's counts and then all its sizes in one batch, which is much faster
-    for long horizons. It is not stream-identical to per-slot draws.
-    """
+def sample_arrivals(apps, n_slots: int, rng: np.random.Generator) -> np.ndarray:
+    """Arrivals for n_slots slots, shape (n_slots, N): in each slot,
+    a_i = sum of K_i task sizes with K_i ~ Poisson(lambda_i)."""
     out = np.zeros((n_slots, len(apps)))
     for i, app in enumerate(apps):
         counts = rng.poisson(app.arrival_rate, size=n_slots)

@@ -10,7 +10,7 @@ from lyaq.dpp import (DppConfig, DppController, UnsupportedObjectiveError,
                       _pairs, _quadratic_roots, _structured_candidates)
 from lyaq.env import (Action, EdgeCloudEnv, check_cloud_cores,
                       cloud_cost, compute_offload, edge_cost)
-from lyaq.harness import metrics_from_trace, run_episode
+from lyaq.harness import default_reward_spec, metrics_from_trace, run_episode
 
 from test_env import action_errors
 
@@ -673,8 +673,7 @@ class TestOptimizer:
         cfg = cfg_fn()
         for Vp in (1e9, 1e11):
             dc = DppConfig(penalty_weight=Vp)
-            trace, _ = run_episode(DppController(cfg, dc), cfg,
-                                   np.random.default_rng(5), T=60)
+            trace, _ = dpp_episode(cfg, dc, 60, np.random.default_rng(5))
             for q, a in zip(trace.q, trace.a):
                 exact = dpp_objective(q, a, DppController(cfg, dc).solve(q, a), cfg, dc)
                 ref = grid_search_value(q, a, cfg, dc)
@@ -857,13 +856,14 @@ class TestSolveConstants:
 
     @pytest.mark.parametrize("name", ["paper", "paper8", "tied3"])
     def test_episode_decisions_match_the_reference_bit_for_bit(self, name):
-        cfg = TEST_CONFIGS[name]()
+        cfg = dataclasses.replace(TEST_CONFIGS[name](), episode_length=60)
+        spec = default_reward_spec(cfg, "diff")
         for Vp in (0.0, 1e9, 1e11):
             dc = DppConfig(penalty_weight=Vp)
             trace, _ = run_episode(DppController(cfg, dc), cfg,
-                                   np.random.default_rng(6), T=60)
+                                   np.random.default_rng(6), spec)
             ref, _ = run_episode(ReferenceController(cfg, dc), cfg,
-                                 np.random.default_rng(6), T=60)
+                                 np.random.default_rng(6), spec)
             assert np.asarray(trace.alpha).tobytes() == np.asarray(ref.alpha).tobytes()
             assert np.asarray(trace.beta).tobytes() == np.asarray(ref.beta).tobytes()
             assert np.asarray(trace.q).tobytes() == np.asarray(ref.q).tobytes()
@@ -926,7 +926,9 @@ class TestSolveConstants:
 
 def dpp_episode(cfg, dpp_cfg, T, rng):
     """A T-slot DPP episode whose arrivals draw from rng."""
-    trace, reward_sum = run_episode(DppController(cfg, dpp_cfg), cfg, rng, T=T)
+    cfg = dataclasses.replace(cfg, episode_length=T)
+    trace, reward_sum = run_episode(DppController(cfg, dpp_cfg), cfg, rng,
+                                    default_reward_spec(cfg, "diff"))
     return trace, metrics_from_trace(trace, reward_sum)
 
 

@@ -7,7 +7,8 @@ from lyaq.config import AppProfile, three_app_config, desk_config
 from lyaq.env import (Action, EdgeCloudEnv, StateVector, Trace,
                       actual_cpu_use, cloud_cost, compute_departure,
                       compute_offload, edge_cost, queue_update,
-                      ARRIVAL_WINDOW)
+                      ARRIVAL_BLOCK, ARRIVAL_WINDOW)
+from lyaq.traffic import sample_arrivals
 
 
 def from_effective(alpha_eff, beta_eff) -> Action:
@@ -196,6 +197,8 @@ class TestEnv:
         for seed in (0, 1):
             env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(42))
             env.reset()
+            for _ in range(ARRIVAL_BLOCK - 1):  # reveal the rest of the block
+                env.step(action)
             env.rng = np.random.default_rng(seed)  # divergent future arrivals
             outcome = env.step(action)
             results.append(outcome)
@@ -206,6 +209,20 @@ class TestEnv:
         assert a.edge_cost == b.edge_cost and a.cloud_cost == b.cloud_cost
         assert np.array_equal(a.next_state.queue, b.next_state.queue)
         assert not np.array_equal(a.next_state.arrival, b.next_state.arrival)
+
+    def test_reset_takes_its_arrivals_from_a_fresh_block(self, cfg3):
+        # what is left of the block is discarded, so a replaced rng takes
+        # effect at the reset: a(0..k) are the first rows of its first block
+        env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(4))
+        env.reset()
+        for _ in range(10):
+            env.step(Action.uniform(3))
+        env.rng = np.random.default_rng(8)
+        arrivals = [env.reset().arrival]
+        for _ in range(5):
+            arrivals.append(env.step(Action.uniform(3)).next_state.arrival)
+        block = sample_arrivals(cfg3.apps, ARRIVAL_BLOCK, np.random.default_rng(8))
+        np.testing.assert_array_equal(arrivals, block[:6])
 
     def test_queue_nonnegative_and_conserved(self, cfg3):
         rng = np.random.default_rng(9)

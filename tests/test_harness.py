@@ -18,6 +18,12 @@ def short_desk():
     return replace(desk_config(), episode_length=10)
 
 
+def uniform_sweep(grid, seeds, out_csv):
+    """A uniform-controller sweep of one 10-slot episode per grid point."""
+    return sweep("uniform", short_desk(), grid, seeds, out_csv=out_csv,
+                 total_steps=1, reward_kind="diff", episodes=1)
+
+
 def read_lines(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
@@ -27,13 +33,12 @@ class TestSweepResume:
     def test_resume_on_header_only_csv_writes_one_header(self, tmp_path):
         out = tmp_path / "sweep.csv"
         # a sweep interrupted before its first row leaves only the header
-        sweep("uniform", short_desk(), [0.0], [0], out_csv=out, episodes=1)
+        uniform_sweep([0.0], [0], out)
         header = read_lines(out)[0]
         with open(out, "w", newline="") as f:
             csv.writer(f).writerow(header)
         assert len(read_lines(out)) == 1
-        rows = sweep("uniform", short_desk(), [0.0, 1e9], [0, 1], out_csv=out,
-                     episodes=1)
+        rows = uniform_sweep([0.0, 1e9], [0, 1], out)
         lines = read_lines(out)
         assert len(rows) == 4
         assert len(lines) == 5
@@ -43,10 +48,9 @@ class TestSweepResume:
 
     def test_rerun_appends_nothing(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        sweep("uniform", short_desk(), [0.0, 1e9], [0, 1], out_csv=out, episodes=1)
+        uniform_sweep([0.0, 1e9], [0, 1], out)
         before = out.read_bytes()
-        assert sweep("uniform", short_desk(), [0.0, 1e9], [0, 1], out_csv=out,
-                     episodes=1) == []
+        assert uniform_sweep([0.0, 1e9], [0, 1], out) == []
         assert out.read_bytes() == before
 
 
@@ -55,13 +59,13 @@ class TestSweepResume:
 def test_sweep_refuses_an_empty_grid_or_seed_list(tmp_path, grid, seeds, message):
     out = tmp_path / "sweep.csv"
     with pytest.raises(ValueError, match=message):
-        sweep("uniform", short_desk(), grid, seeds, out_csv=out, episodes=1)
+        uniform_sweep(grid, seeds, out)
     assert not out.exists()
 
 
-def test_sweep_takes_iterators():
-    rows = sweep("uniform", short_desk(), iter([0.0, 1e9]), (s for s in [0, 1]),
-                 episodes=1)
+def test_sweep_takes_iterators(tmp_path):
+    rows = uniform_sweep(iter([0.0, 1e9]), (s for s in [0, 1]),
+                         tmp_path / "sweep.csv")
     assert [(r["V"], r["seed"]) for r in rows] == [
         ("0.0", 0), ("0.0", 1), ("1000000000.0", 0), ("1000000000.0", 1)]
     assert all(r["status"] == "ok" for r in rows)
@@ -76,17 +80,16 @@ def test_queue_slope_ok():
 
 
 def test_run_episode_matches_a_hand_rolled_loop():
-    cfg = short_desk()
-    spec = default_reward_spec(cfg)
+    cfg = replace(short_desk(), episode_length=30)
+    spec = default_reward_spec(cfg, "diff")
     trace, reward_sum = run_episode(FixedController(Action.uniform(2)), cfg,
-                                    np.random.default_rng(5), T=30,
-                                    reward_spec=spec)
+                                    np.random.default_rng(5), spec)
     env = EdgeCloudEnv(cfg, rng=np.random.default_rng(5))
     state = env.reset()
     queues, arrivals, rewards = [state.queue], [state.arrival], []
     for _ in range(30):
         outcome = env.step(Action.uniform(2))
-        rewards.append(compute_reward(outcome, 30, spec))
+        rewards.append(compute_reward(outcome, spec))
         queues.append(outcome.queue_after)
         state = outcome.next_state
         arrivals.append(state.arrival)
@@ -117,13 +120,14 @@ def reference_collect(cfg, sac_cfg, total_steps, seed, reward_spec):
 
     while steps_done < total_steps:
         pending = []
-        for _ in range(EPISODES_PER_CYCLE):
+        episodes_left = -(-(total_steps - steps_done) // T)
+        for _ in range(min(EPISODES_PER_CYCLE, episodes_left)):
             state = env.reset()
             s_norm = agent.normalizer.normalize(state.as_vector(aux))
             for _ in range(T):
                 flat, _ = agent.policy_sample(s_norm, rng=collect_rng)
                 outcome = env.step(Action.from_flat(flat))
-                r = compute_reward(outcome, T, reward_spec)
+                r = compute_reward(outcome, reward_spec)
                 s2_norm = agent.normalizer.normalize(
                     outcome.next_state.as_vector(aux))
                 pending.append((s_norm, flat, r, s2_norm))
@@ -160,10 +164,23 @@ def test_train_collects_like_the_reference_loop(kind):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("total_steps, curve_steps", [
+    (55, [0, 40, 60]), (80, [0, 40, 80]), (3, [0, 10])])
+def test_budget_rounds_up_to_whole_episodes_not_cycles(total_steps, curve_steps):
+    # T = 10: the last cycle collects ceil(remaining / T) episodes, not 4
+    cfg = short_desk()
+    result = train(cfg, SacConfig(hidden_sizes=(8, 8), batch_size=8), total_steps,
+                   seed=2, reward_spec=default_reward_spec(cfg, "diff"))
+    assert [row["steps"] for row in result.curve] == curve_steps
+    assert len(result.agent.buffer) == curve_steps[-1]
+    assert result.agent.update_count == curve_steps[-1]
+
+
 @pytest.mark.parametrize("episodes", [0, -1])
 def test_evaluate_refuses_a_non_positive_episode_count(episodes):
     with pytest.raises(ValueError, match="episodes must be at least 1"):
-        evaluate(FixedController(Action.idle(2)), short_desk(), episodes, seed=0)
+        evaluate(FixedController(Action.idle(2)), short_desk(), episodes, seed=0,
+                 reward_spec=default_reward_spec(short_desk(), "diff"))
 
 
 def test_snapshot_keeps_its_optimizer_state():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lyaq.nets import Adam, DenseNet, param_shapes, soft_update
+from lyaq.nets import BETA1, BETA2, EPS, Adam, DenseNet, param_shapes, soft_update
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +47,14 @@ def reference_adam_step(self, params, grads, ms, vs):
     """Adam.step's per-parameter loop; `ms` and `vs` are the per-parameter
     moments that were `self.m` and `self.v`."""
     self.t += 1
-    c1 = 1.0 - self.beta1 ** self.t
-    c2 = 1.0 - self.beta2 ** self.t
+    c1 = 1.0 - BETA1 ** self.t
+    c2 = 1.0 - BETA2 ** self.t
     for p, g, m, v in zip(params, grads, ms, vs):
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 def reference_soft_update(target, online, coef):

@@ -98,7 +98,8 @@ def calls(spans, name):
 def test_sac_rollout_fires_every_declared_span(tmp_path, monkeypatch):
     import lyaq
 
-    cfg = replace(lyaq.get_profile("paper8"), episode_length=20)
+    # longer than one 256-slot arrival block
+    cfg = replace(lyaq.get_profile("paper8"), episode_length=300)
     lyaq.save_config(cfg, tmp_path / "paper8.json")
     lyaq.SacAgent(cfg, lyaq.SacConfig(hidden_sizes=(8, 8))).save(tmp_path / "agent.npz")
     spans = traced_spans(["eval", "--config", str(tmp_path / "paper8.json"),
@@ -106,10 +107,12 @@ def test_sac_rollout_fires_every_declared_span(tmp_path, monkeypatch):
                           "--episodes", "2", "--out", str(tmp_path / "records.csv")],
                          monkeypatch)
     assert [s for s in declared_spans("rollout-paper8") if s not in spans] == []
-    slots = 2 * 20
+    slots = 2 * 300
     assert calls(spans, "env.EdgeCloudEnv.step") == slots
     assert calls(spans, "sac.SacAgent.policy_sample") == slots
     assert calls(spans, "nets.DenseNet.forward.b1") == slots
+    # one draw per block: slots 0..300 of an episode span two blocks
+    assert calls(spans, "traffic.sample_arrivals") == 2 * 2
 
 
 def test_dpp_sweep_fires_every_declared_span(tmp_path, monkeypatch):

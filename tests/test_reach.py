@@ -11,6 +11,13 @@ only tests reach belongs in the test that uses it.
 The match is by name, not by type: a method whose name some other object
 also uses (`queue`, `t`) passes. The check catches what no code names at
 all.
+
+The same holds for settable values: every defaulted parameter of a function
+or method in `src/lyaq` must be set by some call in `src/lyaq` or
+`perfbench/`, by keyword, by position, or through `*` or `**`. A call
+matches a definition by name (a class name calls its `__init__`). A
+parameter that no call sets is a constant, and its default a value nothing
+else ever takes.
 """
 
 import ast
@@ -34,6 +41,13 @@ ALLOWED = {
     "StabilityBound": "report type of power_reward_bound, a paper check",
     "Theorem1Report": "report type of check_theorem1_conditions, a paper check",
     "IdentityReport": "report type of episode_reward_identities, a paper check",
+}
+
+# Defaulted parameters that stay with no caller setting them, one reason each.
+ALLOWED_DEFAULTS = {
+    "queue_slope_ok(frac)": "paper check: the slope tolerance of ROADMAP item 2's verdict",
+    "check_theorem1_conditions(r_min)": "paper check: the reward floor of the Theorem-1 chain",
+    "IdentityReport.ok(rel_tol)": "paper check: the tolerance of the reward-sum identities",
 }
 
 
@@ -108,3 +122,75 @@ def test_every_allowlist_entry_names_a_definition():
     defined = {qualname for path in SRC.glob("*.py")
                for qualname, *_ in _definitions(path)}
     assert sorted(set(ALLOWED) - defined) == []
+
+
+def _defaulted(path):
+    """(qualified name, call name, parameter, position) of every defaulted
+    parameter of a module-level function or a method of a module-level
+    class; position counts the positional parameters after self or cls, and
+    is None for a keyword-only one."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            fns = [(node.name, node.name, node, False)]
+        elif isinstance(node, ast.ClassDef):
+            fns = [(f"{node.name}.{item.name}",
+                    node.name if item.name == "__init__" else item.name, item,
+                    not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in item.decorator_list))
+                   for item in node.body if isinstance(item, ast.FunctionDef)]
+        else:
+            continue
+        for qualname, called, fn, bound in fns:
+            args = fn.args
+            positional = (args.posonlyargs + args.args)[int(bound):]
+            first = len(positional) - len(args.defaults)
+            out += [(qualname, called, arg.arg, i)
+                    for i, arg in enumerate(positional) if i >= first]
+            out += [(qualname, called, arg.arg, None)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+    return out
+
+
+def _calls(paths):
+    """Every call in paths, by the name it calls (f(...) or x.f(...))."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call, param, position):
+    if any(kw.arg in (None, param) for kw in call.keywords):  # name=, **kwargs
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):  # *args
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unset_defaults():
+    modules = sorted(SRC.glob("*.py"))
+    calls = _calls(modules + sorted(PERFBENCH.glob("*.py")))
+    return [f"{path.name}:{qualname}({param})"
+            for path in modules
+            for qualname, called, param, position in _defaulted(path)
+            if not any(_sets(call, param, position) for call in calls.get(called, []))]
+
+
+def test_every_default_is_overridden_by_some_caller():
+    unset = [u for u in unset_defaults() if u.split(":", 1)[1] not in ALLOWED_DEFAULTS]
+    assert not unset, ("defaulted parameters that no call in src/lyaq or perfbench/ "
+                       f"sets: {unset}")
+
+
+def test_every_default_allowlist_entry_names_a_parameter():
+    defined = {f"{qualname}({param})" for path in SRC.glob("*.py")
+               for qualname, _, param, _ in _defaulted(path)}
+    assert sorted(set(ALLOWED_DEFAULTS) - defined) == []

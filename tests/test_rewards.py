@@ -232,9 +232,11 @@ def test_compute_reward_dispatch():
     cases = {
         "power": -4.0 - 2.0,
         "diff": -(4.0 - 1.0) - 2.0,
-        "reshaped": -((10 - 3) / 10) * 3.0,
         "mean-diff": -(5.0 - 2.0) - 2.0,
     }
     for kind, expected in cases.items():
         s = spec(kind=kind, penalty_weight=1.0, mean_arrival_bits=m)
-        assert compute_reward(outcome, 10, s) == pytest.approx(expected)
+        assert compute_reward(outcome, s) == pytest.approx(expected)
+    # the queue-only analysis form is refused by name, not computed
+    with pytest.raises(UnsupportedRewardError, match="'reshaped'"):
+        compute_reward(outcome, spec(kind="reshaped"))

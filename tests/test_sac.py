@@ -7,7 +7,7 @@ import pytest
 
 from lyaq.config import desk_config, get_profile
 from lyaq.env import Action, EdgeCloudEnv, StateVector
-from lyaq.harness import train
+from lyaq.harness import default_reward_spec, train
 from lyaq.nets import DenseNet
 from lyaq.sac import (FLUSH_FLOOR, ReplayBuffer, SacAgent, SacConfig,
                       StateNormalizer, actor_loss_and_grads,
@@ -575,8 +575,9 @@ class TestFloat32Update:
 
         for name in ("forward", "forward_cache", "backward", "input_grad"):
             monkeypatch.setattr(DenseNet, name, counting(getattr(DenseNet, name)))
-        train(replace(get_profile("desk"), episode_length=100),
-              SacConfig(hidden_sizes=(32, 32)), 800, seed=0)
+        cfg = replace(get_profile("desk"), episode_length=100)
+        train(cfg, SacConfig(hidden_sizes=(32, 32)), 800, seed=0,
+              reward_spec=default_reward_spec(cfg, "diff"))
         # 800 updates, each with 3 forward and 5 forward_cache inputs, and
         # 5 backward or input_grad passes of 4 cached arrays and a gradient
         assert seen["arrays"] == 800 * (3 + 5 + 5 * 5)

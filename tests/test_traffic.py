@@ -3,8 +3,7 @@ import pytest
 
 from lyaq.config import (AppProfile, eight_app_config, three_app_config,
                          BITS_PER_KB)
-from lyaq.traffic import (sample_task_sizes, sample_arrivals,
-                          sample_arrival_batch, RejectionBudgetError)
+from lyaq.traffic import sample_task_sizes, sample_arrivals, RejectionBudgetError
 
 
 def speech():
@@ -64,7 +63,7 @@ def test_rejection_budget_scales_with_task_count():
     sizes = sample_task_sizes(speech(), 1_000_000, rng)
     assert sizes.size == 1_000_000
     assert speech().size_min <= sizes.min() and sizes.max() <= speech().size_max
-    arrivals = sample_arrival_batch(eight_app_config().apps, 100_000, rng)
+    arrivals = sample_arrivals(eight_app_config().apps, 100_000, rng)
     assert arrivals.shape == (100_000, 8) and np.all(arrivals >= 0.0)
 
 
@@ -73,35 +72,23 @@ def test_zero_rate_app_never_arrives():
     silent = AppProfile(workload_cycles_per_bit=1.0, arrival_rate=0.0,
                         size_min=1.0, size_max=2.0, size_mean=1.5,
                         size_std=0.25)
-    for _ in range(200):
-        assert sample_arrivals([silent], rng)[0] == 0.0
+    assert np.all(sample_arrivals([silent], 200, rng) == 0.0)
 
 
 def test_compound_poisson_mean_is_lambda_mu():
     # Monte-Carlo oracle: E[a_i] = lambda_i * mu_i for compound Poisson sums
     rng = np.random.default_rng(11)
     app = speech()
-    arrivals = sample_arrival_batch([app], 100_000, rng)[:, 0]
+    arrivals = sample_arrivals([app], 100_000, rng)[:, 0]
     expected = 5 * 170 * BITS_PER_KB
     assert abs(arrivals.mean() - expected) / expected < 0.02
-
-
-def test_batch_matches_per_slot_statistics():
-    rng1 = np.random.default_rng(21)
-    rng2 = np.random.default_rng(22)
-    apps = three_app_config().apps
-    batch = sample_arrival_batch(apps, 4000, rng1)
-    singles = np.array([sample_arrivals(apps, rng2) for _ in range(4000)])
-    for i in range(3):
-        m1, m2 = batch[:, i].mean(), singles[:, i].mean()
-        assert abs(m1 - m2) / max(m1, m2) < 0.1
 
 
 def test_three_app_cycle_demand_matches_feasibility_numbers():
     # per-slot mean cycle demand a_i * w_i ~ {72.7, 86.4, 81.2} Gcycles
     rng = np.random.default_rng(13)
     cfg = three_app_config()
-    arrivals = sample_arrival_batch(cfg.apps, 60_000, rng)
+    arrivals = sample_arrivals(cfg.apps, 60_000, rng)
     demand = arrivals.mean(axis=0) * cfg.workloads
     for got, want in zip(demand, (72.7e9, 86.4e9, 81.2e9)):
         assert abs(got - want) / want < 0.02

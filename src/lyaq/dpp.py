@@ -46,18 +46,31 @@ The linear-drift objective (the program above) is solved exactly:
   every f_c at its own points, for every k at once, finds the maximum; no
   search is left.
 
-The uniform action, the idle action and the structured candidates are
-scored in one batched objective call; the first minimum wins. The solve is
-deterministic. The discontinuous per-core cloud cost has no such structure,
-so a `DppController` refuses it when it is built, as it does a cubic cost
-without cloud cores, instead of returning garbage.
+A decision (`DppController.act`) does each piece of work once:
+
+* `_structured_candidates` writes the S x (N+1) candidate rows straight
+  into one fresh (alpha, beta) pair: the uniform and the idle action, then
+  the LP vertex at V' = 0, else the optima of D_none and of each feasible
+  D_k. Every cloud candidate of a program is scored at its own points, but
+  only the winner's offload vector y is built.
+* One `dpp_objective` call scores all S rows with the true objective; the
+  first minimum wins. The programs' own values cannot pick the winner:
+  they replace o by y, which over-estimates the cost, and they leave out
+  the uniform and idle rows (at q = 0 and V' > 0, idle wins).
+* Two `project_simplex` calls put the winner's alpha and beta on their
+  simplexes, which moves them by rounding at most.
+
+The solve is deterministic. The discontinuous per-core cloud cost has no
+such structure, so a `DppController` refuses it when it is built, as it
+does a cubic cost without cloud cores, instead of returning garbage.
 
 A `DppController` builds once what a solve reads from (cfg, V') alone, its
 `_SolveConstants`: s, w, B, c_E, c_C, the uniform and idle rows, the w-only
 arrays of the cloud candidates (pair indices, w_i - w_l and its safe
-divisor, w_l, 3 c_C w) and the per-program table that one index reads per
-solve. A decision writes only fresh arrays, so a controller keeps no state
-across decisions.
+divisor, w_l, 3 c_C w, each candidate's basis rows), each program's masks
+and the per-program table that one index reads per solve. A decision
+writes only fresh arrays, so a controller keeps no state across decisions
+and an Action it returned never changes.
 """
 
 from __future__ import annotations
@@ -88,20 +101,25 @@ class DppConfig:
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1} by iterative active-set
     removal: shift the active coordinates to sum to one, drop any that went
-    nonpositive, repeat. Exact in at most n passes."""
+    nonpositive, repeat. Exact in at most n passes; a pass whose shift equals
+    the last one would drop nothing, so the loop stops there."""
     v = np.asarray(v, dtype=float)
-    active = np.ones(v.size, dtype=bool)
     n_active = v.size
     tau = (np.add.reduce(v) - 1.0) / n_active
+    active = v > tau
     for _ in range(v.size):
-        keep = active & (v > tau)
-        n_keep = np.count_nonzero(keep)
+        n_keep = np.count_nonzero(active)
         if n_keep == n_active or n_keep == 0:
             break
-        active = keep
         n_active = n_keep
-        tau = (np.add.reduce(v[active]) - 1.0) / n_active
-    return np.maximum(v - tau, 0.0)
+        # a lone survivor is the maximum, since tau < max(v) on every pass
+        kept = v[v.argmax()] if n_keep == 1 else np.add.reduce(v[active])
+        last, tau = tau, (kept - 1.0) / n_active
+        if tau == last:
+            break
+        active &= v > tau
+    out = v - tau
+    return np.maximum(out, 0.0, out=out)
 
 
 def dpp_objective(q, a, action: Action, cfg: SystemConfig,
@@ -110,13 +128,14 @@ def dpp_objective(q, a, action: Action, cfg: SystemConfig,
     float for one action, an (S,) array when alpha and beta are (S, N+1)."""
     q = np.asarray(q, dtype=float)
     a = np.asarray(a, dtype=float)
-    cpu_bits = action.alpha_eff * cfg.edge_clock / cfg.workloads
-    link_bits = action.beta_eff * cfg.bandwidth
+    alpha = action.alpha[..., :-1]
+    cpu_bits = alpha * cfg.edge_clock / cfg.workloads
+    link_bits = action.beta[..., :-1] * cfg.bandwidth
     value = (a - cpu_bits - link_bits) @ q
     if dpp_cfg.penalty_weight != 0.0:
         # env.compute_offload, on the CPU bits computed above
         o = np.maximum(0.0, np.minimum(link_bits, q + a - cpu_bits))
-        value = value + dpp_cfg.penalty_weight * (edge_cost(action, cfg)
+        value = value + dpp_cfg.penalty_weight * (edge_cost(alpha, cfg)
                                                   + cloud_cost(o, cfg))
     return float(value) if value.ndim == 0 else value
 
@@ -141,9 +160,10 @@ def _pairs(n):
 class _SolveConstants:
     """What a solve reads from (cfg, V') alone: s, w, B, c_E, c_C, the
     uniform and idle rows, the w-only arrays of the cloud candidates and the
-    per-program table, whose column 0 is D_none and column k + 1 is D_k and
-    whose rows are q, g = q s, q + a, s, w, L_k and 1 (the q- and a-rows
-    are written per solve, into a copy)."""
+    per-program table, whose column 0 is D_none and column k + 1 is D_k.
+    The table's rows are q, g = q s, q + a and L_k, written per solve into a
+    copy, then s, w, 1 and the coefficients of the critical points that do
+    not depend on (q, a)."""
 
     def __init__(self, cfg: SystemConfig, penalty_weight: float):
         n = self.n = cfg.n_queues
@@ -159,17 +179,32 @@ class _SolveConstants:
             return
         self.cE = penalty_weight * cfg.edge_cores * (cfg.edge_clock / cfg.edge_cores / 1e9) ** 3
         self.cC = penalty_weight * cfg.cloud_cores * (1.0 / cfg.cloud_cores / 1e9) ** 3
-        self.I, self.L, self.eye = _pairs(n)
-        dw = w[self.I] - w[self.L]
+        cE, cC = self.cE, self.cC
+        I, L, eye = _pairs(n)
+        self.IL, self.n_pairs = np.concatenate([I, L]), I.size
+        self.size = 1 + n + I.size  # C, the number of cloud candidates
+        # where each program's (7, C) grid starts in the flattened grid
+        self.offsets = np.arange(n + 1) * (7 * self.size)
+        dw = w[I] - w[L]
         self.dw = np.where(dw == 0.0, 1.0, dw)
-        self.dw_ok = dw != 0.0
-        self.w_l = w[self.L]
-        self.cC3w = 3.0 * self.cC * w
-        self.table = np.zeros((7, n + 1))
-        self.table[3:5, 1:] = s, w
-        self.table[3, 0] = 1.0
-        self.table[6, 1:] = 1.0
-        self.own = np.concatenate([np.zeros((1, n), dtype=bool), np.eye(n, dtype=bool)])
+        self.w_l = w[L]
+        self.cC3w = 3.0 * cC * w
+        # the rows of the table that depend on (cfg, V') alone: s, w, the
+        # upper bound 1 of t, and the coefficients of the critical points
+        # of y = 0 (see _structured_candidates), with ds = w s
+        sk, wk, hi = np.append(1.0, s), np.append(0.0, w), np.append(0.0, np.ones(n))
+        ds = wk * sk
+        cC3ds3 = 3.0 * cC * ds ** 3
+        self.table = np.vstack([np.zeros((4, n + 1)), sk, wk, hi, cC3ds3,
+                                cC3ds3 - 3.0 * cE, -6.0 * cC * ds * ds, 3.0 * cC * ds])
+        # per program: its own overflow queue, then the pairs free of it
+        own = np.concatenate([np.zeros((1, n), dtype=bool), np.eye(n, dtype=bool)])
+        self.masks = np.concatenate([own, ~(own[:, I] | own[:, L]) & (dw != 0.0)], axis=1)
+        # candidate c is y = y_c e_c + y'_c e'_c: rows e_c (y = 0, each queue
+        # alone, the pair's first queue) and e'_c (zero, or the pair's second)
+        self.basis = np.zeros((2, self.size, n))
+        self.basis[0, 1:] = np.concatenate([eye, eye[I]])
+        self.basis[1, n + 1:] = eye[L]
 
 
 class _OffloadCandidates:
@@ -180,46 +215,44 @@ class _OffloadCandidates:
     with C = 1 + N + N(N-1)/2 candidates: y = 0, each queue alone at its
     stationary point clipped to [0, Bp], and each pair (i, l) filling Bp at
     W = W0 + sum w y with 3 cC W^2 = (v_i - v_l) / (w_i - w_l). v is fixed
-    per program, and no pair may include a queue marked in `excluded`
-    (whose v is 0, so it never gets y alone either); W0 and Bp vary with t.
-    What depends on w alone comes from the solve constants `k`."""
+    per program, and only the pairs marked in `free` may fill Bp (a queue
+    excluded from them has v = 0, so it never gets y alone either); W0 and
+    Bp vary with t. What depends on w alone comes from the solve constants
+    `k`."""
 
-    def __init__(self, v, k: _SolveConstants, excluded):
+    def __init__(self, v, k: _SolveConstants, free):
         self.v, self.k = v, k
-        self.size = 1 + k.n + k.I.size
         self.W_single = np.sqrt(np.maximum(v, 0.0) / k.cC3w)
-        self.v_i, self.v_l = v[..., k.I], v[..., k.L]
+        v_pairs = v[..., k.IL]
+        self.v_i, self.v_l = v_pairs[..., :k.n_pairs], v_pairs[..., k.n_pairs:]
         mu = (self.v_i - self.v_l) / k.dw
         self.W_pair = np.sqrt(np.maximum(mu, 0.0) / (3.0 * k.cC))
         self.pair_cost = k.cC * self.W_pair ** 3
-        self.pair_ok = ~(excluded[..., k.I] | excluded[..., k.L]) \
-            & k.dw_ok & (mu > 0.0)
+        self.pair_ok = free & (mu > 0.0)
 
     def __call__(self, W0, Bp):
-        """(values (..., C), y_single (..., N), y_pair_i, y_pair_l (..., P))
-        of every candidate c at its own W0[..., c] and Bp[..., c]."""
+        """(values (..., C), coef (2, ..., C)) of every candidate c at its own
+        W0[..., c] and Bp[..., c]: its value, and y_c and y'_c, the weights
+        of its rows of the `basis` (y'_c = -0.0 where the row is zero, so
+        that the sum adds nothing, not even to the sign of a zero)."""
         k = self.k
         n, w, cC = k.n, k.w, k.cC
         W0, Ws, Wp = W0[..., :1], W0[..., 1:n + 1], W0[..., n + 1:]
         Bs, Bpp = Bp[..., 1:n + 1], Bp[..., n + 1:]
-        single = np.minimum(np.maximum((self.W_single - Ws) / w, 0.0), Bs)
-        y_i = (self.W_pair - Wp - k.w_l * Bpp) / k.dw
-        y_l = Bpp - y_i
+        coef = np.empty((2,) + W0.shape[:-1] + (k.size,))
+        coef[0, ..., 0] = 0.0
+        coef[1, ..., :n + 1] = -0.0
+        single = np.minimum(np.maximum((self.W_single - Ws) / w, 0.0), Bs,
+                            out=coef[0, ..., 1:n + 1])
+        y_i = np.divide(self.W_pair - Wp - k.w_l * Bpp, k.dw, out=coef[0, ..., n + 1:])
+        y_l = np.subtract(Bpp, y_i, out=coef[1, ..., n + 1:])
         pair = self.v_i * y_i + self.v_l * y_l - self.pair_cost
         values = np.concatenate([
             -cC * W0 ** 3,
             self.v * single - cC * (Ws + w * single) ** 3,
-            np.where(self.pair_ok & (y_i >= 0.0) & (y_l >= 0.0), pair, -np.inf),
+            np.where(self.pair_ok & (np.minimum(y_i, y_l) >= 0.0), pair, -np.inf),
         ], axis=-1)
-        return values, single, y_i, y_l
-
-    def dense(self, single, y_i, y_l):
-        """Every candidate as a full vector, shape (..., C, N)."""
-        k = self.k
-        return np.concatenate([np.zeros(single.shape[:-1] + (1, k.n)),
-                               single[..., :, None] * k.eye,
-                               y_i[..., :, None] * k.eye[k.I]
-                               + y_l[..., :, None] * k.eye[k.L]], axis=-2)
+        return values, coef
 
 
 def _structured_candidates(q, a, k: _SolveConstants):
@@ -231,62 +264,72 @@ def _structured_candidates(q, a, k: _SolveConstants):
     g = q * s
     if k.penalty_weight == 0.0:
         alpha, beta = k.alpha.copy(), k.beta.copy()
-        alpha[2, np.argmax(g)] = 1.0
-        beta[2, np.argmax(q)] = 1.0
+        alpha[2, g.argmax()] = 1.0
+        beta[2, q.argmax()] = 1.0
         return alpha, beta
 
     cE, cC, w = k.cE, k.cC, k.w
+    qa = q + a
     table = k.table.copy()
-    table[:3, 1:] = q, g, q + a
-    table[5, 1:] = np.maximum(0.0, (table[2, 1:] - B) / s)
+    table[:4, 1:] = q, g, qa, np.maximum(0.0, (qa - B) / s)
     # program 0 is D_none, a D_k with no overflow queue and t pinned at 0
-    programs = np.flatnonzero(table[5] <= 1.0)
+    programs = (table[3] <= 1.0).nonzero()[0]
     rows = np.arange(programs.size)
-    own = k.own[programs]
-    qk, gk, rk0, sk, wk, lo, hi = table[:, programs, None, None]
+    masks = k.masks[programs]
+    own = masks[:, :n]
+    qk, gk, rk0, lo, sk, wk, hi, cC3ds3, a2, a1, a0 = table[:, programs, None, None]
     g_rest = np.where(own, 0.0, g)
-    m = np.argmax(g_rest, axis=1)
+    m = g_rest.argmax(axis=1)
     gm = g_rest[rows, m][:, None, None]
     a_star = np.minimum(np.sqrt(gm / (3.0 * cE)), 1.0)
-    offload = _OffloadCandidates(q - qk, k, own[:, None, :])
+    offload = _OffloadCandidates(q - qk, k, masks[:, None, n:])
 
     # Every candidate is scored at its own critical points (module
     # docstring), G = 7 of them: 4 that all share, then the roots of the
     # slope of y = 0, or the one of a queue inside its clip. Pairs add none;
     # a candidate with fewer points repeats L_k.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        shared = [lo, hi, rk0 / sk, np.sqrt(gk / (3.0 * cE))]
-        # y = 0 has cloud value -cC (wk r)^3, so t-slope 3 cC wk^3 sk r^2:
-        # set against gk - gm below a*, and against gk - 3 cE t^2 above a*
-        # (a quadratic in t, as wk r = U - ds t)
-        U, ds = wk * rk0, wk * sk
-        empty = [rk0 / sk - np.sqrt((gm - gk) / (3.0 * cC * ds ** 3)),
-                 *_quadratic_roots(3.0 * cC * ds ** 3 - 3.0 * cE,
-                                   -6.0 * cC * ds * ds * U, 3.0 * cC * ds * U * U + gk)]
+        rs = rk0 / sk
+        shared = [lo, hi, rs, np.sqrt(gk / (3.0 * cE))]
+        # y = 0 has cloud value -cC (wk r)^3, so t-slope 3 cC wk^3 sk r^2 =
+        # cC3ds3 r^2 with ds = wk sk: set against gk - gm below a*, and
+        # against gk - 3 cE t^2 above a* (a quadratic in t, as wk r = U - ds t)
+        U = wk * rk0
+        empty = [rs - np.sqrt((gm - gk) / cC3ds3),
+                 *_quadratic_roots(a2, a1 * U, a0 * U * U + gk)]
         # queue i inside its clip: the constant t-slope sk v_i wk / w_i
         # against gk - 3 cE t^2 (against gk - gm it leaves f monotone)
         alone = np.sqrt((gk + sk * offload.v * wk / w) / (3.0 * cE))
-    t = np.zeros((rows.size, 7, offload.size)) + lo
+    t = np.zeros((rows.size, 7, k.size)) + lo
     t[:, :4] = np.concatenate(shared, axis=1)
     t[:, 4:, :1] = np.concatenate(empty, axis=1)
     t[:, 4:5, 1:n + 1] = alone
-    t = np.fmin(np.fmax(t, lo), hi)  # NaN -> L_k
+    np.fmin(np.fmax(t, lo, out=t), hi, out=t)  # NaN -> L_k
 
     # the value of every program with cloud candidate c at alpha_k = t[..., c]
     r = np.maximum(0.0, rk0 - sk * t)
     A = np.maximum(a_star, t)
-    values, *parts = offload(wk * r, B - r)
+    values, coef = offload(wk * r, B - r)
     total = gk * t + gm * (A - t) - cE * A ** 3 + qk * B + values
-    j, c = np.divmod(np.argmax(total.reshape(rows.size, -1), axis=1), total.shape[2])
-    t, A = t[rows, j, c], A[rows, j, c]
-    y = offload.dense(*(p[rows, j] for p in parts))[rows, c]
-    y = np.where(own, B - y.sum(axis=1, keepdims=True), y)
-    alpha = np.zeros((rows.size, n + 1))
-    alpha[rows, m] = A - t
-    alpha[:, :n] += own * t[:, None]
-    alpha[:, n] = 1.0 - A
-    beta = np.concatenate([y / B, 1.0 - y.sum(axis=1, keepdims=True) / B], axis=1)
-    return np.vstack([k.alpha[:2], alpha]), np.vstack([k.beta[:2], beta])
+    flat = total.reshape(rows.size, -1).argmax(axis=1)
+    win = flat + k.offsets[:rows.size]  # each program's winner in the whole grid
+    t, A = t.take(win), A.take(win)
+    # each program's winning y, built only for the winner, candidate c
+    y_c, y2_c = coef.reshape(2, -1).take(win, axis=1)[..., None]
+    e_c, e2_c = k.basis[:, flat % k.size]
+    y = y_c * e_c + y2_c * e2_c
+    y = np.where(own, B - np.add.reduce(y, axis=1, keepdims=True), y)
+
+    alpha = np.zeros((rows.size + 2, n + 1))
+    beta = np.empty((rows.size + 2, n + 1))
+    alpha[:2], beta[:2] = k.alpha[:2], k.beta[:2]
+    body = alpha[2:]
+    body[rows, m] = A - t
+    body[:, :n] += own * t[:, None]
+    body[:, n] = 1.0 - A
+    np.divide(y, B, out=beta[2:, :n])
+    beta[2:, n] = 1.0 - np.add.reduce(y, axis=1) / B
+    return alpha, beta
 
 
 class DppController:
@@ -309,8 +352,7 @@ class DppController:
         q = np.asarray(q, dtype=float)
         a = np.asarray(a, dtype=float)
         alpha, beta = _structured_candidates(q, a, self.constants)
-        best = int(np.argmin(dpp_objective(q, a, Action(alpha, beta), self.cfg,
-                                           self.dpp_cfg)))
+        best = dpp_objective(q, a, Action(alpha, beta), self.cfg, self.dpp_cfg).argmin()
         return Action(alpha=project_simplex(alpha[best]),
                       beta=project_simplex(beta[best]))
 

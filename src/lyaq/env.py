@@ -91,9 +91,9 @@ class StateVector:
     def n_queues(self) -> int:
         return len(self.arrival)
 
-    def as_vector(self, aux: str = "arrival") -> np.ndarray:
-        """Flatten to 5N+1; the second block holds a_i(t) or, with
-        aux="backlog", (q_i(t) + a_i(t)) - a_i(t), which may differ from
+    def as_vector(self, aux: str) -> np.ndarray:
+        """Flatten to 5N+1; the second block holds a_i(t) with aux="arrival"
+        or, with aux="backlog", (q_i(t) + a_i(t)) - a_i(t), which may differ from
         `queue` in the last bits (either block pins down the other)."""
         second = (self.arrival if aux == "arrival"
                   else self.backlog_plus_arrival - self.arrival)
@@ -119,7 +119,6 @@ class StepOutcome:
     offloads: np.ndarray      # o_i(t), bits
     edge_cost: float          # C_E(t), G^3 kappa
     cloud_cost: float         # C_C(t), G^3 kappa
-    t: int                    # slot index of the step
 
     @property
     def penalty_cost(self) -> float:
@@ -149,18 +148,17 @@ def queue_update(q, a, b) -> np.ndarray:
                       - np.asarray(b, dtype=float))
 
 
-def edge_cost(action: Action, cfg: SystemConfig):
-    """Cubic power of the edge cores with the load split evenly: each of the
-    N_E cores runs at f_E * sum(alpha) / N_E. A float for one action, an
-    array for a batch."""
-    per_core_ghz = cfg.edge_clock * action.alpha_eff.sum(axis=-1) / cfg.edge_cores / 1e9
-    cost = cfg.edge_cores * per_core_ghz ** 3
-    return float(cost) if cost.ndim == 0 else cost
+def edge_cost(alpha_eff, cfg: SystemConfig):
+    """Cubic power of the edge cores at effective CPU fractions alpha_eff,
+    (N,) for one action or (S, N) for a batch, with the load split evenly:
+    each of the N_E cores runs at f_E * sum(alpha) / N_E."""
+    per_core_ghz = cfg.edge_clock * np.add.reduce(alpha_eff, axis=-1) / cfg.edge_cores / 1e9
+    return cfg.edge_cores * per_core_ghz ** 3
 
 
 def cloud_cost(offloads, cfg: SystemConfig):
-    """Cloud charge for the offloaded cycles W = sum w_i o_i; a float for one
-    offload vector, an array for a batch of shape (S, N).
+    """Cloud charge for the offloaded cycles W = sum w_i o_i, of one offload
+    vector (N,) or of a batch (S, N).
 
     cubic: same even-split cubic law over the N_C >= 1 cloud cores
     (`check_cloud_cores` refuses fewer before any run).
@@ -169,12 +167,10 @@ def cloud_cost(offloads, cfg: SystemConfig):
     """
     cycles = np.maximum(np.dot(np.asarray(offloads, dtype=float), cfg.workloads), 0.0)
     if cfg.cloud_cost_kind == "cubic":
-        cost = cfg.cloud_cores * (cycles / cfg.cloud_cores / 1e9) ** 3
-    elif cfg.cloud_cost_kind == "per-core":
-        cost = np.ceil(cycles / cfg.cloud_core_clock) * (cfg.cloud_core_clock / 1e9) ** 3
-    else:
-        raise ValueError(f"unknown cloud_cost_kind {cfg.cloud_cost_kind!r}")
-    return float(cost) if cost.ndim == 0 else cost
+        return cfg.cloud_cores * (cycles / cfg.cloud_cores / 1e9) ** 3
+    if cfg.cloud_cost_kind == "per-core":
+        return np.ceil(cycles / cfg.cloud_core_clock) * (cfg.cloud_core_clock / 1e9) ** 3
+    raise ValueError(f"unknown cloud_cost_kind {cfg.cloud_cost_kind!r}")
 
 
 def check_cloud_cores(cfg: SystemConfig) -> None:
@@ -216,7 +212,6 @@ class EdgeCloudEnv:
         self._next = 0
         self._prev_actual_cpu = np.zeros(cfg.n_queues)
         self._prev_offloaded_cycles = 0.0
-        self._t = 0
 
     def _push_window(self, arrival: np.ndarray) -> None:
         self._window[self._slot] = arrival
@@ -253,7 +248,6 @@ class EdgeCloudEnv:
         self._next = len(self._block)  # discard what is left of the block
         self._prev_actual_cpu = np.zeros(self.cfg.n_queues)
         self._prev_offloaded_cycles = 0.0
-        self._t = 0
         self._a = self._next_arrival()
         self._push_window(self._a)
         return self.state()
@@ -274,14 +268,12 @@ class EdgeCloudEnv:
         b = cpu_bits + bw_bits
         o = np.maximum(0.0, np.minimum(bw_bits, qpa - cpu_bits))
         q_after = np.maximum(0.0, qpa - b)
-        t = self._t
 
         self._prev_actual_cpu = np.minimum(alpha, w * qpa / cfg.edge_clock)
         self._prev_offloaded_cycles = float(np.dot(w, o))
         self._q = q_after
         self._a = self._next_arrival()
         self._push_window(self._a)
-        self._t += 1
 
         return StepOutcome(
             next_state=self.state(),
@@ -289,9 +281,8 @@ class EdgeCloudEnv:
             queue_after=q_after,
             departures=b,
             offloads=o,
-            edge_cost=edge_cost(action, cfg),
-            cloud_cost=cloud_cost(o, cfg),
-            t=t,
+            edge_cost=float(edge_cost(alpha, cfg)),
+            cloud_cost=float(cloud_cost(o, cfg)),
         )
 
 

@@ -231,8 +231,6 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
         if progress is not None:
             progress(record)
 
-    if best is None:
-        best = (curve[-1]["reward_sum"], SacAgent.from_state_dict(agent.state_dict()))
     return TrainResult(agent=agent, curve=curve, best_agent=best[1])
 
 
@@ -252,8 +250,8 @@ def _sweep_csv_rows(path) -> set:
 
 
 def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds, *, out_csv,
-          sac_cfg: SacConfig | None = None, total_steps: int, reward_kind: str,
-          episodes: int, progress=None) -> list[dict]:
+          sac_cfg: SacConfig | None, total_steps: int, reward_kind: str,
+          episodes: int, progress) -> list[dict]:
     """Trade-off sweep: one (V, seed) per row, appended idempotently, plus
     per-V means. DPP reads V as its own weighting factor V' and solves the
     linear-drift objective. V_grid and seeds may be any iterables."""
@@ -296,8 +294,7 @@ def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds, *, out_csv,
                 rows.append(row)
                 done.add(key)  # a repeated (V, seed) runs once, as on resume
                 writer.writerow(row)
-                if progress is not None:
-                    progress(row)
+                progress(row)
     return rows
 
 
@@ -307,7 +304,7 @@ def _sweep_entry(controller_kind, cfg, V, seed, sac_cfg, total_steps,
     cfg = replace(cfg, penalty_weight=V)
     spec = default_reward_spec(cfg, kind=reward_kind)
     if controller_kind == "sac":
-        result = train(cfg, sac_cfg or SacConfig(), total_steps, seed, spec)
+        result = train(cfg, sac_cfg, total_steps, seed, spec)
         controller = SacController(result.best_agent)
     else:
         controller = make_controller(controller_kind, cfg,
@@ -334,7 +331,7 @@ def sweep_means(rows) -> list[dict]:
 
 def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
             seed: int, total_steps: int, reward_kind: str,
-            progress=None) -> list[dict]:
+            progress) -> list[dict]:
     """Both controllers on both cloud-cost kinds. On the discontinuous
     per-core cost the DPP row records its structured refusal while the
     learner's row reports the learning-curve improvement."""
@@ -354,8 +351,7 @@ def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
         except UnsupportedObjectiveError as exc:
             row["status"] = f"unsupported-objective: {exc}"
         rows.append(row)
-        if progress is not None:
-            progress(row)
+        progress(row)
 
         result = train(cfg_k, sac_cfg, total_steps, seed, spec)
         m = evaluate(SacController(result.best_agent), cfg_k, 1, seed, spec)[0]
@@ -364,12 +360,9 @@ def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
             "avg_queue": repr(m["avg_queue"]),
             "avg_penalty": repr(m["avg_penalty"]),
             "reward_first": repr(result.curve[0]["reward_sum"]),
-            "reward_final": repr(max(r["reward_sum"] for r in result.curve[1:])
-                                 if len(result.curve) > 1
-                                 else result.curve[0]["reward_sum"]),
+            "reward_final": repr(max(r["reward_sum"] for r in result.curve[1:])),
         })
-        if progress is not None:
-            progress(rows[-1])
+        progress(rows[-1])
     return rows
 
 

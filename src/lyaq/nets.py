@@ -131,7 +131,7 @@ class Adam:
     """Adaptive-moment gradient descent with bias correction over one flat
     parameter buffer of `size` entries."""
 
-    def __init__(self, size: int, lr: float = 3e-4):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
         self.t = 0
         self.m = np.zeros(size)

@@ -163,9 +163,9 @@ def plot_queue_timeline(csv_path, out_svg) -> None:
                  xlabel="slot", ylabel="sum of queue lengths (bits)")
 
 
-def emit_plots(csv_paths, out_dir=None) -> list[Path]:
-    """Render each CSV to an SVG next to it (or in out_dir), picking the chart
-    type from the header."""
+def emit_plots(csv_paths, out_dir) -> list[Path]:
+    """Render each CSV to an SVG next to it (in out_dir unless that is None),
+    picking the chart type from the header."""
     outputs = []
     for csv_path in csv_paths:
         csv_path = Path(csv_path)

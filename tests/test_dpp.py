@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lyaq.config import (AppProfile, SystemConfig, desk_config,
                          eight_app_config, three_app_config)
@@ -285,7 +286,7 @@ def reference_dpp_objective(q, a, action: Action, cfg: SystemConfig,
     value = d @ q
     if dpp_cfg.penalty_weight != 0.0:
         o = compute_offload(q + a, action, cfg)
-        value = value + dpp_cfg.penalty_weight * (edge_cost(action, cfg)
+        value = value + dpp_cfg.penalty_weight * (edge_cost(action.alpha_eff, cfg)
                                                   + cloud_cost(o, cfg))
     return float(value) if value.ndim == 0 else value
 
@@ -922,6 +923,46 @@ class TestSolveConstants:
                     for y in arrays(other):
                         if x.flags.writeable or y.flags.writeable:
                             assert not np.shares_memory(x, y)
+
+
+@st.composite
+def projected_rows(draw):
+    """Rows as a solve projects them, and worse: one-hots, exact zeros of
+    either sign, negative entries, and rows scaled onto the simplex."""
+    n = draw(st.integers(1, 9))
+    entry = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1.0 / 3.0, 1e-300, -1e-17])
+             | st.floats(-10.0, 10.0))
+    v = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["one-hot", "raw", "scaled"]))
+    if kind == "one-hot":
+        return np.eye(n)[draw(st.integers(0, n - 1))] * draw(st.sampled_from([1.0, 2.0, -1.0]))
+    if kind == "scaled" and v.sum() > 0.0:
+        return np.abs(v) / np.abs(v).sum()
+    return v
+
+
+@settings(max_examples=1000, deadline=None)
+@given(v=projected_rows())
+def test_projection_matches_the_reference_on_projected_rows(v):
+    assert project_simplex(v).tobytes() == reference_project_simplex(v).tobytes()
+
+
+@pytest.mark.parametrize("Vp", [0.0, 1e11])
+def test_an_action_outlives_later_decisions(Vp):
+    # a decision returns fresh arrays: an Action kept by the caller does not
+    # change when the controller decides again
+    cfg = three_app_config()
+    controller = DppController(cfg, DppConfig(penalty_weight=Vp))
+    env = EdgeCloudEnv(cfg, rng=np.random.default_rng(49))
+    state = env.reset()
+    for _ in range(5):  # past the empty queues of the first slots
+        state = env.step(controller.act(state)).next_state
+    kept = controller.act(state)
+    alpha, beta = kept.alpha.tobytes(), kept.beta.tobytes()
+    state = env.step(kept).next_state
+    for _ in range(10):
+        state = env.step(controller.act(state)).next_state
+    assert kept.alpha.tobytes() == alpha and kept.beta.tobytes() == beta
 
 
 def dpp_episode(cfg, dpp_cfg, T, rng):

@@ -126,7 +126,7 @@ class TestCosts:
                                                     (0.5, 80.0), (0.0, 0.0)])
     def test_edge_cost_table(self, cfg3, alpha_sum, expected):
         a = from_effective([alpha_sum, 0.0, 0.0], [0.0, 0.0, 0.0])
-        assert edge_cost(a, cfg3) == pytest.approx(expected, abs=1e-9)
+        assert edge_cost(a.alpha_eff, cfg3) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("cloud_g,expected", [(200.0, 2743.0),
                                                   (210.0, 3175.0),
@@ -155,7 +155,7 @@ class TestCosts:
         for _ in range(200):
             a = Action(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
             qpa = rng.uniform(0, 1e8, size=3)
-            ce = edge_cost(a, cfg3)
+            ce = edge_cost(a.alpha_eff, cfg3)
             cc = cloud_cost(compute_offload(qpa, a, cfg3), cfg3)
             assert 0.0 <= ce <= ce_max + 1e-9
             assert 0.0 <= cc <= cc_max + 1e-9
@@ -165,7 +165,7 @@ class TestEnv:
     def test_reset_dimensions_and_zero_queues(self, cfg3):
         env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(0))
         state = env.reset()
-        assert state.as_vector().shape == (16,)
+        assert state.as_vector("arrival").shape == (16,)
         assert np.allclose(state.queue, 0.0)
         assert np.allclose(state.backlog_plus_arrival, state.arrival)
         assert np.allclose(state.actual_cpu_use, 0.0)
@@ -174,7 +174,7 @@ class TestEnv:
     def test_reset_dimension_eight_queues(self):
         from lyaq.config import eight_app_config
         env = EdgeCloudEnv(eight_app_config(), rng=np.random.default_rng(0))
-        assert env.reset().as_vector().shape == (41,)
+        assert env.reset().as_vector("arrival").shape == (41,)
 
     def test_null_dynamics(self):
         cfg = single_queue_cfg()

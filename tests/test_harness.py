@@ -20,8 +20,8 @@ def short_desk():
 
 def uniform_sweep(grid, seeds, out_csv):
     """A uniform-controller sweep of one 10-slot episode per grid point."""
-    return sweep("uniform", short_desk(), grid, seeds, out_csv=out_csv,
-                 total_steps=1, reward_kind="diff", episodes=1)
+    return sweep("uniform", short_desk(), grid, seeds, out_csv=out_csv, sac_cfg=None,
+                 total_steps=1, reward_kind="diff", episodes=1, progress=lambda row: None)
 
 
 def read_lines(path):

@@ -181,7 +181,7 @@ class TestAdam:
 
     def test_moments_shape_and_time(self):
         net = DenseNet([2, 3, 1], np.random.default_rng(7))
-        opt = Adam(net.flat.size)
+        opt = Adam(net.flat.size, lr=3e-4)
         opt.step(net.flat, np.ones_like(net.flat))
         assert opt.t == 1
         assert opt.m.shape == opt.v.shape == net.flat.shape

@@ -61,7 +61,7 @@ def test_step_obeys_the_queue_and_offload_laws(profile, seed, data):
         np.testing.assert_array_equal(outcome.queue_after, queue_update(q, a, b))
         np.testing.assert_array_equal(outcome.next_state.actual_cpu_use,
                                       actual_cpu_use(q + a, action, cfg))
-        assert outcome.edge_cost == edge_cost(action, cfg)
+        assert outcome.edge_cost == edge_cost(action.alpha_eff, cfg)
         assert outcome.cloud_cost == cloud_cost(o, cfg)
         np.testing.assert_array_equal(outcome.queue_before, q)
         q, a = outcome.queue_after, outcome.next_state.arrival
@@ -74,7 +74,7 @@ def test_edge_cost_is_monotone_in_total_cpu_share(profile, data):
     first, second = data.draw(actions(cfg.n_queues)), data.draw(actions(cfg.n_queues))
     if first.alpha_eff.sum() > second.alpha_eff.sum():
         first, second = second, first
-    assert 0.0 <= edge_cost(first, cfg) <= edge_cost(second, cfg)
+    assert 0.0 <= edge_cost(first.alpha_eff, cfg) <= edge_cost(second.alpha_eff, cfg)
 
 
 @settings(max_examples=100, deadline=None)

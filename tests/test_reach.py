@@ -17,7 +17,8 @@ or method in `src/lyaq` must be set by some call in `src/lyaq` or
 `perfbench/`, by keyword, by position, or through `*` or `**`. A call
 matches a definition by name (a class name calls its `__init__`). A
 parameter that no call sets is a constant, and its default a value nothing
-else ever takes.
+else ever takes. Conversely, a defaulted parameter that every such call
+sets has a default that nothing takes: the parameter should be required.
 """
 
 import ast
@@ -48,6 +49,12 @@ ALLOWED_DEFAULTS = {
     "queue_slope_ok(frac)": "paper check: the slope tolerance of ROADMAP item 2's verdict",
     "check_theorem1_conditions(r_min)": "paper check: the reward floor of the Theorem-1 chain",
     "IdentityReport.ok(rel_tol)": "paper check: the tolerance of the reward-sum identities",
+}
+
+# Defaulted parameters that every call sets, one reason each.
+ALLOWED_ALWAYS_SET = {
+    "AppProfile.from_bounds(name)": "config file format: the default is what makes an "
+                                    "app's `name` key optional in config_from_dict",
 }
 
 
@@ -175,13 +182,19 @@ def _sets(call, param, position):
     return position is not None and len(call.args) > position
 
 
-def unset_defaults():
+def _defaults_and_setters():
+    """(path:qualname(param), one bool per call by that name: does it set
+    the parameter) for every defaulted parameter in src/lyaq."""
     modules = sorted(SRC.glob("*.py"))
     calls = _calls(modules + sorted(PERFBENCH.glob("*.py")))
-    return [f"{path.name}:{qualname}({param})"
+    return [(f"{path.name}:{qualname}({param})",
+             [_sets(call, param, position) for call in calls.get(called, [])])
             for path in modules
-            for qualname, called, param, position in _defaulted(path)
-            if not any(_sets(call, param, position) for call in calls.get(called, []))]
+            for qualname, called, param, position in _defaulted(path)]
+
+
+def unset_defaults():
+    return [label for label, sets in _defaults_and_setters() if not any(sets)]
 
 
 def test_every_default_is_overridden_by_some_caller():
@@ -190,7 +203,18 @@ def test_every_default_is_overridden_by_some_caller():
                        f"sets: {unset}")
 
 
+def always_set_defaults():
+    return [label for label, sets in _defaults_and_setters() if sets and all(sets)]
+
+
+def test_no_default_is_overridden_by_every_caller():
+    always = [u for u in always_set_defaults()
+              if u.split(":", 1)[1] not in ALLOWED_ALWAYS_SET]
+    assert not always, ("defaulted parameters that every call in src/lyaq and "
+                        f"perfbench/ sets: {always}")
+
+
 def test_every_default_allowlist_entry_names_a_parameter():
     defined = {f"{qualname}({param})" for path in SRC.glob("*.py")
                for qualname, _, param, _ in _defaulted(path)}
-    assert sorted(set(ALLOWED_DEFAULTS) - defined) == []
+    assert sorted((set(ALLOWED_DEFAULTS) | set(ALLOWED_ALWAYS_SET)) - defined) == []

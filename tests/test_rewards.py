@@ -227,7 +227,7 @@ def test_compute_reward_dispatch():
     outcome = StepOutcome(next_state=None, queue_before=np.array([1.0]),
                           queue_after=np.array([4.0]),
                           departures=np.array([2.0]), offloads=np.array([0.0]),
-                          edge_cost=1.5, cloud_cost=0.5, t=3)
+                          edge_cost=1.5, cloud_cost=0.5)
     m = np.array([5.0])
     cases = {
         "power": -4.0 - 2.0,

@@ -122,9 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, flags=("--nu", "--cost"))
     p.add_argument("--controller", choices=("dpp", "sac", "idle", "uniform"),
                    default="dpp")
-    p.add_argument("--Vprime", default=None,
-                   help="comma list of V' values (DPP)")
-    p.add_argument("--Vgrid", default=None, help="comma list of V values")
+    p.add_argument("--Vgrid", "--Vprime", dest="grid", required=True,
+                   help="comma list of V values (DPP reads them as V')")
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma list of seeds")
     _add_reward(p)
     p.add_argument("--steps", type=_count, default=20000,
@@ -182,7 +181,7 @@ def _controller_for(args, cfg):
             print("--controller sac needs --checkpoint", file=sys.stderr)
             raise SystemExit(2)
         agent = SacAgent.load(args.checkpoint)
-        for name in ("state_dim", "action_dim", "state_aux"):
+        for name in ("state_dim", "action_dim"):
             got, want = getattr(agent, name), getattr(cfg, name)
             if got != want:
                 raise ValueError(f"checkpoint {args.checkpoint} has {name}={got!r} "
@@ -255,11 +254,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    grid_text = args.Vprime if args.controller == "dpp" and args.Vprime else args.Vgrid
-    if not grid_text:
-        print("sweep needs --Vgrid (or --Vprime for dpp)", file=sys.stderr)
-        raise SystemExit(2)
-    grid = [float(x) for x in grid_text.split(",") if x.strip()]
+    grid = [float(x) for x in args.grid.split(",") if x.strip()]
     seeds = [int(x) for x in args.seeds.split(",") if x.strip()]
     sac_cfg = SacConfig(hidden_sizes=(64, 64)) if args.controller == "sac" else None
     rows = harness.sweep(args.controller, cfg, grid, seeds, out_csv=args.out,

@@ -8,8 +8,9 @@ rates coincide. Size suffix convention follows the usual storage units:
 Power costs are in kappa*(Gcycles/s)^3 units. The constant kappa itself is
 not modelled: it would only rescale the penalty weight V. The learner's
 discount factor gamma is `SacConfig.discount`, not part of the system.
-`config_from_dict` ignores keys that are not fields, such as the `kappa` and
-`discount` keys that configs written by earlier versions hold.
+`config_from_dict` ignores keys that are not fields, such as the `kappa`,
+`discount` and `n_queues` keys that configs written by earlier versions hold:
+the number of queues is the number of apps.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ class AppProfile:
 class SystemConfig:
     """Edge/cloud capacities, cost constants, and reward constants."""
 
-    n_queues: int                    # N
     edge_clock: float                # f_E, cycles/s
     edge_cores: int                  # N_E
     bandwidth: float                 # B, bits/s edge->cloud
@@ -99,7 +99,11 @@ class SystemConfig:
     apps: tuple[AppProfile, ...]
     cloud_cost_kind: str = "cubic"   # "cubic" | "per-core"
     cloud_core_clock: float = 4e9    # cycles/s of one cloud core
-    state_aux: str = "arrival"       # second state block: "arrival" | "backlog"
+
+    @property
+    def n_queues(self) -> int:
+        """N, one queue per app."""
+        return len(self.apps)
 
     @cached_property
     def workloads(self) -> np.ndarray:
@@ -143,10 +147,8 @@ def validate_config(cfg: SystemConfig) -> list[str]:
               if kind == "int" and not isinstance(value, numbers.Integral)]
     errors += [f"{name} {value} not finite" for name, kind, value in named
                if kind != "int" and isinstance(value, float) and not math.isfinite(value)]
-    if cfg.n_queues < 1:
-        errors.append(f"n_queues {cfg.n_queues} < 1")
-    if len(cfg.apps) != cfg.n_queues:
-        errors.append(f"apps length {len(cfg.apps)} != n_queues {cfg.n_queues}")
+    if not cfg.apps:
+        errors.append("apps is empty: there is no queue")
     if cfg.edge_clock <= 0:
         errors.append(f"edge_clock {cfg.edge_clock} <= 0")
     if cfg.edge_cores < 1:
@@ -170,8 +172,6 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         errors.append(f"episode_length {cfg.episode_length} < 1")
     if cfg.cloud_cost_kind not in CLOUD_COST_KINDS:
         errors.append(f"cloud_cost_kind {cfg.cloud_cost_kind!r} not in {CLOUD_COST_KINDS}")
-    if cfg.state_aux not in ("arrival", "backlog"):
-        errors.append(f"state_aux {cfg.state_aux!r} not 'arrival' or 'backlog'")
     for i, app in enumerate(cfg.apps):
         tag = app.name or f"app {i}"
         if app.workload_cycles_per_bit <= 0:
@@ -273,24 +273,23 @@ _PAPER_NODE = dict(edge_clock=40e9, edge_cores=10, bandwidth=20e6, cloud_cores=5
                    episode_length=5000)
 
 
-def _profile(apps, overrides, **node) -> SystemConfig:
+def _profile(apps, **node) -> SystemConfig:
     """A built-in profile: one queue per app on `node`, rho = 1e-9, V = 0 and
-    nu = 1, then `overrides`."""
-    cfg = SystemConfig(n_queues=len(apps), rho=1e-9, penalty_weight=0.0,
-                       reward_exponent=1.0, apps=apps, **node)
-    return replace(cfg, **overrides) if overrides else cfg
+    nu = 1."""
+    return SystemConfig(rho=1e-9, penalty_weight=0.0, reward_exponent=1.0,
+                        apps=apps, **node)
 
 
-def three_app_config(**overrides) -> SystemConfig:
+def three_app_config() -> SystemConfig:
     """Three AI application types on the paper's node."""
     return _profile((
         AppProfile.from_bounds(10435, 5.0, "40kB", "300kB", name="speech"),
         AppProfile.from_bounds(25346, 8.0, "4kB", "100kB", name="nlp"),
         AppProfile.from_bounds(45043, 4.0, "10kB", "100kB", name="face"),
-    ), overrides, **_PAPER_NODE)
+    ), **_PAPER_NODE)
 
 
-def eight_app_config(**overrides) -> SystemConfig:
+def eight_app_config() -> SystemConfig:
     """Eight application types (adds low-rate web/AR/VR traffic), same node."""
     return _profile((
         AppProfile.from_bounds(10435, 0.5, "40kB", "300kB", name="speech"),
@@ -301,16 +300,16 @@ def eight_app_config(**overrides) -> SystemConfig:
         AppProfile.from_bounds(54633, 0.1, "0.1MB", "3MB", name="3dgame"),
         AppProfile.from_bounds(40305, 0.1, "0.1MB", "3MB", name="vr"),
         AppProfile.from_bounds(34532, 0.1, "0.1MB", "3MB", name="ar"),
-    ), overrides, **_PAPER_NODE)
+    ), **_PAPER_NODE)
 
 
-def desk_config(**overrides) -> SystemConfig:
+def desk_config() -> SystemConfig:
     """Two-queue configuration small enough for CI: 2-core 8 Gcycles/s edge,
     4-core cloud, cycle demand at ~90% of joint capacity."""
     return _profile((
         AppProfile.from_bounds(8000, 5.5, "10kB", "50kB", name="compress"),
         AppProfile.from_bounds(20000, 4.4, "5kB", "25kB", name="detect"),
-    ), overrides, edge_clock=8e9, edge_cores=2, bandwidth=3e6, cloud_cores=4,
+    ), edge_clock=8e9, edge_cores=2, bandwidth=3e6, cloud_cores=4,
         episode_length=500)
 
 
@@ -321,9 +320,9 @@ PROFILES = {
 }
 
 
-def get_profile(name: str, **overrides) -> SystemConfig:
+def get_profile(name: str) -> SystemConfig:
     try:
         builder = PROFILES[name]
     except KeyError:
         raise KeyError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}") from None
-    return builder(**overrides)
+    return builder()

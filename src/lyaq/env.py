@@ -42,10 +42,6 @@ class Action:
     beta: np.ndarray
 
     @property
-    def n_queues(self) -> int:
-        return self.alpha.shape[-1] - 1
-
-    @property
     def alpha_eff(self) -> np.ndarray:
         return self.alpha[..., :-1]
 
@@ -76,8 +72,9 @@ class Action:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Observation of a single RL step, laid out as 5N+1 numbers, plus the
-    environment's exact backlog `queue`, which the layout does not hold."""
+    """Observation of a single RL step, plus the environment's exact backlog
+    `queue`, which the observation does not hold (it is the difference of
+    its first two blocks up to rounding)."""
 
     backlog_plus_arrival: np.ndarray  # q_i(t)+a_i(t), bits
     arrival: np.ndarray               # a_i(t), bits
@@ -87,24 +84,35 @@ class StateVector:
     windowed_arrival_avg: np.ndarray  # mean a_i over the last 100 slots
     queue: np.ndarray                 # q_i(t), bits, before this slot's arrival
 
-    @property
-    def n_queues(self) -> int:
-        return len(self.arrival)
-
-    def as_vector(self, aux: str) -> np.ndarray:
-        """Flatten to 5N+1; the second block holds a_i(t) with aux="arrival"
-        or, with aux="backlog", (q_i(t) + a_i(t)) - a_i(t), which may differ from
-        `queue` in the last bits (either block pins down the other)."""
-        second = (self.arrival if aux == "arrival"
-                  else self.backlog_plus_arrival - self.arrival)
+    def as_vector(self) -> np.ndarray:
+        """The 5N+1 observation, in the block order of the fields above:
+        q+a, a, w, the previous CPU use (N each), the previous offloaded
+        cycles (1) and the windowed arrival mean (N)."""
         return np.concatenate([
             self.backlog_plus_arrival,
-            second,
+            self.arrival,
             self.workload,
             self.actual_cpu_use,
             [self.offloaded_cycles],
             self.windowed_arrival_avg,
         ])
+
+
+def observation_scale(cfg: SystemConfig) -> np.ndarray:
+    """Per-entry divisor of `StateVector.as_vector`, block by block: the
+    bits-valued blocks by the per-app mean bits per slot (1 for an app with
+    none), workloads by the largest workload, offloaded cycles by the edge
+    clock; the CPU-use block is already dimensionless."""
+    m = cfg.mean_bits_per_slot
+    m = np.where(m > 0, m, 1.0)
+    return np.concatenate([
+        m,                                  # backlog + arrival
+        m,                                  # arrival
+        np.full(cfg.n_queues, cfg.workloads.max()),  # workloads
+        np.ones(cfg.n_queues),              # actual CPU use
+        [cfg.edge_clock],                   # offloaded cycles
+        m,                                  # windowed arrival average
+    ])
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,8 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
     is rounded up to whole episodes: the curve ends at ceil(total_steps / T)
     * T steps.
     """
+    if total_steps < 1:
+        raise ValueError(f"total_steps must be at least 1, got {total_steps}")
     T = cfg.episode_length
     ss = np.random.SeedSequence(seed)
     env_ss, agent_ss, update_ss, eval_ss = ss.spawn(4)
@@ -176,13 +178,12 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
 
     agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(agent_ss))
     env = EdgeCloudEnv(cfg, rng=env_rng)
-    aux = cfg.state_aux
-    last = [None, None]  # the latest state and its normalized vector
+    last = [None, None]  # the latest state and its observation
 
     def norm(state):
         # one array per state, shared by the transitions it ends and starts
         if state is not last[0]:
-            last[:] = state, agent.normalizer.normalize(state.as_vector(aux))
+            last[:] = state, agent.observe(state)
         return last[1]
 
     def explore(state) -> Action:

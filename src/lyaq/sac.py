@@ -31,18 +31,23 @@ and next state the buffer stores, and both squashes of the update.
 
 The agent never steps an environment. `harness.train` collects through the
 harness's one episode loop with `policy_sample` as the exploring policy and
-pushes each transition (normalized states, flat action, reward times
+pushes each transition (observations, flat action, reward times
 `reward_scale`) straight into `agent.buffer`; `reward_scale` is set once,
 from the first collected episode, and saved with the checkpoint.
+`SacAgent.observe`, `env.StateVector.as_vector` over `env.observation_scale`,
+is the one path from a state to what the nets read.
 
-Checkpoints are `np.savez` archives of `SacAgent.state_dict()`, format 1:
+Checkpoints are `np.savez` archives of `SacAgent.state_dict()`, format 2:
 `<net>.<i>` for the i-th parameter of policy, q1, q2, q1_target and
 q2_target; `<opt>.m<i>` and `<opt>.v<i>` for the Adam moments of policy_opt,
-q1_opt and q2_opt; `normalizer.scale`; and `meta`, the UTF-8 JSON bytes of
-format_version, sac_cfg, state_dim, action_dim, state_aux, reward_scale,
-update_count, opt_steps (Adam step counts) and net_sizes. Replay transitions
-are not saved: a loaded agent starts with an empty buffer. A sac_cfg key
-that `SacConfig` does not have fails the load.
+q1_opt and q2_opt; `normalizer.scale`, the observation scale; and `meta`,
+the UTF-8 JSON bytes of format_version, sac_cfg, state_dim, action_dim,
+reward_scale and update_count. The layer widths (`net_sizes`) and the Adam
+step counts (each equal to update_count) follow from these. Replay
+transitions are not saved: a loaded agent starts with an empty buffer. A
+sac_cfg key that `SacConfig` does not have fails the load. Format 1 files
+load too: their net_sizes and opt_steps are not read, and a state_aux other
+than "arrival" fails the load.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import SystemConfig
-from .env import Action, StateVector
+from .env import Action, StateVector, observation_scale
 from .nets import Adam, DenseNet, param_shapes, soft_update
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -131,33 +136,6 @@ class ReplayBuffer:
 
     def __len__(self) -> int:
         return self.size
-
-
-class StateNormalizer:
-    """Fixed linear scaling of the 5N+1 observation: bits-valued blocks by
-    the per-app mean bits/slot, workloads by the largest workload, offloaded
-    cycles by the edge clock; the CPU-use block is already dimensionless."""
-
-    def __init__(self, scale: np.ndarray):
-        self.scale = np.asarray(scale, dtype=float)
-
-    @classmethod
-    def from_config(cls, cfg: SystemConfig) -> "StateNormalizer":
-        m = cfg.mean_bits_per_slot
-        m = np.where(m > 0, m, 1.0)
-        w = cfg.workloads
-        scale = np.concatenate([
-            m,                                  # backlog + arrival
-            m,                                  # arrival (or backlog)
-            np.full(cfg.n_queues, w.max()),     # workloads
-            np.ones(cfg.n_queues),              # actual CPU use
-            [cfg.edge_clock],                   # offloaded cycles
-            m,                                  # windowed arrival average
-        ])
-        return cls(scale)
-
-    def normalize(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) / self.scale
 
 
 def dual_softmax(z: np.ndarray) -> np.ndarray:
@@ -248,6 +226,14 @@ def actor_loss_and_grads(policy: DenseNet, q1: DenseNet, q2: DenseNet, s,
 # Agent
 
 
+def net_sizes(state_dim: int, action_dim: int, hidden) -> dict:
+    """The layer widths of each of the agent's nets: a mean and a log-std
+    per action logit out of the policy, one value out of each critic."""
+    critic = (state_dim + action_dim, *hidden, 1)
+    return {"policy": (state_dim, *hidden, 2 * action_dim),
+            "q1": critic, "q2": critic, "q1_target": critic, "q2_target": critic}
+
+
 class SacAgent:
     """Twin-critic SAC with simplex policy heads and soft target updates."""
 
@@ -258,18 +244,17 @@ class SacAgent:
         self.sac_cfg = sac_cfg
         self.state_dim = sys_cfg.state_dim
         self.action_dim = sys_cfg.action_dim
-        self.state_aux = sys_cfg.state_aux
-        hidden = list(sac_cfg.hidden_sizes)
+        hidden = sac_cfg.hidden_sizes
         if not hidden or any(int(h) != h or h < 1 for h in hidden):
             raise ValueError("hidden_sizes must be one or more positive integers, "
                              f"got {sac_cfg.hidden_sizes!r}")
+        sizes = net_sizes(self.state_dim, self.action_dim, hidden)
 
         # near-zero final policy layer: the initial policy is near-uniform
         # over both simplexes, a safe exploration start
-        self.policy = DenseNet([self.state_dim, *hidden, 2 * self.action_dim],
-                               rng, final_weight_scale=0.01)
-        self.q1 = DenseNet([self.state_dim + self.action_dim, *hidden, 1], rng)
-        self.q2 = DenseNet([self.state_dim + self.action_dim, *hidden, 1], rng)
+        self.policy = DenseNet(sizes["policy"], rng, final_weight_scale=0.01)
+        self.q1 = DenseNet(sizes["q1"], rng)
+        self.q2 = DenseNet(sizes["q2"], rng)
         self.q1_target = self.q1.clone()
         self.q2_target = self.q2.clone()
 
@@ -280,7 +265,7 @@ class SacAgent:
 
         self.buffer = ReplayBuffer(sac_cfg.buffer_capacity, self.state_dim,
                                    self.action_dim)
-        self.normalizer = StateNormalizer.from_config(sys_cfg)
+        self.obs_scale = observation_scale(sys_cfg)
         self.reward_scale = 1.0
         self.update_count = 0
 
@@ -301,10 +286,13 @@ class SacAgent:
         action, logp, _, _ = squashed_sample(out, eps, self.sac_cfg)
         return action, float(logp)
 
+    def observe(self, state: StateVector) -> np.ndarray:
+        """What the nets read of a state: its observation over the scale."""
+        return state.as_vector() / self.obs_scale
+
     def act(self, state: StateVector) -> Action:
         """The deterministic policy's action for a raw state."""
-        x = self.normalizer.normalize(state.as_vector(self.state_aux))
-        flat, _ = self.policy_sample(x, deterministic=True)
+        flat, _ = self.policy_sample(self.observe(state), deterministic=True)
         half = flat.size // 2
         return Action(alpha=flat[:half], beta=flat[half:])
 
@@ -369,7 +357,7 @@ class SacAgent:
     _OPTS = ("policy_opt", "q1_opt", "q2_opt")
 
     def state_dict(self) -> dict:
-        """Every weight matrix, optimizer moment and the normalizer scale by
+        """Every weight matrix, optimizer moment and the observation scale by
         name, plus the JSON `meta` record as a byte array (the checkpoint
         layout of the module docstring). The arrays are the live ones."""
         arrays = {}
@@ -381,17 +369,14 @@ class SacAgent:
             for key in ("m", "v"):
                 for i, mom in enumerate(net.views(getattr(opt, key))):
                     arrays[f"{name}.{key}{i}"] = mom
-        arrays["normalizer.scale"] = self.normalizer.scale
+        arrays["normalizer.scale"] = self.obs_scale
         meta = {
-            "format_version": 1,
+            "format_version": 2,
             "sac_cfg": asdict(self.sac_cfg),
             "state_dim": self.state_dim,
             "action_dim": self.action_dim,
-            "state_aux": self.state_aux,
             "reward_scale": self.reward_scale,
             "update_count": self.update_count,
-            "opt_steps": {name: getattr(self, name).t for name in self._OPTS},
-            "net_sizes": {name: getattr(self, name).sizes for name in self._NETS},
         }
         arrays["meta"] = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
@@ -401,12 +386,16 @@ class SacAgent:
     def from_state_dict(cls, arrays) -> "SacAgent":
         """An independent agent from a `state_dict()` mapping (or an open
         checkpoint): arrays are copied and the replay buffer starts empty.
-        A missing, surplus or misshapen array raises ValueError."""
+        A missing, surplus or misshapen array raises ValueError, as does a
+        format-1 observation other than "arrival"."""
         if "meta" not in arrays:
             raise ValueError("checkpoint has no 'meta' record")
         meta = json.loads(bytes(arrays["meta"]).decode())
-        if meta.get("format_version") != 1:
+        if meta.get("format_version") not in (1, 2):
             raise ValueError(f"unknown checkpoint format {meta.get('format_version')}")
+        if meta.get("state_aux", "arrival") != "arrival":
+            raise ValueError(f"checkpoint observation state_aux={meta['state_aux']!r} "
+                             "is no longer supported; only 'arrival' is")
         used = {"meta"}
 
         def take(key, shape):
@@ -430,21 +419,22 @@ class SacAgent:
             agent.sac_cfg = SacConfig(**cfg_dict)
             agent.state_dim = meta["state_dim"]
             agent.action_dim = meta["action_dim"]
-            agent.state_aux = meta["state_aux"]
             agent.reward_scale = meta["reward_scale"]
             agent.update_count = meta["update_count"]
+            sizes = net_sizes(agent.state_dim, agent.action_dim,
+                              agent.sac_cfg.hidden_sizes)
             for name in cls._NETS:
-                sizes = meta["net_sizes"][name]
-                setattr(agent, name, DenseNet.from_flat(sizes, gather(f"{name}.", sizes)))
+                setattr(agent, name, DenseNet.from_flat(
+                    sizes[name], gather(f"{name}.", sizes[name])))
             for name in cls._OPTS:
-                sizes = getattr(agent, name[:-len("_opt")]).sizes
+                widths = sizes[name[:-len("_opt")]]
                 opt = Adam(0, lr=agent.sac_cfg.learning_rate)
-                opt.t = meta["opt_steps"][name]
-                opt.m, opt.v = gather(f"{name}.m", sizes), gather(f"{name}.v", sizes)
+                opt.t = agent.update_count  # each update steps every optimizer once
+                opt.m, opt.v = gather(f"{name}.m", widths), gather(f"{name}.v", widths)
                 setattr(agent, name, opt)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"checkpoint meta is incomplete: {exc!r}") from exc
-        agent.normalizer = StateNormalizer(take("normalizer.scale", (agent.state_dim,)))
+        agent.obs_scale = take("normalizer.scale", (agent.state_dim,))
         surplus = sorted(set(arrays) - used)
         if surplus:
             raise ValueError(f"checkpoint has unexpected arrays {surplus}")

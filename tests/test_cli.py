@@ -179,8 +179,7 @@ def test_config_file_with_non_finite_field_is_refused(tmp_path, capsys):
     assert "config error: compress: arrival_rate nan not finite" in err
 
 
-@pytest.mark.parametrize("field", ["n_queues", "edge_cores", "cloud_cores",
-                                   "episode_length"])
+@pytest.mark.parametrize("field", ["edge_cores", "cloud_cores", "episode_length"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), 2.5])
 def test_config_file_with_a_count_that_is_not_whole_is_refused(tmp_path, capsys,
                                                                 field, value):
@@ -248,6 +247,27 @@ def test_sweep_runs_a_repeated_point_once(tmp_path, capsys, grid, seeds):
                  "--out", str(out)]) == 0
     assert len(read_rows(out)) == 1
     assert "(1 runs)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("controller", ["uniform", "dpp"])
+def test_both_grid_spellings_sweep_any_controller(tmp_path, controller):
+    # --Vprime and --Vgrid are one option, whatever the controller
+    outs = []
+    for flag in ("--Vprime", "--Vgrid"):
+        out = tmp_path / f"{flag[2:]}.csv"
+        assert main(["sweep", "--config", desk_config_file(tmp_path), "--controller",
+                     controller, flag, "0,1e11", "--seeds", "0", "--episodes", "1",
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert [float(r["V"]) for r in read_rows(out)] == [0.0, 1e11]
+
+
+def test_sweep_without_a_grid_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--controller", "dpp", "--out", "never.csv"])
+    assert exc.value.code == 2
+    assert "required: --Vgrid/--Vprime" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -33,7 +33,7 @@ def test_validate_ok_for_builtin_profiles():
 
 
 def test_validate_flags_exponent_below_one():
-    cfg = three_app_config(reward_exponent=0.5)
+    cfg = dataclasses.replace(three_app_config(), reward_exponent=0.5)
     errors = validate_config(cfg)
     assert any("reward_exponent" in e for e in errors)
 
@@ -79,7 +79,8 @@ class TestFeasibility:
         assert rep.feasible
 
     def test_no_cloud_is_infeasible(self):
-        rep = feasibility_check(three_app_config(cloud_cores=0))
+        cfg = dataclasses.replace(three_app_config(), cloud_cores=0)
+        rep = feasibility_check(cfg)
         assert rep.total_capacity == 40e9
         assert not rep.feasible
 
@@ -94,7 +95,8 @@ class TestFeasibility:
 
 
 def test_json_round_trip(tmp_path):
-    cfg = three_app_config(penalty_weight=3.5, cloud_cost_kind="per-core")
+    cfg = dataclasses.replace(three_app_config(), penalty_weight=3.5,
+                              cloud_cost_kind="per-core")
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -135,3 +137,19 @@ def test_state_and_action_dims():
     assert three_app_config().state_dim == 16
     assert eight_app_config().state_dim == 41
     assert desk_config().action_dim == 6
+
+
+def test_the_queue_count_is_the_app_count(tmp_path):
+    # a config file's n_queues key, which earlier versions wrote, is ignored
+    d = dataclasses.asdict(desk_config())
+    d["n_queues"] = 7
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    cfg = load_config(path)
+    assert cfg == desk_config()
+    assert cfg.n_queues == len(cfg.apps) == 2
+
+
+def test_validate_refuses_an_empty_app_list():
+    assert validate_config(dataclasses.replace(desk_config(), apps=())) == [
+        "apps is empty: there is no queue"]

@@ -479,7 +479,7 @@ def random_instance(rng, n):
 
 def speech_cfg(**overrides):
     app = AppProfile.from_bounds(10435, 5.0, "40kB", "300kB", name="speech")
-    base = dict(n_queues=1, edge_clock=40e9, edge_cores=10, bandwidth=20e6,
+    base = dict(edge_clock=40e9, edge_cores=10, bandwidth=20e6,
                 cloud_cores=54, rho=1e-9, penalty_weight=0.0,
                 reward_exponent=1.0, episode_length=100, apps=(app,))
     base.update(overrides)
@@ -716,7 +716,7 @@ class TestOptimizer:
         assert {"none", "overflow"} <= winners
 
     def test_cubic_cost_without_cloud_cores_fails_clearly(self):
-        cfg = three_app_config(cloud_cores=0)
+        cfg = dataclasses.replace(three_app_config(), cloud_cores=0)
         for Vp in (0.0, 1e11):
             with pytest.raises(ValueError, match="cloud_cores"):
                 DppController(cfg, DppConfig(penalty_weight=Vp))
@@ -768,10 +768,10 @@ class TestOptimizer:
         # relabelling the queues relabels the program, so the optimal value
         # must not move; a solve that depended on queue order would
         app1 = AppProfile.from_bounds(8000, 5.0, "10kB", "50kB")
-        cfg = SystemConfig(n_queues=2, edge_clock=8e9, edge_cores=2,
-                           bandwidth=3e6, cloud_cores=4, rho=1e-9,
-                           penalty_weight=0.0, reward_exponent=1.0,
-                           episode_length=100, apps=(app1, app1))
+        cfg = SystemConfig(edge_clock=8e9, edge_cores=2, bandwidth=3e6,
+                           cloud_cores=4, rho=1e-9, penalty_weight=0.0,
+                           reward_exponent=1.0, episode_length=100,
+                           apps=(app1, app1))
         dc = DppConfig(penalty_weight=1e8)
         q = np.array([2e6, 8e6])
         a = np.array([1e6, 3e6])
@@ -985,7 +985,7 @@ class TestEpisode:
 
     def test_per_core_cost_is_refused_when_the_controller_is_built(self):
         # the refusal depends on the config alone, so no episode starts
-        cfg = desk_config(cloud_cost_kind="per-core")
+        cfg = dataclasses.replace(desk_config(), cloud_cost_kind="per-core")
         for Vp in (0.0, 1e11):
             with pytest.raises(UnsupportedObjectiveError, match="'per-core'"):
                 DppController(cfg, DppConfig(penalty_weight=Vp))

@@ -37,7 +37,7 @@ def cfg3():
 
 def single_queue_cfg(w=10435.0, f_E=40e9, B=20e6, **overrides):
     app = AppProfile.from_bounds(w, 5.0, "40kB", "300kB")
-    base = dict(n_queues=1, edge_clock=f_E, edge_cores=10, bandwidth=B,
+    base = dict(edge_clock=f_E, edge_cores=10, bandwidth=B,
                 cloud_cores=54, rho=1e-9, penalty_weight=0.0,
                 reward_exponent=1.0, episode_length=100, apps=(app,))
     base.update(overrides)
@@ -165,7 +165,7 @@ class TestEnv:
     def test_reset_dimensions_and_zero_queues(self, cfg3):
         env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(0))
         state = env.reset()
-        assert state.as_vector("arrival").shape == (16,)
+        assert state.as_vector().shape == (16,)
         assert np.allclose(state.queue, 0.0)
         assert np.allclose(state.backlog_plus_arrival, state.arrival)
         assert np.allclose(state.actual_cpu_use, 0.0)
@@ -174,7 +174,7 @@ class TestEnv:
     def test_reset_dimension_eight_queues(self):
         from lyaq.config import eight_app_config
         env = EdgeCloudEnv(eight_app_config(), rng=np.random.default_rng(0))
-        assert env.reset().as_vector("arrival").shape == (41,)
+        assert env.reset().as_vector().shape == (41,)
 
     def test_null_dynamics(self):
         cfg = single_queue_cfg()
@@ -262,18 +262,6 @@ class TestEnv:
             arrivals.append(outcome.next_state.arrival)
             expect = np.sum(arrivals, axis=0) / ARRIVAL_WINDOW
             assert np.allclose(outcome.next_state.windowed_arrival_avg, expect)
-
-    def test_state_aux_backlog_mode(self, cfg3):
-        env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(6))
-        state = env.reset()
-        env.step(Action.uniform(3))
-        state = env.state()
-        vec_arr = state.as_vector("arrival")
-        vec_bl = state.as_vector("backlog")
-        n = cfg3.n_queues
-        assert np.allclose(vec_arr[n:2 * n], state.arrival)
-        assert np.allclose(vec_bl[n:2 * n], state.queue)
-        assert vec_arr.shape == vec_bl.shape == (16,)
 
 
 class TestTrace:

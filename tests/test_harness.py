@@ -114,7 +114,6 @@ def reference_collect(cfg, sac_cfg, total_steps, seed, reward_spec):
 
     agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(agent_ss))
     env = EdgeCloudEnv(cfg, rng=env_rng)
-    aux = cfg.state_aux
     steps_done = 0
     scale_set = False
 
@@ -123,13 +122,12 @@ def reference_collect(cfg, sac_cfg, total_steps, seed, reward_spec):
         episodes_left = -(-(total_steps - steps_done) // T)
         for _ in range(min(EPISODES_PER_CYCLE, episodes_left)):
             state = env.reset()
-            s_norm = agent.normalizer.normalize(state.as_vector(aux))
+            s_norm = state.as_vector() / agent.obs_scale
             for _ in range(T):
                 flat, _ = agent.policy_sample(s_norm, rng=collect_rng)
                 outcome = env.step(Action.from_flat(flat))
                 r = compute_reward(outcome, reward_spec)
-                s2_norm = agent.normalizer.normalize(
-                    outcome.next_state.as_vector(aux))
+                s2_norm = outcome.next_state.as_vector() / agent.obs_scale
                 pending.append((s_norm, flat, r, s2_norm))
                 s_norm = s2_norm
                 steps_done += 1
@@ -174,6 +172,15 @@ def test_budget_rounds_up_to_whole_episodes_not_cycles(total_steps, curve_steps)
     assert [row["steps"] for row in result.curve] == curve_steps
     assert len(result.agent.buffer) == curve_steps[-1]
     assert result.agent.update_count == curve_steps[-1]
+
+
+@pytest.mark.parametrize("total_steps", [0, -1])
+def test_train_refuses_a_budget_below_one_step(total_steps):
+    cfg = short_desk()
+    message = f"total_steps must be at least 1, got {total_steps}"
+    with pytest.raises(ValueError, match=message):
+        train(cfg, SacConfig(hidden_sizes=(8, 8)), total_steps, 0,
+              default_reward_spec(cfg, "diff"))
 
 
 @pytest.mark.parametrize("episodes", [0, -1])

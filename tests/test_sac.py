@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from lyaq.config import desk_config, get_profile
-from lyaq.env import Action, EdgeCloudEnv, StateVector
+from lyaq.env import Action, EdgeCloudEnv, StateVector, observation_scale
 from lyaq.harness import default_reward_spec, train
 from lyaq.nets import DenseNet
 from lyaq.sac import (FLUSH_FLOOR, ReplayBuffer, SacAgent, SacConfig,
-                      StateNormalizer, actor_loss_and_grads,
-                      critic_loss_and_grads, dual_softmax, flush_tiny,
-                      gaussian_logp, squashed_sample)
+                      actor_loss_and_grads, critic_loss_and_grads,
+                      dual_softmax, flush_tiny, gaussian_logp, squashed_sample)
 from test_nets import (reference_adam_step, reference_backward,
                        reference_forward, reference_forward_cache,
                        reference_soft_update)
@@ -81,25 +80,62 @@ def test_flush_tiny_zeroes_only_entries_below_the_floor():
     assert np.float32(FLUSH_FLOOR) ** 2 == np.finfo(np.float32).tiny
 
 
-class TestNormalizer:
-    def test_zero_maps_to_zero(self, cfg):
-        norm = StateNormalizer.from_config(cfg)
-        assert np.all(norm.normalize(np.zeros(cfg.state_dim)) == 0.0)
+def retired_normalizer_scale(cfg):
+    """The scale of the retired `StateNormalizer.from_config`, verbatim."""
+    m = cfg.mean_bits_per_slot
+    m = np.where(m > 0, m, 1.0)
+    w = cfg.workloads
+    return np.concatenate([
+        m,                                  # backlog + arrival
+        m,                                  # arrival
+        np.full(cfg.n_queues, w.max()),     # workloads
+        np.ones(cfg.n_queues),              # actual CPU use
+        [cfg.edge_clock],                   # offloaded cycles
+        m,                                  # windowed arrival average
+    ])
 
-    def test_mean_arrival_maps_to_one(self, cfg):
-        norm = StateNormalizer.from_config(cfg)
+
+class TestObservation:
+    @pytest.mark.parametrize("profile", ["paper", "paper8", "desk"])
+    def test_scale_is_the_retired_normalizer_scale(self, profile):
+        cfg = get_profile(profile)
+        want = retired_normalizer_scale(cfg).tobytes()
+        assert observation_scale(cfg).tobytes() == want
+        assert SacAgent(cfg, TOY).obs_scale.tobytes() == want
+
+    def test_zero_maps_to_zero(self, agent, cfg):
+        state = as_state(np.zeros(cfg.state_dim), cfg.n_queues)
+        assert np.all(agent.observe(state) == 0.0)
+
+    def test_mean_arrival_maps_to_one(self, agent, cfg):
         n = cfg.n_queues
         x = np.zeros(cfg.state_dim)
         x[n:2 * n] = cfg.mean_bits_per_slot  # the arrival block
-        assert np.allclose(norm.normalize(x)[n:2 * n], 1.0)
+        assert np.allclose(agent.observe(as_state(x, n))[n:2 * n], 1.0)
 
-    def test_round_trip_bijection(self, cfg):
-        norm = StateNormalizer.from_config(cfg)
+    def test_round_trip_bijection(self, agent, cfg):
         rng = np.random.default_rng(1)
         for _ in range(50):
             x = rng.uniform(0, 1e7, cfg.state_dim)
-            back = norm.normalize(x) * norm.scale
+            back = agent.observe(as_state(x, cfg.n_queues)) * agent.obs_scale
             assert np.max(np.abs(back - x) / np.maximum(np.abs(x), 1e-12)) < 1e-12
+
+    @pytest.mark.parametrize("profile", ["paper", "paper8", "desk"])
+    def test_observe_is_the_retired_path_bit_for_bit(self, profile):
+        # the retired path: the arrival-block layout written out field by
+        # field, divided by the retired scale
+        cfg = get_profile(profile)
+        agent = SacAgent(cfg, TOY)
+        scale = retired_normalizer_scale(cfg)
+        env = EdgeCloudEnv(cfg, rng=np.random.default_rng(9))
+        state = env.reset()
+        for _ in range(300):
+            flat = np.concatenate([state.backlog_plus_arrival, state.arrival,
+                                   state.workload, state.actual_cpu_use,
+                                   [state.offloaded_cycles],
+                                   state.windowed_arrival_avg])
+            assert agent.observe(state).tobytes() == (flat / scale).tobytes()
+            state = env.step(Action.uniform(cfg.n_queues)).next_state
 
 
 class TestPolicyOutputs:
@@ -169,7 +205,7 @@ def reference_policy_sample(self, state_norm, deterministic=False, rng=None):
 
 
 def reference_act(self, state):
-    x = self.normalizer.normalize(state.as_vector(self.state_aux))
+    x = state.as_vector() / self.obs_scale
     flat, _ = reference_policy_sample(self, x, deterministic=True)
     return Action.from_flat(flat)
 
@@ -197,7 +233,7 @@ class TestDeterministicAct:
             ref, _ = reference_policy_sample(agent, x, deterministic=True)
             assert logp is None
             assert flat.tobytes() == ref.tobytes()
-            state = as_state(x * agent.normalizer.scale, n)
+            state = as_state(x * agent.obs_scale, n)
             action, ref_action = agent.act(state), reference_act(agent, state)
             assert action.alpha.tobytes() == ref_action.alpha.tobytes()
             assert action.beta.tobytes() == ref_action.beta.tobytes()
@@ -370,12 +406,11 @@ class TestUpdates:
         rng = np.random.default_rng(6)
         env = EdgeCloudEnv(cfg, rng=np.random.default_rng(1))
         state = env.reset()
-        x = agent.normalizer.normalize(state.as_vector(cfg.state_aux))
+        x = agent.observe(state)
         for _ in range(n):
             flat, _ = agent.policy_sample(x, rng=rng)
             outcome = env.step(Action.from_flat(flat))
-            x2 = agent.normalizer.normalize(
-                outcome.next_state.as_vector(cfg.state_aux))
+            x2 = agent.observe(outcome.next_state)
             r = -1e-9 * outcome.queue_after.sum()
             agent.buffer.push(x, flat, r, x2)
             x = x2
@@ -501,8 +536,9 @@ class TestUpdates:
         assert got.keys() == want.keys()
         for key in got:
             assert np.array_equal(got[key], want[key]), key
-        assert json.loads(bytes(got["meta"]))["opt_steps"] == {
-            "policy_opt": 50, "q1_opt": 50, "q2_opt": 50}
+        for name in SacAgent._OPTS:
+            assert getattr(agent, name).t == agent.update_count == 50, name
+            assert getattr(twin, name).t == twin.update_count == 50, name
 
     def test_training_is_bit_reproducible(self, cfg):
         outs = []
@@ -612,12 +648,11 @@ class TestCheckpoint:
         env = EdgeCloudEnv(cfg, rng=np.random.default_rng(2))
         state = env.reset()
         rng = np.random.default_rng(14)
-        x = agent.normalizer.normalize(state.as_vector(cfg.state_aux))
+        x = agent.observe(state)
         for _ in range(10):
             flat, _ = agent.policy_sample(x, rng=rng)
             outcome = env.step(Action.from_flat(flat))
-            x2 = agent.normalizer.normalize(
-                outcome.next_state.as_vector(cfg.state_aux))
+            x2 = agent.observe(outcome.next_state)
             agent.buffer.push(x, flat, -1.0, x2)
             x = x2
         for _ in range(3):
@@ -642,7 +677,7 @@ class TestCheckpoint:
         assert loaded.sac_cfg == agent.sac_cfg
         assert loaded.reward_scale == agent.reward_scale
         assert loaded.update_count == agent.update_count
-        assert np.array_equal(loaded.normalizer.scale, agent.normalizer.scale)
+        assert np.array_equal(loaded.obs_scale, agent.obs_scale)
 
         # saving the loaded agent reproduces identical network state
         path2 = tmp_path / "agent2.npz"
@@ -753,7 +788,43 @@ class TestCheckpoint:
     def test_incomplete_meta_fails_to_load(self, cfg):
         arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(24)).state_dict()
         meta = json.loads(bytes(arrays["meta"]).decode())
-        del meta["net_sizes"]
+        del meta["update_count"]
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        with pytest.raises(ValueError, match="meta is incomplete.*net_sizes"):
+        with pytest.raises(ValueError, match="meta is incomplete.*update_count"):
             SacAgent.from_state_dict(arrays)
+
+    @staticmethod
+    def _format_1(agent, state_aux):
+        """agent's state dict with the meta a format-1 file holds: its
+        layer widths, Adam step counts and observation kind as well."""
+        arrays = agent.state_dict()
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta.update(format_version=1, state_aux=state_aux,
+                    net_sizes={name: list(getattr(agent, name).sizes)
+                               for name in SacAgent._NETS},
+                    opt_steps={name: getattr(agent, name).t for name in SacAgent._OPTS})
+        arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
+                                       dtype=np.uint8)
+        return arrays
+
+    def test_format_1_meta_loads_bit_for_bit(self, tmp_path, cfg):
+        agent = SacAgent(cfg, TOY, rng=np.random.default_rng(25))
+        TestUpdates()._fill_buffer(agent, cfg, n=20)
+        rng = np.random.default_rng(26)
+        for _ in range(3):
+            agent.update(rng)
+        np.savez(tmp_path / "v1.npz", **self._format_1(agent, "arrival"))
+        loaded = SacAgent.load(tmp_path / "v1.npz")
+        got, want = loaded.state_dict(), agent.state_dict()
+        assert got.keys() == want.keys()
+        for key in got:
+            assert got[key].tobytes() == want[key].tobytes(), key
+        for name in SacAgent._NETS:
+            assert getattr(loaded, name).sizes == getattr(agent, name).sizes
+        for name in SacAgent._OPTS:
+            assert getattr(loaded, name).t == getattr(agent, name).t == 3
+
+    def test_format_1_backlog_observation_is_refused_by_name(self, cfg):
+        agent = SacAgent(cfg, TOY, rng=np.random.default_rng(27))
+        with pytest.raises(ValueError, match="state_aux='backlog'"):
+            SacAgent.from_state_dict(self._format_1(agent, "backlog"))

@@ -75,6 +75,13 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _weight(text: str) -> float:
+    """An entropy weight: a finite float >= 0."""
+    if not 0.0 <= float(text) < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return float(text)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: parsing leaves it as it
@@ -104,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "whole episodes")
     p.add_argument("--hidden", type=_widths, default=None,
                    help="comma list of hidden widths, e.g. 64,64")
-    p.add_argument("--zeta", type=float, default=None, help="entropy weight")
+    p.add_argument("--zeta", type=_weight, default=None, help="entropy weight")
     p.add_argument("--out", help="learning-curve CSV path")
     p.add_argument("--checkpoint", help="where to save the trained agent")
 
@@ -148,15 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         # no prefixes: `sweep --seed` would pass as --seeds
         p.allow_abbrev = False
     return ap
-
-
-def _make_sac_cfg(args, seed) -> SacConfig:
-    kwargs = {"seed": seed}
-    if getattr(args, "hidden", None):
-        kwargs["hidden_sizes"] = args.hidden
-    if getattr(args, "zeta", None) is not None:
-        kwargs["entropy_weight"] = args.zeta
-    return SacConfig(**kwargs)
 
 
 def cmd_feasibility(args) -> int:
@@ -212,7 +210,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    sac_cfg = _make_sac_cfg(args, args.seed)
+    sac_cfg = SacConfig(seed=args.seed)
+    if args.hidden:
+        sac_cfg = replace(sac_cfg, hidden_sizes=args.hidden)
+    if args.zeta is not None:
+        sac_cfg = replace(sac_cfg, entropy_weight=args.zeta)
     spec = harness.default_reward_spec(cfg, kind=args.reward)
     result = harness.train(cfg, sac_cfg, args.steps, args.seed, spec,
                            progress=lambda r: print(

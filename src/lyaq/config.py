@@ -149,27 +149,15 @@ def validate_config(cfg: SystemConfig) -> list[str]:
                if kind != "int" and isinstance(value, float) and not math.isfinite(value)]
     if not cfg.apps:
         errors.append("apps is empty: there is no queue")
-    if cfg.edge_clock <= 0:
-        errors.append(f"edge_clock {cfg.edge_clock} <= 0")
-    if cfg.edge_cores < 1:
-        errors.append(f"edge_cores {cfg.edge_cores} < 1")
-    if cfg.bandwidth <= 0:
-        errors.append(f"bandwidth {cfg.bandwidth} <= 0")
+    above = {"edge_clock": 0, "bandwidth": 0, "cloud_core_clock": 0, "rho": 0}
+    at_least = {"edge_cores": 1, "penalty_weight": 0, "reward_exponent": 1, "episode_length": 1}
+    errors += [f"{k} {x} <= {v}" for k, v in above.items() if (x := getattr(cfg, k)) <= v]
+    errors += [f"{k} {x} < {v}" for k, v in at_least.items() if (x := getattr(cfg, k)) < v]
     if cfg.cloud_cores < 0:
         errors.append(f"cloud_cores {cfg.cloud_cores} < 0")
     elif cfg.cloud_cost_kind == "cubic" and cfg.cloud_cores < 1:
         errors.append(f"cloud_cores {cfg.cloud_cores} < 1 under the cubic cloud "
                       "cost, which would charge infinity for every offloaded bit")
-    if cfg.cloud_core_clock <= 0:
-        errors.append(f"cloud_core_clock {cfg.cloud_core_clock} <= 0")
-    if cfg.rho <= 0:
-        errors.append(f"rho {cfg.rho} <= 0")
-    if cfg.penalty_weight < 0:
-        errors.append(f"penalty_weight {cfg.penalty_weight} < 0")
-    if cfg.reward_exponent < 1:
-        errors.append(f"reward_exponent {cfg.reward_exponent} < 1")
-    if cfg.episode_length < 1:
-        errors.append(f"episode_length {cfg.episode_length} < 1")
     if cfg.cloud_cost_kind not in CLOUD_COST_KINDS:
         errors.append(f"cloud_cost_kind {cfg.cloud_cost_kind!r} not in {CLOUD_COST_KINDS}")
     for i, app in enumerate(cfg.apps):

@@ -14,8 +14,14 @@ nonconvex.
 
 The linear-drift objective (the program above) is solved exactly:
 
-* V' = 0 leaves a linear program over two simplexes. Its vertex puts all
-  CPU on argmax q_i s_i and all bandwidth on argmax q_i.
+* V' = 0 leaves a linear program over two simplexes. Its max-weight vertex
+  puts all CPU on argmax q_i s_i and all bandwidth on argmax q_i, the first
+  maximum winning a tie (Tassiulas and Ephremides, IEEE TAC 37(12), 1992;
+  Neely 2010, ch. 4). For q >= 0, q != 0 it scores below idle by at least
+  B max(q) and below uniform by at least B max(q) / (N+1), far beyond
+  rounding as B > 0 (`validate_config`). At q = 0 every action scores
+  exactly 0, and the answer is the projected uniform action, which the
+  scoring below would pick first. A one-hot is its own projection.
 * For V' > 0 write y_i = beta_i B. Replacing o_i by y_i can only raise the
   cost, and at most one queue k ever needs "overflow" bandwidth beyond r_k,
   because moving overflow to the queue with the larger q_i never hurts. So
@@ -46,13 +52,13 @@ The linear-drift objective (the program above) is solved exactly:
   every f_c at its own points, for every k at once, finds the maximum; no
   search is left.
 
-A decision (`DppController.act`) does each piece of work once:
+A decision at V' > 0 (`DppController.act`) does each piece of work once:
 
 * `_structured_candidates` writes the S x (N+1) candidate rows straight
   into one fresh (alpha, beta) pair: the uniform and the idle action, then
-  the LP vertex at V' = 0, else the optima of D_none and of each feasible
-  D_k. Every cloud candidate of a program is scored at its own points, but
-  only the winner's offload vector y is built.
+  the optima of D_none and of each feasible D_k. Every cloud candidate of
+  a program is scored at its own points, but only the winner's offload
+  vector y is built.
 * One `dpp_objective` call scores all S rows with the true objective; the
   first minimum wins. The programs' own values cannot pick the winner:
   they replace o by y, which over-estimates the cost, and they leave out
@@ -64,13 +70,9 @@ The solve is deterministic. The discontinuous per-core cloud cost has no
 such structure, so a `DppController` refuses it when it is built, as it
 does a cubic cost without cloud cores, instead of returning garbage.
 
-A `DppController` builds once what a solve reads from (cfg, V') alone, its
-`_SolveConstants`: s, w, B, c_E, c_C, the uniform and idle rows, the w-only
-arrays of the cloud candidates (pair indices, w_i - w_l and its safe
-divisor, w_l, 3 c_C w, each candidate's basis rows), each program's masks
-and the per-program table that one index reads per solve. A decision
-writes only fresh arrays, so a controller keeps no state across decisions
-and an Action it returned never changes.
+A `DppController` builds its `_SolveConstants`, what a solve reads from
+(cfg, V') alone, once. A decision writes only fresh arrays, so a controller
+keeps no state across decisions and an Action it returned never changes.
 """
 
 from __future__ import annotations
@@ -158,9 +160,10 @@ def _pairs(n):
 
 
 class _SolveConstants:
-    """What a solve reads from (cfg, V') alone: s, w, B, c_E, c_C, the
-    uniform and idle rows, the w-only arrays of the cloud candidates and the
-    per-program table, whose column 0 is D_none and column k + 1 is D_k.
+    """What a solve reads from (cfg, V') alone: s and, at V' = 0, the
+    projected uniform row; at V' > 0 also w, B, c_E, c_C, the uniform and
+    idle rows, the w-only arrays of the cloud candidates and the per-program
+    table, whose column 0 is D_none and column k + 1 is D_k.
     The table's rows are q, g = q s, q + a and L_k, written per solve into a
     copy, then s, w, 1 and the coefficients of the critical points that do
     not depend on (q, a)."""
@@ -171,12 +174,12 @@ class _SolveConstants:
         w = self.w = cfg.workloads
         s = self.s = cfg.edge_clock / w
         self.B = cfg.bandwidth
-        # uniform, idle and the LP vertex's row (V' = 0 only)
         uniform, idle = Action.uniform(n), Action.idle(n)
-        self.alpha = np.stack([uniform.alpha, idle.alpha, np.zeros(n + 1)])
-        self.beta = np.stack([uniform.beta, idle.beta, np.zeros(n + 1)])
-        if penalty_weight == 0.0:
+        if penalty_weight == 0.0:  # the answer at q = 0 (module docstring)
+            self.uniform = project_simplex(uniform.alpha)
             return
+        self.alpha = np.stack([uniform.alpha, idle.alpha])
+        self.beta = np.stack([uniform.beta, idle.beta])
         self.cE = penalty_weight * cfg.edge_cores * (cfg.edge_clock / cfg.edge_cores / 1e9) ** 3
         self.cC = penalty_weight * cfg.cloud_cores * (1.0 / cfg.cloud_cores / 1e9) ** 3
         cE, cC = self.cE, self.cC
@@ -257,17 +260,11 @@ class _OffloadCandidates:
 
 def _structured_candidates(q, a, k: _SolveConstants):
     """(alpha (S, N+1), beta (S, N+1)) of the candidate actions the exact
-    linear-drift solve scores: row 0 is uniform and row 1 idle, then the LP
-    vertex at V' = 0, else the optima of D_none (row 2) and of every
-    feasible D_k in increasing k (see the module docstring)."""
+    cost-active (V' > 0) solve scores: row 0 is uniform and row 1 idle,
+    then the optima of D_none (row 2) and of every feasible D_k in
+    increasing k (see the module docstring)."""
     n, s, B = k.n, k.s, k.B
     g = q * s
-    if k.penalty_weight == 0.0:
-        alpha, beta = k.alpha.copy(), k.beta.copy()
-        alpha[2, g.argmax()] = 1.0
-        beta[2, q.argmax()] = 1.0
-        return alpha, beta
-
     cE, cC, w = k.cE, k.cC, k.w
     qa = q + a
     table = k.table.copy()
@@ -322,7 +319,7 @@ def _structured_candidates(q, a, k: _SolveConstants):
 
     alpha = np.zeros((rows.size + 2, n + 1))
     beta = np.empty((rows.size + 2, n + 1))
-    alpha[:2], beta[:2] = k.alpha[:2], k.beta[:2]
+    alpha[:2], beta[:2] = k.alpha, k.beta
     body = alpha[2:]
     body[rows, m] = A - t
     body[:, :n] += own * t[:, None]
@@ -350,8 +347,15 @@ class DppController:
     def solve(self, q, a) -> Action:
         """Exact minimizer of the program at queues q and arrivals a."""
         q = np.asarray(q, dtype=float)
+        k = self.constants
+        if k.penalty_weight == 0.0:  # the max-weight vertex (module docstring)
+            if not q.any():
+                return Action(alpha=k.uniform.copy(), beta=k.uniform.copy())
+            alpha, beta = np.zeros(k.n + 1), np.zeros(k.n + 1)
+            alpha[(q * k.s).argmax()] = beta[q.argmax()] = 1.0
+            return Action(alpha=alpha, beta=beta)
         a = np.asarray(a, dtype=float)
-        alpha, beta = _structured_candidates(q, a, self.constants)
+        alpha, beta = _structured_candidates(q, a, k)
         best = dpp_objective(q, a, Action(alpha, beta), self.cfg, self.dpp_cfg).argmin()
         return Action(alpha=project_simplex(alpha[best]),
                       beta=project_simplex(beta[best]))

@@ -239,11 +239,14 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
 # Sweeps and comparison
 
 
-def _sweep_csv_rows(path) -> set:
+def _sweep_csv_rows(path, controller_kind: str) -> set:
     done = set()
     try:
         with open(path, newline="") as f:
             for row in csv.DictReader(f):
+                if row["controller"] != controller_kind:  # its per-V means would mix two
+                    raise ValueError(f"{path} holds {row['controller']!r} sweep rows; "
+                                     f"a {controller_kind!r} sweep needs a file of its own")
                 done.add((row["V"], row["seed"]))
     except FileNotFoundError:
         pass
@@ -265,7 +268,7 @@ def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds, *, out_csv,
     if bad:
         raise ValueError(f"V grid values must be finite and >= 0, got {bad}")
     rows = []
-    done = _sweep_csv_rows(out_csv)
+    done = _sweep_csv_rows(out_csv, controller_kind)
     fieldnames = ["controller", "V", "seed", "avg_queue", "avg_penalty",
                   "reward_sum", "status"]
     with open(out_csv, "a", newline="") as f:

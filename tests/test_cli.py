@@ -140,6 +140,20 @@ def test_hidden_widths_must_be_positive_integers(tmp_path, capsys, hidden):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("zeta", ["nan", "inf", "-5"])
+def test_train_refuses_a_bad_entropy_weight(tmp_path, capsys, zeta):
+    # refused before any episode runs, not as a non-finite loss later
+    out = tmp_path / "curve.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", desk_config_file(tmp_path), "--steps", "40",
+              "--hidden", "8,8", f"--zeta={zeta}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"argument --zeta: must be finite and >= 0, got {zeta!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert build_parser().parse_args(["train", "--zeta", "0"]).zeta == 0.0
+
+
 @pytest.mark.parametrize("seeds", ["", ","])
 def test_sweep_refuses_an_empty_seed_list(tmp_path, capsys, seeds):
     out = tmp_path / "sweep.csv"

@@ -694,6 +694,11 @@ class TestOptimizer:
         act = DppController(cfg, dc).solve(np.zeros(3), a)
         np.testing.assert_array_equal(act.alpha, Action.uniform(3).alpha)
         np.testing.assert_array_equal(act.beta, Action.uniform(3).beta)
+        # with five queues the projection moves the uniform row by rounding
+        five = dataclasses.replace(cfg, apps=eight_app_config().apps[:5])
+        ref = reference_dpp_step_optimize(np.zeros(5), np.ones(5), five, dc)
+        assert ref.alpha.tobytes() != Action.uniform(5).alpha.tobytes()
+        assert same_bytes(DppController(five, dc).solve(np.zeros(5), np.ones(5)), ref)
 
     def test_no_overflow_and_overflow_programs_both_win(self):
         # no branch of the decomposition is dead: D_none and some D_k are
@@ -827,6 +832,26 @@ class ReferenceController:
                                            self.dpp_cfg)
 
 
+def pure_drift_edges(rng, cfg):
+    """(q, a) at the edges of the V' = 0 closed form, with random arrivals:
+    q all zero, exact ties in q (and in q s where two apps share a
+    workload, as in tied3 and tied8) at the maximum, the smallest subnormal
+    and 1e15, each alone and among ordinary queues."""
+    n, w = cfg.n_queues, cfg.workloads
+    twins = [(i, j) for i in range(n) for j in range(i + 1, n) if w[i] == w[j]]
+    for _ in range(20):
+        _, q, a = random_instance(rng, n)
+        i, j = twins[rng.integers(len(twins))] if twins else rng.integers(n, size=2)
+        top = q * 1e-3
+        top[[i, j]] = 10.0 ** rng.uniform(4.0, 8.0)
+        lone = np.zeros(n)
+        lone[i] = 5e-324
+        for edge in (np.zeros(n), np.full(n, q.max()), top, lone, np.full(n, 5e-324),
+                     np.where(q > 0.0, q, 5e-324), np.full(n, 1e15),
+                     np.where(q > 0.0, 1e15, q)):
+            yield edge, a
+
+
 class TestSolveConstants:
     """The controller's constants change no output bit: every decision equals
     the pre-change code's, kept verbatim above as reference_*."""
@@ -840,20 +865,24 @@ class TestSolveConstants:
         pure_drift = DppController(cfg, DppConfig(penalty_weight=0.0))
         for _ in range(200):
             Vp, q, a = random_instance(rng, cfg.n_queues)
-            for controller in (pure_drift, DppController(cfg, DppConfig(penalty_weight=Vp))):
+            cost_active = DppController(cfg, DppConfig(penalty_weight=Vp))
+            for controller in (pure_drift, cost_active):
                 dc = controller.dpp_cfg
                 ref = reference_dpp_step_optimize(q, a, cfg, dc)
                 assert same_bytes(controller.solve(q, a), ref), (Vp, q, a)
                 assert same_bytes(DppController(cfg, dc).solve(q, a), ref), (Vp, q, a)
-                alpha, beta = _structured_candidates(q, a, controller.constants)
-                ref_labels, ref_alpha, ref_beta = reference_structured_candidates(
-                    q, a, cfg, dc.penalty_weight)
-                # row i is the reference's candidate ref_labels[i]: uniform,
-                # idle, the LP vertex or D_none, then the overflow programs
-                assert len(alpha) == len(ref_labels)
-                assert all(label.startswith("overflow") for label in ref_labels[3:])
-                assert alpha.tobytes() == ref_alpha.tobytes()
-                assert beta.tobytes() == ref_beta.tobytes()
+            # V' = 0 has no candidate rows; at V' > 0 row i is the
+            # reference's candidate ref_labels[i]: uniform, idle, D_none,
+            # then the overflow programs
+            alpha, beta = _structured_candidates(q, a, cost_active.constants)
+            ref_labels, ref_alpha, ref_beta = reference_structured_candidates(q, a, cfg, Vp)
+            assert len(alpha) == len(ref_labels)
+            assert all(label.startswith("overflow") for label in ref_labels[3:])
+            assert alpha.tobytes() == ref_alpha.tobytes()
+            assert beta.tobytes() == ref_beta.tobytes()
+        for q, a in pure_drift_edges(rng, cfg):
+            ref = reference_dpp_step_optimize(q, a, cfg, pure_drift.dpp_cfg)
+            assert same_bytes(pure_drift.solve(q, a), ref), (q, a)
 
     @pytest.mark.parametrize("name", ["paper", "paper8", "tied3"])
     def test_episode_decisions_match_the_reference_bit_for_bit(self, name):

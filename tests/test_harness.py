@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lyaq.cli import main
 from lyaq.config import desk_config
 from lyaq.env import Action, EdgeCloudEnv
 from lyaq.harness import (EPISODES_PER_CYCLE, FixedController,
@@ -51,6 +52,20 @@ class TestSweepResume:
         uniform_sweep([0.0, 1e9], [0, 1], out)
         before = out.read_bytes()
         assert uniform_sweep([0.0, 1e9], [0, 1], out) == []
+        assert out.read_bytes() == before
+
+
+    def test_resume_refuses_another_controllers_file(self, tmp_path, capsys):
+        # the (V, seed) keys match, but the rows are not this controller's
+        out = tmp_path / "sweep.csv"
+        uniform_sweep([0.0], [0], out)
+        before = out.read_bytes()
+        with pytest.raises(ValueError, match="holds 'uniform' sweep rows; a 'dpp' sweep"):
+            sweep("dpp", short_desk(), [0.0], [0], out_csv=out, sac_cfg=None,
+                  total_steps=1, reward_kind="diff", episodes=1, progress=lambda row: None)
+        assert main(["sweep", "--profile", "desk", "--controller", "dpp", "--Vgrid", "0",
+                     "--seeds", "0", "--episodes", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out} holds 'uniform' sweep rows")
         assert out.read_bytes() == before
 
 

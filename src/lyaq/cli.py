@@ -76,10 +76,22 @@ def _count(text: str) -> int:
 
 
 def _weight(text: str) -> float:
-    """An entropy weight: a finite float >= 0."""
-    if not 0.0 <= float(text) < np.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return float(text)
+    """An entropy weight, as `SacConfig` takes it: a finite float >= 0."""
+    try:
+        return SacConfig(entropy_weight=float(text)).entropy_weight
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {text!r}") from None
+
+
+def _seeds(text: str) -> list:
+    """Sweep seeds: a comma list of integers >= 0. An empty list passes, for
+    `harness.sweep` to refuse."""
+    seeds = [x.strip() for x in text.split(",") if x.strip()]
+    if not all(x.isdecimal() for x in seeds):
+        raise argparse.ArgumentTypeError(
+            f"must be a comma list of integers >= 0, got {text!r}")
+    return [int(x) for x in seeds]
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="dpp")
     p.add_argument("--Vgrid", "--Vprime", dest="grid", required=True,
                    help="comma list of V values (DPP reads them as V')")
-    p.add_argument("--seeds", default="0,1,2,3,4", help="comma list of seeds")
+    p.add_argument("--seeds", type=_seeds, default="0,1,2,3,4",
+                   help="comma list of seeds")
     _add_reward(p)
     p.add_argument("--steps", type=_count, default=20000,
                    help="training budget per grid point (sac), rounded up "
@@ -257,9 +270,8 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     grid = [float(x) for x in args.grid.split(",") if x.strip()]
-    seeds = [int(x) for x in args.seeds.split(",") if x.strip()]
     sac_cfg = SacConfig(hidden_sizes=(64, 64)) if args.controller == "sac" else None
-    rows = harness.sweep(args.controller, cfg, grid, seeds, out_csv=args.out,
+    rows = harness.sweep(args.controller, cfg, grid, args.seeds, out_csv=args.out,
                          sac_cfg=sac_cfg, total_steps=args.steps,
                          reward_kind=args.reward, episodes=args.episodes,
                          progress=lambda r: print(

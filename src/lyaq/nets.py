@@ -2,10 +2,19 @@
 
 Inputs are (batch, features). A net keeps all its parameters in one flat
 buffer, `flat`, laid out [W0, b0, W1, b1, ...] with each array raveled in C
-order, and `params` are per-layer views of it. `backward` returns the
+order, and `params` are per-layer views of it; `bind` also pairs them into
+(W, b) per layer, which the forward passes iterate. `backward` returns the
 parameter gradients only, in that layout, so `Adam` and `soft_update` act on
 whole buffers. `input_grad` returns the gradient w.r.t. the input only, for a
 loss that reaches a net's input but trains another net.
+
+One-row input: `forward` runs a (1, features) input, one state being acted
+on, as its row x[0]. Each layer is then a vector-matrix product (a BLAS gemv,
+as the (1, features) matrix product is) and a 1-D bias add in place of a
+broadcast one, and the output keeps its (1, outputs) shape. `forward` takes
+its products through `ndarray.dot`, which reaches the same BLAS routine as
+`@` with less dispatch per call. Every bit is that of the matrix pass; a
+one-row pass costs per call, not per flop, so this is where acting saves.
 
 Precision: a net computes in the dtype of its buffer and its inputs. The
 nets `DenseNet(...)` builds are float64 masters, and `Adam` keeps float64
@@ -31,6 +40,14 @@ def param_shapes(sizes) -> list[tuple]:
             for shape in ((fan_in, fan_out), (fan_out,))]
 
 
+def back_product(delta: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """delta @ W.T, the gradient a layer of weights W passes down. For a
+    fan-out of 1 it is the broadcast product delta * W.T: the same values as
+    the K = 1 matrix product at a fraction of its cost, except that a zero
+    factor can give -0 where the matrix product gives +0."""
+    return delta * W.T if W.shape[1] == 1 else delta @ W.T
+
+
 class DenseNet:
     """Fully connected net, rectifier on hidden layers, linear output."""
 
@@ -38,14 +55,13 @@ class DenseNet:
                  final_weight_scale: float = 1.0):
         self.sizes = tuple(int(s) for s in sizes)
         self.bind(np.empty(sum(math.prod(s) for s in param_shapes(self.sizes))))
-        for k in range(self.n_layers):
-            W, b = self.params[2 * k], self.params[2 * k + 1]
-            bound = 1.0 / np.sqrt(self.sizes[k])
+        for fan_in, (W, b) in zip(self.sizes, self._hidden + [self._out]):
+            bound = 1.0 / np.sqrt(fan_in)
             W[...] = rng.uniform(-bound, bound, size=W.shape)
             b[...] = rng.uniform(-bound, bound, size=b.shape)
-            if k == self.n_layers - 1 and final_weight_scale != 1.0:
-                W *= final_weight_scale
-                b *= final_weight_scale
+        if final_weight_scale != 1.0:
+            for p in self._out:
+                p *= final_weight_scale
 
     @classmethod
     def from_flat(cls, sizes, flat: np.ndarray) -> "DenseNet":
@@ -63,6 +79,8 @@ class DenseNet:
                         for s, n, end in zip(shapes, counts, accumulate(counts))]
         self.flat = flat
         self.params = self.views(flat)
+        pairs = list(zip(self.params[::2], self.params[1::2]))
+        self._hidden, self._out = pairs[:-1], pairs[-1]
 
     def views(self, buf: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of a buffer laid out like `flat`."""
@@ -73,24 +91,30 @@ class DenseNet:
         return len(self.sizes) - 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = x
-        for k in range(self.n_layers):
-            h = h @ self.params[2 * k]
-            h += self.params[2 * k + 1]
-            if k < self.n_layers - 1:
-                np.maximum(h, 0.0, out=h)
-        return h
+        """Outputs (batch, outputs); a one-row batch runs as a vector (module
+        docstring)."""
+        row = x.shape[0] == 1
+        h = x[0] if row else x
+        for W, b in self._hidden:
+            h = h.dot(W)
+            h += b
+            np.maximum(h, 0.0, out=h)
+        W, b = self._out
+        h = h.dot(W)
+        h += b
+        return h[None] if row else h
 
     def forward_cache(self, x: np.ndarray):
         """Forward pass keeping the layer inputs needed for backprop."""
         acts = [x]
-        h = x
-        for k in range(self.n_layers):
-            h = h @ self.params[2 * k]
-            h += self.params[2 * k + 1]
-            if k < self.n_layers - 1:
-                np.maximum(h, 0.0, out=h)
-            acts.append(h)
+        for W, b in self._hidden:
+            h = acts[-1] @ W
+            h += b
+            acts.append(np.maximum(h, 0.0, out=h))
+        W, b = self._out
+        h = acts[-1] @ W
+        h += b
+        acts.append(h)
         return h, acts
 
     def backward(self, acts, grad_out: np.ndarray) -> np.ndarray:
@@ -106,7 +130,7 @@ class DenseNet:
             np.matmul(acts[k].T, delta, out=g[2 * k])
             np.add.reduce(delta, axis=0, out=g[2 * k + 1])
             if k:
-                delta = delta @ self.params[2 * k].T
+                delta = back_product(delta, self.params[2 * k])
         return grad
 
     def input_grad(self, acts, grad_out: np.ndarray) -> np.ndarray:
@@ -116,7 +140,7 @@ class DenseNet:
         for k in range(last, -1, -1):
             if k < last:
                 delta *= acts[k + 1] > 0.0
-            delta = delta @ self.params[2 * k].T
+            delta = back_product(delta, self.params[2 * k])
         return delta
 
     def clone(self) -> "DenseNet":

@@ -81,6 +81,11 @@ class SacConfig:
     log_std_max: float = 2.0
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 <= self.entropy_weight < np.inf:
+            raise ValueError("entropy_weight must be finite and >= 0, "
+                             f"got {self.entropy_weight!r}")
+
 
 class ReplayBuffer:
     """Ring of float32 transitions; storage grows on demand up to capacity."""
@@ -141,16 +146,17 @@ class ReplayBuffer:
 def dual_softmax(z: np.ndarray) -> np.ndarray:
     """Softmax applied separately to each half of the last axis."""
     halves = z.reshape(z.shape[:-1] + (2, -1))
-    e = np.exp(halves - halves.max(axis=-1, keepdims=True))
+    e = np.exp(halves - np.maximum.reduce(halves, axis=-1, keepdims=True))
     # an owning result: a view would pin a (..., 2, half) base per kept action
     out = np.empty(z.shape, dtype=z.dtype)
-    np.divide(e, e.sum(axis=-1, keepdims=True), out=out.reshape(halves.shape))
+    np.divide(e, np.add.reduce(e, axis=-1, keepdims=True),
+              out=out.reshape(halves.shape))
     return out
 
 
 def gaussian_logp(eps: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Diagonal-Gaussian log-density of z = mu + sigma*eps, per row."""
-    return np.sum(-0.5 * eps ** 2 - log_std - 0.5 * LOG_2PI, axis=-1)
+    return np.add.reduce(-0.5 * eps ** 2 - log_std - 0.5 * LOG_2PI, axis=-1)
 
 
 def flush_tiny(x: np.ndarray) -> np.ndarray:
@@ -169,7 +175,7 @@ def squashed_sample(out: np.ndarray, eps: np.ndarray, sac_cfg: SacConfig):
     ones a gradient reaches)."""
     half = out.shape[-1] // 2
     mu, raw = out[..., :half], out[..., half:]
-    log_std = np.clip(raw, sac_cfg.log_std_min, sac_cfg.log_std_max)
+    log_std = np.minimum(np.maximum(raw, sac_cfg.log_std_min), sac_cfg.log_std_max)
     clip_mask = (raw > sac_cfg.log_std_min) & (raw < sac_cfg.log_std_max)
     action = dual_softmax(mu + np.exp(log_std) * eps)
     return action, gaussian_logp(eps, log_std), log_std, clip_mask

@@ -164,6 +164,21 @@ def test_sweep_refuses_an_empty_seed_list(tmp_path, capsys, seeds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds", ["1.5", "0,x", "-1", "0,1e3"])
+def test_sweep_refuses_seeds_that_are_not_whole(tmp_path, capsys, seeds):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", desk_config_file(tmp_path), "--controller",
+              "uniform", "--Vgrid", "0", f"--seeds={seeds}", "--episodes", "1",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"argument --seeds: must be a comma list of integers >= 0, got {seeds!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert build_parser().parse_args(["sweep", "--Vgrid", "0", "--out", "s.csv",
+                                      "--seeds", " 3, 0,"]).seeds == [3, 0]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ["eval", "--controller", "uniform", "--episodes", "1", "--V"],

@@ -188,12 +188,49 @@ class TestPolicyOutputs:
                                              "positive integers"):
             SacAgent(cfg, SacConfig(hidden_sizes=hidden))
 
+    @pytest.mark.parametrize("zeta", [float("nan"), float("inf"), -5.0, -1e-300])
+    def test_a_bad_entropy_weight_is_refused_when_the_config_is_built(self, zeta):
+        # refused up front, not as a non-finite loss at the first update
+        with pytest.raises(ValueError, match="entropy_weight must be finite "
+                                             "and >= 0, got"):
+            SacConfig(entropy_weight=zeta)
+        with pytest.raises(ValueError, match="entropy_weight must be finite"):
+            replace(TOY, entropy_weight=zeta)
+        assert replace(TOY, entropy_weight=0.0).entropy_weight == 0.0
+
+
+class TestOneRowForward:
+    """`DenseNet.forward` runs a (1, d) input as its row. The frozen 2-D
+    loop, test_nets.reference_forward (the same products, bias adds and
+    rectifier as the (1, d) matrix pass), is its independent reference."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("profile", ["desk", "paper8"])
+    def test_matches_the_two_d_loop_bit_for_bit(self, profile, dtype):
+        cfg = get_profile(profile)
+        agent = SacAgent(cfg, SacConfig(hidden_sizes=(64, 64)),
+                         rng=np.random.default_rng(cfg.n_queues))
+        # outputs across the softmax's and the log-std clip's regimes
+        agent.policy.params[-2][:] *= 300.0
+        rng = np.random.default_rng(17)
+        for name in ("policy", "q1"):
+            master = getattr(agent, name)
+            net = DenseNet.from_flat(master.sizes, master.flat.astype(dtype))
+            for _ in range(300):
+                x = rng.normal(0.0, 1.0, (1, net.sizes[0])) * 10.0 ** rng.uniform(-2, 2)
+                x = flush_tiny(x.astype(dtype))
+                got, want = net.forward(x), reference_forward(net, x)
+                assert got.shape == (1, net.sizes[-1]) and got.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+
 
 # The deterministic act before it squashed only the mean, kept verbatim
-# (names aside) as the bit-for-bit reference: the full squashed_sample at
-# zero noise, copied into the Action through Action.from_flat.
+# (names aside, and the frozen 2-D forward loop for the agent's own) as the
+# bit-for-bit reference: the full squashed_sample at zero noise, copied into
+# the Action through Action.from_flat.
 def reference_policy_sample(self, state_norm, deterministic=False, rng=None):
-    out = self.policy.forward(np.asarray(state_norm, dtype=float)[None, :])[0]
+    out = reference_forward(self.policy,
+                            np.asarray(state_norm, dtype=float)[None, :])[0]
     if deterministic:
         eps = np.zeros(self.action_dim)
     elif rng is None:

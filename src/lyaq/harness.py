@@ -187,8 +187,7 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
         return last[1]
 
     def explore(state) -> Action:
-        flat, _ = agent.policy_sample(norm(state), rng=collect_rng)
-        return Action.from_flat(flat)
+        return Action.from_flat(agent.policy_sample(norm(state), rng=collect_rng))
 
     def eval_record(steps: int) -> dict:
         rng = np.random.default_rng(eval_ss.spawn(1)[0])

@@ -8,13 +8,18 @@ Gaussian log-density of the pre-softmax sample; the (rank-deficient) softmax
 Jacobian correction is deliberately omitted, making this a surrogate entropy
 rather than the entropy of the squashed distribution.
 
-`squashed_sample` is the one path for noisy samples: the exploring policy
+`squashed_sample` is the one path for noisy samples, and the one place that
+splits, clips and squashes the policy output: the exploring policy
 (`SacAgent.policy_sample`), the critic target's next action in
-`SacAgent.update` and the actor loss all call it. The deterministic action
-(`SacAgent.act`) is the softmax pair of the mean, `dual_softmax` of the mean
-half of the policy output: `squashed_sample` at zero noise for every finite
-output (mu + exp(log_std) * 0 = mu), without the log-std clip and the
-log-density nothing reads.
+`SacAgent.update` and the actor loss all call it. It returns the action and
+the clipped log-std, and each caller computes what it reads of the rest.
+Acting reads neither, so the exploring policy draws an action alone; the
+critic target adds the log-density (`gaussian_logp`), and the actor loss
+adds the log-density and the mask of the log-std entries inside the clip.
+The deterministic action (`SacAgent.act`) is the softmax pair of the mean,
+`dual_softmax` of the mean half of the policy output: `squashed_sample` at
+zero noise for every finite output (mu + exp(log_std) * 0 = mu), without
+the log-std clip nothing reads.
 
 `SacAgent.update` runs every forward and backward pass in float32, on one
 persistent float32 working copy per net that a `np.copyto` from the float64
@@ -136,8 +141,8 @@ class ReplayBuffer:
         if self.size < batch:
             raise ValueError(f"insufficient samples: have {self.size}, need {batch}")
         idx = rng.choice(self.size, size=batch, replace=False)
-        return (self.states[idx], self.actions[idx], self.rewards[idx],
-                self.next_states[idx])
+        return (self.states.take(idx, axis=0), self.actions.take(idx, axis=0),
+                self.rewards.take(idx, axis=0), self.next_states.take(idx, axis=0))
 
     def __len__(self) -> int:
         return self.size
@@ -170,15 +175,12 @@ def flush_tiny(x: np.ndarray) -> np.ndarray:
 def squashed_sample(out: np.ndarray, eps: np.ndarray, sac_cfg: SacConfig):
     """Squash policy outputs (..., 2A) under noise eps (..., A): split mean
     and log-std, clip the log-std, draw z = mu + exp(log_std) * eps and map z
-    onto both simplexes. Returns (action, logp, log_std, clip_mask), where
-    clip_mask marks the log-std entries strictly inside the clip range (the
-    ones a gradient reaches)."""
+    onto both simplexes. Returns (action, log_std); a caller that reads the
+    log-density takes `gaussian_logp(eps, log_std)`."""
     half = out.shape[-1] // 2
-    mu, raw = out[..., :half], out[..., half:]
-    log_std = np.minimum(np.maximum(raw, sac_cfg.log_std_min), sac_cfg.log_std_max)
-    clip_mask = (raw > sac_cfg.log_std_min) & (raw < sac_cfg.log_std_max)
-    action = dual_softmax(mu + np.exp(log_std) * eps)
-    return action, gaussian_logp(eps, log_std), log_std, clip_mask
+    log_std = np.minimum(np.maximum(out[..., half:], sac_cfg.log_std_min),
+                         sac_cfg.log_std_max)
+    return dual_softmax(out[..., :half] + np.exp(log_std) * eps), log_std
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +205,12 @@ def actor_loss_and_grads(policy: DenseNet, q1: DenseNet, q2: DenseNet, s,
     noise eps; returns the loss and the policy parameter gradients."""
     m = len(s)
     out, cache = policy.forward_cache(s)
-    a, logp, log_std, clip_mask = squashed_sample(out, eps, sac_cfg)
+    a, log_std = squashed_sample(out, eps, sac_cfg)
     flush_tiny(a)
+    logp = gaussian_logp(eps, log_std)
+    # the log-std entries strictly inside the clip range, the ones a
+    # gradient reaches (the clip keeps each raw entry's side of either bound)
+    clip_mask = (log_std > sac_cfg.log_std_min) & (log_std < sac_cfg.log_std_max)
     std = np.exp(log_std)
 
     x = np.concatenate([s, a], axis=1)
@@ -279,18 +285,17 @@ class SacAgent:
 
     def policy_sample(self, state_norm: np.ndarray, deterministic: bool = False,
                       rng: np.random.Generator | None = None):
-        """Sample a flat (2N+2) simplex-pair action plus its surrogate
-        log-probability from one normalized state vector. The deterministic
-        action is the softmax pair of the mean, with no log-probability
-        (None)."""
+        """Sample a flat (2N+2) simplex-pair action from one normalized
+        state vector; the deterministic action is the softmax pair of the
+        mean. Acting reads no log-density, so none is computed: the critic
+        target and the actor loss take theirs from `gaussian_logp`."""
         out = self.policy.forward(np.asarray(state_norm, dtype=float)[None, :])[0]
         if deterministic:
-            return dual_softmax(out[:self.action_dim]), None
+            return dual_softmax(out[:self.action_dim])
         if rng is None:
             raise ValueError("stochastic sampling needs an rng")
         eps = rng.standard_normal(self.action_dim)
-        action, logp, _, _ = squashed_sample(out, eps, self.sac_cfg)
-        return action, float(logp)
+        return squashed_sample(out, eps, self.sac_cfg)[0]
 
     def observe(self, state: StateVector) -> np.ndarray:
         """What the nets read of a state: its observation over the scale."""
@@ -298,7 +303,7 @@ class SacAgent:
 
     def act(self, state: StateVector) -> Action:
         """The deterministic policy's action for a raw state."""
-        flat, _ = self.policy_sample(self.observe(state), deterministic=True)
+        flat = self.policy_sample(self.observe(state), deterministic=True)
         half = flat.size // 2
         return Action(alpha=flat[:half], beta=flat[half:])
 
@@ -331,10 +336,11 @@ class SacAgent:
         # resample the next action from the current policy (eps2 is drawn
         # before the actor's eps, both in float64 and then rounded)
         eps2 = rng.standard_normal((m, self.action_dim)).astype(np.float32)
-        a2, logp2, _, _ = squashed_sample(policy.forward(s2), eps2, cfg)
+        a2, log_std2 = squashed_sample(policy.forward(s2), eps2, cfg)
 
         x2 = np.concatenate([s2, flush_tiny(a2)], axis=1)
         q_next = np.minimum(q1_target.forward(x2), q2_target.forward(x2))[:, 0]
+        logp2 = gaussian_logp(eps2, log_std2)
         y = (r + cfg.discount * (q_next - zeta * logp2))[:, None]
 
         closs, g1, g2 = critic_loss_and_grads(q1, q2, s, a, y)

@@ -139,7 +139,7 @@ def reference_collect(cfg, sac_cfg, total_steps, seed, reward_spec):
             state = env.reset()
             s_norm = state.as_vector() / agent.obs_scale
             for _ in range(T):
-                flat, _ = agent.policy_sample(s_norm, rng=collect_rng)
+                flat = agent.policy_sample(s_norm, rng=collect_rng)
                 outcome = env.step(Action.from_flat(flat))
                 r = compute_reward(outcome, reward_spec)
                 s2_norm = outcome.next_state.as_vector() / agent.obs_scale

@@ -10,7 +10,8 @@ from lyaq.config import get_profile
 from lyaq.env import (ARRIVAL_WINDOW, Action, EdgeCloudEnv, actual_cpu_use,
                       cloud_cost, compute_departure, compute_offload,
                       edge_cost, queue_update)
-from lyaq.sac import SacConfig, squashed_sample
+from lyaq.sac import SacConfig, gaussian_logp, squashed_sample
+from test_sac import reference_squashed_sample
 
 PROFILES = st.sampled_from(["desk", "paper", "paper8"])
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -110,9 +111,17 @@ def policy_outputs(draw):
 @settings(max_examples=100, deadline=None)
 @given(sample=policy_outputs())
 def test_squashed_actions_lie_on_both_simplexes(sample):
+    # the action and the clipped log-std bit for bit the frozen squash's,
+    # and gaussian_logp bit for bit the log-density it returned
     out, eps = sample
     for noise in (eps, np.zeros_like(eps)):  # stochastic, then deterministic
-        action, logp, _, _ = squashed_sample(out, noise, SacConfig())
+        action, log_std = squashed_sample(out, noise, SacConfig())
+        logp = gaussian_logp(noise, log_std)
+        ref_action, ref_logp, ref_log_std, _ = reference_squashed_sample(
+            out, noise, SacConfig())
+        assert action.tobytes() == ref_action.tobytes()
+        assert log_std.tobytes() == ref_log_std.tobytes()
+        assert np.asarray(logp).tobytes() == np.asarray(ref_logp).tobytes()
         half = action.shape[-1] // 2
         for part in (action[..., :half], action[..., half:]):
             assert np.all(part >= 0.0)

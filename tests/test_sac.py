@@ -1,6 +1,7 @@
 import copy
 import json
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from lyaq.config import desk_config, get_profile
 from lyaq.env import Action, EdgeCloudEnv, StateVector, observation_scale
 from lyaq.harness import default_reward_spec, train
 from lyaq.nets import DenseNet
-from lyaq.sac import (FLUSH_FLOOR, ReplayBuffer, SacAgent, SacConfig,
+from lyaq.sac import (FLUSH_FLOOR, LOG_2PI, ReplayBuffer, SacAgent, SacConfig,
                       actor_loss_and_grads, critic_loss_and_grads,
                       dual_softmax, flush_tiny, gaussian_logp, squashed_sample)
 from test_nets import (reference_adam_step, reference_backward,
@@ -17,6 +18,31 @@ from test_nets import (reference_adam_step, reference_backward,
                        reference_soft_update)
 
 TOY = SacConfig(hidden_sizes=(8, 8), batch_size=4, buffer_capacity=64)
+DEEP = SacConfig(hidden_sizes=(24, 16, 12), batch_size=32, buffer_capacity=64)
+
+
+# The squash as it was when it returned everything any caller read, frozen
+# as the bit-for-bit reference of the sampler, the critic target and the
+# actor loss: the softmax as a loop over the two halves, the log-std clip,
+# the mask of the log-std entries inside the clip and the Gaussian
+# log-density, written out.
+def reference_dual_softmax(z):
+    out = np.empty_like(z)
+    half = z.shape[-1] // 2
+    for sl in (np.s_[..., :half], np.s_[..., half:]):
+        e = np.exp(z[sl] - z[sl].max(axis=-1, keepdims=True))
+        out[sl] = e / e.sum(axis=-1, keepdims=True)
+    return out
+
+
+def reference_squashed_sample(out, eps, sac_cfg):
+    half = out.shape[-1] // 2
+    mu, raw = out[..., :half], out[..., half:]
+    log_std = np.clip(raw, sac_cfg.log_std_min, sac_cfg.log_std_max)
+    clip_mask = (raw > sac_cfg.log_std_min) & (raw < sac_cfg.log_std_max)
+    action = reference_dual_softmax(mu + np.exp(log_std) * eps)
+    logp = np.sum(-0.5 * eps ** 2 - log_std - 0.5 * LOG_2PI, axis=-1)
+    return action, logp, log_std, clip_mask
 
 
 @pytest.fixture
@@ -142,14 +168,14 @@ class TestPolicyOutputs:
     def test_zero_weights_give_uniform_action(self, cfg):
         agent = SacAgent(cfg, TOY, rng=np.random.default_rng(0))
         agent.policy.flat[:] = 0.0
-        flat, _ = agent.policy_sample(np.zeros(cfg.state_dim), deterministic=True)
+        flat = agent.policy_sample(np.zeros(cfg.state_dim), deterministic=True)
         assert np.allclose(flat, 1.0 / (cfg.n_queues + 1))
 
     def test_every_sample_is_on_both_simplexes(self, agent, cfg):
         rng = np.random.default_rng(2)
         for _ in range(300):
             x = rng.normal(0, 10 ** rng.uniform(-2, 3), cfg.state_dim)
-            flat, _ = agent.policy_sample(x, rng=rng)
+            flat = agent.policy_sample(x, rng=rng)
             act = Action.from_flat(flat)
             assert abs(act.alpha.sum() - 1.0) < 1e-9
             assert abs(act.beta.sum() - 1.0) < 1e-9
@@ -157,8 +183,8 @@ class TestPolicyOutputs:
 
     def test_deterministic_mode_is_repeatable(self, agent, cfg):
         x = np.random.default_rng(3).normal(size=cfg.state_dim)
-        a1, _ = agent.policy_sample(x, deterministic=True)
-        a2, _ = agent.policy_sample(x, deterministic=True)
+        a1 = agent.policy_sample(x, deterministic=True)
+        a2 = agent.policy_sample(x, deterministic=True)
         assert np.array_equal(a1, a2)
 
     def test_dual_softmax_halves(self):
@@ -170,17 +196,16 @@ class TestPolicyOutputs:
 
 
     def test_dual_softmax_matches_a_per_half_loop(self):
+        # float64 and float32, bit for bit; logits of magnitude about 1e3
+        # put most shifted logits of a float32 batch below -87.3, where exp
+        # underflows
         rng = np.random.default_rng(26)
-        for shape in [(6,), (1, 18), (256, 6), (3, 4, 10)]:
-            z = rng.normal(0.0, 10.0, shape)
-            ref = np.empty_like(z)
-            half = shape[-1] // 2
-            for sl in (np.s_[..., :half], np.s_[..., half:]):
-                e = np.exp(z[sl] - z[sl].max(axis=-1, keepdims=True))
-                ref[sl] = e / e.sum(axis=-1, keepdims=True)
-            out = dual_softmax(z)
-            assert np.array_equal(out, ref)
-            assert out.base is None  # owns its data
+        for dtype, scale in product((np.float64, np.float32), (10.0, 1e3)):
+            for shape in [(6,), (1, 18), (256, 6), (3, 4, 10), (256, 18)]:
+                z = rng.normal(0.0, scale, shape).astype(dtype)
+                out, ref = dual_softmax(z), reference_dual_softmax(z)
+                assert out.dtype == dtype and out.base is None  # owns its data
+                assert out.tobytes() == ref.tobytes(), (scale, shape)
 
     @pytest.mark.parametrize("hidden", [(), (0, 64), (-4,), (64, 0), (2.5,)])
     def test_bad_hidden_sizes_are_refused(self, cfg, hidden):
@@ -225,9 +250,10 @@ class TestOneRowForward:
 
 
 # The deterministic act before it squashed only the mean, kept verbatim
-# (names aside, and the frozen 2-D forward loop for the agent's own) as the
-# bit-for-bit reference: the full squashed_sample at zero noise, copied into
-# the Action through Action.from_flat.
+# (names aside, the frozen 2-D forward loop for the agent's own and the
+# frozen squash for squashed_sample) as the bit-for-bit reference: the full
+# squash at zero noise, copied into the Action through Action.from_flat.
+# It returns the action and its log-density, as the sampler did.
 def reference_policy_sample(self, state_norm, deterministic=False, rng=None):
     out = reference_forward(self.policy,
                             np.asarray(state_norm, dtype=float)[None, :])[0]
@@ -237,7 +263,7 @@ def reference_policy_sample(self, state_norm, deterministic=False, rng=None):
         raise ValueError("stochastic sampling needs an rng")
     else:
         eps = rng.standard_normal(self.action_dim)
-    action, logp, _, _ = squashed_sample(out, eps, self.sac_cfg)
+    action, logp, _, _ = reference_squashed_sample(out, eps, self.sac_cfg)
     return action, float(logp)
 
 
@@ -266,9 +292,9 @@ class TestDeterministicAct:
         n = cfg.n_queues
         for _ in range(2000):
             x = np.abs(rng.normal(0.0, 1.0, cfg.state_dim)) * 10.0 ** rng.uniform(-2, 2)
-            flat, logp = agent.policy_sample(x, deterministic=True)
+            flat = agent.policy_sample(x, deterministic=True)
             ref, _ = reference_policy_sample(agent, x, deterministic=True)
-            assert logp is None
+            assert flat.shape == ref.shape == (cfg.action_dim,)
             assert flat.tobytes() == ref.tobytes()
             state = as_state(x * agent.obs_scale, n)
             action, ref_action = agent.act(state), reference_act(agent, state)
@@ -276,11 +302,20 @@ class TestDeterministicAct:
             assert action.beta.tobytes() == ref_action.beta.tobytes()
 
     def test_stochastic_sample_is_unchanged(self, agent, cfg):
+        # the sampled action against the frozen sampler's, and the
+        # log-density that sampler returned against gaussian_logp of the
+        # same noise and the clipped log-std squashed_sample returns
         x = np.random.default_rng(4).normal(size=cfg.state_dim)
+        out = agent.policy.forward(x[None, :])[0]
         for seed in range(20):
             got = agent.policy_sample(x, rng=np.random.default_rng(seed))
-            ref = reference_policy_sample(agent, x, rng=np.random.default_rng(seed))
-            assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
+            ref, ref_logp = reference_policy_sample(agent, x,
+                                                    rng=np.random.default_rng(seed))
+            assert got.tobytes() == ref.tobytes()
+            eps = np.random.default_rng(seed).standard_normal(cfg.action_dim)
+            action, log_std = squashed_sample(out, eps, agent.sac_cfg)
+            assert action.tobytes() == ref.tobytes()
+            assert float(gaussian_logp(eps, log_std)) == ref_logp
 
 
 class TestGradients:
@@ -360,7 +395,7 @@ def reference_critic_loss_and_grads(q1, q2, s, a, y):
 def reference_actor_loss_and_grads(policy, q1, q2, s, eps, zeta, sac_cfg):
     m = len(s)
     out, cache = reference_forward_cache(policy, s)
-    a, logp, log_std, clip_mask = squashed_sample(out, eps, sac_cfg)
+    a, logp, log_std, clip_mask = reference_squashed_sample(out, eps, sac_cfg)
     if a.dtype == np.float32:
         flush_tiny(a)
     std = np.exp(log_std)
@@ -414,7 +449,8 @@ def reference_update(self, rng, dtype=np.float64):
     policy, q1, q2, q1_target, q2_target = map(work, SacAgent._NETS)
 
     eps2 = rng.standard_normal((m, self.action_dim)).astype(dtype)
-    a2, logp2, _, _ = squashed_sample(reference_forward(policy, s2), eps2, cfg)
+    out2 = reference_forward(policy, s2)
+    a2, logp2, _, _ = reference_squashed_sample(out2, eps2, cfg)
     if dtype == np.float32:
         flush_tiny(a2)
 
@@ -445,7 +481,7 @@ class TestUpdates:
         state = env.reset()
         x = agent.observe(state)
         for _ in range(n):
-            flat, _ = agent.policy_sample(x, rng=rng)
+            flat = agent.policy_sample(x, rng=rng)
             outcome = env.step(Action.from_flat(flat))
             x2 = agent.observe(outcome.next_state)
             r = -1e-9 * outcome.queue_after.sum()
@@ -556,14 +592,26 @@ class TestUpdates:
             assert np.array_equal(getattr(agent, name).flat,
                                   getattr(ref, name).flat), name
 
-    @pytest.mark.parametrize("sac_cfg", [
-        TOY, SacConfig(hidden_sizes=(24, 16, 12), batch_size=32, buffer_capacity=64)])
-    def test_update_matches_the_list_form_reference(self, cfg, sac_cfg):
+    @pytest.mark.parametrize("sac_cfg, saturate", [
+        pytest.param(TOY, False, id="sac_cfg0"),
+        pytest.param(DEEP, False, id="sac_cfg1"),
+        pytest.param(TOY, True, id="sac_cfg0-saturated"),
+        pytest.param(DEEP, True, id="sac_cfg1-saturated")])
+    def test_update_matches_the_list_form_reference(self, cfg, sac_cfg, saturate):
         # 50 updates through the flat buffers against a twin stepped by the
         # list-form references run in float32: every array, moment and count
-        # bit for bit
+        # bit for bit. At the initial weights the update's shifted logits
+        # stay above -6. Saturated, the policy's last layer is scaled x300
+        # and its mean biases spread over each half from 0 to -200, so its
+        # outputs reach the log-std clip, and most shifted logits of the
+        # float32 softmaxes fall below -87.3, where exp underflows.
         agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(27))
         twin = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(27))
+        n = cfg.action_dim
+        if saturate:
+            for net in (agent.policy, twin.policy):
+                net.params[-2][:] *= 300.0
+                net.params[-1][:n] = np.tile(np.linspace(0.0, -200.0, n // 2), 2)
         self._fill_buffer(agent, cfg)
         self._fill_buffer(twin, cfg)
         rng, twin_rng = np.random.default_rng(28), np.random.default_rng(28)
@@ -687,7 +735,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(14)
         x = agent.observe(state)
         for _ in range(10):
-            flat, _ = agent.policy_sample(x, rng=rng)
+            flat = agent.policy_sample(x, rng=rng)
             outcome = env.step(Action.from_flat(flat))
             x2 = agent.observe(outcome.next_state)
             agent.buffer.push(x, flat, -1.0, x2)
@@ -758,8 +806,8 @@ class TestCheckpoint:
         agent.save(path)
         loaded = SacAgent.load(path)
         x = np.random.default_rng(16).normal(size=cfg.state_dim)
-        a1, _ = agent.policy_sample(x, deterministic=True)
-        a2, _ = loaded.policy_sample(x, deterministic=True)
+        a1 = agent.policy_sample(x, deterministic=True)
+        a2 = loaded.policy_sample(x, deterministic=True)
         assert np.array_equal(a1, a2)
 
     def test_copy_is_independent_with_an_empty_buffer(self, cfg):

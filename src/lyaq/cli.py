@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 from dataclasses import replace
 
@@ -170,6 +171,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the options whose paths each command writes; plot's --out is a directory
+_OUTPUTS = {"simulate": ("out",), "train": ("out", "checkpoint"), "eval": ("out",),
+            "sweep": ("out",), "compare": ("out",), "plot": ("out",)}
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output path whose directory does not exist, before any
+    work is done."""
+    for name in _OUTPUTS.get(args.command, ()):
+        path = getattr(args, name)
+        if path is None:
+            continue
+        directory = path if args.command == "plot" else os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise OSError(f"cannot write {path}: directory {directory} does not exist")
+
+
 def cmd_feasibility(args) -> int:
     cfg = _resolve_config(args)
     report = feasibility_check(cfg)
@@ -322,6 +340,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return COMMANDS[args.command](args)
     except UnsupportedObjectiveError as exc:
         print(f"unsupported objective: {exc}", file=sys.stderr)

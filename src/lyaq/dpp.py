@@ -71,13 +71,18 @@ such structure, so a `DppController` refuses it when it is built, as it
 does a cubic cost without cloud cores, instead of returning garbage.
 
 A `DppController` builds its `_SolveConstants`, what a solve reads from
-(cfg, V') alone, once. A decision writes only fresh arrays, so a controller
-keeps no state across decisions and an Action it returned never changes.
+(cfg, V') alone, once. At V' = 0 they hold every answer, each a read-only
+Action: the projected uniform one and one per (CPU vertex, link vertex)
+pair. A decision there looks one up and allocates nothing; writing into the
+Action it returns raises. A decision at V' > 0 writes only fresh arrays.
+So a controller keeps no state across decisions and an Action it returned
+never changes.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,10 +165,12 @@ def _pairs(n):
 
 
 class _SolveConstants:
-    """What a solve reads from (cfg, V') alone: s and, at V' = 0, the
-    projected uniform row; at V' > 0 also w, B, c_E, c_C, the uniform and
-    idle rows, the w-only arrays of the cloud candidates and the per-program
-    table, whose column 0 is D_none and column k + 1 is D_k.
+    """What a solve reads from (cfg, V') alone. At V' = 0: s as floats,
+    the projected uniform action and the read-only vertex table, whose entry
+    [i][j] puts all CPU on queue i and all bandwidth on queue j. At V' > 0:
+    s, w, B, c_E, c_C, the uniform and idle rows, the w-only arrays of the
+    cloud candidates and the per-program table, whose column 0 is D_none and
+    column k + 1 is D_k.
     The table's rows are q, g = q s, q + a and L_k, written per solve into a
     copy, then s, w, 1 and the coefficients of the critical points that do
     not depend on (q, a)."""
@@ -175,8 +182,14 @@ class _SolveConstants:
         s = self.s = cfg.edge_clock / w
         self.B = cfg.bandwidth
         uniform, idle = Action.uniform(n), Action.idle(n)
-        if penalty_weight == 0.0:  # the answer at q = 0 (module docstring)
-            self.uniform = project_simplex(uniform.alpha)
+        if penalty_weight == 0.0:  # every answer (module docstring)
+            self.s = s.tolist()
+            row = project_simplex(uniform.alpha)
+            eye = np.eye(n + 1)
+            row.flags.writeable = eye.flags.writeable = False
+            self.uniform = Action(alpha=row, beta=row)
+            self.vertices = [[Action(alpha=eye[i], beta=eye[j]) for j in range(n)]
+                             for i in range(n)]
             return
         self.alpha = np.stack([uniform.alpha, idle.alpha])
         self.beta = np.stack([uniform.beta, idle.beta])
@@ -332,7 +345,9 @@ def _structured_candidates(q, a, k: _SolveConstants):
 class DppController:
     """Per-slot solver wrapper usable wherever a policy is expected. It
     refuses a config it cannot solve when it is built, builds its solve
-    constants once and keeps no state across decisions."""
+    constants once and keeps no state across decisions. At V' = 0 it
+    returns read-only Actions that its constants hold and every such
+    decision shares; at V' > 0 each decision returns fresh arrays."""
 
     def __init__(self, cfg: SystemConfig, dpp_cfg: DppConfig):
         if cfg.cloud_cost_kind != "cubic":
@@ -349,11 +364,11 @@ class DppController:
         q = np.asarray(q, dtype=float)
         k = self.constants
         if k.penalty_weight == 0.0:  # the max-weight vertex (module docstring)
-            if not q.any():
-                return Action(alpha=k.uniform.copy(), beta=k.uniform.copy())
-            alpha, beta = np.zeros(k.n + 1), np.zeros(k.n + 1)
-            alpha[(q * k.s).argmax()] = beta[q.argmax()] = 1.0
-            return Action(alpha=alpha, beta=beta)
+            q = q.tolist()
+            if not any(q):
+                return k.uniform
+            g = list(map(operator.mul, q, k.s))
+            return k.vertices[g.index(max(g))][q.index(max(q))]
         a = np.asarray(a, dtype=float)
         alpha, beta = _structured_candidates(q, a, k)
         best = dpp_objective(q, a, Action(alpha, beta), self.cfg, self.dpp_cfg).argmin()

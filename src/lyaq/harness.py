@@ -30,9 +30,11 @@ from .sac import SacAgent, SacConfig
 
 class FixedController:
     """The same action in every slot (idle: all-dummy; uniform: an even
-    split over each (N+1)-simplex)."""
+    split over each (N+1)-simplex). Every slot shares it, so its arrays are
+    made read-only when the controller is built."""
 
     def __init__(self, action: Action):
+        action.alpha.flags.writeable = action.beta.flags.writeable = False
         self._action = action
 
     def act(self, state) -> Action:

@@ -99,6 +99,26 @@ def test_config_with_missing_keys_fails_clearly(tmp_path, capsys):
     assert err == "error: config lacks required key(s): rho, apps[1].arrival_rate\n"
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["train", "--steps", "600", "--out"], "curve.csv"),
+    (["train", "--steps", "600", "--checkpoint"], "agent.npz"),
+    (["compare", "--steps", "600", "--out"], "report.csv"),
+    (["sweep", "--controller", "uniform", "--Vgrid", "0", "--seeds", "0", "--out"], "sweep.csv"),
+    (["eval", "--controller", "uniform", "--episodes", "1", "--out"], "records.csv"),
+    (["simulate", "--controller", "uniform", "--out"], "trace.csv"),
+    (["plot", "curve.csv", "--out"], ""),
+], ids=["train-out", "train-checkpoint", "compare", "sweep", "eval", "simulate", "plot"])
+def test_an_output_in_a_missing_directory_fails_before_any_work(tmp_path, capsys,
+                                                                argv, path):
+    missing = tmp_path / "nodir"
+    target = str(missing / path) if path else str(missing)
+    config = [] if argv[0] == "plot" else ["--config", desk_config_file(tmp_path)]
+    assert main(argv + [target] + config) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # no progress line: nothing ran
+    assert err == f"error: cannot write {target}: directory {missing} does not exist\n"
+
+
 def test_every_subcommand_has_a_handler():
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))

@@ -11,7 +11,8 @@ from lyaq.dpp import (DppConfig, DppController, UnsupportedObjectiveError,
                       _pairs, _quadratic_roots, _structured_candidates)
 from lyaq.env import (Action, EdgeCloudEnv, check_cloud_cores,
                       cloud_cost, compute_offload, edge_cost)
-from lyaq.harness import default_reward_spec, metrics_from_trace, run_episode
+from lyaq.harness import (default_reward_spec, make_controller,
+                           metrics_from_trace, run_episode)
 
 from test_env import action_errors
 
@@ -936,16 +937,27 @@ class TestSolveConstants:
     def test_controllers_share_no_writable_array(self):
         cfg = three_app_config()
 
+        def walk(x):
+            # the arrays in x, through tuples, lists (the vertex table) and
+            # Actions (its entries and the uniform action)
+            if isinstance(x, np.ndarray):
+                return [x]
+            if isinstance(x, Action):
+                x = (x.alpha, x.beta)
+            if isinstance(x, (tuple, list)):
+                return [y for z in x for y in walk(z)]
+            return []
+
         def arrays(controller):
-            found = []
-            for obj in (controller, controller.constants):
-                for x in vars(obj).values():
-                    found += [y for y in (x if isinstance(x, tuple) else (x,))
-                              if isinstance(y, np.ndarray)]
-            return found
+            return walk([list(vars(obj).values())
+                         for obj in (controller, controller.constants)])
 
         controllers = [DppController(cfg, DppConfig(penalty_weight=Vp))
                        for Vp in (0.0, 1e9, 1e11)]
+        # every decision at V' = 0 hands out the Actions its constants hold
+        held = walk([controllers[0].constants.uniform, controllers[0].constants.vertices])
+        assert len(held) == 2 * (1 + cfg.n_queues ** 2)
+        assert not any(x.flags.writeable for x in held)
         for i, one in enumerate(controllers):
             for other in controllers[i + 1:]:
                 for x in arrays(one):
@@ -978,8 +990,9 @@ def test_projection_matches_the_reference_on_projected_rows(v):
 
 @pytest.mark.parametrize("Vp", [0.0, 1e11])
 def test_an_action_outlives_later_decisions(Vp):
-    # a decision returns fresh arrays: an Action kept by the caller does not
-    # change when the controller decides again
+    # a decision returns fresh arrays (V' > 0) or a shared read-only Action
+    # (V' = 0): an Action kept by the caller does not change when the
+    # controller decides again
     cfg = three_app_config()
     controller = DppController(cfg, DppConfig(penalty_weight=Vp))
     env = EdgeCloudEnv(cfg, rng=np.random.default_rng(49))
@@ -992,6 +1005,24 @@ def test_an_action_outlives_later_decisions(Vp):
     for _ in range(10):
         state = env.step(controller.act(state)).next_state
     assert kept.alpha.tobytes() == alpha and kept.beta.tobytes() == beta
+
+
+def test_a_fixed_action_refuses_writes():
+    # idle, uniform and a V' = 0 DPP controller hand every slot the same
+    # Action, so a caller's write would reach later slots; it raises instead
+    cfg = three_app_config()
+    state = EdgeCloudEnv(cfg, rng=np.random.default_rng(50)).reset()
+    queued = dataclasses.replace(state, queue=np.array([3e5, 0.0, 1e5]))
+    dpp = DppController(cfg, DppConfig(penalty_weight=0.0))
+    actions = [make_controller(kind, cfg, DppConfig()).act(state)
+               for kind in ("idle", "uniform")]
+    actions += [dpp.act(state), dpp.act(queued)]
+    assert same_bytes(actions[2], Action.uniform(cfg.n_queues))
+    assert actions[3].beta.tolist() == [1.0, 0.0, 0.0, 0.0]
+    for action in actions:
+        for x in (action.alpha, action.beta):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0.5
 
 
 def dpp_episode(cfg, dpp_cfg, T, rng):

@@ -95,6 +95,16 @@ def _seeds(text: str) -> list:
     return [int(x) for x in seeds]
 
 
+def _grid(text: str) -> list:
+    """A sweep grid: a comma list of numbers. An empty list passes, for
+    `harness.sweep` to refuse, as do a non-finite or a negative number."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma list of numbers, got {text!r}") from None
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: parsing leaves it as it
@@ -142,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, flags=("--nu", "--cost"))
     p.add_argument("--controller", choices=("dpp", "sac", "idle", "uniform"),
                    default="dpp")
-    p.add_argument("--Vgrid", "--Vprime", dest="grid", required=True,
+    p.add_argument("--Vgrid", "--Vprime", dest="grid", type=_grid, required=True,
                    help="comma list of V values (DPP reads them as V')")
     p.add_argument("--seeds", type=_seeds, default="0,1,2,3,4",
                    help="comma list of seeds")
@@ -287,9 +297,8 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    grid = [float(x) for x in args.grid.split(",") if x.strip()]
     sac_cfg = SacConfig(hidden_sizes=(64, 64)) if args.controller == "sac" else None
-    rows = harness.sweep(args.controller, cfg, grid, args.seeds, out_csv=args.out,
+    rows = harness.sweep(args.controller, cfg, args.grid, args.seeds, out_csv=args.out,
                          sac_cfg=sac_cfg, total_steps=args.steps,
                          reward_kind=args.reward, episodes=args.episodes,
                          progress=lambda r: print(

@@ -27,7 +27,6 @@ import numpy as np
 BITS_PER_BYTE = 8.0
 BITS_PER_KB = 8.0 * 1024
 BITS_PER_MB = 8.0 * 1024 * 1024
-GIGA = 1e9
 
 CLOUD_COST_KINDS = ("cubic", "per-core")
 

@@ -72,34 +72,25 @@ class Action:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Observation of a single RL step, plus the environment's exact backlog
-    `queue`, which the observation does not hold (it is the difference of
-    its first two blocks up to rounding)."""
+    """The state of one RL step, as `EdgeCloudEnv` builds it once per slot.
 
-    backlog_plus_arrival: np.ndarray  # q_i(t)+a_i(t), bits
-    arrival: np.ndarray               # a_i(t), bits
-    workload: np.ndarray              # w_i, cycles/bit
-    actual_cpu_use: np.ndarray        # realized alpha of the previous step
-    offloaded_cycles: float           # sum w_i o_i of the previous step
-    windowed_arrival_avg: np.ndarray  # mean a_i over the last 100 slots
-    queue: np.ndarray                 # q_i(t), bits, before this slot's arrival
+    `observation` is the raw 5N+1 vector the learner reads, in blocks:
+    q_i(t)+a_i(t) (N, bits), a_i(t) (N, bits), the workloads w_i (N,
+    cycles/bit), the realized CPU fractions of the previous step (N), the
+    cycles sum_i w_i o_i offloaded in the previous step (1), and the mean of
+    a_i over the last ARRIVAL_WINDOW slots, zero-padded before slot
+    ARRIVAL_WINDOW (N, bits). The previous-step blocks read zero at reset.
+    `arrival` is a view of its a-block. `queue` is the environment's exact
+    q_i(t), which the observation does not hold (it is the difference of
+    the first two blocks up to rounding)."""
 
-    def as_vector(self) -> np.ndarray:
-        """The 5N+1 observation, in the block order of the fields above:
-        q+a, a, w, the previous CPU use (N each), the previous offloaded
-        cycles (1) and the windowed arrival mean (N)."""
-        return np.concatenate([
-            self.backlog_plus_arrival,
-            self.arrival,
-            self.workload,
-            self.actual_cpu_use,
-            [self.offloaded_cycles],
-            self.windowed_arrival_avg,
-        ])
+    queue: np.ndarray        # q_i(t), bits, before this slot's arrival
+    arrival: np.ndarray      # a_i(t), bits: a view into observation
+    observation: np.ndarray  # the 5N+1 vector above
 
 
 def observation_scale(cfg: SystemConfig) -> np.ndarray:
-    """Per-entry divisor of `StateVector.as_vector`, block by block: the
+    """Per-entry divisor of `StateVector.observation`, block by block: the
     bits-valued blocks by the per-app mean bits per slot (1 for an app with
     none), workloads by the largest workload, offloaded cycles by the edge
     clock; the CPU-use block is already dimensionless."""
@@ -117,12 +108,11 @@ def observation_scale(cfg: SystemConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """The record of one slot: what the reward family and the trace read,
-    and the state the next action is taken on."""
+    """The record of one slot: what the reward family and the trace read
+    beside the two states' queues, and the state the next action is taken
+    on."""
 
-    next_state: StateVector
-    queue_before: np.ndarray  # q_i(t), bits
-    queue_after: np.ndarray   # q_i(t+1), bits
+    next_state: StateVector   # its queue is q_i(t+1)
     departures: np.ndarray    # b_i(t), bits
     offloads: np.ndarray      # o_i(t), bits
     edge_cost: float          # C_E(t), G^3 kappa
@@ -218,16 +208,10 @@ class EdgeCloudEnv:
         self._slot = 0
         self._block = np.empty((0, cfg.n_queues))  # drawn, not yet revealed
         self._next = 0
-        self._prev_actual_cpu = np.zeros(cfg.n_queues)
-        self._prev_offloaded_cycles = 0.0
 
     def _push_window(self, arrival: np.ndarray) -> None:
         self._window[self._slot] = arrival
         self._slot = (self._slot + 1) % ARRIVAL_WINDOW
-
-    def _windowed_avg(self) -> np.ndarray:
-        # zero-padded before slot 100: always divide by the full window
-        return self._window.sum(axis=0) / ARRIVAL_WINDOW
 
     def _next_arrival(self) -> np.ndarray:
         if self._next == len(self._block):
@@ -236,16 +220,19 @@ class EdgeCloudEnv:
         self._next += 1
         return self._block[self._next - 1]
 
-    def state(self) -> StateVector:
-        return StateVector(
-            backlog_plus_arrival=self._q + self._a,
-            arrival=self._a.copy(),
-            workload=self.cfg.workloads,
-            actual_cpu_use=self._prev_actual_cpu.copy(),
-            offloaded_cycles=self._prev_offloaded_cycles,
-            windowed_arrival_avg=self._windowed_avg(),
-            queue=self._q,
-        )
+    def _state(self, cpu_use, offloaded_cycles) -> StateVector:
+        """The state at the current q and a, given the previous step's CPU
+        use and offloaded cycles, in one array (layout: `StateVector`)."""
+        n = self.cfg.n_queues
+        obs = np.concatenate([
+            self._q + self._a,
+            self._a,
+            self.cfg.workloads,
+            cpu_use,
+            [offloaded_cycles],
+            self._window.sum(axis=0) / ARRIVAL_WINDOW,
+        ])
+        return StateVector(queue=self._q, arrival=obs[n:2 * n], observation=obs)
 
     def reset(self) -> StateVector:
         """Empty all queues, clear history, and take the slot-0 arrivals from
@@ -254,39 +241,32 @@ class EdgeCloudEnv:
         self._window[:] = 0.0
         self._slot = 0
         self._next = len(self._block)  # discard what is left of the block
-        self._prev_actual_cpu = np.zeros(self.cfg.n_queues)
-        self._prev_offloaded_cycles = 0.0
         self._a = self._next_arrival()
         self._push_window(self._a)
-        return self.state()
+        return self._state(np.zeros(self.cfg.n_queues), 0.0)
 
     def step(self, action: Action) -> StepOutcome:
         """compute_departure, compute_offload, queue_update, the two costs
         and actual_cpu_use for one slot, with the CPU bits alpha_i f_E / w_i
-        computed once. The environment never writes into the queue arrays
-        it hands out."""
+        computed once. The environment never writes into the arrays it
+        hands out."""
         cfg = self.cfg
         w = cfg.workloads
-        q_before = self._q
-        qpa = q_before + self._a
+        qpa = self._q + self._a
 
         alpha = action.alpha_eff
         cpu_bits = alpha * cfg.edge_clock / w
         bw_bits = action.beta_eff * cfg.bandwidth
         b = cpu_bits + bw_bits
         o = np.maximum(0.0, np.minimum(bw_bits, qpa - cpu_bits))
-        q_after = np.maximum(0.0, qpa - b)
 
-        self._prev_actual_cpu = np.minimum(alpha, w * qpa / cfg.edge_clock)
-        self._prev_offloaded_cycles = float(np.dot(w, o))
-        self._q = q_after
+        self._q = np.maximum(0.0, qpa - b)
         self._a = self._next_arrival()
         self._push_window(self._a)
 
         return StepOutcome(
-            next_state=self.state(),
-            queue_before=q_before,
-            queue_after=q_after,
+            next_state=self._state(np.minimum(alpha, w * qpa / cfg.edge_clock),
+                                   float(np.dot(w, o))),
             departures=b,
             offloads=o,
             edge_cost=float(edge_cost(alpha, cfg)),

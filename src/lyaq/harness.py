@@ -90,8 +90,8 @@ def run_episode(controller, cfg: SystemConfig, rng: np.random.Generator,
     reward_sum = 0.0
     for state, action, outcome in episode_slots(controller.act,
                                                 EdgeCloudEnv(cfg, rng=rng), T):
-        reward_sum += compute_reward(outcome, reward_spec)
-        trace.append(outcome.queue_before, state.arrival, action,
+        reward_sum += compute_reward(state, outcome, reward_spec)
+        trace.append(state.queue, state.arrival, action,
                      outcome.departures, outcome.offloads,
                      outcome.edge_cost, outcome.cloud_cost)
     return trace, reward_sum
@@ -207,7 +207,7 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
         for _ in range(min(EPISODES_PER_CYCLE, episodes_left)):
             for state, action, outcome in episode_slots(explore, env, T):
                 pending.append((norm(state), action.as_flat(),
-                                compute_reward(outcome, reward_spec),
+                                compute_reward(state, outcome, reward_spec),
                                 norm(outcome.next_state)))
         steps_done += len(pending)
         if not scale_set:

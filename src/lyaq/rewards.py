@@ -92,15 +92,17 @@ def reward_mean_diff(q_prev, b, cost: float, spec: RewardSpec) -> float:
     return float(queue_part - spec.penalty_weight * cost)
 
 
-def compute_reward(outcome, spec: RewardSpec) -> float:
-    """Dispatch on spec.kind for one step's `env.StepOutcome`."""
+def compute_reward(state, outcome, spec: RewardSpec) -> float:
+    """Dispatch on spec.kind for one step: the `env.StateVector` it was
+    taken on, whose queue is q(t), and its `env.StepOutcome`, whose next
+    state's queue is q(t+1)."""
+    q_prev, q_next = state.queue, outcome.next_state.queue
     if spec.kind == "power":
-        return reward_power(outcome.queue_after, outcome.penalty_cost, spec)
+        return reward_power(q_next, outcome.penalty_cost, spec)
     if spec.kind == "diff":
-        return reward_diff(outcome.queue_before, outcome.queue_after,
-                           outcome.penalty_cost, spec)
+        return reward_diff(q_prev, q_next, outcome.penalty_cost, spec)
     if spec.kind == "mean-diff":
-        return reward_mean_diff(outcome.queue_before, outcome.departures,
+        return reward_mean_diff(q_prev, outcome.departures,
                                 outcome.penalty_cost, spec)
     raise UnsupportedRewardError(
         f"the {spec.kind!r} reward is a queue-only analysis form "

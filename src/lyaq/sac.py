@@ -16,10 +16,10 @@ the clipped log-std, and each caller computes what it reads of the rest.
 Acting reads neither, so the exploring policy draws an action alone; the
 critic target adds the log-density (`gaussian_logp`), and the actor loss
 adds the log-density and the mask of the log-std entries inside the clip.
-The deterministic action (`SacAgent.act`) is the softmax pair of the mean,
-`dual_softmax` of the mean half of the policy output: `squashed_sample` at
-zero noise for every finite output (mu + exp(log_std) * 0 = mu), without
-the log-std clip nothing reads.
+The deterministic action (`SacAgent.act`, `policy_sample` without an rng)
+is the softmax pair of the mean, `dual_softmax` of the mean half of the
+policy output: `squashed_sample` at zero noise for every finite output
+(mu + exp(log_std) * 0 = mu), without the log-std clip nothing reads.
 
 `SacAgent.update` runs every forward and backward pass in float32, on one
 persistent float32 working copy per net that a `np.copyto` from the float64
@@ -39,7 +39,7 @@ harness's one episode loop with `policy_sample` as the exploring policy and
 pushes each transition (observations, flat action, reward times
 `reward_scale`) straight into `agent.buffer`; `reward_scale` is set once,
 from the first collected episode, and saved with the checkpoint.
-`SacAgent.observe`, `env.StateVector.as_vector` over `env.observation_scale`,
+`SacAgent.observe`, `env.StateVector.observation` over `env.observation_scale`,
 is the one path from a state to what the nets read.
 
 Checkpoints are `np.savez` archives of `SacAgent.state_dict()`, format 2:
@@ -283,27 +283,26 @@ class SacAgent:
 
     # -- acting ------------------------------------------------------------
 
-    def policy_sample(self, state_norm: np.ndarray, deterministic: bool = False,
+    def policy_sample(self, state_norm: np.ndarray,
                       rng: np.random.Generator | None = None):
-        """Sample a flat (2N+2) simplex-pair action from one normalized
-        state vector; the deterministic action is the softmax pair of the
-        mean. Acting reads no log-density, so none is computed: the critic
-        target and the actor loss take theirs from `gaussian_logp`."""
+        """A flat (2N+2) simplex-pair action for one normalized state
+        vector: a draw with the noise of `rng`, or with no `rng` the softmax
+        pair of the mean. Acting reads no log-density, so none is computed:
+        the critic target and the actor loss take theirs from
+        `gaussian_logp`."""
         out = self.policy.forward(np.asarray(state_norm, dtype=float)[None, :])[0]
-        if deterministic:
-            return dual_softmax(out[:self.action_dim])
         if rng is None:
-            raise ValueError("stochastic sampling needs an rng")
+            return dual_softmax(out[:self.action_dim])
         eps = rng.standard_normal(self.action_dim)
         return squashed_sample(out, eps, self.sac_cfg)[0]
 
     def observe(self, state: StateVector) -> np.ndarray:
         """What the nets read of a state: its observation over the scale."""
-        return state.as_vector() / self.obs_scale
+        return state.observation / self.obs_scale
 
     def act(self, state: StateVector) -> Action:
         """The deterministic policy's action for a raw state."""
-        flat = self.policy_sample(self.observe(state), deterministic=True)
+        flat = self.policy_sample(self.observe(state))
         half = flat.size // 2
         return Action(alpha=flat[:half], beta=flat[half:])
 

@@ -199,6 +199,22 @@ def test_sweep_refuses_seeds_that_are_not_whole(tmp_path, capsys, seeds):
                                       "--seeds", " 3, 0,"]).seeds == [3, 0]
 
 
+@pytest.mark.parametrize("flag", ["--Vgrid", "--Vprime"])
+@pytest.mark.parametrize("grid", ["abc", "0,1e9x", "0;1"])
+def test_sweep_refuses_a_grid_that_is_not_numbers(tmp_path, capsys, flag, grid):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", desk_config_file(tmp_path), "--controller",
+              "uniform", f"{flag}={grid}", "--seeds", "0", "--episodes", "1",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"argument --Vgrid/--Vprime: must be a comma list of numbers, got {grid!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert build_parser().parse_args(["sweep", "--Vgrid", " 1e9, 0,", "--out",
+                                      "s.csv"]).grid == [1e9, 0.0]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ["eval", "--controller", "uniform", "--episodes", "1", "--V"],

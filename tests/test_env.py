@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lyaq.config import AppProfile, three_app_config, desk_config
-from lyaq.env import (Action, EdgeCloudEnv, StateVector, Trace,
+from lyaq.env import (Action, EdgeCloudEnv, Trace,
                       actual_cpu_use, cloud_cost, compute_departure,
                       compute_offload, edge_cost, queue_update,
                       ARRIVAL_BLOCK, ARRIVAL_WINDOW)
@@ -165,16 +165,17 @@ class TestEnv:
     def test_reset_dimensions_and_zero_queues(self, cfg3):
         env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(0))
         state = env.reset()
-        assert state.as_vector().shape == (16,)
+        obs = state.observation
+        assert obs.shape == (16,)
         assert np.allclose(state.queue, 0.0)
-        assert np.allclose(state.backlog_plus_arrival, state.arrival)
-        assert np.allclose(state.actual_cpu_use, 0.0)
-        assert state.offloaded_cycles == 0.0
+        assert np.allclose(obs[:3], state.arrival)  # q + a
+        assert np.allclose(obs[9:12], 0.0)          # previous CPU use
+        assert obs[12] == 0.0                       # previous offloaded cycles
 
     def test_reset_dimension_eight_queues(self):
         from lyaq.config import eight_app_config
         env = EdgeCloudEnv(eight_app_config(), rng=np.random.default_rng(0))
-        assert env.reset().as_vector().shape == (41,)
+        assert env.reset().observation.shape == (41,)
 
     def test_null_dynamics(self):
         cfg = single_queue_cfg()
@@ -185,12 +186,12 @@ class TestEnv:
         env = EdgeCloudEnv(cfg, rng=np.random.default_rng(1))
         state = env.reset()
         outcome = env.step(Action.idle(1))
-        assert np.allclose(outcome.queue_after, state.queue + state.arrival)
+        assert np.allclose(outcome.next_state.queue, state.queue + state.arrival)
         assert outcome.edge_cost == 0.0 and outcome.cloud_cost == 0.0
         assert outcome.penalty_cost == 0.0
 
     def test_determinism_split(self, cfg3):
-        # queue_after/b/o/costs are pinned by (state, action); only the
+        # q(t+1)/b/o/costs are pinned by (state, action); only the
         # arrival coordinates of next_state vary across replays
         action = Action.uniform(3)
         results = []
@@ -203,7 +204,6 @@ class TestEnv:
             outcome = env.step(action)
             results.append(outcome)
         a, b = results
-        assert np.array_equal(a.queue_after, b.queue_after)
         assert np.array_equal(a.departures, b.departures)
         assert np.array_equal(a.offloads, b.offloads)
         assert a.edge_cost == b.edge_cost and a.cloud_cost == b.cloud_cost
@@ -231,15 +231,37 @@ class TestEnv:
         for _ in range(300):
             action = Action(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
             outcome = env.step(action)
-            assert np.all(outcome.queue_after >= 0.0)
+            q_after = outcome.next_state.queue
+            assert np.all(q_after >= 0.0)
             # served = min(q+a, cpu bits) + o <= b elementwise
-            qpa = outcome.queue_before + state.arrival
+            qpa = state.queue + state.arrival
             cpu_bits = action.alpha_eff * cfg3.edge_clock / cfg3.workloads
             served = np.minimum(qpa, cpu_bits) + outcome.offloads
             assert np.all(served <= outcome.departures + 1e-6)
             # q(t+1) - q(t) = a(t) - actually served bits
-            drained = qpa - outcome.queue_after
+            drained = qpa - q_after
             assert np.all(drained <= outcome.departures + 1e-6)
+            state = outcome.next_state
+
+    def test_a_state_holds_each_value_once(self, cfg3):
+        # the arrival is a view of the observation, and the next state's
+        # queue is the very array the next step starts from, which the
+        # step leaves as it was
+        n = cfg3.n_queues
+        rng = np.random.default_rng(12)
+        env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(11))
+        state = env.reset()
+        for _ in range(300):
+            assert np.shares_memory(state.arrival, state.observation)
+            assert state.arrival.tobytes() == state.observation[n:2 * n].tobytes()
+            assert env._q is state.queue
+            q = state.queue.copy()
+            outcome = env.step(Action(rng.dirichlet(np.ones(4)),
+                                      rng.dirichlet(np.ones(4))))
+            assert state.queue.tobytes() == q.tobytes()
+            np.testing.assert_array_equal(
+                outcome.next_state.queue,
+                np.maximum(0.0, q + state.arrival - outcome.departures))
             state = outcome.next_state
 
     def test_actual_cpu_use_clamp(self):
@@ -254,14 +276,15 @@ class TestEnv:
     def test_window_zero_padding(self, cfg3):
         env = EdgeCloudEnv(cfg3, rng=np.random.default_rng(5))
         state = env.reset()
-        assert np.allclose(state.windowed_arrival_avg,
+        n = cfg3.n_queues
+        assert np.allclose(state.observation[4 * n + 1:],
                            state.arrival / ARRIVAL_WINDOW)
         arrivals = [state.arrival]
         for _ in range(10):
             outcome = env.step(Action.idle(3))
             arrivals.append(outcome.next_state.arrival)
             expect = np.sum(arrivals, axis=0) / ARRIVAL_WINDOW
-            assert np.allclose(outcome.next_state.windowed_arrival_avg, expect)
+            assert np.allclose(outcome.next_state.observation[4 * n + 1:], expect)
 
 
 class TestTrace:

@@ -104,9 +104,9 @@ def test_run_episode_matches_a_hand_rolled_loop():
     queues, arrivals, rewards = [state.queue], [state.arrival], []
     for _ in range(30):
         outcome = env.step(Action.uniform(2))
-        rewards.append(compute_reward(outcome, spec))
-        queues.append(outcome.queue_after)
+        rewards.append(compute_reward(state, outcome, spec))
         state = outcome.next_state
+        queues.append(state.queue)
         arrivals.append(state.arrival)
     assert len(trace) == 30
     np.testing.assert_array_equal(trace.t, np.arange(30))
@@ -137,12 +137,13 @@ def reference_collect(cfg, sac_cfg, total_steps, seed, reward_spec):
         episodes_left = -(-(total_steps - steps_done) // T)
         for _ in range(min(EPISODES_PER_CYCLE, episodes_left)):
             state = env.reset()
-            s_norm = state.as_vector() / agent.obs_scale
+            s_norm = state.observation / agent.obs_scale
             for _ in range(T):
                 flat = agent.policy_sample(s_norm, rng=collect_rng)
                 outcome = env.step(Action.from_flat(flat))
-                r = compute_reward(outcome, reward_spec)
-                s2_norm = outcome.next_state.as_vector() / agent.obs_scale
+                r = compute_reward(state, outcome, reward_spec)
+                state = outcome.next_state
+                s2_norm = state.observation / agent.obs_scale
                 pending.append((s_norm, flat, r, s2_norm))
                 s_norm = s2_norm
                 steps_done += 1

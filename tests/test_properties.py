@@ -38,16 +38,21 @@ def actions(draw, n_queues):
 def test_step_obeys_the_queue_and_offload_laws(profile, seed, data):
     cfg = get_profile(profile)
     env = EdgeCloudEnv(cfg, rng=np.random.default_rng(seed))
-    # q(t) is the last step's q(t+1); state.queue = (q + a) - a may round
-    q, a = np.zeros(cfg.n_queues), env.reset().arrival
+    # q(t) is the last step's q(t+1), not the (q + a) - a of the
+    # observation, which may round
+    n = cfg.n_queues
+    state = env.reset()
+    q, a = np.zeros(n), state.arrival
     for _ in range(data.draw(st.integers(1, 25))):
-        action = data.draw(actions(cfg.n_queues))
+        action = data.draw(actions(n))
+        np.testing.assert_array_equal(state.queue, q)
         outcome = env.step(action)
         b = outcome.departures
+        q_next = outcome.next_state.queue
 
         # queues stay non-negative and follow q(t+1) = max(0, q + a - b)
-        assert np.all(outcome.queue_after >= 0.0)
-        np.testing.assert_array_equal(outcome.queue_after, np.maximum(0.0, q + a - b))
+        assert np.all(q_next >= 0.0)
+        np.testing.assert_array_equal(q_next, np.maximum(0.0, q + a - b))
 
         # 0 <= o <= min(beta B, backlog left after the CPU share)
         cpu_bits = action.alpha_eff * cfg.edge_clock / cfg.workloads
@@ -59,13 +64,13 @@ def test_step_obeys_the_queue_and_offload_laws(profile, seed, data):
         # the fused step agrees bit for bit with the pure primitives
         np.testing.assert_array_equal(b, compute_departure(action, cfg))
         np.testing.assert_array_equal(o, compute_offload(q + a, action, cfg))
-        np.testing.assert_array_equal(outcome.queue_after, queue_update(q, a, b))
-        np.testing.assert_array_equal(outcome.next_state.actual_cpu_use,
+        np.testing.assert_array_equal(q_next, queue_update(q, a, b))
+        np.testing.assert_array_equal(outcome.next_state.observation[3 * n:4 * n],
                                       actual_cpu_use(q + a, action, cfg))
         assert outcome.edge_cost == edge_cost(action.alpha_eff, cfg)
         assert outcome.cloud_cost == cloud_cost(o, cfg)
-        np.testing.assert_array_equal(outcome.queue_before, q)
-        q, a = outcome.queue_after, outcome.next_state.arrival
+        state = outcome.next_state
+        q, a = q_next, state.arrival
 
 
 @settings(max_examples=100, deadline=None)
@@ -147,5 +152,5 @@ def test_ring_window_matches_a_rolled_window(profile, seed, steps):
         ref[0] = state.arrival
         newest_first = np.roll(env._window, -env._slot, axis=0)[::-1]
         np.testing.assert_array_equal(newest_first, ref)
-        np.testing.assert_allclose(state.windowed_arrival_avg,
+        np.testing.assert_allclose(state.observation[4 * cfg.n_queues + 1:],
                                    ref.sum(axis=0) / ARRIVAL_WINDOW, rtol=1e-12)

@@ -1,8 +1,9 @@
 """`src/lyaq` holds only what a command or the benchmark can reach.
 
-Every module-level function or class in `src/lyaq`, and every public method
-of such a class, must be named somewhere in `src/lyaq` or `perfbench/`
-outside its own definition. `lyaq/__init__.py` does not count: a re-export
+Every module-level function, class or constant in `src/lyaq`, and every
+public method of such a class, must be named somewhere in `src/lyaq` or
+`perfbench/` outside its own definition (for a constant, outside the
+statement that assigns it). `lyaq/__init__.py` does not count: a re-export
 reaches nothing. Names are read from the syntax tree (identifiers, and the
 words of string constants such as perfbench's hook sites), so a docstring
 or a comment that mentions a name does not count either. A definition that
@@ -88,10 +89,17 @@ def _uses(path):
 
 def _definitions(path):
     """(qualified name, name, first line, last line) of every module-level
-    function or class and every public method of a module-level class."""
+    function, class or constant and every public method of a module-level
+    class."""
     tree = ast.parse(path.read_text(), filename=str(path))
     out = []
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(name.id, name.id, node.lineno, node.end_lineno)
+                    for target in targets for name in ast.walk(target)
+                    if isinstance(name, ast.Name)]
+            continue
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         start = min([node.lineno] + [d.lineno for d in node.decorator_list])

@@ -223,9 +223,13 @@ class TestEpisodeIdentities:
 
 
 def test_compute_reward_dispatch():
-    from lyaq.env import StepOutcome
-    outcome = StepOutcome(next_state=None, queue_before=np.array([1.0]),
-                          queue_after=np.array([4.0]),
+    from lyaq.env import StateVector, StepOutcome
+
+    def state(q):  # what the rewards read of a state is its queue
+        return StateVector(queue=np.array([q]), arrival=None, observation=None)
+
+    before = state(1.0)
+    outcome = StepOutcome(next_state=state(4.0),
                           departures=np.array([2.0]), offloads=np.array([0.0]),
                           edge_cost=1.5, cloud_cost=0.5)
     m = np.array([5.0])
@@ -236,7 +240,7 @@ def test_compute_reward_dispatch():
     }
     for kind, expected in cases.items():
         s = spec(kind=kind, penalty_weight=1.0, mean_arrival_bits=m)
-        assert compute_reward(outcome, s) == pytest.approx(expected)
+        assert compute_reward(before, outcome, s) == pytest.approx(expected)
     # the queue-only analysis form is refused by name, not computed
     with pytest.raises(UnsupportedRewardError, match="'reshaped'"):
-        compute_reward(outcome, spec(kind="reshaped"))
+        compute_reward(before, outcome, spec(kind="reshaped"))

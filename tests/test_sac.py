@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from lyaq.config import desk_config, get_profile
-from lyaq.env import Action, EdgeCloudEnv, StateVector, observation_scale
+from lyaq.env import (ARRIVAL_BLOCK, ARRIVAL_WINDOW, Action, EdgeCloudEnv,
+                      StateVector, actual_cpu_use, compute_departure,
+                      compute_offload, observation_scale, queue_update)
 from lyaq.harness import default_reward_spec, train
 from lyaq.nets import DenseNet
 from lyaq.sac import (FLUSH_FLOOR, LOG_2PI, ReplayBuffer, SacAgent, SacConfig,
                       actor_loss_and_grads, critic_loss_and_grads,
                       dual_softmax, flush_tiny, gaussian_logp, squashed_sample)
+from lyaq.traffic import sample_arrivals
 from test_nets import (reference_adam_step, reference_backward,
                        reference_forward, reference_forward_cache,
                        reference_soft_update)
@@ -148,27 +151,44 @@ class TestObservation:
 
     @pytest.mark.parametrize("profile", ["paper", "paper8", "desk"])
     def test_observe_is_the_retired_path_bit_for_bit(self, profile):
-        # the retired path: the arrival-block layout written out field by
-        # field, divided by the retired scale
+        # the retired path: the arrival-block layout written out block by
+        # block, divided by the retired scale, each block rebuilt from the
+        # reference primitives: the arrivals of two same-seeded blocks,
+        # q(t+1) = queue_update, the previous slot's actual_cpu_use and
+        # compute_offload, and a window rolled down one row per slot
         cfg = get_profile(profile)
+        n = cfg.n_queues
         agent = SacAgent(cfg, TOY)
         scale = retired_normalizer_scale(cfg)
+        rng = np.random.default_rng(9)
+        arrivals = np.concatenate([sample_arrivals(cfg.apps, ARRIVAL_BLOCK, rng)
+                                   for _ in range(2)])
+        action = Action.uniform(n)
         env = EdgeCloudEnv(cfg, rng=np.random.default_rng(9))
         state = env.reset()
-        for _ in range(300):
-            flat = np.concatenate([state.backlog_plus_arrival, state.arrival,
-                                   state.workload, state.actual_cpu_use,
-                                   [state.offloaded_cycles],
-                                   state.windowed_arrival_avg])
+        q, cpu_use, cycles = np.zeros(n), np.zeros(n), 0.0
+        window = np.zeros((ARRIVAL_WINDOW, n))  # newest first
+        for t in range(300):
+            a = arrivals[t]
+            window = np.roll(window, 1, axis=0)
+            window[0] = a
+            # the rows in the order the environment sums them: row k holds
+            # the slot t' = k mod ARRIVAL_WINDOW
+            summed = window[(t - np.arange(ARRIVAL_WINDOW)) % ARRIVAL_WINDOW]
+            flat = np.concatenate([q + a, a, cfg.workloads, cpu_use, [cycles],
+                                   summed.sum(axis=0) / ARRIVAL_WINDOW])
             assert agent.observe(state).tobytes() == (flat / scale).tobytes()
-            state = env.step(Action.uniform(cfg.n_queues)).next_state
+            state = env.step(action).next_state
+            cpu_use = actual_cpu_use(q + a, action, cfg)
+            cycles = float(np.dot(cfg.workloads, compute_offload(q + a, action, cfg)))
+            q = queue_update(q, a, compute_departure(action, cfg))
 
 
 class TestPolicyOutputs:
     def test_zero_weights_give_uniform_action(self, cfg):
         agent = SacAgent(cfg, TOY, rng=np.random.default_rng(0))
         agent.policy.flat[:] = 0.0
-        flat = agent.policy_sample(np.zeros(cfg.state_dim), deterministic=True)
+        flat = agent.policy_sample(np.zeros(cfg.state_dim))
         assert np.allclose(flat, 1.0 / (cfg.n_queues + 1))
 
     def test_every_sample_is_on_both_simplexes(self, agent, cfg):
@@ -183,8 +203,8 @@ class TestPolicyOutputs:
 
     def test_deterministic_mode_is_repeatable(self, agent, cfg):
         x = np.random.default_rng(3).normal(size=cfg.state_dim)
-        a1 = agent.policy_sample(x, deterministic=True)
-        a2 = agent.policy_sample(x, deterministic=True)
+        a1 = agent.policy_sample(x)
+        a2 = agent.policy_sample(x)
         assert np.array_equal(a1, a2)
 
     def test_dual_softmax_halves(self):
@@ -268,15 +288,14 @@ def reference_policy_sample(self, state_norm, deterministic=False, rng=None):
 
 
 def reference_act(self, state):
-    x = state.as_vector() / self.obs_scale
+    x = state.observation / self.obs_scale
     flat, _ = reference_policy_sample(self, x, deterministic=True)
     return Action.from_flat(flat)
 
 
 def as_state(x, n):
-    """The StateVector whose flat layout (second block: arrivals) is x."""
-    return StateVector(x[:n], x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n],
-                       float(x[4 * n]), x[4 * n + 1:], queue=x[:n] - x[n:2 * n])
+    """The StateVector whose observation (second block: arrivals) is x."""
+    return StateVector(queue=x[:n] - x[n:2 * n], arrival=x[n:2 * n], observation=x)
 
 
 class TestDeterministicAct:
@@ -292,7 +311,7 @@ class TestDeterministicAct:
         n = cfg.n_queues
         for _ in range(2000):
             x = np.abs(rng.normal(0.0, 1.0, cfg.state_dim)) * 10.0 ** rng.uniform(-2, 2)
-            flat = agent.policy_sample(x, deterministic=True)
+            flat = agent.policy_sample(x)
             ref, _ = reference_policy_sample(agent, x, deterministic=True)
             assert flat.shape == ref.shape == (cfg.action_dim,)
             assert flat.tobytes() == ref.tobytes()
@@ -484,7 +503,7 @@ class TestUpdates:
             flat = agent.policy_sample(x, rng=rng)
             outcome = env.step(Action.from_flat(flat))
             x2 = agent.observe(outcome.next_state)
-            r = -1e-9 * outcome.queue_after.sum()
+            r = -1e-9 * outcome.next_state.queue.sum()
             agent.buffer.push(x, flat, r, x2)
             x = x2
 
@@ -806,8 +825,8 @@ class TestCheckpoint:
         agent.save(path)
         loaded = SacAgent.load(path)
         x = np.random.default_rng(16).normal(size=cfg.state_dim)
-        a1 = agent.policy_sample(x, deterministic=True)
-        a2 = loaded.policy_sample(x, deterministic=True)
+        a1 = agent.policy_sample(x)
+        a2 = loaded.policy_sample(x)
         assert np.array_equal(a1, a2)
 
     def test_copy_is_independent_with_an_empty_buffer(self, cfg):

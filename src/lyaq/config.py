@@ -201,20 +201,24 @@ def _whole(value):
     return int(x) if x.is_integer() else x
 
 
-def _parsed(cls, d: dict) -> dict:
+def _parsed(cls, d: dict, where: str) -> dict:
     """The fields of dataclass cls that d holds, each read by its type: a
     whole number for an int, a size for a size_* field, a float for any
-    other float; other values pass as they are. Other keys are ignored."""
+    other float; other values pass as they are. Other keys are ignored. A
+    value that does not read is a ValueError naming where + its key."""
     out = {}
     for f in fields(cls):
         if f.name in d:
             value = d[f.name]
-            if f.type == "int":
-                value = _whole(value)
-            elif f.name.startswith("size_"):
-                value = parse_size(value)
-            elif f.type == "float":
-                value = float(value)
+            try:
+                if f.type == "int":
+                    value = _whole(value)
+                elif f.name.startswith("size_"):
+                    value = parse_size(value)
+                elif f.type == "float":
+                    value = float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}{f.name}: expected a number, got {value!r}") from None
             out[f.name] = value
     return out
 
@@ -224,20 +228,28 @@ def config_from_dict(d: dict) -> SystemConfig:
     are the SystemConfig fields without a default and, per app, the
     arguments of AppProfile.from_bounds, whose rule fills a missing size_mean
     or size_std. A ValueError names every missing required key, the apps'
-    keys as apps[i].key."""
+    keys as apps[i].key; so does a value of the wrong JSON type."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+    entries = d.get("apps", [])
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"apps must be a list of JSON objects, got {type(entries).__name__}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"apps[{i}] must be a JSON object, got {type(entry).__name__}")
     app_keys = [p.name for p in inspect.signature(AppProfile.from_bounds).parameters.values()
                 if p.default is p.empty]
     missing = [f.name for f in fields(SystemConfig) if f.default is MISSING and f.name not in d]
-    missing += [f"apps[{i}].{k}" for i, entry in enumerate(d.get("apps", ()))
+    missing += [f"apps[{i}].{k}" for i, entry in enumerate(entries)
                 for k in app_keys if k not in entry]
     if missing:
         raise ValueError(f"config lacks required key(s): {', '.join(missing)}")
     apps = []
-    for entry in d["apps"]:
-        given = _parsed(AppProfile, entry)
+    for i, entry in enumerate(entries):
+        given = _parsed(AppProfile, entry, f"apps[{i}].")
         app = AppProfile.from_bounds(**{k: given[k] for k in app_keys})
         apps.append(replace(app, **given))
-    return SystemConfig(**{**_parsed(SystemConfig, d), "apps": tuple(apps)})
+    return SystemConfig(**{**_parsed(SystemConfig, d, ""), "apps": tuple(apps)})
 
 
 def load_config(path) -> SystemConfig:

@@ -21,7 +21,7 @@ from .config import SystemConfig
 from .dpp import DppConfig, DppController, UnsupportedObjectiveError
 from .env import Action, EdgeCloudEnv, Trace
 from .rewards import RewardSpec, compute_reward
-from .sac import SacAgent, SacConfig
+from .sac import ReplayBuffer, SacAgent, SacConfig
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +161,18 @@ class TrainResult:
 
 def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
           reward_spec: RewardSpec, progress=None) -> TrainResult:
-    """Mirror of the paper's schedule: repeatedly collect EPISODES_PER_CYCLE
-    episodes from empty queues into the buffer, take one gradient step per
-    collected transition (none until the buffer holds one batch), then log
-    one deterministic evaluation episode (undiscounted reward sum). The last
-    cycle collects only the episodes the budget still needs, so total_steps
-    is rounded up to whole episodes: the curve ends at ceil(total_steps / T)
-    * T steps.
+    """Mirror of the paper's schedule over episodes = ceil(total_steps / T)
+    episodes: the curve ends at episodes * T steps. Each cycle collects
+    EPISODES_PER_CYCLE episodes (the last only those left) from empty queues
+    into the replay buffer, takes one gradient step per collected transition
+    (none until the buffer holds one batch), then logs one deterministic
+    evaluation episode (undiscounted reward sum). The buffer is train's own,
+    one ring of min(buffer_capacity, episodes * T) rows; no agent holds it.
     """
     if total_steps < 1:
         raise ValueError(f"total_steps must be at least 1, got {total_steps}")
     T = cfg.episode_length
+    episodes = -(-total_steps // T)
     ss = np.random.SeedSequence(seed)
     env_ss, agent_ss, update_ss, eval_ss = ss.spawn(4)
     env_rng = np.random.default_rng(env_ss)
@@ -179,6 +180,8 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
     collect_rng = np.random.default_rng(agent_ss.spawn(1)[0])
 
     agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(agent_ss))
+    buffer = ReplayBuffer(min(sac_cfg.buffer_capacity, episodes * T),
+                          cfg.state_dim, cfg.action_dim)
     env = EdgeCloudEnv(cfg, rng=env_rng)
     last = [None, None]  # the latest state and its observation
 
@@ -198,28 +201,22 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
 
     curve = [eval_record(0)]
     best = None  # best eval over the final 20% of the step budget
-    steps_done = 0
-    scale_set = False
 
-    while steps_done < total_steps:
-        pending = []
-        episodes_left = -(-(total_steps - steps_done) // T)
-        for _ in range(min(EPISODES_PER_CYCLE, episodes_left)):
-            for state, action, outcome in episode_slots(explore, env, T):
-                pending.append((norm(state), action.as_flat(),
-                                compute_reward(state, outcome, reward_spec),
-                                norm(outcome.next_state)))
-        steps_done += len(pending)
-        if not scale_set:
-            typical = float(np.mean(np.abs([p[2] for p in pending[:T]])))
-            agent.reward_scale = 1.0 / typical if typical > 0 else 1.0
-            scale_set = True
-        for s_n, a_f, r, s2_n in pending:
-            agent.buffer.push(s_n, a_f, r * agent.reward_scale, s2_n)
-
-        if len(agent.buffer) >= sac_cfg.batch_size:
-            for _ in range(len(pending)):
-                agent.update(update_rng)
+    for first in range(0, episodes, EPISODES_PER_CYCLE):
+        end = min(first + EPISODES_PER_CYCLE, episodes)
+        for episode in range(first, end):
+            slots = [(norm(state), action.as_flat(),
+                      compute_reward(state, outcome, reward_spec), norm(outcome.next_state))
+                     for state, action, outcome in episode_slots(explore, env, T)]
+            if episode == 0:  # the reward scale comes from the first episode alone
+                typical = float(np.mean(np.abs([slot[2] for slot in slots])))
+                agent.reward_scale = 1.0 / typical if typical > 0 else 1.0
+            for s_n, a_f, r, s2_n in slots:
+                buffer.push(s_n, a_f, r * agent.reward_scale, s2_n)
+        steps_done = end * T
+        if buffer.size >= sac_cfg.batch_size:
+            for _ in range((end - first) * T):
+                agent.update(buffer, update_rng)
 
         record = eval_record(steps_done)
         curve.append(record)
@@ -239,12 +236,24 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
 # ---------------------------------------------------------------------------
 # Sweeps and comparison
 
+SWEEP_COLUMNS = ("controller", "V", "seed", "avg_queue", "avg_penalty",
+                 "reward_sum", "status")
+
 
 def _sweep_csv_rows(path, controller_kind: str) -> set:
+    """The (V, seed) keys of the rows the sweep CSV at path already holds."""
     done = set()
     try:
         with open(path, newline="") as f:
-            for row in csv.DictReader(f):
+            reader = csv.DictReader(f)
+            header = reader.fieldnames or SWEEP_COLUMNS  # an empty file has none
+            missing = [c for c in SWEEP_COLUMNS if c not in header]
+            if missing:
+                raise ValueError(f"{path} is not a sweep CSV: it lacks the "
+                                 f"column(s) {', '.join(missing)}")
+            if tuple(header) != SWEEP_COLUMNS:  # appended rows would land in wrong columns
+                raise ValueError(f"{path} holds the sweep columns in another layout: {header}")
+            for row in reader:
                 if row["controller"] != controller_kind:  # its per-V means would mix two
                     raise ValueError(f"{path} holds {row['controller']!r} sweep rows; "
                                      f"a {controller_kind!r} sweep needs a file of its own")
@@ -270,10 +279,8 @@ def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds, *, out_csv,
         raise ValueError(f"V grid values must be finite and >= 0, got {bad}")
     rows = []
     done = _sweep_csv_rows(out_csv, controller_kind)
-    fieldnames = ["controller", "V", "seed", "avg_queue", "avg_penalty",
-                  "reward_sum", "status"]
     with open(out_csv, "a", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames)
+        writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS)
         if f.tell() == 0:  # new or empty file; a resumed one has its header
             writer.writeheader()
         for V in V_grid:
@@ -299,6 +306,7 @@ def sweep(controller_kind: str, cfg: SystemConfig, V_grid, seeds, *, out_csv,
                 rows.append(row)
                 done.add(key)  # a repeated (V, seed) runs once, as on resume
                 writer.writerow(row)
+                f.flush()  # a killed sweep keeps every row it reported
                 progress(row)
     return rows
 

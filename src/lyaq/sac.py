@@ -34,11 +34,12 @@ carries it (a CPU share, offloaded cycles). So `flush_tiny` zeroes the
 entries below `FLUSH_FLOOR` of what a float32 net reads: each state, action
 and next state the buffer stores, and both squashes of the update.
 
-The agent never steps an environment. `harness.train` collects through the
-harness's one episode loop with `policy_sample` as the exploring policy and
-pushes each transition (observations, flat action, reward times
-`reward_scale`) straight into `agent.buffer`; `reward_scale` is set once,
-from the first collected episode, and saved with the checkpoint.
+The agent never steps an environment and holds no replay, only what it acts,
+learns and saves with. `harness.train` owns the one `ReplayBuffer`, a ring
+sized to its step budget (at most `buffer_capacity` rows). It fills it
+through the harness's one episode loop, with `policy_sample` exploring and
+each reward times `reward_scale` (set once, from the first collected
+episode, and saved with the checkpoint), and passes it to each `update`.
 `SacAgent.observe`, `env.StateVector.observation` over `env.observation_scale`,
 is the one path from a state to what the nets read.
 
@@ -48,11 +49,10 @@ q2_target; `<opt>.m<i>` and `<opt>.v<i>` for the Adam moments of policy_opt,
 q1_opt and q2_opt; `normalizer.scale`, the observation scale; and `meta`,
 the UTF-8 JSON bytes of format_version, sac_cfg, state_dim, action_dim,
 reward_scale and update_count. The layer widths (`net_sizes`) and the Adam
-step counts (each equal to update_count) follow from these. Replay
-transitions are not saved: a loaded agent starts with an empty buffer. A
-sac_cfg key that `SacConfig` does not have fails the load. Format 1 files
-load too: their net_sizes and opt_steps are not read, and a state_aux other
-than "arrival" fails the load.
+step counts (each equal to update_count) follow from these. No replay is
+saved, and a loaded agent holds none. A sac_cfg key that `SacConfig` does
+not have fails the load. Format 1 files load too: their net_sizes and
+opt_steps are not read, and a state_aux other than "arrival" fails the load.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ class SacConfig:
 
 
 class ReplayBuffer:
-    """Ring of float32 transitions; storage grows on demand up to capacity."""
+    """Ring of float32 transitions, allocated at `capacity` rows; once full,
+    each push overwrites the oldest row."""
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
         self.capacity = int(capacity)
@@ -101,32 +102,16 @@ class ReplayBuffer:
         self.action_dim = int(action_dim)
         self.size = 0
         self.cursor = 0
-        self._alloc = 0
-        self.states = np.empty((0, state_dim), dtype=np.float32)
-        self.actions = np.empty((0, action_dim), dtype=np.float32)
-        self.rewards = np.empty(0, dtype=np.float32)
-        self.next_states = np.empty((0, state_dim), dtype=np.float32)
-
-    def _grow(self, needed: int) -> None:
-        new_alloc = min(self.capacity, max(needed, 2 * self._alloc, 1024))
-        for name in ("states", "actions", "rewards", "next_states"):
-            old = getattr(self, name)
-            shape = (new_alloc,) + old.shape[1:]
-            arr = np.empty(shape, dtype=np.float32)
-            arr[: self.size] = old[: self.size]
-            setattr(self, name, arr)
-        self._alloc = new_alloc
+        self.states = np.empty((self.capacity, self.state_dim), dtype=np.float32)
+        self.actions = np.empty((self.capacity, self.action_dim), dtype=np.float32)
+        self.rewards = np.empty(self.capacity, dtype=np.float32)
+        self.next_states = np.empty((self.capacity, self.state_dim), dtype=np.float32)
 
     def push(self, state, action, reward: float, next_state) -> None:
-        state = np.asarray(state, dtype=float)
-        action = np.asarray(action, dtype=float)
-        next_state = np.asarray(next_state, dtype=float)
-        if state.shape != (self.state_dim,) or next_state.shape != (self.state_dim,):
-            raise ValueError(f"state dimension {state.shape} != ({self.state_dim},)")
-        if action.shape != (self.action_dim,):
-            raise ValueError(f"action dimension {action.shape} != ({self.action_dim},)")
-        if self.cursor >= self._alloc and self._alloc < self.capacity:
-            self._grow(self.cursor + 1)
+        if np.shape(state) != (self.state_dim,) or np.shape(next_state) != (self.state_dim,):
+            raise ValueError(f"state dimension {np.shape(state)} != ({self.state_dim},)")
+        if np.shape(action) != (self.action_dim,):
+            raise ValueError(f"action dimension {np.shape(action)} != ({self.action_dim},)")
         self.states[self.cursor] = state
         self.actions[self.cursor] = action
         self.rewards[self.cursor] = reward
@@ -143,9 +128,6 @@ class ReplayBuffer:
         idx = rng.choice(self.size, size=batch, replace=False)
         return (self.states.take(idx, axis=0), self.actions.take(idx, axis=0),
                 self.rewards.take(idx, axis=0), self.next_states.take(idx, axis=0))
-
-    def __len__(self) -> int:
-        return self.size
 
 
 def dual_softmax(z: np.ndarray) -> np.ndarray:
@@ -275,8 +257,6 @@ class SacAgent:
         self.q1_opt = Adam(self.q1.flat.size, lr=lr)
         self.q2_opt = Adam(self.q2.flat.size, lr=lr)
 
-        self.buffer = ReplayBuffer(sac_cfg.buffer_capacity, self.state_dim,
-                                   self.action_dim)
         self.obs_scale = observation_scale(sys_cfg)
         self.reward_scale = 1.0
         self.update_count = 0
@@ -323,11 +303,12 @@ class SacAgent:
             np.copyto(net.flat, getattr(self, name).flat)
         return work
 
-    def update(self, rng: np.random.Generator) -> dict:
-        """One critic and one actor gradient step plus a soft target update;
-        the passes run in float32 (module docstring)."""
+    def update(self, buffer: ReplayBuffer, rng: np.random.Generator) -> dict:
+        """One critic and one actor gradient step on a batch that `rng`
+        samples from `buffer`, plus a soft target update; the passes run in
+        float32 (module docstring)."""
         cfg = self.sac_cfg
-        s, a, r, s2 = self.buffer.sample(cfg.batch_size, rng)
+        s, a, r, s2 = buffer.sample(cfg.batch_size, rng)
         m = len(s)
         zeta = cfg.entropy_weight
         policy, q1, q2, q1_target, q2_target = self._refreshed(*self._NETS)
@@ -396,7 +377,7 @@ class SacAgent:
     @classmethod
     def from_state_dict(cls, arrays) -> "SacAgent":
         """An independent agent from a `state_dict()` mapping (or an open
-        checkpoint): arrays are copied and the replay buffer starts empty.
+        checkpoint): arrays are copied, and no replay comes with it.
         A missing, surplus or misshapen array raises ValueError, as does a
         format-1 observation other than "arrival"."""
         if "meta" not in arrays:
@@ -449,8 +430,6 @@ class SacAgent:
         surplus = sorted(set(arrays) - used)
         if surplus:
             raise ValueError(f"checkpoint has unexpected arrays {surplus}")
-        agent.buffer = ReplayBuffer(agent.sac_cfg.buffer_capacity,
-                                    agent.state_dim, agent.action_dim)
         return agent
 
     def save(self, path) -> None:

@@ -99,6 +99,22 @@ def test_config_with_missing_keys_fails_clearly(tmp_path, capsys):
     assert err == "error: config lacks required key(s): rho, apps[1].arrival_rate\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: [1, 2], "config must be a JSON object, got list"),
+    (lambda d: {**d, "apps": [5]}, "apps[0] must be a JSON object, got int"),
+    (lambda d: {**d, "edge_cores": None}, "edge_cores: expected a number, got None"),
+    (lambda d: {**d, "edge_clock": "fast"}, "edge_clock: expected a number, got 'fast'"),
+    (lambda d: {**d, "apps": "xy"}, "apps must be a list of JSON objects, got str"),
+], ids=["top-level-list", "app-not-an-object", "null-number", "word-for-a-number",
+        "apps-a-string"])
+def test_malformed_config_fails_naming_its_key(tmp_path, capsys, edit, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(edit(asdict(replace(desk_config(), episode_length=20)))))
+    assert main(["feasibility", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n" and out == ""
+
+
 @pytest.mark.parametrize("argv, path", [
     (["train", "--steps", "600", "--out"], "curve.csv"),
     (["train", "--steps", "600", "--checkpoint"], "agent.npz"),
@@ -523,7 +539,7 @@ def test_checkpoint_without_meta_fails_clearly(tmp_path, trained, capsys):
 
 
 def test_training_divergence_fails_clearly(tmp_path, monkeypatch, capsys):
-    def diverge(self, rng):
+    def diverge(self, buffer, rng):
         raise FloatingPointError("non-finite loss at update 1")
 
     monkeypatch.setattr(SacAgent, "update", diverge)

@@ -1,9 +1,11 @@
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lyaq import harness
 from lyaq.cli import main
 from lyaq.config import desk_config
 from lyaq.env import Action, EdgeCloudEnv
@@ -12,7 +14,7 @@ from lyaq.harness import (EPISODES_PER_CYCLE, FixedController,
                           run_episode, sweep, train)
 from lyaq.plots import emit_plots
 from lyaq.rewards import compute_reward
-from lyaq.sac import SacAgent, SacConfig
+from lyaq.sac import ReplayBuffer, SacAgent, SacConfig
 
 
 def short_desk():
@@ -23,6 +25,20 @@ def uniform_sweep(grid, seeds, out_csv):
     """A uniform-controller sweep of one 10-slot episode per grid point."""
     return sweep("uniform", short_desk(), grid, seeds, out_csv=out_csv, sac_cfg=None,
                  total_steps=1, reward_kind="diff", episodes=1, progress=lambda row: None)
+
+
+def spy_buffers(monkeypatch) -> list:
+    """Every replay buffer that `harness.train` builds from now on, in the
+    order it builds them."""
+    built = []
+
+    class Spy(ReplayBuffer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(harness, "ReplayBuffer", Spy)
+    return built
 
 
 def read_lines(path):
@@ -67,6 +83,36 @@ class TestSweepResume:
                      "--seeds", "0", "--episodes", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {out} holds 'uniform' sweep rows")
         assert out.read_bytes() == before
+        # a file that is not a sweep CSV at all, such as a simulate trace
+        trace = tmp_path / "trace.csv"
+        assert main(["simulate", "--profile", "desk", "--steps", "5",
+                     "--out", str(trace)]) == 0
+        capsys.readouterr()
+        before = trace.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(
+                f"{trace} is not a sweep CSV: it lacks the column(s) controller, V, seed")):
+            uniform_sweep([0.0], [0], trace)
+        assert main(["sweep", "--profile", "desk", "--controller", "uniform", "--Vgrid",
+                     "0", "--seeds", "0", "--out", str(trace)]) == 1
+        out_text, err = capsys.readouterr()
+        assert err.startswith(f"error: {trace} is not a sweep CSV") and out_text == ""
+        assert trace.read_bytes() == before
+        # the sweep columns in another order: a resumed row would misalign
+        shuffled = tmp_path / "shuffled.csv"
+        header = "V,controller,seed,avg_queue,avg_penalty,reward_sum,status\n"
+        shuffled.write_text(header)
+        with pytest.raises(ValueError, match="holds the sweep columns in another layout"):
+            uniform_sweep([0.0], [0], shuffled)
+        assert shuffled.read_text() == header
+
+    def test_each_row_is_on_disk_before_progress_reports_it(self, tmp_path):
+        # a sweep killed after reporting k rows has written those k rows
+        out = tmp_path / "sweep.csv"
+        on_disk = []
+        sweep("uniform", short_desk(), [0.0, 1e9], [0, 1, 2], out_csv=out, sac_cfg=None,
+              total_steps=1, reward_kind="diff", episodes=1,
+              progress=lambda row: on_disk.append(len(read_lines(out))))
+        assert on_disk == [2, 3, 4, 5, 6, 7]
 
 
 @pytest.mark.parametrize("grid, seeds, message", [
@@ -119,7 +165,7 @@ def reference_collect(cfg, sac_cfg, total_steps, seed, reward_spec):
     """`train`'s collection and update schedule as the inline loop it once
     was, kept as the reference for the loop through `episode_slots`. The
     evaluation episodes are left out: they draw from their own stream and
-    leave the agent as it is."""
+    leave the agent as it is. Returns the agent and its replay buffer."""
     T = cfg.episode_length
     ss = np.random.SeedSequence(seed)
     env_ss, agent_ss, update_ss, eval_ss = ss.spawn(4)
@@ -128,6 +174,7 @@ def reference_collect(cfg, sac_cfg, total_steps, seed, reward_spec):
     collect_rng = np.random.default_rng(agent_ss.spawn(1)[0])
 
     agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(agent_ss))
+    buffer = ReplayBuffer(sac_cfg.buffer_capacity, cfg.state_dim, cfg.action_dim)
     env = EdgeCloudEnv(cfg, rng=env_rng)
     steps_done = 0
     scale_set = False
@@ -152,26 +199,28 @@ def reference_collect(cfg, sac_cfg, total_steps, seed, reward_spec):
             agent.reward_scale = 1.0 / typical if typical > 0 else 1.0
             scale_set = True
         for s_n, a_f, r, s2_n in pending:
-            agent.buffer.push(s_n, a_f, r * agent.reward_scale, s2_n)
+            buffer.push(s_n, a_f, r * agent.reward_scale, s2_n)
 
-        if len(agent.buffer) >= sac_cfg.batch_size:
+        if buffer.size >= sac_cfg.batch_size:
             for _ in range(len(pending)):
-                agent.update(update_rng)
-    return agent
+                agent.update(buffer, update_rng)
+    return agent, buffer
 
 
 @pytest.mark.parametrize("kind", ["diff", "power"])
-def test_train_collects_like_the_reference_loop(kind):
+def test_train_collects_like_the_reference_loop(kind, monkeypatch):
     cfg = short_desk()
     sac_cfg = SacConfig(hidden_sizes=(8, 8), batch_size=64)
     spec = default_reward_spec(cfg, kind=kind)
+    built = spy_buffers(monkeypatch)
     # three 4x10-slot cycles; updates start after the first
     agent = train(cfg, sac_cfg, 120, seed=4, reward_spec=spec).agent
-    ref = reference_collect(cfg, sac_cfg, 120, 4, spec)
-    assert len(agent.buffer) == len(ref.buffer) == 120
+    [buffer] = built
+    ref, ref_buffer = reference_collect(cfg, sac_cfg, 120, 4, spec)
+    assert buffer.size == ref_buffer.size == 120
     for name in ("states", "actions", "rewards", "next_states"):
-        np.testing.assert_array_equal(getattr(agent.buffer, name)[:120],
-                                      getattr(ref.buffer, name)[:120])
+        np.testing.assert_array_equal(getattr(buffer, name)[:120],
+                                      getattr(ref_buffer, name)[:120])
     assert agent.reward_scale == ref.reward_scale
     assert agent.update_count == ref.update_count == 80
     for got, want in zip(agent.policy.params, ref.policy.params):
@@ -180,14 +229,40 @@ def test_train_collects_like_the_reference_loop(kind):
 
 @pytest.mark.parametrize("total_steps, curve_steps", [
     (55, [0, 40, 60]), (80, [0, 40, 80]), (3, [0, 10])])
-def test_budget_rounds_up_to_whole_episodes_not_cycles(total_steps, curve_steps):
+def test_budget_rounds_up_to_whole_episodes_not_cycles(total_steps, curve_steps,
+                                                       monkeypatch):
     # T = 10: the last cycle collects ceil(remaining / T) episodes, not 4
     cfg = short_desk()
+    built = spy_buffers(monkeypatch)
     result = train(cfg, SacConfig(hidden_sizes=(8, 8), batch_size=8), total_steps,
                    seed=2, reward_spec=default_reward_spec(cfg, "diff"))
     assert [row["steps"] for row in result.curve] == curve_steps
-    assert len(result.agent.buffer) == curve_steps[-1]
+    [buffer] = built
+    assert buffer.size == curve_steps[-1]
+    # at batch size 8 every collected transition is followed by one update
     assert result.agent.update_count == curve_steps[-1]
+
+
+@pytest.mark.parametrize("total_steps, buffer_capacity, rows", [
+    (55, 1_000_000, 60), (120, 1_000_000, 120), (3, 1_000_000, 10), (120, 50, 50)])
+def test_train_builds_one_replay_sized_to_its_budget(total_steps, buffer_capacity,
+                                                     rows, monkeypatch):
+    # T = 10: min(buffer_capacity, ceil(total_steps / T) * T) rows, allocated
+    # at once; a capacity below the budget is a ring that keeps the newest
+    cfg = short_desk()
+    built = spy_buffers(monkeypatch)
+    sac_cfg = SacConfig(hidden_sizes=(8, 8), batch_size=8,
+                        buffer_capacity=buffer_capacity)
+    result = train(cfg, sac_cfg, total_steps, seed=2,
+                   reward_spec=default_reward_spec(cfg, "diff"))
+    [buffer] = built
+    assert buffer.capacity == rows == min(buffer_capacity,
+                                          -(-total_steps // 10) * 10)
+    for name in ("states", "actions", "rewards", "next_states"):
+        assert len(getattr(buffer, name)) == rows, name
+    assert buffer.size == rows
+    assert not hasattr(result.agent, "buffer")
+    assert not hasattr(result.best_agent, "buffer")
 
 
 @pytest.mark.parametrize("total_steps", [0, -1])
@@ -211,15 +286,16 @@ def test_snapshot_keeps_its_optimizer_state():
     agent = SacAgent(cfg, SacConfig(hidden_sizes=(8, 8), batch_size=4),
                      rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
+    buffer = ReplayBuffer(8, cfg.state_dim, cfg.action_dim)
     for _ in range(8):
-        agent.buffer.push(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
-                          -rng.random(), rng.random(cfg.state_dim))
-    agent.update(rng)
+        buffer.push(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
+                    -rng.random(), rng.random(cfg.state_dim))
+    agent.update(buffer, rng)
     snap = SacAgent.from_state_dict(agent.state_dict())
     frozen = {name: (getattr(snap, name).t, getattr(snap, name).m.copy(),
                      getattr(snap, name).v.copy())
               for name in SacAgent._OPTS}
-    agent.update(rng)
+    agent.update(buffer, rng)
     for name, (t, m, v) in frozen.items():
         opt = getattr(snap, name)
         assert opt.t == t == 1

@@ -20,11 +20,22 @@ matches a definition by name (a class name calls its `__init__`). A
 parameter that no call sets is a constant, and its default a value nothing
 else ever takes. Conversely, a defaulted parameter that every such call
 sets has a default that nothing takes: the parameter should be required.
+
+`settable_values` counts what a user or a caller can set: config fields,
+CLI options and defaulted parameters. The count is pinned, so a change that
+moves it edits the pin and says so.
 """
 
+import argparse
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from lyaq.cli import build_parser
+from lyaq.config import SystemConfig
+from lyaq.dpp import DppConfig
+from lyaq.sac import SacConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lyaq"
@@ -226,3 +237,22 @@ def test_every_default_allowlist_entry_names_a_parameter():
     defined = {f"{qualname}({param})" for path in SRC.glob("*.py")
                for qualname, _, param, _ in _defaulted(path)}
     assert sorted((set(ALLOWED_DEFAULTS) | set(ALLOWED_ALWAYS_SET)) - defined) == []
+
+
+def settable_values():
+    """(config fields, CLI options, defaulted parameters): the fields of
+    SystemConfig, SacConfig and DppConfig; every option of each `lyaq`
+    subcommand, its --help included and positionals not; every defaulted
+    parameter in src/lyaq."""
+    config = sum(len(fields(cls)) for cls in (SystemConfig, SacConfig, DppConfig))
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    options = sum(1 for parser in commands.choices.values()
+                  for action in parser._actions if action.option_strings)
+    defaulted = sum(len(_defaulted(path)) for path in SRC.glob("*.py"))
+    return config, options, defaulted
+
+
+def test_settable_values_are_pinned():
+    # a change that adds or removes a setting edits this pin, and says so
+    assert settable_values() == (22, 66, 11)

@@ -1,4 +1,3 @@
-import copy
 import json
 from dataclasses import replace
 from itertools import product
@@ -63,7 +62,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(3, 2, 1)
         for k in range(4):
             buf.push([float(k), 0.0], [0.5], float(k), [float(k), 1.0])
-        assert len(buf) == 3
+        assert buf.size == 3
         # slot 0 now holds the newest record; the oldest (k=0) is gone
         assert 0.0 not in buf.rewards[: buf.size].tolist() or \
             buf.rewards[0] == 3.0
@@ -451,7 +450,7 @@ def reference_opt_step(self, name, grads):
     reference_adam_step(opt, net.params, grads, net.views(opt.m), net.views(opt.v))
 
 
-def reference_update(self, rng, dtype=np.float64):
+def reference_update(self, buffer, rng, dtype=np.float64):
     """At float64 every pass runs on the masters; at float32 on float32
     copies of them, taken where `SacAgent.update` refreshes its working
     copies. The Adam steps and the soft update act on the masters."""
@@ -462,7 +461,7 @@ def reference_update(self, rng, dtype=np.float64):
         return DenseNet.from_flat(net.sizes, net.flat.astype(dtype))
 
     cfg = self.sac_cfg
-    s, a, r, s2 = self.buffer.sample(cfg.batch_size, rng)
+    s, a, r, s2 = buffer.sample(cfg.batch_size, rng)
     m = len(s)
     zeta = cfg.entropy_weight
     policy, q1, q2, q1_target, q2_target = map(work, SacAgent._NETS)
@@ -493,8 +492,17 @@ def reference_update(self, rng, dtype=np.float64):
     return {"critic_loss": closs, "actor_loss": aloss}
 
 
+def replay_for(agent) -> ReplayBuffer:
+    """An empty replay ring at the agent's configured capacity."""
+    return ReplayBuffer(agent.sac_cfg.buffer_capacity, agent.state_dim,
+                        agent.action_dim)
+
+
 class TestUpdates:
-    def _fill_buffer(self, agent, cfg, n=40):
+    def _fill_buffer(self, agent, cfg, n=40) -> ReplayBuffer:
+        """A replay ring of n transitions the agent's exploring policy
+        collects on a seeded episode."""
+        buffer = replay_for(agent)
         rng = np.random.default_rng(6)
         env = EdgeCloudEnv(cfg, rng=np.random.default_rng(1))
         state = env.reset()
@@ -504,14 +512,15 @@ class TestUpdates:
             outcome = env.step(Action.from_flat(flat))
             x2 = agent.observe(outcome.next_state)
             r = -1e-9 * outcome.next_state.queue.sum()
-            agent.buffer.push(x, flat, r, x2)
+            buffer.push(x, flat, r, x2)
             x = x2
+        return buffer
 
     def test_update_runs_and_reports_finite_losses(self, agent, cfg):
-        self._fill_buffer(agent, cfg)
+        buffer = self._fill_buffer(agent, cfg)
         rng = np.random.default_rng(7)
         for _ in range(5):
-            losses = agent.update(rng)
+            losses = agent.update(buffer, rng)
             assert np.isfinite(losses["critic_loss"])
             assert np.isfinite(losses["actor_loss"])
 
@@ -530,14 +539,14 @@ class TestUpdates:
         sac_cfg = SacConfig(hidden_sizes=(8, 8), batch_size=4,
                             buffer_capacity=64, discount=0.0, entropy_weight=0.0)
         agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(9))
-        self._fill_buffer(agent, cfg, n=8)
-        s, a, r, s2 = agent.buffer.sample(4, np.random.default_rng(0))
+        buffer = self._fill_buffer(agent, cfg, n=8)
+        s, a, r, s2 = buffer.sample(4, np.random.default_rng(0))
         # with gamma = 0 and zeta = 0 the critic target is exactly r
         y = r[:, None]
         loss0, g1, g2 = critic_loss_and_grads(agent.q1, agent.q2, s, a, y)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            agent.update(rng)
+            agent.update(buffer, rng)
         v1 = agent.q1.forward(np.concatenate([s, a], axis=1))
         assert np.mean((v1 - y) ** 2) < loss0
 
@@ -551,23 +560,24 @@ class TestUpdates:
         s = np.full(cfg.state_dim, 0.3)
         a = Action.uniform(cfg.n_queues).as_flat()
         r = -2.5
-        agent.buffer.push(s, a, r, s)
+        buffer = replay_for(agent)
+        buffer.push(s, a, r, s)
         rng = np.random.default_rng(11)
         x = np.concatenate([s, a])[None, :]
         gaps = []
         for k in range(1000):
-            agent.update(rng)
+            agent.update(buffer, rng)
             if k % 100 == 99:
                 gaps.append(abs(float(agent.q1.forward(x)[0, 0]) - r))
         assert gaps[-1] < 0.05
         assert gaps[-1] < gaps[0]
 
     def test_target_soft_update_coefficient(self, agent, cfg):
-        self._fill_buffer(agent, cfg)
+        buffer = self._fill_buffer(agent, cfg)
         rng = np.random.default_rng(12)
         before = agent.q1_target.flat.copy()
         online_prev = agent.q1.flat.copy()
-        agent.update(rng)
+        agent.update(buffer, rng)
         after = agent.q1_target.flat
         online_new = agent.q1.flat
         expect = 0.995 * before + 0.005 * online_new
@@ -579,15 +589,15 @@ class TestUpdates:
         # float32 copies of the float64 masters; eps2 is drawn before the
         # actor's eps
         agent = SacAgent(cfg, TOY, rng=np.random.default_rng(24))
-        self._fill_buffer(agent, cfg, n=8)
+        buffer = self._fill_buffer(agent, cfg, n=8)
         ref = SacAgent.from_state_dict(agent.state_dict())
-        agent.update(np.random.default_rng(25))
+        agent.update(buffer, np.random.default_rng(25))
 
         def f32(net):
             return DenseNet.from_flat(net.sizes, net.flat.astype(np.float32))
 
         rng = np.random.default_rng(25)
-        s, a, r, s2 = agent.buffer.sample(TOY.batch_size, rng)
+        s, a, r, s2 = buffer.sample(TOY.batch_size, rng)
         assert {x.dtype for x in (s, a, r, s2)} == {np.dtype(np.float32)}
         n = cfg.action_dim
         out2 = f32(ref.policy).forward(s2)
@@ -631,11 +641,12 @@ class TestUpdates:
             for net in (agent.policy, twin.policy):
                 net.params[-2][:] *= 300.0
                 net.params[-1][:n] = np.tile(np.linspace(0.0, -200.0, n // 2), 2)
-        self._fill_buffer(agent, cfg)
-        self._fill_buffer(twin, cfg)
+        buffer = self._fill_buffer(agent, cfg)
+        twin_buffer = self._fill_buffer(twin, cfg)
         rng, twin_rng = np.random.default_rng(28), np.random.default_rng(28)
         for _ in range(50):
-            assert agent.update(rng) == reference_update(twin, twin_rng, np.float32)
+            assert (agent.update(buffer, rng)
+                    == reference_update(twin, twin_buffer, twin_rng, np.float32))
         got, want = agent.state_dict(), twin.state_dict()
         assert got.keys() == want.keys()
         for key in got:
@@ -648,10 +659,10 @@ class TestUpdates:
         outs = []
         for _ in range(2):
             agent = SacAgent(cfg, TOY, rng=np.random.default_rng(3))
-            self._fill_buffer(agent, cfg, n=20)
+            buffer = self._fill_buffer(agent, cfg, n=20)
             rng = np.random.default_rng(4)
             for _ in range(10):
-                agent.update(rng)
+                agent.update(buffer, rng)
             outs.append(agent.policy.flat)
         assert np.array_equal(outs[0], outs[1])
 
@@ -672,16 +683,15 @@ class TestFloat32Update:
         cfg = get_profile(profile)
         sac_cfg = SacConfig(hidden_sizes=hidden, batch_size=32, buffer_capacity=256)
         agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(40))
-        TestUpdates()._fill_buffer(agent, cfg, n=100)
+        buffer = TestUpdates()._fill_buffer(agent, cfg, n=100)
         rng = np.random.default_rng(41)
         for _ in range(20):
-            agent.update(rng)
+            agent.update(buffer, rng)
         twin = SacAgent.from_state_dict(agent.state_dict())
-        twin.buffer = copy.deepcopy(agent.buffer)
         before = {key: arr.copy() for key, arr in agent.state_dict().items()}
 
-        losses = agent.update(np.random.default_rng(42))
-        ref_losses = reference_update(twin, np.random.default_rng(42))
+        losses = agent.update(buffer, np.random.default_rng(42))
+        ref_losses = reference_update(twin, buffer, np.random.default_rng(42))
         for key, ref in ref_losses.items():
             assert abs(losses[key] - ref) <= 1e-5 * abs(ref), key
         got, want = agent.state_dict(), twin.state_dict()
@@ -730,17 +740,16 @@ class TestFloat32Update:
         # nothing a checkpoint drops
         sac_cfg = SacConfig(hidden_sizes=(16, 16), batch_size=16, buffer_capacity=128)
         agent = SacAgent(cfg, sac_cfg, rng=np.random.default_rng(31))
-        TestUpdates()._fill_buffer(agent, cfg, n=64)
+        buffer = TestUpdates()._fill_buffer(agent, cfg, n=64)
         rng = np.random.default_rng(32)
         for _ in range(5):
-            agent.update(rng)
+            agent.update(buffer, rng)
         arrays = agent.state_dict()
         assert all(arr.dtype != np.float32 for arr in arrays.values())
         reload = SacAgent.from_state_dict(arrays)
-        reload.buffer = copy.deepcopy(agent.buffer)
         rng, reload_rng = np.random.default_rng(33), np.random.default_rng(33)
         for _ in range(10):
-            assert agent.update(rng) == reload.update(reload_rng)
+            assert agent.update(buffer, rng) == reload.update(buffer, reload_rng)
         got, want = agent.state_dict(), reload.state_dict()
         for key in got:
             assert got[key].tobytes() == want[key].tobytes(), key
@@ -752,15 +761,16 @@ class TestCheckpoint:
         env = EdgeCloudEnv(cfg, rng=np.random.default_rng(2))
         state = env.reset()
         rng = np.random.default_rng(14)
+        buffer = replay_for(agent)
         x = agent.observe(state)
         for _ in range(10):
             flat = agent.policy_sample(x, rng=rng)
             outcome = env.step(Action.from_flat(flat))
             x2 = agent.observe(outcome.next_state)
-            agent.buffer.push(x, flat, -1.0, x2)
+            buffer.push(x, flat, -1.0, x2)
             x = x2
         for _ in range(3):
-            agent.update(rng)
+            agent.update(buffer, rng)
         agent.reward_scale = 0.125
 
         path = tmp_path / "agent.npz"
@@ -806,14 +816,15 @@ class TestCheckpoint:
             assert not np.shares_memory(agent.q1_target.flat, agent.q1.flat)
         for n, agent in enumerate(agents):
             rng = np.random.default_rng(30)
+            buffer = replay_for(agent)
             for _ in range(8):
-                agent.buffer.push(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
-                                  -rng.random(), rng.random(cfg.state_dim))
+                buffer.push(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
+                            -rng.random(), rng.random(cfg.state_dim))
             live = agent.state_dict()
             before = {key: arr.copy() for key, arr in live.items()}
             x = rng.random((3, cfg.state_dim))
             out = agent.policy.forward(x)
-            agent.update(rng)
+            agent.update(buffer, rng)
             for key, arr in live.items():
                 if key not in ("meta", "normalizer.scale"):
                     assert not np.array_equal(arr, before[key]), (n, key)
@@ -832,15 +843,18 @@ class TestCheckpoint:
     def test_copy_is_independent_with_an_empty_buffer(self, cfg):
         agent = SacAgent(cfg, TOY, rng=np.random.default_rng(17))
         rng = np.random.default_rng(18)
+        buffer = replay_for(agent)
         for _ in range(8):
-            agent.buffer.push(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
-                              -rng.random(), rng.random(cfg.state_dim))
+            buffer.push(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
+                        -rng.random(), rng.random(cfg.state_dim))
         copy = SacAgent.from_state_dict(agent.state_dict())
         before = copy.policy.flat.copy()
-        agent.update(rng)
+        agent.update(buffer, rng)
         assert np.array_equal(copy.policy.flat, before)
         assert not np.array_equal(agent.policy.flat, before)
-        assert len(copy.buffer) == 0 and len(agent.buffer) == 8
+        # the replay is the trainer's: neither agent holds one
+        assert not hasattr(copy, "buffer") and not hasattr(agent, "buffer")
+        assert buffer.size == 8
 
     def test_meta_with_a_buffer_record_still_loads(self, cfg):
         # checkpoints of earlier versions carry a "buffer" record in meta
@@ -913,10 +927,10 @@ class TestCheckpoint:
 
     def test_format_1_meta_loads_bit_for_bit(self, tmp_path, cfg):
         agent = SacAgent(cfg, TOY, rng=np.random.default_rng(25))
-        TestUpdates()._fill_buffer(agent, cfg, n=20)
+        buffer = TestUpdates()._fill_buffer(agent, cfg, n=20)
         rng = np.random.default_rng(26)
         for _ in range(3):
-            agent.update(rng)
+            agent.update(buffer, rng)
         np.savez(tmp_path / "v1.npz", **self._format_1(agent, "arrival"))
         loaded = SacAgent.load(tmp_path / "v1.npz")
         got, want = loaded.state_dict(), agent.state_dict()

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from . import harness, plots
 from .config import (get_profile, load_config, validate_config,
@@ -60,13 +57,15 @@ def _resolve_config(args):
 
 
 def _widths(text: str) -> tuple:
-    """Hidden-layer widths: a comma list of one or more positive integers."""
+    """Hidden-layer widths, as `SacConfig` takes them: a comma list of one
+    or more positive integers."""
     widths = tuple(int(x) if x.strip().isdecimal() else 0
                    for x in text.split(",") if x.strip())
-    if not widths or min(widths) < 1:
+    try:
+        return SacConfig(hidden_sizes=widths).hidden_sizes
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            f"must be a comma list of positive integers, got {text!r}")
-    return widths
+            f"must be a comma list of positive integers, got {text!r}") from None
 
 
 def _count(text: str) -> int:
@@ -213,36 +212,35 @@ def cmd_feasibility(args) -> int:
 
 
 def _controller_for(args, cfg):
-    """The controller of --controller."""
-    agent = None
-    if args.controller == "sac":
-        if not args.checkpoint:
-            print("--controller sac needs --checkpoint", file=sys.stderr)
-            raise SystemExit(2)
-        agent = SacAgent.load(args.checkpoint)
-        for name in ("state_dim", "action_dim"):
-            got, want = getattr(agent, name), getattr(cfg, name)
-            if got != want:
-                raise ValueError(f"checkpoint {args.checkpoint} has {name}={got!r} "
-                                 f"but the config has {name}={want!r}")
+    """The controller of --controller; sac acts with the agent of
+    --checkpoint. --Vprime is checked whichever controller runs."""
     dpp_cfg = DppConfig(penalty_weight=args.Vprime)
-    return harness.make_controller(args.controller, cfg, dpp_cfg=dpp_cfg,
-                                   agent=agent)
+    if args.controller != "sac":
+        return harness.make_controller(args.controller, cfg, dpp_cfg=dpp_cfg)
+    if not args.checkpoint:
+        print("--controller sac needs --checkpoint", file=sys.stderr)
+        raise SystemExit(2)
+    agent = SacAgent.load(args.checkpoint)
+    for name in ("state_dim", "action_dim"):
+        got, want = getattr(agent, name), getattr(cfg, name)
+        if got != want:
+            raise ValueError(f"checkpoint {args.checkpoint} has {name}={got!r} "
+                             f"but the config has {name}={want!r}")
+    return harness.SacController(agent)
 
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     if args.steps:
         cfg = replace(cfg, episode_length=args.steps)
-    # the arrivals of evaluate's episode 0 under the same seed
-    env_rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
     controller = _controller_for(args, cfg)
-    spec = harness.default_reward_spec(cfg, kind=args.reward)
-    trace, reward_sum = harness.run_episode(controller, cfg, env_rng,
-                                            reward_spec=spec)
+    # the arrivals of evaluate's episode 0 under the same seed
+    trace, reward_sum = harness.run_episode(controller, cfg,
+                                            harness.episode_rng(args.seed, 0),
+                                            args.reward)
     m = harness.metrics_from_trace(trace, reward_sum)
     if args.out:
-        trace.write_csv(args.out)
+        harness.write_csv(args.out, trace.header(), trace.rows())
         print(f"trace written to {args.out}")
     print(f"reward_sum={m['reward_sum']!r} avg_penalty={m['avg_penalty']!r} "
           f"avg_queue={m['avg_queue']!r}")
@@ -256,8 +254,7 @@ def cmd_train(args) -> int:
         sac_cfg = replace(sac_cfg, hidden_sizes=args.hidden)
     if args.zeta is not None:
         sac_cfg = replace(sac_cfg, entropy_weight=args.zeta)
-    spec = harness.default_reward_spec(cfg, kind=args.reward)
-    result = harness.train(cfg, sac_cfg, args.steps, args.seed, spec,
+    result = harness.train(cfg, sac_cfg, args.steps, args.seed, args.reward,
                            progress=lambda r: print(
                                f"steps={r['steps']} reward_sum={r['reward_sum']:.6g}"))
     if result.agent.update_count == 0:
@@ -265,7 +262,7 @@ def cmd_train(args) -> int:
               f"{sac_cfg.batch_size} transitions; no gradient step was taken and "
               "the agent is untrained", file=sys.stderr)
     if args.out:
-        result.write_curve_csv(args.out)
+        harness.write_csv(args.out, harness.CURVE_COLUMNS, result.curve)
         print(f"learning curve written to {args.out}")
     if args.checkpoint:
         result.best_agent.save(args.checkpoint)
@@ -273,21 +270,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+EVAL_COLUMNS = ("controller", "V", "nu", "reward", "seed", "episode",
+                "reward_sum", "avg_penalty", "avg_queue")
+
+
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     controller = _controller_for(args, cfg)
-    spec = harness.default_reward_spec(cfg, kind=args.reward)
-    records = harness.evaluate(controller, cfg, args.episodes, args.seed, spec)
+    records = harness.evaluate(controller, cfg, args.episodes, args.seed, args.reward)
     if args.out:
-        with open(args.out, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["controller", "V", "nu", "reward", "seed",
-                             "episode", "reward_sum", "avg_penalty", "avg_queue"])
-            for ep, r in enumerate(records):
-                writer.writerow([args.controller, repr(spec.penalty_weight),
-                                 repr(spec.exponent), spec.kind, args.seed, ep,
-                                 repr(r["reward_sum"]), repr(r["avg_penalty"]),
-                                 repr(r["avg_queue"])])
+        harness.write_csv(args.out, EVAL_COLUMNS, (
+            {"controller": args.controller, "V": cfg.penalty_weight,
+             "nu": cfg.reward_exponent, "reward": args.reward, "seed": args.seed,
+             "episode": ep, **r} for ep, r in enumerate(records)))
         print(f"records written to {args.out}")
     for ep, r in enumerate(records):
         print(f"episode {ep}: reward_sum={r['reward_sum']!r} "
@@ -323,7 +318,7 @@ def cmd_compare(args) -> int:
                            progress=lambda r: print(
                                f"{r['controller']}/{r['cost_kind']}: {r['status']}"))
     if args.out:
-        harness.write_compare_csv(rows, args.out)
+        harness.write_csv(args.out, harness.COMPARE_COLUMNS, rows)
         print(f"report written to {args.out}")
     return 0
 

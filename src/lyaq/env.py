@@ -20,7 +20,6 @@ absorbs it (see the config module).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,7 +277,7 @@ class EdgeCloudEnv:
 # Step trace
 
 class Trace:
-    """Per-step trajectory record; one CSV row per slot.
+    """Per-step trajectory record; one CSV row per slot, over header().
 
     Rows live in one (capacity, 6N+2) array laid out like the CSV row after
     its t column: q_i(t) at slot start, a_i(t), the effective alpha and
@@ -340,12 +339,7 @@ class Trace:
         return cols
 
     def rows(self):
+        """One dict over header() per slot, as `harness.write_csv` takes it."""
+        header = self.header()
         for t, row in enumerate(self._rows[: self._len].tolist()):
-            yield [t] + row
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(self.header())
-            for row in self.rows():
-                writer.writerow([row[0]] + [repr(x) for x in row[1:]])
+            yield dict(zip(header, [t] + row))

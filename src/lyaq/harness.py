@@ -6,6 +6,12 @@ simulate, sweep, compare and train's evaluation episodes); `train` consumes
 it with its exploring policy to fill the replay buffer. `metrics_from_trace`
 is the one per-episode summary every command reports.
 
+The entry points `run_episode`, `evaluate`, `train`, `sweep` and `compare`
+take the reward kind; each builds the rest of the reward (rho, nu, V, m_i)
+from the config it runs on, with `default_reward_spec`. `write_csv` writes
+each command's file over its column tuple, except the sweep CSV, which
+`sweep` appends and flushes row by row so that a killed sweep resumes.
+
 All runs are keyed by (command, config, seed): every random stream descends
 from one SeedSequence, so identical inputs give byte-identical metric CSVs.
 """
@@ -51,18 +57,14 @@ class SacController:
         return self.agent.act(state)
 
 
-def make_controller(kind: str, cfg: SystemConfig, dpp_cfg: DppConfig,
-                    agent: SacAgent | None = None):
+def make_controller(kind: str, cfg: SystemConfig, dpp_cfg: DppConfig):
+    """A controller that needs no training: idle, uniform or DPP."""
     if kind == "idle":
         return FixedController(Action.idle(cfg.n_queues))
     if kind == "uniform":
         return FixedController(Action.uniform(cfg.n_queues))
     if kind == "dpp":
         return DppController(cfg, dpp_cfg)
-    if kind == "sac":
-        if agent is None:
-            raise ValueError("sac controller needs a trained agent")
-        return SacController(agent)
     raise ValueError(f"unknown controller kind {kind!r}")
 
 
@@ -81,10 +83,18 @@ def episode_slots(act, env: EdgeCloudEnv, T: int):
         state = outcome.next_state
 
 
+def default_reward_spec(cfg: SystemConfig, kind: str) -> RewardSpec:
+    """The reward of this kind with its other constants read from cfg."""
+    return RewardSpec(kind=kind, exponent=cfg.reward_exponent, rho=cfg.rho,
+                      penalty_weight=cfg.penalty_weight,
+                      mean_arrival_bits=cfg.mean_bits_per_slot)
+
+
 def run_episode(controller, cfg: SystemConfig, rng: np.random.Generator,
-                reward_spec: RewardSpec):
+                reward_kind: str):
     """One cfg.episode_length-slot episode from empty queues; returns
     (trace, reward_sum)."""
+    reward_spec = default_reward_spec(cfg, reward_kind)
     T = cfg.episode_length
     trace = Trace(n_queues=cfg.n_queues, capacity=T)
     reward_sum = 0.0
@@ -119,48 +129,50 @@ def queue_slope_ok(queue_traj, mean_load_bits: float, frac: float = 0.01) -> boo
     return slope <= 0.0 or slope < frac * mean_load_bits
 
 
-def default_reward_spec(cfg: SystemConfig, kind: str) -> RewardSpec:
-    return RewardSpec(kind=kind, exponent=cfg.reward_exponent, rho=cfg.rho,
-                      penalty_weight=cfg.penalty_weight,
-                      mean_arrival_bits=cfg.mean_bits_per_slot)
+def episode_rng(seed: int, k: int) -> np.random.Generator:
+    """The arrival generator of episode k under seed: the stream of
+    SeedSequence(seed).spawn(n)[k] for every n > k."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
 def evaluate(controller, cfg: SystemConfig, episodes: int, seed: int,
-             reward_spec: RewardSpec) -> list[dict]:
+             reward_kind: str) -> list[dict]:
     """One metrics_from_trace dict per deterministic-policy episode; episode
-    k draws its arrivals from SeedSequence(seed).spawn(episodes)[k]. The
-    traces are not kept."""
+    k draws its arrivals from episode_rng(seed, k). The traces are not
+    kept."""
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
-    return [metrics_from_trace(*run_episode(controller, cfg,
-                                            np.random.default_rng(stream),
-                                            reward_spec))
-            for stream in np.random.SeedSequence(seed).spawn(episodes)]
+    return [metrics_from_trace(*run_episode(controller, cfg, episode_rng(seed, k),
+                                            reward_kind))
+            for k in range(episodes)]
+
+
+def write_csv(path, columns, rows) -> None:
+    """The one writer of a command's CSV: a header of columns, then one
+    line per row dict. A float is written as its repr, a key missing from a
+    row as '', and a key outside columns is refused (ValueError)."""
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
 # Training
 
 EPISODES_PER_CYCLE = 4  # episodes collected between two rounds of updates
+CURVE_COLUMNS = ("steps", "reward_sum", "avg_penalty", "avg_queue")
 
 
 @dataclass
 class TrainResult:
     agent: SacAgent
-    curve: list            # dicts: steps, reward_sum, avg_penalty, avg_queue
+    curve: list            # dicts over CURVE_COLUMNS
     best_agent: SacAgent   # best eval reward over the final 20% of training
-
-    def write_curve_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["steps", "reward_sum", "avg_penalty", "avg_queue"])
-            for row in self.curve:
-                writer.writerow([row["steps"], repr(row["reward_sum"]),
-                                 repr(row["avg_penalty"]), repr(row["avg_queue"])])
 
 
 def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
-          reward_spec: RewardSpec, progress=None) -> TrainResult:
+          reward_kind: str, progress=None) -> TrainResult:
     """Mirror of the paper's schedule over episodes = ceil(total_steps / T)
     episodes: the curve ends at episodes * T steps. Each cycle collects
     EPISODES_PER_CYCLE episodes (the last only those left) from empty queues
@@ -171,6 +183,7 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
     """
     if total_steps < 1:
         raise ValueError(f"total_steps must be at least 1, got {total_steps}")
+    reward_spec = default_reward_spec(cfg, reward_kind)
     T = cfg.episode_length
     episodes = -(-total_steps // T)
     ss = np.random.SeedSequence(seed)
@@ -197,7 +210,7 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
     def eval_record(steps: int) -> dict:
         rng = np.random.default_rng(eval_ss.spawn(1)[0])
         return {"steps": steps, **metrics_from_trace(*run_episode(
-            SacController(agent), cfg, rng, reward_spec))}
+            SacController(agent), cfg, rng, reward_kind))}
 
     curve = [eval_record(0)]
     best = None  # best eval over the final 20% of the step budget
@@ -315,14 +328,13 @@ def _sweep_entry(controller_kind, cfg, V, seed, sac_cfg, total_steps,
                  reward_kind, episodes) -> dict:
     """Means over `episodes` evaluation episodes for one grid point."""
     cfg = replace(cfg, penalty_weight=V)
-    spec = default_reward_spec(cfg, kind=reward_kind)
     if controller_kind == "sac":
-        result = train(cfg, sac_cfg, total_steps, seed, spec)
+        result = train(cfg, sac_cfg, total_steps, seed, reward_kind)
         controller = SacController(result.best_agent)
     else:
         controller = make_controller(controller_kind, cfg,
                                      dpp_cfg=DppConfig(penalty_weight=V))
-    records = evaluate(controller, cfg, episodes, seed, spec)
+    records = evaluate(controller, cfg, episodes, seed, reward_kind)
     return {key: float(np.mean([r[key] for r in records]))
             for key in ("avg_queue", "avg_penalty", "reward_sum")}
 
@@ -342,47 +354,38 @@ def sweep_means(rows) -> list[dict]:
             for V, group in groups.items()]
 
 
+COMPARE_COLUMNS = ("controller", "cost_kind", "status", "avg_queue",
+                   "avg_penalty", "reward_first", "reward_final")
+
+
 def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
             seed: int, total_steps: int, reward_kind: str,
             progress) -> list[dict]:
-    """Both controllers on both cloud-cost kinds. On the discontinuous
-    per-core cost the DPP row records its structured refusal while the
-    learner's row reports the learning-curve improvement."""
+    """Both controllers on both cloud-cost kinds, one row dict over
+    COMPARE_COLUMNS each (a DPP row has no reward columns). On the
+    discontinuous per-core cost the DPP row records its structured refusal
+    while the learner's row reports the learning-curve improvement."""
     rows = []
     for cost_kind in ("cubic", "per-core"):
         cfg_k = replace(cfg, cloud_cost_kind=cost_kind)
-        spec = default_reward_spec(cfg_k, kind=reward_kind)
 
-        row = {"controller": "dpp", "cost_kind": cost_kind, "status": "ok",
-               "avg_queue": "", "avg_penalty": "", "reward_first": "",
-               "reward_final": ""}
+        row = {"controller": "dpp", "cost_kind": cost_kind, "status": "ok"}
         try:
             controller = DppController(cfg_k, dpp_cfg)
-            m = evaluate(controller, cfg_k, 1, seed, spec)[0]
-            row.update(avg_queue=repr(m["avg_queue"]),
-                       avg_penalty=repr(m["avg_penalty"]))
+            m = evaluate(controller, cfg_k, 1, seed, reward_kind)[0]
+            row.update(avg_queue=m["avg_queue"], avg_penalty=m["avg_penalty"])
         except UnsupportedObjectiveError as exc:
             row["status"] = f"unsupported-objective: {exc}"
         rows.append(row)
         progress(row)
 
-        result = train(cfg_k, sac_cfg, total_steps, seed, spec)
-        m = evaluate(SacController(result.best_agent), cfg_k, 1, seed, spec)[0]
+        result = train(cfg_k, sac_cfg, total_steps, seed, reward_kind)
+        m = evaluate(SacController(result.best_agent), cfg_k, 1, seed, reward_kind)[0]
         rows.append({
             "controller": "sac", "cost_kind": cost_kind, "status": "ok",
-            "avg_queue": repr(m["avg_queue"]),
-            "avg_penalty": repr(m["avg_penalty"]),
-            "reward_first": repr(result.curve[0]["reward_sum"]),
-            "reward_final": repr(max(r["reward_sum"] for r in result.curve[1:])),
+            "avg_queue": m["avg_queue"], "avg_penalty": m["avg_penalty"],
+            "reward_first": result.curve[0]["reward_sum"],
+            "reward_final": max(r["reward_sum"] for r in result.curve[1:]),
         })
         progress(rows[-1])
     return rows
-
-
-def write_compare_csv(rows, path) -> None:
-    fieldnames = ["controller", "cost_kind", "status", "avg_queue",
-                  "avg_penalty", "reward_first", "reward_final"]
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)

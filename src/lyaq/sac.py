@@ -90,6 +90,10 @@ class SacConfig:
         if not 0.0 <= self.entropy_weight < np.inf:
             raise ValueError("entropy_weight must be finite and >= 0, "
                              f"got {self.entropy_weight!r}")
+        hidden = self.hidden_sizes
+        if not hidden or any(not isinstance(h, int) or h < 1 for h in hidden):
+            raise ValueError("hidden_sizes must be one or more positive integers, "
+                             f"got {hidden!r}")
 
 
 class ReplayBuffer:
@@ -238,11 +242,7 @@ class SacAgent:
         self.sac_cfg = sac_cfg
         self.state_dim = sys_cfg.state_dim
         self.action_dim = sys_cfg.action_dim
-        hidden = sac_cfg.hidden_sizes
-        if not hidden or any(int(h) != h or h < 1 for h in hidden):
-            raise ValueError("hidden_sizes must be one or more positive integers, "
-                             f"got {sac_cfg.hidden_sizes!r}")
-        sizes = net_sizes(self.state_dim, self.action_dim, hidden)
+        sizes = net_sizes(self.state_dim, self.action_dim, sac_cfg.hidden_sizes)
 
         # near-zero final policy layer: the initial policy is near-uniform
         # over both simplexes, a safe exploration start

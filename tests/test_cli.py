@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import lyaq.cli
+from lyaq import harness
 from lyaq.cli import COMMANDS, build_parser, main
 from lyaq.config import desk_config, get_profile, save_config
+from lyaq.env import Trace
 from lyaq.sac import SacAgent
 
 
@@ -490,6 +492,26 @@ def test_eval_writes_one_row_per_episode(tmp_path, trained):
     rows = read_rows(out)
     assert [r["episode"] for r in rows] == ["0", "1", "2"]
     assert all(float(r["avg_queue"]) >= 0.0 for r in rows)
+
+
+def test_each_command_file_has_its_column_tuple_as_header(tmp_path, trained):
+    config, ckpt, curve = trained
+    trace, records, report = (tmp_path / name for name in
+                              ("trace.csv", "records.csv", "report.csv"))
+    assert main(["simulate", "--config", config, "--controller", "uniform",
+                 "--out", str(trace)]) == 0
+    assert main(["eval", "--config", config, "--controller", "sac",
+                 "--checkpoint", str(ckpt), "--episodes", "1",
+                 "--out", str(records)]) == 0
+    assert main(["compare", "--config", config, "--steps", "20",
+                 "--out", str(report)]) == 0
+    n_queues = desk_config().n_queues
+    for path, columns in [(curve, harness.CURVE_COLUMNS),
+                          (trace, Trace(n_queues, capacity=1).header()),
+                          (records, lyaq.cli.EVAL_COLUMNS),
+                          (report, harness.COMPARE_COLUMNS)]:
+        with open(path, newline="") as f:
+            assert next(csv.reader(f)) == list(columns), path.name
 
 
 def test_compare_refuses_dpp_on_per_core_cost(tmp_path):

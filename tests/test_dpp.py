@@ -11,8 +11,7 @@ from lyaq.dpp import (DppConfig, DppController, UnsupportedObjectiveError,
                       _pairs, _quadratic_roots, _structured_candidates)
 from lyaq.env import (Action, EdgeCloudEnv, check_cloud_cores,
                       cloud_cost, compute_offload, edge_cost)
-from lyaq.harness import (default_reward_spec, make_controller,
-                           metrics_from_trace, run_episode)
+from lyaq.harness import make_controller, metrics_from_trace, run_episode
 
 from test_env import action_errors
 
@@ -888,13 +887,12 @@ class TestSolveConstants:
     @pytest.mark.parametrize("name", ["paper", "paper8", "tied3"])
     def test_episode_decisions_match_the_reference_bit_for_bit(self, name):
         cfg = dataclasses.replace(TEST_CONFIGS[name](), episode_length=60)
-        spec = default_reward_spec(cfg, "diff")
         for Vp in (0.0, 1e9, 1e11):
             dc = DppConfig(penalty_weight=Vp)
             trace, _ = run_episode(DppController(cfg, dc), cfg,
-                                   np.random.default_rng(6), spec)
+                                   np.random.default_rng(6), "diff")
             ref, _ = run_episode(ReferenceController(cfg, dc), cfg,
-                                 np.random.default_rng(6), spec)
+                                 np.random.default_rng(6), "diff")
             assert np.asarray(trace.alpha).tobytes() == np.asarray(ref.alpha).tobytes()
             assert np.asarray(trace.beta).tobytes() == np.asarray(ref.beta).tobytes()
             assert np.asarray(trace.q).tobytes() == np.asarray(ref.q).tobytes()
@@ -1028,8 +1026,7 @@ def test_a_fixed_action_refuses_writes():
 def dpp_episode(cfg, dpp_cfg, T, rng):
     """A T-slot DPP episode whose arrivals draw from rng."""
     cfg = dataclasses.replace(cfg, episode_length=T)
-    trace, reward_sum = run_episode(DppController(cfg, dpp_cfg), cfg, rng,
-                                    default_reward_spec(cfg, "diff"))
+    trace, reward_sum = run_episode(DppController(cfg, dpp_cfg), cfg, rng, "diff")
     return trace, metrics_from_trace(trace, reward_sum)
 
 

@@ -8,6 +8,7 @@ from lyaq.env import (Action, EdgeCloudEnv, Trace,
                       actual_cpu_use, cloud_cost, compute_departure,
                       compute_offload, edge_cost, queue_update,
                       ARRIVAL_BLOCK, ARRIVAL_WINDOW)
+from lyaq.harness import write_csv
 from lyaq.traffic import sample_arrivals
 
 
@@ -319,7 +320,7 @@ class TestTrace:
                          outcome.edge_cost, outcome.cloud_cost)
             state = outcome.next_state
         path = tmp_path / "trace.csv"
-        trace.write_csv(path)
+        write_csv(path, trace.header(), trace.rows())
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(back[:, 0], trace.t)
         for k in range(20):

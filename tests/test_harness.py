@@ -10,8 +10,8 @@ from lyaq.cli import main
 from lyaq.config import desk_config
 from lyaq.env import Action, EdgeCloudEnv
 from lyaq.harness import (EPISODES_PER_CYCLE, FixedController,
-                          default_reward_spec, evaluate, queue_slope_ok,
-                          run_episode, sweep, train)
+                          default_reward_spec, episode_rng, evaluate,
+                          queue_slope_ok, run_episode, sweep, train, write_csv)
 from lyaq.plots import emit_plots
 from lyaq.rewards import compute_reward
 from lyaq.sac import ReplayBuffer, SacAgent, SacConfig
@@ -144,7 +144,7 @@ def test_run_episode_matches_a_hand_rolled_loop():
     cfg = replace(short_desk(), episode_length=30)
     spec = default_reward_spec(cfg, "diff")
     trace, reward_sum = run_episode(FixedController(Action.uniform(2)), cfg,
-                                    np.random.default_rng(5), spec)
+                                    np.random.default_rng(5), "diff")
     env = EdgeCloudEnv(cfg, rng=np.random.default_rng(5))
     state = env.reset()
     queues, arrivals, rewards = [state.queue], [state.arrival], []
@@ -214,7 +214,7 @@ def test_train_collects_like_the_reference_loop(kind, monkeypatch):
     spec = default_reward_spec(cfg, kind=kind)
     built = spy_buffers(monkeypatch)
     # three 4x10-slot cycles; updates start after the first
-    agent = train(cfg, sac_cfg, 120, seed=4, reward_spec=spec).agent
+    agent = train(cfg, sac_cfg, 120, seed=4, reward_kind=kind).agent
     [buffer] = built
     ref, ref_buffer = reference_collect(cfg, sac_cfg, 120, 4, spec)
     assert buffer.size == ref_buffer.size == 120
@@ -235,7 +235,7 @@ def test_budget_rounds_up_to_whole_episodes_not_cycles(total_steps, curve_steps,
     cfg = short_desk()
     built = spy_buffers(monkeypatch)
     result = train(cfg, SacConfig(hidden_sizes=(8, 8), batch_size=8), total_steps,
-                   seed=2, reward_spec=default_reward_spec(cfg, "diff"))
+                   seed=2, reward_kind="diff")
     assert [row["steps"] for row in result.curve] == curve_steps
     [buffer] = built
     assert buffer.size == curve_steps[-1]
@@ -253,8 +253,7 @@ def test_train_builds_one_replay_sized_to_its_budget(total_steps, buffer_capacit
     built = spy_buffers(monkeypatch)
     sac_cfg = SacConfig(hidden_sizes=(8, 8), batch_size=8,
                         buffer_capacity=buffer_capacity)
-    result = train(cfg, sac_cfg, total_steps, seed=2,
-                   reward_spec=default_reward_spec(cfg, "diff"))
+    result = train(cfg, sac_cfg, total_steps, seed=2, reward_kind="diff")
     [buffer] = built
     assert buffer.capacity == rows == min(buffer_capacity,
                                           -(-total_steps // 10) * 10)
@@ -270,15 +269,43 @@ def test_train_refuses_a_budget_below_one_step(total_steps):
     cfg = short_desk()
     message = f"total_steps must be at least 1, got {total_steps}"
     with pytest.raises(ValueError, match=message):
-        train(cfg, SacConfig(hidden_sizes=(8, 8)), total_steps, 0,
-              default_reward_spec(cfg, "diff"))
+        train(cfg, SacConfig(hidden_sizes=(8, 8)), total_steps, 0, "diff")
 
 
 @pytest.mark.parametrize("episodes", [0, -1])
 def test_evaluate_refuses_a_non_positive_episode_count(episodes):
     with pytest.raises(ValueError, match="episodes must be at least 1"):
         evaluate(FixedController(Action.idle(2)), short_desk(), episodes, seed=0,
-                 reward_spec=default_reward_spec(short_desk(), "diff"))
+                 reward_kind="diff")
+
+
+@pytest.mark.parametrize("seed", [0, 3, 12345])
+def test_episode_rng_is_the_spawned_stream_of_every_count(seed):
+    for k in range(4):
+        want = episode_rng(seed, k).random(8)
+        for n in (k + 1, 16):
+            stream = np.random.SeedSequence(seed).spawn(n)[k]
+            assert np.random.default_rng(stream).random(8).tobytes() == want.tobytes()
+
+
+class TestWriteCsv:
+    """`write_csv`'s byte format, which every command's file shares."""
+
+    def test_header_and_floats_as_their_repr(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ("n", "a", "b", "c"),
+                  [{"n": 3, "a": 0.1 + 0.2, "b": 1e-320, "c": np.float64(1 / 3)}])
+        assert path.read_bytes() == (b"n,a,b,c\r\n"
+                                     b"3,0.30000000000000004,1e-320,0.3333333333333333\r\n")
+
+    def test_a_missing_key_writes_empty(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ("a", "b", "c"), [{"b": 2.5}, {}])
+        assert path.read_text().splitlines() == ["a,b,c", ",2.5,", ",,"]
+
+    def test_a_key_outside_the_columns_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="fields not in fieldnames: 'b'"):
+            write_csv(tmp_path / "out.csv", ("a",), [{"a": 1, "b": 2}])
 
 
 def test_snapshot_keeps_its_optimizer_state():

@@ -255,4 +255,4 @@ def settable_values():
 
 def test_settable_values_are_pinned():
     # a change that adds or removes a setting edits this pin, and says so
-    assert settable_values() == (22, 66, 11)
+    assert settable_values() == (22, 66, 10)

@@ -9,7 +9,7 @@ from lyaq.config import desk_config, get_profile
 from lyaq.env import (ARRIVAL_BLOCK, ARRIVAL_WINDOW, Action, EdgeCloudEnv,
                       StateVector, actual_cpu_use, compute_departure,
                       compute_offload, observation_scale, queue_update)
-from lyaq.harness import default_reward_spec, train
+from lyaq.harness import train
 from lyaq.nets import DenseNet
 from lyaq.sac import (FLUSH_FLOOR, LOG_2PI, ReplayBuffer, SacAgent, SacConfig,
                       actor_loss_and_grads, critic_loss_and_grads,
@@ -226,11 +226,16 @@ class TestPolicyOutputs:
                 assert out.dtype == dtype and out.base is None  # owns its data
                 assert out.tobytes() == ref.tobytes(), (scale, shape)
 
-    @pytest.mark.parametrize("hidden", [(), (0, 64), (-4,), (64, 0), (2.5,)])
+    @pytest.mark.parametrize("hidden", [(), (0, 64), (-4,), (64, 0), (2.5,), (64.0,),
+                                        ("64",)])
     def test_bad_hidden_sizes_are_refused(self, cfg, hidden):
         with pytest.raises(ValueError, match="hidden_sizes must be one or more "
                                              "positive integers"):
             SacAgent(cfg, SacConfig(hidden_sizes=hidden))
+        # refused when the config is built, with no agent
+        with pytest.raises(ValueError, match="hidden_sizes must be one or more "
+                                             "positive integers"):
+            SacConfig(hidden_sizes=hidden)
 
     @pytest.mark.parametrize("zeta", [float("nan"), float("inf"), -5.0, -1e-300])
     def test_a_bad_entropy_weight_is_refused_when_the_config_is_built(self, zeta):
@@ -726,8 +731,7 @@ class TestFloat32Update:
         for name in ("forward", "forward_cache", "backward", "input_grad"):
             monkeypatch.setattr(DenseNet, name, counting(getattr(DenseNet, name)))
         cfg = replace(get_profile("desk"), episode_length=100)
-        train(cfg, SacConfig(hidden_sizes=(32, 32)), 800, seed=0,
-              reward_spec=default_reward_spec(cfg, "diff"))
+        train(cfg, SacConfig(hidden_sizes=(32, 32)), 800, seed=0, reward_kind="diff")
         # 800 updates, each with 3 forward and 5 forward_cache inputs, and
         # 5 backward or input_grad passes of 4 cached arrays and a gradient
         assert seen["arrays"] == 800 * (3 + 5 + 5 * 5)
@@ -875,6 +879,16 @@ class TestCheckpoint:
             arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
             with pytest.raises(ValueError, match=key):
                 SacAgent.from_state_dict(arrays)
+
+    @pytest.mark.parametrize("hidden", [[8, 0], [], [8.5, 8]])
+    def test_meta_with_bad_hidden_sizes_is_refused_by_name(self, cfg, hidden):
+        arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(25)).state_dict()
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["sac_cfg"]["hidden_sizes"] = hidden
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with pytest.raises(ValueError, match="hidden_sizes must be one or more "
+                                             "positive integers"):
+            SacAgent.from_state_dict(arrays)
 
     @pytest.mark.parametrize("key", ["q1.0", "policy_opt.v3", "normalizer.scale"])
     def test_missing_array_is_named(self, cfg, key):

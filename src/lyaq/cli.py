@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 
 from . import harness, plots
-from .config import (get_profile, load_config, validate_config,
+from .config import (ConfigError, get_profile, load_config,
                      feasibility_check, PROFILES)
 from .dpp import DppConfig, UnsupportedObjectiveError
 from .sac import SacAgent, SacConfig
@@ -41,18 +41,16 @@ def _add_reward(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args):
-    cfg = load_config(args.config) if args.config else get_profile(args.profile)
-    if getattr(args, "V", None) is not None:
-        cfg = replace(cfg, penalty_weight=args.V)
-    if getattr(args, "nu", None) is not None:
-        cfg = replace(cfg, reward_exponent=args.nu)
-    if getattr(args, "cost", None) is not None:
-        cfg = replace(cfg, cloud_cost_kind=args.cost)
-    errors = validate_config(cfg)
-    if errors:
-        for e in errors:
+    """--config or --profile, then --V, --nu and --cost; bad values exit 2."""
+    try:
+        cfg = load_config(args.config) if args.config else get_profile(args.profile)
+        flags = {"penalty_weight": "V", "reward_exponent": "nu", "cloud_cost_kind": "cost"}
+        cfg = replace(cfg, **{name: getattr(args, flag) for name, flag in flags.items()
+                              if getattr(args, flag, None) is not None})
+    except ConfigError as exc:
+        for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(2) from None
     return cfg
 
 

@@ -3,7 +3,9 @@
 Units: task sizes and queue lengths in bits, clock rates in cycles/s,
 bandwidth in bits/s. One slot is one second, so per-slot and per-second
 rates coincide. Size suffix convention follows the usual storage units:
-1 kB = 8*1024 bits, 1 MB = 8*1024*1024 bits.
+1 kB = 8*1024 bits, 1 MB = 8*1024*1024 bits. A `SystemConfig` refuses bad
+values when it is built, by `replace` too: it raises `ConfigError`, whose
+`errors` lists every rule they break.
 
 Power costs are in kappa*(Gcycles/s)^3 units. The constant kappa itself is
 not modelled: it would only rescale the penalty weight V. The learner's
@@ -83,6 +85,14 @@ class AppProfile:
         return self.mean_bits_per_slot * self.workload_cycles_per_bit
 
 
+class ConfigError(ValueError):
+    """Bad SystemConfig values; `errors` holds one message per broken rule."""
+
+    def __init__(self, errors: list[str]):
+        super().__init__("; ".join(errors))
+        self.errors = errors
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Edge/cloud capacities, cost constants, and reward constants."""
@@ -98,6 +108,40 @@ class SystemConfig:
     apps: tuple[AppProfile, ...]
     cloud_cost_kind: str = "cubic"   # "cubic" | "per-core"
     cloud_core_clock: float = 4e9    # cycles/s of one cloud core
+
+    def __post_init__(self):
+        named = [(f.name, f.type, getattr(self, f.name)) for f in fields(self)]
+        named += [(f"{app.name or f'app {i}'}: {f.name}", f.type, getattr(app, f.name))
+                  for i, app in enumerate(self.apps) for f in fields(app)]
+        errors = [f"{name} {value} is not a whole number" for name, kind, value in named
+                  if kind == "int" and not isinstance(value, numbers.Integral)]
+        errors += [f"{name} {value} not finite" for name, kind, value in named
+                   if kind != "int" and isinstance(value, float) and not math.isfinite(value)]
+        if not self.apps:
+            errors.append("apps is empty: there is no queue")
+        above = dict(edge_clock=0, bandwidth=0, cloud_core_clock=0, rho=0)
+        at_least = dict(edge_cores=1, penalty_weight=0, reward_exponent=1, episode_length=1)
+        errors += [f"{k} {x} <= {v}" for k, v in above.items() if (x := getattr(self, k)) <= v]
+        errors += [f"{k} {x} < {v}" for k, v in at_least.items() if (x := getattr(self, k)) < v]
+        if self.cloud_cores < 0:
+            errors.append(f"cloud_cores {self.cloud_cores} < 0")
+        elif self.cloud_cost_kind == "cubic" and self.cloud_cores < 1:
+            errors.append(f"cloud_cores {self.cloud_cores} < 1 under the cubic cloud "
+                          "cost, which would charge infinity for every offloaded bit")
+        if self.cloud_cost_kind not in CLOUD_COST_KINDS:
+            errors.append(f"cloud_cost_kind {self.cloud_cost_kind!r} not in {CLOUD_COST_KINDS}")
+        for i, app in enumerate(self.apps):
+            tag = app.name or f"app {i}"
+            errors += [f"{tag}: {k} {x} <= 0" for k in ("workload_cycles_per_bit", "arrival_rate")
+                       if (x := getattr(app, k)) <= 0]
+            if not (0 < app.size_min < app.size_max):
+                errors.append(f"{tag}: size bounds ({app.size_min}, {app.size_max}) invalid")
+            if not (app.size_min <= app.size_mean <= app.size_max):
+                errors.append(f"{tag}: size_mean {app.size_mean} outside bounds")
+            if app.size_std <= 0:
+                errors.append(f"{tag}: size_std {app.size_std} <= 0")
+        if errors:
+            raise ConfigError(errors)
 
     @property
     def n_queues(self) -> int:
@@ -137,43 +181,6 @@ class FeasibilityReport:
     feasible: bool
 
 
-def validate_config(cfg: SystemConfig) -> list[str]:
-    """Return every violated invariant as a message; empty list means ok."""
-    named = [(f.name, f.type, getattr(cfg, f.name)) for f in fields(cfg)]
-    named += [(f"{app.name or f'app {i}'}: {f.name}", f.type, getattr(app, f.name))
-              for i, app in enumerate(cfg.apps) for f in fields(app)]
-    errors = [f"{name} {value} is not a whole number" for name, kind, value in named
-              if kind == "int" and not isinstance(value, numbers.Integral)]
-    errors += [f"{name} {value} not finite" for name, kind, value in named
-               if kind != "int" and isinstance(value, float) and not math.isfinite(value)]
-    if not cfg.apps:
-        errors.append("apps is empty: there is no queue")
-    above = {"edge_clock": 0, "bandwidth": 0, "cloud_core_clock": 0, "rho": 0}
-    at_least = {"edge_cores": 1, "penalty_weight": 0, "reward_exponent": 1, "episode_length": 1}
-    errors += [f"{k} {x} <= {v}" for k, v in above.items() if (x := getattr(cfg, k)) <= v]
-    errors += [f"{k} {x} < {v}" for k, v in at_least.items() if (x := getattr(cfg, k)) < v]
-    if cfg.cloud_cores < 0:
-        errors.append(f"cloud_cores {cfg.cloud_cores} < 0")
-    elif cfg.cloud_cost_kind == "cubic" and cfg.cloud_cores < 1:
-        errors.append(f"cloud_cores {cfg.cloud_cores} < 1 under the cubic cloud "
-                      "cost, which would charge infinity for every offloaded bit")
-    if cfg.cloud_cost_kind not in CLOUD_COST_KINDS:
-        errors.append(f"cloud_cost_kind {cfg.cloud_cost_kind!r} not in {CLOUD_COST_KINDS}")
-    for i, app in enumerate(cfg.apps):
-        tag = app.name or f"app {i}"
-        if app.workload_cycles_per_bit <= 0:
-            errors.append(f"{tag}: workload_cycles_per_bit {app.workload_cycles_per_bit} <= 0")
-        if app.arrival_rate <= 0:
-            errors.append(f"{tag}: arrival_rate {app.arrival_rate} <= 0")
-        if not (0 < app.size_min < app.size_max):
-            errors.append(f"{tag}: size bounds ({app.size_min}, {app.size_max}) invalid")
-        if not (app.size_min <= app.size_mean <= app.size_max):
-            errors.append(f"{tag}: size_mean {app.size_mean} outside bounds")
-        if app.size_std <= 0:
-            errors.append(f"{tag}: size_std {app.size_std} <= 0")
-    return errors
-
-
 def feasibility_check(cfg: SystemConfig) -> FeasibilityReport:
     """Average cycle and bandwidth demand against capacity; no simulation."""
     per_app = tuple(a.mean_cycles_per_slot for a in cfg.apps)
@@ -196,7 +203,7 @@ def feasibility_check(cfg: SystemConfig) -> FeasibilityReport:
 
 def _whole(value):
     """int(value) for a whole number; anything else (2.5, inf, nan) stays a
-    float, which validate_config refuses."""
+    float, which SystemConfig refuses."""
     x = float(value)
     return int(x) if x.is_integer() else x
 

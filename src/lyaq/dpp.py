@@ -19,9 +19,10 @@ The linear-drift objective (the program above) is solved exactly:
   maximum winning a tie (Tassiulas and Ephremides, IEEE TAC 37(12), 1992;
   Neely 2010, ch. 4). For q >= 0, q != 0 it scores below idle by at least
   B max(q) and below uniform by at least B max(q) / (N+1), far beyond
-  rounding as B > 0 (`validate_config`). At q = 0 every action scores
-  exactly 0, and the answer is the projected uniform action, which the
-  scoring below would pick first. A one-hot is its own projection.
+  rounding as B > 0 (a SystemConfig refuses B <= 0). At q = 0 every
+  action scores exactly 0, and the answer is the projected uniform action,
+  which the scoring below would pick first. A one-hot is its own
+  projection.
 * For V' > 0 write y_i = beta_i B. Replacing o_i by y_i can only raise the
   cost, and at most one queue k ever needs "overflow" bandwidth beyond r_k,
   because moving overflow to the queue with the larger q_i never hurts. So
@@ -88,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .env import Action, check_cloud_cores, cloud_cost, edge_cost
+from .env import Action, cloud_cost, edge_cost
 
 
 class UnsupportedObjectiveError(RuntimeError):
@@ -354,7 +355,6 @@ class DppController:
             raise UnsupportedObjectiveError(
                 f"cloud cost kind {cfg.cloud_cost_kind!r} is discontinuous; "
                 "the drift-plus-penalty solver does not support it")
-        check_cloud_cores(cfg)
         self.cfg = cfg
         self.dpp_cfg = dpp_cfg
         self.constants = _SolveConstants(cfg, dpp_cfg.penalty_weight)

@@ -12,8 +12,14 @@ from the config it runs on, with `default_reward_spec`. `write_csv` writes
 each command's file over its column tuple, except the sweep CSV, which
 `sweep` appends and flushes row by row so that a killed sweep resumes.
 
-All runs are keyed by (command, config, seed): every random stream descends
-from one SeedSequence, so identical inputs give byte-identical metric CSVs.
+Each random stream descends from SeedSequence(seed) by its own spawn key, so
+identical inputs give byte-identical CSVs and no evaluation replays training:
+
+    (k,)           arrivals of evaluation episode k (`episode_rng`)
+    (2**32, 0)     train: arrivals of the collection episodes
+    (2**32, 1)     train: initial weights; (2**32, 1, 0): exploring noise
+    (2**32, 2)     train: replay batches and update noise
+    (2**32, 3, i)  train: arrivals of its i-th evaluation episode
 """
 
 from __future__ import annotations
@@ -186,7 +192,8 @@ def train(cfg: SystemConfig, sac_cfg: SacConfig, total_steps: int, seed: int,
     reward_spec = default_reward_spec(cfg, reward_kind)
     T = cfg.episode_length
     episodes = -(-total_steps // T)
-    ss = np.random.SeedSequence(seed)
+    # train's own root (module docstring): episode_rng's keys are (k,), k < 2**32
+    ss = np.random.SeedSequence(seed, spawn_key=(2**32,))
     env_ss, agent_ss, update_ss, eval_ss = ss.spawn(4)
     env_rng = np.random.default_rng(env_ss)
     update_rng = np.random.default_rng(update_ss)

@@ -91,9 +91,11 @@ class SacConfig:
             raise ValueError("entropy_weight must be finite and >= 0, "
                              f"got {self.entropy_weight!r}")
         hidden = self.hidden_sizes
-        if not hidden or any(not isinstance(h, int) or h < 1 for h in hidden):
+        if (not isinstance(hidden, (list, tuple)) or not hidden
+                or any(not isinstance(h, int) or h < 1 for h in hidden)):
             raise ValueError("hidden_sizes must be one or more positive integers, "
                              f"got {hidden!r}")
+        object.__setattr__(self, "hidden_sizes", tuple(hidden))  # a list from JSON
 
 
 class ReplayBuffer:
@@ -405,10 +407,8 @@ class SacAgent:
                                    for i, shape in enumerate(param_shapes(sizes))])
 
         try:
-            cfg_dict = dict(meta["sac_cfg"])
-            cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
             agent = cls.__new__(cls)
-            agent.sac_cfg = SacConfig(**cfg_dict)
+            agent.sac_cfg = SacConfig(**meta["sac_cfg"])
             agent.state_dim = meta["state_dim"]
             agent.action_dim = meta["action_dim"]
             agent.reward_scale = meta["reward_scale"]

@@ -10,7 +10,7 @@ import pytest
 import lyaq.cli
 from lyaq import harness
 from lyaq.cli import COMMANDS, build_parser, main
-from lyaq.config import desk_config, get_profile, save_config
+from lyaq.config import desk_config, get_profile
 from lyaq.env import Trace
 from lyaq.sac import SacAgent
 
@@ -27,8 +27,11 @@ def trace_penalties(path):
 
 
 def desk_config_file(tmp_path, **overrides):
+    """The desk profile at T = 20 as a JSON file, with overrides written as
+    given, so that the file may break a config rule."""
     path = tmp_path / "desk.json"
-    save_config(replace(desk_config(), episode_length=20, **overrides), path)
+    path.write_text(json.dumps({**asdict(replace(desk_config(), episode_length=20)),
+                                **overrides}))
     return str(path)
 
 
@@ -88,6 +91,33 @@ def test_dpp_without_cloud_cores_fails_clearly(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "cloud_cores" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "eval"])
+def test_sac_without_a_checkpoint_exits_2(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", desk_config_file(tmp_path), "--controller", "sac"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "--controller sac needs --checkpoint\n"
+
+
+def test_an_unsupported_objective_exits_3(capsys):
+    assert main(["simulate", "--profile", "desk", "--steps", "5",
+                 "--controller", "dpp", "--cost", "per-core"]) == 3
+    assert capsys.readouterr().err == (
+        "unsupported objective: cloud cost kind 'per-core' is discontinuous; "
+        "the drift-plus-penalty solver does not support it\n")
+
+
+def test_a_config_file_is_checked_as_written(tmp_path, capsys):
+    # --cost per-core does not repair a cubic file without cloud cores
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--controller", "uniform", "--episodes", "1", "--cost", "per-core",
+              "--config", desk_config_file(tmp_path, cloud_cores=0)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "config error: cloud_cores 0 < 1 under the cubic cloud cost, which would "
+        "charge infinity for every offloaded bit\n")
 
 
 def test_config_with_missing_keys_fails_clearly(tmp_path, capsys):

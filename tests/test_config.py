@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from lyaq.config import (AppProfile, SystemConfig, parse_size, validate_config,
+from lyaq.config import (AppProfile, ConfigError, SystemConfig, parse_size,
                          feasibility_check, config_from_dict,
                          load_config, save_config, three_app_config,
                          eight_app_config, desk_config, get_profile,
@@ -27,14 +27,20 @@ def test_profile_from_bounds_convention():
     assert app.mean_bits_per_slot == pytest.approx(5 * 170 * BITS_PER_KB)
 
 
+def broken_rules(base, **changes) -> list:
+    """The errors of the ConfigError that replace(base, **changes) raises."""
+    with pytest.raises(ConfigError) as exc:
+        dataclasses.replace(base, **changes)
+    return exc.value.errors
+
+
 def test_validate_ok_for_builtin_profiles():
     for cfg in (three_app_config(), eight_app_config(), desk_config()):
-        assert validate_config(cfg) == []
+        assert dataclasses.replace(cfg) == cfg  # built again, and no rule broke
 
 
 def test_validate_flags_exponent_below_one():
-    cfg = dataclasses.replace(three_app_config(), reward_exponent=0.5)
-    errors = validate_config(cfg)
+    errors = broken_rules(three_app_config(), reward_exponent=0.5)
     assert any("reward_exponent" in e for e in errors)
 
 
@@ -42,8 +48,7 @@ def test_validate_flags_app_fields():
     bad = AppProfile(workload_cycles_per_bit=-1, arrival_rate=0.0,
                      size_min=10.0, size_max=5.0, size_mean=7.0, size_std=1.0)
     cfg = desk_config()
-    cfg = dataclasses.replace(cfg, apps=(cfg.apps[0], bad))
-    errors = validate_config(cfg)
+    errors = broken_rules(cfg, apps=(cfg.apps[0], bad))
     assert any("workload" in e for e in errors)
     assert any("arrival_rate" in e for e in errors)
     assert any("size bounds" in e for e in errors)
@@ -53,14 +58,37 @@ def test_validate_flags_app_fields():
 def test_validate_flags_non_finite_floats(bad):
     cfg = desk_config()
     cases = {
-        "edge_clock": dataclasses.replace(cfg, edge_clock=bad),
-        "penalty_weight": dataclasses.replace(cfg, penalty_weight=bad),
-        "rho": dataclasses.replace(cfg, rho=bad),
-        "detect: size_std": dataclasses.replace(cfg, apps=(
+        "edge_clock": dict(edge_clock=bad),
+        "penalty_weight": dict(penalty_weight=bad),
+        "rho": dict(rho=bad),
+        "detect: size_std": dict(apps=(
             cfg.apps[0], dataclasses.replace(cfg.apps[1], size_std=bad))),
     }
-    for name, bad_cfg in cases.items():
-        assert f"{name} {bad} not finite" in validate_config(bad_cfg)
+    for name, changes in cases.items():
+        assert f"{name} {bad} not finite" in broken_rules(cfg, **changes)
+
+
+def test_a_config_error_lists_each_broken_rule_and_reads_as_one_message():
+    errors = broken_rules(desk_config(), rho=float("nan"))
+    assert errors == ["rho nan not finite"]
+    errors = broken_rules(desk_config(), rho=0.0, episode_length=0)
+    assert errors == ["rho 0.0 <= 0", "episode_length 0 < 1"]
+    with pytest.raises(ValueError, match="^rho 0.0 <= 0; episode_length 0 < 1$"):
+        dataclasses.replace(desk_config(), rho=0.0, episode_length=0)
+
+
+def test_negative_cloud_cores_are_refused_under_either_cost():
+    for kind in ("cubic", "per-core"):
+        assert broken_rules(desk_config(), cloud_cores=-1, cloud_cost_kind=kind) == [
+            "cloud_cores -1 < 0"]
+    # per-core bills whole cores of cloud_core_clock, so it needs no N_C
+    assert dataclasses.replace(desk_config(), cloud_cores=0,
+                               cloud_cost_kind="per-core").cloud_cores == 0
+
+
+def test_an_unknown_cloud_cost_kind_is_refused():
+    assert broken_rules(desk_config(), cloud_cost_kind="linear") == [
+        "cloud_cost_kind 'linear' not in ('cubic', 'per-core')"]
 
 
 class TestFeasibility:
@@ -79,7 +107,8 @@ class TestFeasibility:
         assert rep.feasible
 
     def test_no_cloud_is_infeasible(self):
-        cfg = dataclasses.replace(three_app_config(), cloud_cores=0)
+        cfg = dataclasses.replace(three_app_config(), cloud_cores=0,
+                                  cloud_cost_kind="per-core")
         rep = feasibility_check(cfg)
         assert rep.total_capacity == 40e9
         assert not rep.feasible
@@ -151,5 +180,5 @@ def test_the_queue_count_is_the_app_count(tmp_path):
 
 
 def test_validate_refuses_an_empty_app_list():
-    assert validate_config(dataclasses.replace(desk_config(), apps=())) == [
+    assert broken_rules(desk_config(), apps=()) == [
         "apps is empty: there is no queue"]

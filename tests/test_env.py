@@ -180,13 +180,15 @@ class TestEnv:
 
     def test_null_dynamics(self):
         cfg = single_queue_cfg()
-        silent = AppProfile(workload_cycles_per_bit=10435.0, arrival_rate=0.0,
+        # a rate of 1e-300 tasks per slot draws no task in any test's run
+        silent = AppProfile(workload_cycles_per_bit=10435.0, arrival_rate=1e-300,
                             size_min=1.0, size_max=2.0, size_mean=1.5,
                             size_std=0.25)
         cfg = dataclasses.replace(cfg, apps=(silent,))
         env = EdgeCloudEnv(cfg, rng=np.random.default_rng(1))
         state = env.reset()
         outcome = env.step(Action.idle(1))
+        assert not state.arrival.any() and not outcome.next_state.arrival.any()
         assert np.allclose(outcome.next_state.queue, state.queue + state.arrival)
         assert outcome.edge_cost == 0.0 and outcome.cloud_cost == 0.0
         assert outcome.penalty_cost == 0.0

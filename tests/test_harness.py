@@ -124,6 +124,24 @@ def test_sweep_refuses_an_empty_grid_or_seed_list(tmp_path, grid, seeds, message
     assert not out.exists()
 
 
+def test_a_row_that_fails_records_its_error_and_the_sweep_goes_on(tmp_path, monkeypatch):
+    real = harness.evaluate
+
+    def evaluate(controller, cfg, *args):
+        if cfg.penalty_weight == 1.0:
+            raise RuntimeError("lost the link")
+        return real(controller, cfg, *args)
+
+    monkeypatch.setattr(harness, "evaluate", evaluate)
+    out = tmp_path / "sweep.csv"
+    rows = uniform_sweep([0.0, 1.0, 2.0], [0], out)
+    assert [r["status"] for r in rows] == ["ok", "error: lost the link", "ok"]
+    assert rows[1]["avg_queue"] is rows[1]["reward_sum"] is None
+    on_disk = read_lines(out)[1:]
+    assert [line[-1] for line in on_disk] == ["ok", "error: lost the link", "ok"]
+    assert on_disk[1][3:6] == ["", "", ""]
+
+
 def test_sweep_takes_iterators(tmp_path):
     rows = uniform_sweep(iter([0.0, 1e9]), (s for s in [0, 1]),
                          tmp_path / "sweep.csv")
@@ -167,7 +185,7 @@ def reference_collect(cfg, sac_cfg, total_steps, seed, reward_spec):
     evaluation episodes are left out: they draw from their own stream and
     leave the agent as it is. Returns the agent and its replay buffer."""
     T = cfg.episode_length
-    ss = np.random.SeedSequence(seed)
+    ss = np.random.SeedSequence(seed, spawn_key=(2**32,))
     env_ss, agent_ss, update_ss, eval_ss = ss.spawn(4)
     env_rng = np.random.default_rng(env_ss)
     update_rng = np.random.default_rng(update_ss)
@@ -264,6 +282,22 @@ def test_train_builds_one_replay_sized_to_its_budget(total_steps, buffer_capacit
     assert not hasattr(result.best_agent, "buffer")
 
 
+def test_a_non_finite_training_evaluation_stops_training(monkeypatch):
+    real = harness.run_episode
+
+    def run_episode(*args):
+        trace, _ = real(*args)
+        return trace, float("nan")
+
+    monkeypatch.setattr(harness, "run_episode", run_episode)
+    seen = []
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite evaluation reward at step 40$"):
+        train(short_desk(), SacConfig(hidden_sizes=(8, 8), batch_size=8), 80, 0,
+              reward_kind="diff", progress=seen.append)
+    assert seen == []  # the first cycle's record is refused before it is reported
+
+
 @pytest.mark.parametrize("total_steps", [0, -1])
 def test_train_refuses_a_budget_below_one_step(total_steps):
     cfg = short_desk()
@@ -277,6 +311,29 @@ def test_evaluate_refuses_a_non_positive_episode_count(episodes):
     with pytest.raises(ValueError, match="episodes must be at least 1"):
         evaluate(FixedController(Action.idle(2)), short_desk(), episodes, seed=0,
                  reward_kind="diff")
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_train_draws_from_no_evaluation_episode_stream(seed, monkeypatch):
+    # evaluate(seed) after train(seed), as sweep and compare run them, must
+    # not replay training's randomness
+    evaluation = {episode_rng(seed, k).random(8).tobytes() for k in range(16)}
+    real = np.random.default_rng
+    built = []
+
+    def spy(seed_seq):
+        built.append(seed_seq)
+        return real(seed_seq)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    train(short_desk(), SacConfig(hidden_sizes=(8, 8), batch_size=8), 20, seed,
+          reward_kind="diff")
+    monkeypatch.undo()
+    # arrivals, weights, action noise, replay batches, and the evaluation
+    # episodes at steps 0 and 20
+    assert len(built) == 6
+    for seed_seq in built:
+        assert real(seed_seq).random(8).tobytes() not in evaluation
 
 
 @pytest.mark.parametrize("seed", [0, 3, 12345])

@@ -227,7 +227,7 @@ class TestPolicyOutputs:
                 assert out.tobytes() == ref.tobytes(), (scale, shape)
 
     @pytest.mark.parametrize("hidden", [(), (0, 64), (-4,), (64, 0), (2.5,), (64.0,),
-                                        ("64",)])
+                                        ("64",), 64])
     def test_bad_hidden_sizes_are_refused(self, cfg, hidden):
         with pytest.raises(ValueError, match="hidden_sizes must be one or more "
                                              "positive integers"):
@@ -870,6 +870,14 @@ class TestCheckpoint:
         loaded = SacAgent.from_state_dict(arrays)
         assert np.array_equal(loaded.q2.flat, agent.q2.flat)
 
+    def test_an_unknown_format_version_is_refused_by_name(self, cfg):
+        arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(24)).state_dict()
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["format_version"] = 3
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with pytest.raises(ValueError, match="^unknown checkpoint format 3$"):
+            SacAgent.from_state_dict(arrays)
+
     def test_meta_with_an_unknown_setting_fails_to_load(self, cfg):
         # gradient_steps is a setting that checkpoints of earlier versions hold
         for key in ("gradient_clip", "gradient_steps"):
@@ -880,7 +888,7 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=key):
                 SacAgent.from_state_dict(arrays)
 
-    @pytest.mark.parametrize("hidden", [[8, 0], [], [8.5, 8]])
+    @pytest.mark.parametrize("hidden", [[8, 0], [], [8.5, 8], 64])
     def test_meta_with_bad_hidden_sizes_is_refused_by_name(self, cfg, hidden):
         arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(25)).state_dict()
         meta = json.loads(bytes(arrays["meta"]).decode())

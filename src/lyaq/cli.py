@@ -12,13 +12,14 @@ from . import harness, plots
 from .config import (ConfigError, get_profile, load_config,
                      feasibility_check, PROFILES)
 from .dpp import DppConfig, UnsupportedObjectiveError
+from .rewards import REWARD_KINDS, UnsupportedRewardError
 from .sac import SacAgent, SacConfig
 
 
 _SYSTEM_FLAGS = {
     "--V": dict(type=float, default=None, help="penalty weight V for the reward"),
-    "--nu": dict(type=float, choices=(1.0, 2.0), default=None,
-                 help="queue-reward exponent"),
+    "--nu": dict(type=float, default=None,
+                 help="queue-reward exponent nu >= 1 (mean-diff takes 1 or 2)"),
     "--cost": dict(choices=("cubic", "per-core"), default=None,
                    help="cloud cost kind"),
     "--seed": dict(type=int, default=0),
@@ -36,19 +37,22 @@ def _add_common(p: argparse.ArgumentParser, flags=tuple(_SYSTEM_FLAGS)) -> None:
 
 
 def _add_reward(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--reward", choices=("power", "diff", "mean-diff"),
-                   default="diff", help="reward kind")
+    p.add_argument("--reward", choices=REWARD_KINDS, default="diff", help="reward kind")
 
 
 def _resolve_config(args):
-    """--config or --profile, then --V, --nu and --cost; bad values exit 2."""
+    """--config or --profile, then --V, --nu and --cost, then the reward of
+    --reward on that config; bad values, or a reward that the config cannot
+    take, exit 2 before any work."""
     try:
         cfg = load_config(args.config) if args.config else get_profile(args.profile)
         flags = {"penalty_weight": "V", "reward_exponent": "nu", "cloud_cost_kind": "cost"}
         cfg = replace(cfg, **{name: getattr(args, flag) for name, flag in flags.items()
                               if getattr(args, flag, None) is not None})
-    except ConfigError as exc:
-        for e in exc.errors:
+        if hasattr(args, "reward"):
+            harness.default_reward_spec(cfg, args.reward)
+    except (ConfigError, UnsupportedRewardError) as exc:
+        for e in getattr(exc, "errors", [str(exc)]):
             print(f"config error: {e}", file=sys.stderr)
         raise SystemExit(2) from None
     return cfg

@@ -13,15 +13,20 @@ discount factor gamma is `SacConfig.discount`, not part of the system.
 `config_from_dict` ignores keys that are not fields, such as the `kappa`,
 `discount` and `n_queues` keys that configs written by earlier versions hold:
 the number of queues is the number of apps.
+
+It is the one way from a description to a `SystemConfig`: the built-in
+`PROFILES` are config dicts in the layout of a JSON file, and `get_profile`
+reads one as a file is read. An app given by its size bounds alone gets the
+tabulated profiles' moments from `AppProfile` itself: the mean at the centre
+of the bounds and a quarter-range spread.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -47,32 +52,23 @@ def parse_size(value) -> float:
 
 @dataclass(frozen=True)
 class AppProfile:
-    """One application type: workload density and its task-arrival statistics."""
+    """One application type: workload density and its task-arrival statistics.
+    A size moment left out is filled from the size bounds: the mean at their
+    centre, the spread a quarter of their range."""
 
-    workload_cycles_per_bit: float  # w_i, cycles needed per task bit
-    arrival_rate: float             # lambda_i, task arrivals per slot
-    size_min: float                 # d_min, bits
-    size_max: float                 # d_max, bits
-    size_mean: float                # mu_i, bits
-    size_std: float                 # sigma_i, bits
+    workload_cycles_per_bit: float    # w_i, cycles needed per task bit
+    arrival_rate: float               # lambda_i, task arrivals per slot
+    size_min: float                   # d_min, bits
+    size_max: float                   # d_max, bits
+    size_mean: float | None = None    # mu_i, bits
+    size_std: float | None = None     # sigma_i, bits
     name: str = ""
 
-    @classmethod
-    def from_bounds(cls, workload_cycles_per_bit, arrival_rate, size_min,
-                    size_max, name=""):
-        """Build a profile with mean at the centre of the size bounds and a
-        quarter-range spread, the convention behind every tabulated profile."""
-        size_min = parse_size(size_min)
-        size_max = parse_size(size_max)
-        return cls(
-            workload_cycles_per_bit=float(workload_cycles_per_bit),
-            arrival_rate=float(arrival_rate),
-            size_min=size_min,
-            size_max=size_max,
-            size_mean=(size_max + size_min) / 2.0,
-            size_std=(size_max - size_min) / 4.0,
-            name=name,
-        )
+    def __post_init__(self):
+        if self.size_mean is None:
+            object.__setattr__(self, "size_mean", (self.size_max + self.size_min) / 2.0)
+        if self.size_std is None:
+            object.__setattr__(self, "size_std", (self.size_max - self.size_min) / 4.0)
 
     @property
     def mean_bits_per_slot(self) -> float:
@@ -136,10 +132,18 @@ class SystemConfig:
                        if (x := getattr(app, k)) <= 0]
             if not (0 < app.size_min < app.size_max):
                 errors.append(f"{tag}: size bounds ({app.size_min}, {app.size_max}) invalid")
-            if not (app.size_min <= app.size_mean <= app.size_max):
+            mean_in_bounds = app.size_min <= app.size_mean <= app.size_max
+            if not mean_in_bounds:
                 errors.append(f"{tag}: size_mean {app.size_mean} outside bounds")
             if app.size_std <= 0:
                 errors.append(f"{tag}: size_std {app.size_std} <= 0")
+            # m_i = lambda_i * mu_i scales the observation: judged only when
+            # both factors pass their own rules, so each cause has one message
+            if (mean_in_bounds and 0 < app.arrival_rate < math.inf
+                    and math.isfinite(app.size_mean)
+                    and not 0 < app.mean_bits_per_slot < math.inf):
+                errors.append(f"{tag}: mean bits per slot {app.mean_bits_per_slot} "
+                              "(arrival_rate * size_mean) not in (0, inf)")
         if errors:
             raise ConfigError(errors)
 
@@ -232,10 +236,10 @@ def _parsed(cls, d: dict, where: str) -> dict:
 
 def config_from_dict(d: dict) -> SystemConfig:
     """Inverse of `dataclasses.asdict` on a SystemConfig. The required keys
-    are the SystemConfig fields without a default and, per app, the
-    arguments of AppProfile.from_bounds, whose rule fills a missing size_mean
-    or size_std. A ValueError names every missing required key, the apps'
-    keys as apps[i].key; so does a value of the wrong JSON type."""
+    are the fields of SystemConfig and, per app, of AppProfile that have no
+    default; AppProfile fills a missing size_mean or size_std from the size
+    bounds. A ValueError names every missing required key, the apps' keys as
+    apps[i].key; so does a value of the wrong JSON type."""
     if not isinstance(d, dict):
         raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
     entries = d.get("apps", [])
@@ -244,19 +248,14 @@ def config_from_dict(d: dict) -> SystemConfig:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"apps[{i}] must be a JSON object, got {type(entry).__name__}")
-    app_keys = [p.name for p in inspect.signature(AppProfile.from_bounds).parameters.values()
-                if p.default is p.empty]
     missing = [f.name for f in fields(SystemConfig) if f.default is MISSING and f.name not in d]
-    missing += [f"apps[{i}].{k}" for i, entry in enumerate(entries)
-                for k in app_keys if k not in entry]
+    missing += [f"apps[{i}].{f.name}" for i, entry in enumerate(entries)
+                for f in fields(AppProfile) if f.default is MISSING and f.name not in entry]
     if missing:
         raise ValueError(f"config lacks required key(s): {', '.join(missing)}")
-    apps = []
-    for i, entry in enumerate(entries):
-        given = _parsed(AppProfile, entry, f"apps[{i}].")
-        app = AppProfile.from_bounds(**{k: given[k] for k in app_keys})
-        apps.append(replace(app, **given))
-    return SystemConfig(**{**_parsed(SystemConfig, d, ""), "apps": tuple(apps)})
+    apps = tuple(AppProfile(**_parsed(AppProfile, entry, f"apps[{i}]."))
+                 for i, entry in enumerate(entries))
+    return SystemConfig(**{**_parsed(SystemConfig, d, ""), "apps": apps})
 
 
 def load_config(path) -> SystemConfig:
@@ -273,62 +272,52 @@ def save_config(cfg: SystemConfig, path) -> None:
 # ---------------------------------------------------------------------------
 # Built-in profiles
 
-# the paper's node: a 10-core 40 Gcycles/s edge with a 54-core cloud behind a
-# 20 Mbps link, and 5000-slot episodes
+# The paper's node is a 10-core 40 Gcycles/s edge with a 54-core cloud behind
+# a 20 Mbps link and 5000-slot episodes; desk is a two-queue node small enough
+# for CI, its cycle demand at ~90% of joint capacity. Every profile has
+# rho = 1e-9, V = 0 and nu = 1. Each app row is (w_i, lambda_i, d_min, d_max,
+# name).
 _PAPER_NODE = dict(edge_clock=40e9, edge_cores=10, bandwidth=20e6, cloud_cores=54,
                    episode_length=5000)
+_DESK_NODE = dict(edge_clock=8e9, edge_cores=2, bandwidth=3e6, cloud_cores=4,
+                  episode_length=500)
+_APP_KEYS = ("workload_cycles_per_bit", "arrival_rate", "size_min", "size_max", "name")
 
 
-def _profile(apps, **node) -> SystemConfig:
-    """A built-in profile: one queue per app on `node`, rho = 1e-9, V = 0 and
-    nu = 1."""
-    return SystemConfig(rho=1e-9, penalty_weight=0.0, reward_exponent=1.0,
-                        apps=apps, **node)
-
-
-def three_app_config() -> SystemConfig:
-    """Three AI application types on the paper's node."""
-    return _profile((
-        AppProfile.from_bounds(10435, 5.0, "40kB", "300kB", name="speech"),
-        AppProfile.from_bounds(25346, 8.0, "4kB", "100kB", name="nlp"),
-        AppProfile.from_bounds(45043, 4.0, "10kB", "100kB", name="face"),
-    ), **_PAPER_NODE)
-
-
-def eight_app_config() -> SystemConfig:
-    """Eight application types (adds low-rate web/AR/VR traffic), same node."""
-    return _profile((
-        AppProfile.from_bounds(10435, 0.5, "40kB", "300kB", name="speech"),
-        AppProfile.from_bounds(25346, 0.8, "4kB", "100kB", name="nlp"),
-        AppProfile.from_bounds(45043, 0.4, "10kB", "100kB", name="face"),
-        AppProfile.from_bounds(8405, 10.0, "2B", "100B", name="search"),
-        AppProfile.from_bounds(34252, 1.0, "2B", "5000B", name="translate"),
-        AppProfile.from_bounds(54633, 0.1, "0.1MB", "3MB", name="3dgame"),
-        AppProfile.from_bounds(40305, 0.1, "0.1MB", "3MB", name="vr"),
-        AppProfile.from_bounds(34532, 0.1, "0.1MB", "3MB", name="ar"),
-    ), **_PAPER_NODE)
-
-
-def desk_config() -> SystemConfig:
-    """Two-queue configuration small enough for CI: 2-core 8 Gcycles/s edge,
-    4-core cloud, cycle demand at ~90% of joint capacity."""
-    return _profile((
-        AppProfile.from_bounds(8000, 5.5, "10kB", "50kB", name="compress"),
-        AppProfile.from_bounds(20000, 4.4, "5kB", "25kB", name="detect"),
-    ), edge_clock=8e9, edge_cores=2, bandwidth=3e6, cloud_cores=4,
-        episode_length=500)
+def _description(node: dict, apps) -> dict:
+    return dict(**node, rho=1e-9, penalty_weight=0.0, reward_exponent=1.0,
+                apps=[dict(zip(_APP_KEYS, row)) for row in apps])
 
 
 PROFILES = {
-    "paper": three_app_config,
-    "paper8": eight_app_config,
-    "desk": desk_config,
+    # three AI application types on the paper's node
+    "paper": _description(_PAPER_NODE, [
+        (10435, 5.0, "40kB", "300kB", "speech"),
+        (25346, 8.0, "4kB", "100kB", "nlp"),
+        (45043, 4.0, "10kB", "100kB", "face"),
+    ]),
+    # eight application types (adds low-rate web/AR/VR traffic), same node
+    "paper8": _description(_PAPER_NODE, [
+        (10435, 0.5, "40kB", "300kB", "speech"),
+        (25346, 0.8, "4kB", "100kB", "nlp"),
+        (45043, 0.4, "10kB", "100kB", "face"),
+        (8405, 10.0, "2B", "100B", "search"),
+        (34252, 1.0, "2B", "5000B", "translate"),
+        (54633, 0.1, "0.1MB", "3MB", "3dgame"),
+        (40305, 0.1, "0.1MB", "3MB", "vr"),
+        (34532, 0.1, "0.1MB", "3MB", "ar"),
+    ]),
+    "desk": _description(_DESK_NODE, [
+        (8000, 5.5, "10kB", "50kB", "compress"),
+        (20000, 4.4, "5kB", "25kB", "detect"),
+    ]),
 }
 
 
 def get_profile(name: str) -> SystemConfig:
+    """The built-in profile `name`, read as a config file is read."""
     try:
-        builder = PROFILES[name]
+        description = PROFILES[name]
     except KeyError:
         raise KeyError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}") from None
-    return builder()
+    return config_from_dict(description)

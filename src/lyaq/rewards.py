@@ -9,8 +9,10 @@ Three interchangeable step rewards drive the controllers through
   mean-diff  diff form with the random arrival replaced by its per-slot mean
              m_i, supported for nu in {1, 2}
 
-A fourth, `reshaped`, is a queue-only analysis form that
-`episode_reward_identities` evaluates; `compute_reward` refuses it:
+These three are the `RewardSpec` kinds, and a spec refuses any other kind,
+and a mean-diff spec without m_i or off nu in {1, 2}, when it is built. A
+fourth form, `reshaped`, is a queue-only analysis form, not a `RewardSpec`
+kind: `episode_reward_identities` evaluates it with `reward_reshaped`.
 
   reshaped   queue part only, weighted by the in-episode discount (T-t)/T:
              -rho * (T-t)/T * sum_i [q_i(t+1)^nu - q_i(t)^nu]
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-REWARD_KINDS = ("power", "reshaped", "diff", "mean-diff")
+REWARD_KINDS = ("power", "diff", "mean-diff")
 
 
 class UnsupportedRewardError(ValueError):
@@ -44,9 +46,15 @@ class RewardSpec:
 
     def __post_init__(self):
         if self.kind not in REWARD_KINDS:
-            raise UnsupportedRewardError(f"unknown reward kind {self.kind!r}")
+            raise UnsupportedRewardError(
+                f"reward kind {self.kind!r} is not a step reward; choose from {REWARD_KINDS}")
         if self.exponent < 1.0:
             raise UnsupportedRewardError(f"exponent {self.exponent} < 1")
+        if self.kind == "mean-diff" and self.mean_arrival_bits is None:
+            raise UnsupportedRewardError("mean-diff needs mean_arrival_bits (m_i)")
+        if self.kind == "mean-diff" and self.exponent not in (1.0, 2.0):
+            raise UnsupportedRewardError(
+                f"mean-diff supports nu in {{1, 2}}, got {self.exponent}")
 
 
 def reward_power(q_next, cost: float, spec: RewardSpec) -> float:
@@ -76,19 +84,15 @@ def reward_diff(q_prev, q_next, cost: float, spec: RewardSpec) -> float:
 
 
 def reward_mean_diff(q_prev, b, cost: float, spec: RewardSpec) -> float:
-    """diff form with arrivals replaced by their means m_i; nu in {1, 2} only."""
-    if spec.mean_arrival_bits is None:
-        raise UnsupportedRewardError("mean-diff needs mean_arrival_bits (m_i)")
+    """diff form with arrivals replaced by their means m_i; the spec holds
+    nu = 1 or nu = 2."""
     m = np.asarray(spec.mean_arrival_bits, dtype=float)
     b = np.asarray(b, dtype=float)
     if spec.exponent == 1.0:
         queue_part = -spec.rho * np.sum(m - b)
-    elif spec.exponent == 2.0:
+    else:
         q_prev = np.asarray(q_prev, dtype=float)
         queue_part = -spec.rho * np.sum(2.0 * q_prev * (m - b) + (m - b) ** 2)
-    else:
-        raise UnsupportedRewardError(
-            f"mean-diff supports nu in {{1, 2}}, got {spec.exponent}")
     return float(queue_part - spec.penalty_weight * cost)
 
 
@@ -101,12 +105,7 @@ def compute_reward(state, outcome, spec: RewardSpec) -> float:
         return reward_power(q_next, outcome.penalty_cost, spec)
     if spec.kind == "diff":
         return reward_diff(q_prev, q_next, outcome.penalty_cost, spec)
-    if spec.kind == "mean-diff":
-        return reward_mean_diff(q_prev, outcome.departures,
-                                outcome.penalty_cost, spec)
-    raise UnsupportedRewardError(
-        f"the {spec.kind!r} reward is a queue-only analysis form "
-        "(see episode_reward_identities), not a step reward")
+    return reward_mean_diff(q_prev, outcome.departures, outcome.penalty_cost, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +234,7 @@ def episode_reward_identities(queue_trace, T: int, nu: float, rho: float) -> Ide
     if np.any(q[0] != 0.0):
         raise ValueError("identities assume q(0) = 0")
 
-    spec = RewardSpec(kind="reshaped", exponent=nu, rho=rho)
+    spec = RewardSpec(kind="power", exponent=nu, rho=rho)
     sum_reshaped = sum(reward_reshaped(q[t], q[t + 1], t, T, spec) for t in range(T))
     mean_power = sum(reward_power(q[t + 1], 0.0, spec) for t in range(T)) / T
     sum_diff = sum(reward_diff(q[t], q[t + 1], 0.0, spec) for t in range(T))

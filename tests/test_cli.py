@@ -10,7 +10,7 @@ import pytest
 import lyaq.cli
 from lyaq import harness
 from lyaq.cli import COMMANDS, build_parser, main
-from lyaq.config import desk_config, get_profile
+from lyaq.config import get_profile
 from lyaq.env import Trace
 from lyaq.sac import SacAgent
 
@@ -30,7 +30,7 @@ def desk_config_file(tmp_path, **overrides):
     """The desk profile at T = 20 as a JSON file, with overrides written as
     given, so that the file may break a config rule."""
     path = tmp_path / "desk.json"
-    path.write_text(json.dumps({**asdict(replace(desk_config(), episode_length=20)),
+    path.write_text(json.dumps({**asdict(replace(get_profile("desk"), episode_length=20)),
                                 **overrides}))
     return str(path)
 
@@ -121,7 +121,7 @@ def test_a_config_file_is_checked_as_written(tmp_path, capsys):
 
 
 def test_config_with_missing_keys_fails_clearly(tmp_path, capsys):
-    d = asdict(replace(desk_config(), episode_length=20))
+    d = asdict(replace(get_profile("desk"), episode_length=20))
     del d["rho"], d["apps"][1]["arrival_rate"]
     path = tmp_path / "partial.json"
     path.write_text(json.dumps(d))
@@ -141,7 +141,7 @@ def test_config_with_missing_keys_fails_clearly(tmp_path, capsys):
         "apps-a-string"])
 def test_malformed_config_fails_naming_its_key(tmp_path, capsys, edit, message):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(edit(asdict(replace(desk_config(), episode_length=20)))))
+    path.write_text(json.dumps(edit(asdict(replace(get_profile("desk"), episode_length=20)))))
     assert main(["feasibility", "--config", str(path)]) == 1
     out, err = capsys.readouterr()
     assert err == f"error: {message}\n" and out == ""
@@ -279,7 +279,7 @@ def test_non_finite_V_is_refused(tmp_path, capsys, argv, value):
 
 
 def test_config_file_with_non_finite_field_is_refused(tmp_path, capsys):
-    d = asdict(replace(desk_config(), episode_length=20))
+    d = asdict(replace(get_profile("desk"), episode_length=20))
     d["bandwidth"] = float("inf")
     d["apps"][0]["arrival_rate"] = float("nan")
     path = tmp_path / "bad.json"
@@ -296,7 +296,7 @@ def test_config_file_with_non_finite_field_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), 2.5])
 def test_config_file_with_a_count_that_is_not_whole_is_refused(tmp_path, capsys,
                                                                 field, value):
-    d = asdict(replace(desk_config(), episode_length=20))
+    d = asdict(replace(get_profile("desk"), episode_length=20))
     d[field] = value  # JSON Infinity, NaN or 2.5
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))
@@ -307,7 +307,7 @@ def test_config_file_with_a_count_that_is_not_whole_is_refused(tmp_path, capsys,
 
 
 def test_a_whole_float_count_is_read_as_an_integer(tmp_path):
-    d = asdict(replace(desk_config(), episode_length=20))
+    d = asdict(replace(get_profile("desk"), episode_length=20))
     d["edge_cores"] = 10.0
     path = tmp_path / "whole.json"
     path.write_text(json.dumps(d))
@@ -381,6 +381,39 @@ def test_sweep_without_a_grid_is_refused(capsys):
         main(["sweep", "--controller", "dpp", "--out", "never.csv"])
     assert exc.value.code == 2
     assert "required: --Vgrid/--Vprime" in capsys.readouterr().err
+
+
+def test_nu_takes_any_exponent_of_at_least_one(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    assert main(["eval", "--config", desk_config_file(tmp_path), "--controller", "uniform",
+                 "--episodes", "1", "--nu", "1.5", "--reward", "diff",
+                 "--out", str(out)]) == 0
+    assert [float(r["nu"]) for r in read_rows(out)] == [1.5]
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--profile", "desk", "--controller", "uniform", "--nu", "0.5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "config error: reward_exponent 0.5 < 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--controller", "uniform", "--episodes", "1", "--nu", "1.5"],
+    ["sweep", "--controller", "dpp", "--Vprime", "0,1e11", "--seeds", "0",
+     "--episodes", "1", "--nu", "1.5"],
+], ids=["eval", "sweep"])
+def test_a_reward_the_config_cannot_take_exits_2_before_any_work(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--reward", "mean-diff", "--config", desk_config_file(tmp_path),
+                     "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "config error: mean-diff supports nu in {1, 2}, got 1.5\n"
+    assert not out.exists()
+    # the same exponent written in the file is refused the same way
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:-2] + ["--reward", "mean-diff", "--out", str(out),
+                          "--config", desk_config_file(tmp_path, reward_exponent=1.5)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -535,7 +568,7 @@ def test_each_command_file_has_its_column_tuple_as_header(tmp_path, trained):
                  "--out", str(records)]) == 0
     assert main(["compare", "--config", config, "--steps", "20",
                  "--out", str(report)]) == 0
-    n_queues = desk_config().n_queues
+    n_queues = get_profile("desk").n_queues
     for path, columns in [(curve, harness.CURVE_COLUMNS),
                           (trace, Trace(n_queues, capacity=1).header()),
                           (records, lyaq.cli.EVAL_COLUMNS),

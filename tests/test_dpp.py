@@ -1,11 +1,11 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyaq.config import (AppProfile, SystemConfig, desk_config,
-                         eight_app_config, three_app_config)
+from lyaq.config import AppProfile, SystemConfig, get_profile, parse_size
 from lyaq.dpp import (DppConfig, DppController, UnsupportedObjectiveError,
                       dpp_objective, project_simplex,
                       _pairs, _quadratic_roots, _structured_candidates)
@@ -459,13 +459,13 @@ def tied_config(base, ties):
 
 def tied_three_app_config():
     """paper with face at nlp's workload."""
-    return tied_config(three_app_config(), {2: 1})
+    return tied_config(get_profile("paper"), {2: 1})
 
 
 def tied_eight_app_config():
     """paper8 with search at speech's, 3dgame at face's and ar at vr's
     workload."""
-    return tied_config(eight_app_config(), {3: 0, 5: 2, 7: 6})
+    return tied_config(get_profile("paper8"), {3: 0, 5: 2, 7: 6})
 
 
 def random_instance(rng, n):
@@ -477,7 +477,7 @@ def random_instance(rng, n):
 
 
 def speech_cfg(**overrides):
-    app = AppProfile.from_bounds(10435, 5.0, "40kB", "300kB", name="speech")
+    app = AppProfile(10435.0, 5.0, parse_size("40kB"), parse_size("300kB"), name="speech")
     base = dict(edge_clock=40e9, edge_cores=10, bandwidth=20e6,
                 cloud_cores=54, rho=1e-9, penalty_weight=0.0,
                 reward_exponent=1.0, episode_length=100, apps=(app,))
@@ -536,7 +536,7 @@ class TestObjective:
         # central differences on interior points: the descent reference of
         # test_never_worse_than_multistart_descent is only as strong as this
         # gradient
-        cfg3 = three_app_config()
+        cfg3 = get_profile("paper")
         rng = np.random.default_rng(4)
         dc = DppConfig(penalty_weight=10.0 ** rng.uniform(0, 8))
         for _ in range(30):
@@ -599,7 +599,7 @@ class TestOptimizer:
             assert action_errors(act, tol=1e-9) == []
 
     def test_batched_objective_matches_single_actions(self):
-        cfg = three_app_config()
+        cfg = get_profile("paper")
         rng = np.random.default_rng(13)
         alpha = rng.dirichlet(np.ones(4), 64)
         beta = rng.dirichlet(np.ones(4), 64)
@@ -617,7 +617,7 @@ class TestOptimizer:
     def test_never_worse_than_multistart_descent(self):
         # the exact solve against the best of uniform, idle and 8 random
         # starts of projected gradient descent on the same instance
-        cfgs = (speech_cfg(), desk_config(), three_app_config(), eight_app_config())
+        cfgs = (speech_cfg(), get_profile("desk"), get_profile("paper"), get_profile("paper8"))
         rng = np.random.default_rng(10)
         for i in range(200):
             cfg = cfgs[i % len(cfgs)]
@@ -656,9 +656,7 @@ class TestOptimizer:
         ("tied3", 34), ("tied8", 35)])
     def test_never_worse_than_the_retired_grid_search(self, name, seed):
         # 350 seeded instances per config, 2,100 in all
-        cfg = {"speech": speech_cfg, "desk": desk_config, "paper": three_app_config,
-               "paper8": eight_app_config, "tied3": tied_three_app_config,
-               "tied8": tied_eight_app_config}[name]()
+        cfg = TEST_CONFIGS[name]()
         rng = np.random.default_rng(seed)
         for _ in range(350):
             Vp, q, a = random_instance(rng, cfg.n_queues)
@@ -667,10 +665,9 @@ class TestOptimizer:
             ref = grid_search_value(q, a, cfg, dc)
             assert exact <= ref + 1e-12 * max(1.0, abs(ref))
 
-    @pytest.mark.parametrize("cfg_fn", [three_app_config, eight_app_config,
-                                        tied_three_app_config])
-    def test_episode_states_match_the_retired_grid_search(self, cfg_fn):
-        cfg = cfg_fn()
+    @pytest.mark.parametrize("name", ["paper", "paper8", "tied3"])
+    def test_episode_states_match_the_retired_grid_search(self, name):
+        cfg = TEST_CONFIGS[name]()
         for Vp in (1e9, 1e11):
             dc = DppConfig(penalty_weight=Vp)
             trace, _ = dpp_episode(cfg, dc, 60, np.random.default_rng(5))
@@ -680,7 +677,7 @@ class TestOptimizer:
                 assert exact <= ref + 1e-12 * max(1.0, abs(ref))
 
     def test_pure_drift_returns_lp_vertex(self):
-        cfg = three_app_config()
+        cfg = get_profile("paper")
         dc = DppConfig(penalty_weight=0.0)
         s = cfg.edge_clock / cfg.workloads
         rng = np.random.default_rng(11)
@@ -694,7 +691,7 @@ class TestOptimizer:
         np.testing.assert_array_equal(act.alpha, Action.uniform(3).alpha)
         np.testing.assert_array_equal(act.beta, Action.uniform(3).beta)
         # with five queues the projection moves the uniform row by rounding
-        five = dataclasses.replace(cfg, apps=eight_app_config().apps[:5])
+        five = dataclasses.replace(cfg, apps=get_profile("paper8").apps[:5])
         ref = reference_dpp_step_optimize(np.zeros(5), np.ones(5), five, dc)
         assert ref.alpha.tobytes() != Action.uniform(5).alpha.tobytes()
         assert same_bytes(DppController(five, dc).solve(np.zeros(5), np.ones(5)), ref)
@@ -702,7 +699,7 @@ class TestOptimizer:
     def test_no_overflow_and_overflow_programs_both_win(self):
         # no branch of the decomposition is dead: D_none and some D_k are
         # each the unique best candidate on some instance
-        cfg = three_app_config()
+        cfg = get_profile("paper")
         rng = np.random.default_rng(12)
         winners = set()
         for _ in range(60):
@@ -722,13 +719,13 @@ class TestOptimizer:
     def test_cubic_cost_without_cloud_cores_fails_clearly(self):
         for Vp in (0.0, 1e11):
             with pytest.raises(ValueError, match="cloud_cores"):
-                cfg = dataclasses.replace(three_app_config(), cloud_cores=0)
+                cfg = dataclasses.replace(get_profile("paper"), cloud_cores=0)
                 DppController(cfg, DppConfig(penalty_weight=Vp))
 
     def test_exact_solve_draws_nothing_from_rng(self):
         # the solve takes no generator, and it must not fall back on numpy's
         # global one: the same instance gives the same action every time
-        cfg = three_app_config()
+        cfg = get_profile("paper")
         rng = np.random.default_rng(14)
         q = rng.uniform(0, 3e7, 3)
         a = rng.uniform(0, 2e7, 3)
@@ -745,7 +742,7 @@ class TestOptimizer:
 
     def test_descent_is_monotone_in_iteration_budget(self):
         # the gate's reference descent: a larger budget never ends higher
-        cfg = three_app_config()
+        cfg = get_profile("paper")
         dc = DppConfig(penalty_weight=1e6)
         rng = np.random.default_rng(8)
         q = rng.uniform(0, 1e8, 3)
@@ -759,7 +756,7 @@ class TestOptimizer:
             prev = f
 
     def test_emitted_actions_satisfy_simplex(self):
-        cfg = three_app_config()
+        cfg = get_profile("paper")
         rng = np.random.default_rng(7)
         for _ in range(10):
             q = rng.uniform(0, 1e8, 3)
@@ -771,7 +768,7 @@ class TestOptimizer:
     def test_symmetry_swapped_instance_swaps_solution(self):
         # relabelling the queues relabels the program, so the optimal value
         # must not move; a solve that depended on queue order would
-        app1 = AppProfile.from_bounds(8000, 5.0, "10kB", "50kB")
+        app1 = AppProfile(8000.0, 5.0, parse_size("10kB"), parse_size("50kB"))
         cfg = SystemConfig(edge_clock=8e9, edge_cores=2, bandwidth=3e6,
                            cloud_cores=4, rho=1e-9, penalty_weight=0.0,
                            reward_exponent=1.0, episode_length=100,
@@ -782,7 +779,7 @@ class TestOptimizer:
         cases = [(cfg, dc, q, a, np.array([1, 0]))]
         rng = np.random.default_rng(15)
         for _ in range(50):
-            base = three_app_config()
+            base = get_profile("paper")
             perm = rng.permutation(3)
             cases.append((base, DppConfig(penalty_weight=10.0 ** rng.uniform(0.0, 12.0)),
                           10.0 ** rng.uniform(4.0, 8.0, 3),
@@ -810,8 +807,9 @@ class TestOptimizer:
             DppConfig(penalty_weight=Vp)
 
 
-TEST_CONFIGS = {"speech": speech_cfg, "desk": desk_config, "paper": three_app_config,
-                "paper8": eight_app_config, "tied3": tied_three_app_config,
+TEST_CONFIGS = {"speech": speech_cfg, "desk": partial(get_profile, "desk"),
+                "paper": partial(get_profile, "paper"),
+                "paper8": partial(get_profile, "paper8"), "tied3": tied_three_app_config,
                 "tied8": tied_eight_app_config}
 
 
@@ -922,7 +920,7 @@ class TestSolveConstants:
 
     @pytest.mark.parametrize("Vp", [0.0, 1e11])
     def test_a_controller_keeps_no_state_across_decisions(self, Vp):
-        cfg = eight_app_config()
+        cfg = get_profile("paper8")
         controller = DppController(cfg, DppConfig(penalty_weight=Vp))
         rng = np.random.default_rng(48)
         for _ in range(20):
@@ -932,7 +930,7 @@ class TestSolveConstants:
             assert same_bytes(controller.solve(qa, aa), first)
 
     def test_controllers_share_no_writable_array(self):
-        cfg = three_app_config()
+        cfg = get_profile("paper")
 
         def walk(x):
             # the arrays in x, through tuples, lists (the vertex table) and
@@ -990,7 +988,7 @@ def test_an_action_outlives_later_decisions(Vp):
     # a decision returns fresh arrays (V' > 0) or a shared read-only Action
     # (V' = 0): an Action kept by the caller does not change when the
     # controller decides again
-    cfg = three_app_config()
+    cfg = get_profile("paper")
     controller = DppController(cfg, DppConfig(penalty_weight=Vp))
     env = EdgeCloudEnv(cfg, rng=np.random.default_rng(49))
     state = env.reset()
@@ -1007,7 +1005,7 @@ def test_an_action_outlives_later_decisions(Vp):
 def test_a_fixed_action_refuses_writes():
     # idle, uniform and a V' = 0 DPP controller hand every slot the same
     # Action, so a caller's write would reach later slots; it raises instead
-    cfg = three_app_config()
+    cfg = get_profile("paper")
     state = EdgeCloudEnv(cfg, rng=np.random.default_rng(50)).reset()
     queued = dataclasses.replace(state, queue=np.array([3e5, 0.0, 1e5]))
     dpp = DppController(cfg, DppConfig(penalty_weight=0.0))
@@ -1043,7 +1041,7 @@ class TestEpisode:
 
     def test_per_core_cost_is_refused_when_the_controller_is_built(self):
         # the refusal depends on the config alone, so no episode starts
-        cfg = dataclasses.replace(desk_config(), cloud_cost_kind="per-core")
+        cfg = dataclasses.replace(get_profile("desk"), cloud_cost_kind="per-core")
         for Vp in (0.0, 1e11):
             with pytest.raises(UnsupportedObjectiveError, match="'per-core'"):
                 DppController(cfg, DppConfig(penalty_weight=Vp))
@@ -1051,7 +1049,7 @@ class TestEpisode:
     def test_solver_draws_leave_the_arrivals_alone(self):
         # the arrivals must be those of an environment that owns the
         # generator alone
-        cfg = desk_config()
+        cfg = get_profile("desk")
         dc = DppConfig(penalty_weight=1e8)
         trace, _ = dpp_episode(cfg, dc, 10, np.random.default_rng(3))
         env = EdgeCloudEnv(cfg, rng=np.random.default_rng(3))
@@ -1061,7 +1059,7 @@ class TestEpisode:
         np.testing.assert_array_equal(np.array(trace.a), np.array(arrivals))
 
     def test_desk_episode_metrics_match_trace(self):
-        cfg = desk_config()
+        cfg = get_profile("desk")
         dc = DppConfig(penalty_weight=0.0)
         trace, metrics = dpp_episode(cfg, dc, 60, np.random.default_rng(1))
         assert metrics["avg_penalty"] == pytest.approx(trace.penalties.mean())

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lyaq.config import AppProfile, three_app_config, desk_config
+from lyaq.config import AppProfile, BITS_PER_KB, get_profile
 from lyaq.env import (Action, EdgeCloudEnv, Trace,
                       actual_cpu_use, cloud_cost, compute_departure,
                       compute_offload, edge_cost, queue_update,
@@ -33,11 +33,11 @@ def action_errors(action: Action, tol: float = 1e-9) -> list[str]:
 
 @pytest.fixture
 def cfg3():
-    return three_app_config()
+    return get_profile("paper")
 
 
 def single_queue_cfg(w=10435.0, f_E=40e9, B=20e6, **overrides):
-    app = AppProfile.from_bounds(w, 5.0, "40kB", "300kB")
+    app = AppProfile(w, 5.0, 40 * BITS_PER_KB, 300 * BITS_PER_KB)
     base = dict(edge_clock=f_E, edge_cores=10, bandwidth=B,
                 cloud_cores=54, rho=1e-9, penalty_weight=0.0,
                 reward_exponent=1.0, episode_length=100, apps=(app,))
@@ -174,8 +174,7 @@ class TestEnv:
         assert obs[12] == 0.0                       # previous offloaded cycles
 
     def test_reset_dimension_eight_queues(self):
-        from lyaq.config import eight_app_config
-        env = EdgeCloudEnv(eight_app_config(), rng=np.random.default_rng(0))
+        env = EdgeCloudEnv(get_profile("paper8"), rng=np.random.default_rng(0))
         assert env.reset().observation.shape == (41,)
 
     def test_null_dynamics(self):

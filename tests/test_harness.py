@@ -7,7 +7,7 @@ import pytest
 
 from lyaq import harness
 from lyaq.cli import main
-from lyaq.config import desk_config
+from lyaq.config import get_profile
 from lyaq.env import Action, EdgeCloudEnv
 from lyaq.harness import (EPISODES_PER_CYCLE, FixedController,
                           default_reward_spec, episode_rng, evaluate,
@@ -18,7 +18,7 @@ from lyaq.sac import ReplayBuffer, SacAgent, SacConfig
 
 
 def short_desk():
-    return replace(desk_config(), episode_length=10)
+    return replace(get_profile("desk"), episode_length=10)
 
 
 def uniform_sweep(grid, seeds, out_csv):

@@ -28,12 +28,12 @@ class TestPowerReward:
 
 class TestReshapedReward:
     def test_substitution(self):
-        s = spec(kind="reshaped")
+        s = spec()
         assert reward_reshaped([3.0], [7.0], 1, 4, s) == pytest.approx(-3.0)
 
     def test_hand_trajectory_sum_equivalence(self):
         # q = [0, 2, 5, 4], T=3, nu=1: both sides equal -11/3
-        s = spec(kind="reshaped")
+        s = spec()
         q = [[0.0], [2.0], [5.0], [4.0]]
         total = sum(reward_reshaped(q[t], q[t + 1], t, 3, s) for t in range(3))
         assert total == pytest.approx(-11.0 / 3.0)
@@ -41,12 +41,12 @@ class TestReshapedReward:
         assert total == pytest.approx(power_mean)
 
     def test_no_change_is_zero(self):
-        s = spec(kind="reshaped")
+        s = spec()
         assert reward_reshaped([4.0], [4.0], 0, 10, s) == 0.0
 
     def test_slot_range_checked(self):
         with pytest.raises(ValueError):
-            reward_reshaped([0.0], [1.0], 5, 5, spec(kind="reshaped"))
+            reward_reshaped([0.0], [1.0], 5, 5, spec())
 
 
 class TestDiffReward:
@@ -92,10 +92,8 @@ class TestMeanDiffReward:
         assert reward_mean_diff([4.0, 9.0], m, 0.0, s2) == 0.0
 
     def test_unsupported_exponent_rejected(self):
-        s = spec(kind="mean-diff", exponent=1.5,
-                 mean_arrival_bits=np.array([1.0]))
         with pytest.raises(UnsupportedRewardError):
-            reward_mean_diff([0.0], [1.0], 0.0, s)
+            spec(kind="mean-diff", exponent=1.5, mean_arrival_bits=np.array([1.0]))
 
     def test_nu2_matches_mean_substituted_diff_form(self):
         # expanding (q + m - b)^2 - q^2 must equal 2q(m-b) + (m-b)^2
@@ -120,6 +118,10 @@ class TestRewardSpecValidation:
     def test_exponent_domain(self):
         with pytest.raises(UnsupportedRewardError):
             RewardSpec(exponent=0.5)
+
+    def test_mean_diff_needs_its_means(self):
+        with pytest.raises(UnsupportedRewardError, match="mean_arrival_bits"):
+            RewardSpec(kind="mean-diff")
 
 
 class TestTheorem1:
@@ -243,4 +245,4 @@ def test_compute_reward_dispatch():
         assert compute_reward(before, outcome, s) == pytest.approx(expected)
     # the queue-only analysis form is refused by name, not computed
     with pytest.raises(UnsupportedRewardError, match="'reshaped'"):
-        compute_reward(before, outcome, spec(kind="reshaped"))
+        spec(kind="reshaped")

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lyaq.config import desk_config, get_profile
+from lyaq.config import get_profile
 from lyaq.env import (ARRIVAL_BLOCK, ARRIVAL_WINDOW, Action, EdgeCloudEnv,
                       StateVector, actual_cpu_use, compute_departure,
                       compute_offload, observation_scale, queue_update)
@@ -49,7 +49,7 @@ def reference_squashed_sample(out, eps, sac_cfg):
 
 @pytest.fixture
 def cfg():
-    return desk_config()
+    return get_profile("desk")
 
 
 @pytest.fixture
@@ -531,7 +531,7 @@ class TestUpdates:
 
     def test_min_double_q_used_in_targets(self):
         # hand-set critics at constants 3 and 5: the target must use 3
-        cfg = desk_config()
+        cfg = get_profile("desk")
         agent = SacAgent(cfg, TOY, rng=np.random.default_rng(8))
         for net, const in ((agent.q1_target, 3.0), (agent.q2_target, 5.0)):
             net.flat[:] = 0.0

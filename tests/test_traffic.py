@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from lyaq.config import (AppProfile, eight_app_config, three_app_config,
-                         BITS_PER_KB)
+from lyaq.config import AppProfile, BITS_PER_KB, get_profile
 from lyaq.traffic import sample_task_sizes, sample_arrivals, RejectionBudgetError
 
 
 def speech():
-    return AppProfile.from_bounds(10435, 5.0, "40kB", "300kB", name="speech")
+    return AppProfile(10435.0, 5.0, 40 * BITS_PER_KB, 300 * BITS_PER_KB, name="speech")
 
 
 def test_sizes_respect_bounds():
@@ -63,7 +62,7 @@ def test_rejection_budget_scales_with_task_count():
     sizes = sample_task_sizes(speech(), 1_000_000, rng)
     assert sizes.size == 1_000_000
     assert speech().size_min <= sizes.min() and sizes.max() <= speech().size_max
-    arrivals = sample_arrivals(eight_app_config().apps, 100_000, rng)
+    arrivals = sample_arrivals(get_profile("paper8").apps, 100_000, rng)
     assert arrivals.shape == (100_000, 8) and np.all(arrivals >= 0.0)
 
 
@@ -87,7 +86,7 @@ def test_compound_poisson_mean_is_lambda_mu():
 def test_three_app_cycle_demand_matches_feasibility_numbers():
     # per-slot mean cycle demand a_i * w_i ~ {72.7, 86.4, 81.2} Gcycles
     rng = np.random.default_rng(13)
-    cfg = three_app_config()
+    cfg = get_profile("paper")
     arrivals = sample_arrivals(cfg.apps, 60_000, rng)
     demand = arrivals.mean(axis=0) * cfg.workloads
     for got, want in zip(demand, (72.7e9, 86.4e9, 81.2e9)):

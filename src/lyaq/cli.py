@@ -1,4 +1,4 @@
-"""Command-line front end: lyaq feasibility|simulate|train|eval|sweep|compare|plot."""
+"""Command-line front end: lyaq feasibility|train|eval|sweep|compare|plot."""
 
 from __future__ import annotations
 
@@ -117,16 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("feasibility", help="closed-form load vs capacity check")
     _add_common(p, flags=())
 
-    p = sub.add_parser("simulate", help="run one episode with a fixed controller")
-    _add_common(p)
-    p.add_argument("--controller", choices=("idle", "uniform", "dpp", "sac"),
-                   default="uniform")
-    p.add_argument("--checkpoint", help="agent checkpoint for --controller sac")
-    p.add_argument("--Vprime", type=float, default=0.0, help="DPP weight")
-    _add_reward(p)
-    p.add_argument("--steps", type=_count, default=None, help="episode length")
-    p.add_argument("--out", help="trace CSV path")
-
     p = sub.add_parser("train", help="train the soft actor-critic agent")
     _add_common(p)
     _add_reward(p)
@@ -147,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Vprime", type=float, default=0.0)
     _add_reward(p)
     p.add_argument("--episodes", type=_count, default=5)
+    p.add_argument("--steps", type=_count, default=None, help="episode length")
     p.add_argument("--out", help="records CSV path")
+    p.add_argument("--trace", help="CSV path of episode 0's per-slot trace")
 
     p = sub.add_parser("sweep", help="V sweep producing the trade-off CSV")
     _add_common(p, flags=("--nu", "--cost"))
@@ -183,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the options whose paths each command writes; plot's --out is a directory
-_OUTPUTS = {"simulate": ("out",), "train": ("out", "checkpoint"), "eval": ("out",),
+_OUTPUTS = {"train": ("out", "checkpoint"), "eval": ("out", "trace"),
             "sweep": ("out",), "compare": ("out",), "plot": ("out",)}
 
 
@@ -231,24 +223,6 @@ def _controller_for(args, cfg):
     return harness.SacController(agent)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
-    if args.steps:
-        cfg = replace(cfg, episode_length=args.steps)
-    controller = _controller_for(args, cfg)
-    # the arrivals of evaluate's episode 0 under the same seed
-    trace, reward_sum = harness.run_episode(controller, cfg,
-                                            harness.episode_rng(args.seed, 0),
-                                            args.reward)
-    m = harness.metrics_from_trace(trace, reward_sum)
-    if args.out:
-        harness.write_csv(args.out, trace.header(), trace.rows())
-        print(f"trace written to {args.out}")
-    print(f"reward_sum={m['reward_sum']!r} avg_penalty={m['avg_penalty']!r} "
-          f"avg_queue={m['avg_queue']!r}")
-    return 0
-
-
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     sac_cfg = SacConfig(seed=args.seed)
@@ -278,8 +252,14 @@ EVAL_COLUMNS = ("controller", "V", "nu", "reward", "seed", "episode",
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
+    if args.steps:
+        cfg = replace(cfg, episode_length=args.steps)
     controller = _controller_for(args, cfg)
-    records = harness.evaluate(controller, cfg, args.episodes, args.seed, args.reward)
+    records, trace = harness.evaluate(controller, cfg, args.episodes, args.seed,
+                                      args.reward)
+    if args.trace:
+        harness.write_csv(args.trace, trace.header(), trace.rows())
+        print(f"trace written to {args.trace}")
     if args.out:
         harness.write_csv(args.out, EVAL_COLUMNS, (
             {"controller": args.controller, "V": cfg.penalty_weight,
@@ -334,7 +314,6 @@ def cmd_plot(args) -> int:
 
 COMMANDS = {
     "feasibility": cmd_feasibility,
-    "simulate": cmd_simulate,
     "train": cmd_train,
     "eval": cmd_eval,
     "sweep": cmd_sweep,

@@ -141,7 +141,7 @@ def dpp_objective(q, a, action: Action, cfg: SystemConfig,
     link_bits = action.beta[..., :-1] * cfg.bandwidth
     value = (a - cpu_bits - link_bits) @ q
     if dpp_cfg.penalty_weight != 0.0:
-        # env.compute_offload, on the CPU bits computed above
+        # the offloads of EdgeCloudEnv.step, on the CPU bits computed above
         o = np.maximum(0.0, np.minimum(link_bits, q + a - cpu_bits))
         value = value + dpp_cfg.penalty_weight * (edge_cost(alpha, cfg)
                                                   + cloud_cost(o, cfg))

@@ -122,26 +122,7 @@ class StepOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Dynamics primitives (pure functions)
-
-
-def compute_departure(action: Action, cfg: SystemConfig) -> np.ndarray:
-    """b_i = alpha_i f_E / w_i + beta_i B for the N real queues."""
-    return action.alpha_eff * cfg.edge_clock / cfg.workloads + action.beta_eff * cfg.bandwidth
-
-
-def compute_offload(queue_plus_arrival, action: Action, cfg: SystemConfig) -> np.ndarray:
-    """Bits actually shipped to the cloud: the bandwidth allocation capped by
-    whatever backlog the CPU leaves behind, never negative."""
-    qpa = np.asarray(queue_plus_arrival, dtype=float)
-    cpu_bits = action.alpha_eff * cfg.edge_clock / cfg.workloads
-    return np.maximum(0.0, np.minimum(action.beta_eff * cfg.bandwidth, qpa - cpu_bits))
-
-
-def queue_update(q, a, b) -> np.ndarray:
-    """q_i(t+1) = max(0, q_i + a_i - b_i)."""
-    return np.maximum(0.0, np.asarray(q, dtype=float) + np.asarray(a, dtype=float)
-                      - np.asarray(b, dtype=float))
+# Costs (pure functions)
 
 
 def edge_cost(alpha_eff, cfg: SystemConfig):
@@ -165,13 +146,6 @@ def cloud_cost(offloads, cfg: SystemConfig):
     if cfg.cloud_cost_kind == "cubic":
         return cfg.cloud_cores * (cycles / cfg.cloud_cores / 1e9) ** 3
     return np.ceil(cycles / cfg.cloud_core_clock) * (cfg.cloud_core_clock / 1e9) ** 3
-
-
-def actual_cpu_use(queue_plus_arrival, action: Action, cfg: SystemConfig) -> np.ndarray:
-    """Realized CPU fraction: alpha_i capped when the backlog is smaller than
-    the nominal allocation alpha_i f_E / w_i."""
-    qpa = np.asarray(queue_plus_arrival, dtype=float)
-    return np.minimum(action.alpha_eff, cfg.workloads * qpa / cfg.edge_clock)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +206,8 @@ class EdgeCloudEnv:
         return self._state(np.zeros(self.cfg.n_queues), 0.0)
 
     def step(self, action: Action) -> StepOutcome:
-        """compute_departure, compute_offload, queue_update, the two costs
-        and actual_cpu_use for one slot, with the CPU bits alpha_i f_E / w_i
+        """One slot: departures, offloads, the queue update, the two costs
+        and the realized CPU use, with the CPU bits alpha_i f_E / w_i
         computed once. The environment never writes into the arrays it
         hands out."""
         cfg = self.cfg

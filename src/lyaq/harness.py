@@ -1,10 +1,11 @@
 """Experiment harness: episode runners, training loop, V-sweeps, comparisons.
 
 `episode_slots` is the one loop that resets an `EdgeCloudEnv` and steps it.
-`run_episode` consumes it with a controller to build a trace (eval,
-simulate, sweep, compare and train's evaluation episodes); `train` consumes
-it with its exploring policy to fill the replay buffer. `metrics_from_trace`
-is the one per-episode summary every command reports.
+`run_episode` consumes it with a controller to build a trace (evaluate's
+episodes, which eval, sweep and compare run, and train's evaluation
+episodes); `train` consumes it with its exploring policy to fill the replay
+buffer. `metrics_from_trace` is the one per-episode summary every command
+reports.
 
 The entry points `run_episode`, `evaluate`, `train`, `sweep` and `compare`
 take the reward kind; each builds the rest of the reward (rho, nu, V, m_i)
@@ -142,15 +143,19 @@ def episode_rng(seed: int, k: int) -> np.random.Generator:
 
 
 def evaluate(controller, cfg: SystemConfig, episodes: int, seed: int,
-             reward_kind: str) -> list[dict]:
-    """One metrics_from_trace dict per deterministic-policy episode; episode
-    k draws its arrivals from episode_rng(seed, k). The traces are not
-    kept."""
+             reward_kind: str) -> tuple[list[dict], Trace]:
+    """(one metrics_from_trace dict per deterministic-policy episode, the
+    trace of episode 0, which `eval --trace` writes); episode k draws its
+    arrivals from episode_rng(seed, k). No other trace is kept."""
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
-    return [metrics_from_trace(*run_episode(controller, cfg, episode_rng(seed, k),
-                                            reward_kind))
-            for k in range(episodes)]
+    records = []
+    for k in range(episodes):
+        trace, reward_sum = run_episode(controller, cfg, episode_rng(seed, k), reward_kind)
+        records.append(metrics_from_trace(trace, reward_sum))
+        if k == 0:
+            first = trace
+    return records, first
 
 
 def write_csv(path, columns, rows) -> None:
@@ -341,7 +346,7 @@ def _sweep_entry(controller_kind, cfg, V, seed, sac_cfg, total_steps,
     else:
         controller = make_controller(controller_kind, cfg,
                                      dpp_cfg=DppConfig(penalty_weight=V))
-    records = evaluate(controller, cfg, episodes, seed, reward_kind)
+    records, _ = evaluate(controller, cfg, episodes, seed, reward_kind)
     return {key: float(np.mean([r[key] for r in records]))
             for key in ("avg_queue", "avg_penalty", "reward_sum")}
 
@@ -379,7 +384,7 @@ def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
         row = {"controller": "dpp", "cost_kind": cost_kind, "status": "ok"}
         try:
             controller = DppController(cfg_k, dpp_cfg)
-            m = evaluate(controller, cfg_k, 1, seed, reward_kind)[0]
+            [m], _ = evaluate(controller, cfg_k, 1, seed, reward_kind)
             row.update(avg_queue=m["avg_queue"], avg_penalty=m["avg_penalty"])
         except UnsupportedObjectiveError as exc:
             row["status"] = f"unsupported-objective: {exc}"
@@ -387,7 +392,7 @@ def compare(cfg: SystemConfig, dpp_cfg: DppConfig, sac_cfg: SacConfig,
         progress(row)
 
         result = train(cfg_k, sac_cfg, total_steps, seed, reward_kind)
-        m = evaluate(SacController(result.best_agent), cfg_k, 1, seed, reward_kind)[0]
+        [m], _ = evaluate(SacController(result.best_agent), cfg_k, 1, seed, reward_kind)
         rows.append({
             "controller": "sac", "cost_kind": cost_kind, "status": "ok",
             "avg_queue": m["avg_queue"], "avg_penalty": m["avg_penalty"],

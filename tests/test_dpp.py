@@ -9,10 +9,10 @@ from lyaq.config import AppProfile, SystemConfig, get_profile, parse_size
 from lyaq.dpp import (DppConfig, DppController, UnsupportedObjectiveError,
                       dpp_objective, project_simplex,
                       _pairs, _quadratic_roots, _structured_candidates)
-from lyaq.env import (Action, EdgeCloudEnv, cloud_cost, compute_offload,
-                      edge_cost)
+from lyaq.env import Action, EdgeCloudEnv, cloud_cost, edge_cost
 from lyaq.harness import make_controller, metrics_from_trace, run_episode
 
+from reference_dynamics import compute_offload
 from test_env import action_errors
 
 
@@ -253,7 +253,7 @@ def grid_search_candidates(q, a, cfg: SystemConfig, penalty_weight: float):
 # The solve before its constants moved into the controller, kept verbatim
 # (names aside) as the bit-for-bit reference: every (cfg, V') constant is
 # rebuilt per call, the programs' values are seven concatenations, and the
-# objective calls env.compute_offload.
+# objective calls the reference compute_offload.
 
 
 def reference_project_simplex(v: np.ndarray) -> np.ndarray:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from lyaq.config import AppProfile, BITS_PER_KB, get_profile
-from lyaq.env import (Action, EdgeCloudEnv, Trace,
-                      actual_cpu_use, cloud_cost, compute_departure,
-                      compute_offload, edge_cost, queue_update,
+from lyaq.env import (Action, EdgeCloudEnv, Trace, cloud_cost, edge_cost,
                       ARRIVAL_BLOCK, ARRIVAL_WINDOW)
 from lyaq.harness import write_csv
 from lyaq.traffic import sample_arrivals
+from reference_dynamics import (actual_cpu_use, compute_departure, compute_offload,
+                                queue_update)
 
 
 def from_effective(alpha_eff, beta_eff) -> Action:

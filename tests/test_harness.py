@@ -83,10 +83,10 @@ class TestSweepResume:
                      "--seeds", "0", "--episodes", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {out} holds 'uniform' sweep rows")
         assert out.read_bytes() == before
-        # a file that is not a sweep CSV at all, such as a simulate trace
+        # a file that is not a sweep CSV at all, such as an eval trace
         trace = tmp_path / "trace.csv"
-        assert main(["simulate", "--profile", "desk", "--steps", "5",
-                     "--out", str(trace)]) == 0
+        assert main(["eval", "--profile", "desk", "--steps", "5", "--episodes", "1",
+                     "--trace", str(trace)]) == 0
         capsys.readouterr()
         before = trace.read_bytes()
         with pytest.raises(ValueError, match=re.escape(
@@ -304,6 +304,16 @@ def test_train_refuses_a_budget_below_one_step(total_steps):
     message = f"total_steps must be at least 1, got {total_steps}"
     with pytest.raises(ValueError, match=message):
         train(cfg, SacConfig(hidden_sizes=(8, 8)), total_steps, 0, "diff")
+
+
+def test_evaluate_keeps_the_trace_of_episode_zero():
+    cfg = short_desk()
+    controller = FixedController(Action.uniform(2))
+    records, trace = evaluate(controller, cfg, 3, seed=4, reward_kind="diff")
+    first, reward_sum = run_episode(controller, cfg, episode_rng(4, 0), "diff")
+    assert list(trace.rows()) == list(first.rows())
+    assert records[0] == harness.metrics_from_trace(trace, reward_sum)
+    assert records[1] != records[0]
 
 
 @pytest.mark.parametrize("episodes", [0, -1])

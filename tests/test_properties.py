@@ -7,10 +7,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from lyaq.config import get_profile
-from lyaq.env import (ARRIVAL_WINDOW, Action, EdgeCloudEnv, actual_cpu_use,
-                      cloud_cost, compute_departure, compute_offload,
-                      edge_cost, queue_update)
+from lyaq.env import ARRIVAL_WINDOW, Action, EdgeCloudEnv, cloud_cost, edge_cost
 from lyaq.sac import SacConfig, gaussian_logp, squashed_sample
+from reference_dynamics import (actual_cpu_use, compute_departure, compute_offload,
+                                queue_update)
 from test_sac import reference_squashed_sample
 
 PROFILES = st.sampled_from(["desk", "paper", "paper8"])

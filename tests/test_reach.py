@@ -44,10 +44,6 @@ PERFBENCH = ROOT / "perfbench"
 
 # Definitions that stay with no caller yet, one reason each.
 ALLOWED = {
-    "compute_departure": "reference primitive: test_properties checks EdgeCloudEnv.step against it",
-    "compute_offload": "reference primitive: test_properties checks EdgeCloudEnv.step against it",
-    "queue_update": "reference primitive: test_properties checks EdgeCloudEnv.step against it",
-    "actual_cpu_use": "reference primitive: test_properties checks EdgeCloudEnv.step against it",
     "queue_slope_ok": "paper check: the per-episode stability verdict of ROADMAP item 2",
     "check_theorem1_conditions": "paper check: the Theorem-1 verdict of ROADMAP items 2 and 3",
     "power_reward_bound": "paper check: the Theorem-1 constants of ROADMAP items 2 and 3",
@@ -267,4 +263,4 @@ def settable_values():
 
 def test_settable_values_are_pinned():
     # a change that adds or removes a setting edits this pin, and says so
-    assert settable_values() == (22, 66, 9)
+    assert settable_values() == (22, 55, 9)

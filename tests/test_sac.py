@@ -7,14 +7,15 @@ import pytest
 
 from lyaq.config import get_profile
 from lyaq.env import (ARRIVAL_BLOCK, ARRIVAL_WINDOW, Action, EdgeCloudEnv,
-                      StateVector, actual_cpu_use, compute_departure,
-                      compute_offload, observation_scale, queue_update)
+                      StateVector, observation_scale)
 from lyaq.harness import train
 from lyaq.nets import DenseNet
 from lyaq.sac import (FLUSH_FLOOR, LOG_2PI, ReplayBuffer, SacAgent, SacConfig,
                       actor_loss_and_grads, critic_loss_and_grads,
                       dual_softmax, flush_tiny, gaussian_logp, squashed_sample)
 from lyaq.traffic import sample_arrivals
+from reference_dynamics import (actual_cpu_use, compute_departure, compute_offload,
+                                queue_update)
 from test_nets import (reference_adam_step, reference_backward,
                        reference_forward, reference_forward_cache,
                        reference_soft_update)

@@ -9,9 +9,13 @@ sha256:
   `meta` included, in sorted name order.
 
 It compares every hash with the table in `pins.json` beside this script and
-exits 1 on any mismatch. The DPP outputs hold only per SIMD dispatch level
-of numpy (numpy's `**` on an array and on a scalar can differ in the last
-bit), so a DPP mismatch is printed with numpy's SIMD "found" list.
+exits 1 on any mismatch, after one line that records numpy's SIMD baseline
+and found lists. What moves between hosts is the SAC update and short BLAS
+or SIMD reductions. Emulated on one x86-64 host (`NPY_DISABLE_CPU_FEATURES`
+and `OPENBLAS_CORETYPE` reach the child processes), every DPP pin held at
+numpy's X86_V3 and X86_V2 levels and under OpenBLAS's Haswell kernel;
+train.csv moved at each, the checkpoint and sweep-sac at X86_V2 and under
+Haswell, and eval-uniform-paper8 under Haswell.
 
     python tools/pins.py            # check
     python tools/pins.py --write    # re-pin: rewrite pins.json from this tree
@@ -37,40 +41,41 @@ TABLE = Path(__file__).resolve().parent / "pins.json"
 THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                   "MKL_NUM_THREADS")}
 
-# (name, argv, the CSV it writes, whether a DPP solve makes it);
-# eval-sac reads the checkpoint that train writes
+# (name, argv, the CSV it writes); eval-sac reads the checkpoint that train
+# writes
 COMMANDS = (
     ("train", ["train", "--profile", "desk", "--steps", "2000", "--hidden", "64,64",
                "--seed", "0", "--out", "train.csv", "--checkpoint", "agent.npz"],
-     "train.csv", False),
+     "train.csv"),
     ("eval-sac", ["eval", "--profile", "desk", "--controller", "sac",
                   "--checkpoint", "agent.npz", "--episodes", "3", "--seed", "2",
-                  "--out", "eval-sac.csv"], "eval-sac.csv", False),
+                  "--out", "eval-sac.csv"], "eval-sac.csv"),
     ("eval-uniform-paper8", ["eval", "--profile", "paper8", "--controller", "uniform",
                              "--episodes", "2", "--seed", "3",
                              "--out", "eval-uniform-paper8.csv"],
-     "eval-uniform-paper8.csv", False),
+     "eval-uniform-paper8.csv"),
     ("eval-dpp-v0", ["eval", "--profile", "paper", "--controller", "dpp", "--Vprime", "0",
                      "--episodes", "2", "--seed", "3", "--out", "eval-dpp-v0.csv"],
-     "eval-dpp-v0.csv", True),
-    ("simulate-dpp-v0", ["simulate", "--profile", "paper8", "--steps", "200",
-                         "--controller", "dpp", "--Vprime", "0", "--seed", "1",
-                         "--out", "simulate-dpp-v0.csv"], "simulate-dpp-v0.csv", True),
+     "eval-dpp-v0.csv"),
+    ("eval-trace-dpp-v0", ["eval", "--profile", "paper8", "--steps", "200",
+                           "--controller", "dpp", "--Vprime", "0", "--seed", "1",
+                           "--episodes", "1", "--trace", "eval-trace-dpp-v0.csv"],
+     "eval-trace-dpp-v0.csv"),
     ("sweep-dpp", ["sweep", "--profile", "paper", "--controller", "dpp",
                    "--Vprime", "0,1e11", "--seeds", "0", "--episodes", "1",
-                   "--out", "sweep-dpp.csv"], "sweep-dpp.csv", True),
+                   "--out", "sweep-dpp.csv"], "sweep-dpp.csv"),
     ("eval-dpp-vcost", ["eval", "--profile", "paper", "--controller", "dpp",
                         "--Vprime", "1e11", "--episodes", "2", "--seed", "3",
-                        "--out", "eval-dpp-vcost.csv"], "eval-dpp-vcost.csv", True),
-    ("simulate-dpp-vcost", ["simulate", "--profile", "desk", "--steps", "200",
-                            "--controller", "dpp", "--Vprime", "1e9", "--seed", "1",
-                            "--out", "simulate-dpp-vcost.csv"],
-     "simulate-dpp-vcost.csv", True),
+                        "--out", "eval-dpp-vcost.csv"], "eval-dpp-vcost.csv"),
+    ("eval-trace-dpp-vcost", ["eval", "--profile", "desk", "--steps", "200",
+                              "--controller", "dpp", "--Vprime", "1e9", "--seed", "1",
+                              "--episodes", "1", "--trace", "eval-trace-dpp-vcost.csv"],
+     "eval-trace-dpp-vcost.csv"),
     ("compare", ["compare", "--profile", "desk", "--Vprime", "1e11", "--steps", "600",
-                 "--out", "compare.csv"], "compare.csv", True),
+                 "--out", "compare.csv"], "compare.csv"),
     ("sweep-sac", ["sweep", "--profile", "desk", "--controller", "sac",
                    "--Vgrid", "0,1e9", "--seeds", "0", "--steps", "400",
-                   "--episodes", "2", "--out", "sweep-sac.csv"], "sweep-sac.csv", False),
+                   "--episodes", "2", "--out", "sweep-sac.csv"], "sweep-sac.csv"),
 )
 
 
@@ -87,17 +92,21 @@ def checkpoint_hash(path: Path) -> str:
     return h.hexdigest()
 
 
-def simd_found() -> list:
-    return np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+def host_record() -> str:
+    """numpy's SIMD baseline and the extensions it dispatches to on this
+    host; a host with the baseline alone has no "found" list."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    return (f"numpy SIMD baseline: {', '.join(simd['baseline'])}; "
+            f"found: {', '.join(simd.get('found', [])) or 'none'}")
 
 
-def run_all(work: Path) -> tuple[dict, set]:
-    """({pin name: hash}, the pin names a DPP solve makes)."""
+def run_all(work: Path) -> dict:
+    """{pin name: hash}"""
     env = {**os.environ, **THREADS,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
-    hashes, dpp = {}, set()
-    for name, argv, csv_name, uses_dpp in COMMANDS:
+    hashes = {}
+    for name, argv, csv_name in COMMANDS:
         done = subprocess.run([sys.executable, "-m", "lyaq.cli", *argv], cwd=work,
                               env=env, capture_output=True, check=False)
         if done.returncode != 0:
@@ -106,11 +115,9 @@ def run_all(work: Path) -> tuple[dict, set]:
         stdout = done.stdout.replace(str(work).encode() + os.sep.encode(), b"")
         hashes[f"{name}.csv"] = sha256((work / csv_name).read_bytes())
         hashes[f"{name}.stdout"] = sha256(stdout)
-        if uses_dpp:
-            dpp |= {f"{name}.csv", f"{name}.stdout"}
         print(f"ran {name}", file=sys.stderr)
     hashes["train.checkpoint-arrays"] = checkpoint_hash(work / "agent.npz")
-    return hashes, dpp
+    return hashes
 
 
 def main(argv=None) -> int:
@@ -119,7 +126,7 @@ def main(argv=None) -> int:
                     help="rewrite the pin table from this tree instead of checking")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="lyaq-pins-") as tmp:
-        hashes, dpp = run_all(Path(tmp))
+        hashes = run_all(Path(tmp))
     if args.write:
         TABLE.write_text(json.dumps(hashes, indent=2) + "\n")
         print(f"{len(hashes)} pins written to {TABLE}")
@@ -133,9 +140,9 @@ def main(argv=None) -> int:
         if want != got:
             bad += 1
             line += f" (pinned {want})"
-            if name in dpp:
-                line += f" [numpy SIMD found: {', '.join(simd_found())}]"
         print(line)
+    if bad:
+        print(host_record())
     print(f"{bad} mismatch(es)" if bad else f"all {len(pinned)} pins hold")
     return 1 if bad else 0
 

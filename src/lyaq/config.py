@@ -10,9 +10,9 @@ values when it is built, by `replace` too: it raises `ConfigError`, whose
 Power costs are in kappa*(Gcycles/s)^3 units. The constant kappa itself is
 not modelled: it would only rescale the penalty weight V. The learner's
 discount factor gamma is `SacConfig.discount`, not part of the system.
-`config_from_dict` ignores keys that are not fields, such as the `kappa`,
-`discount` and `n_queues` keys that configs written by earlier versions hold:
-the number of queues is the number of apps.
+`config_from_dict` refuses keys that are not fields, but for the `kappa`,
+`discount` and `n_queues` keys that configs written by earlier versions hold,
+which it ignores: the number of queues is the number of apps.
 
 It is the one way from a description to a `SystemConfig`: the built-in
 `PROFILES` are config dicts in the layout of a JSON file, and `get_profile`
@@ -36,6 +36,7 @@ BITS_PER_KB = 8.0 * 1024
 BITS_PER_MB = 8.0 * 1024 * 1024
 
 CLOUD_COST_KINDS = ("cubic", "per-core")
+_LEGACY_KEYS = ("kappa", "discount", "n_queues")
 
 
 def parse_size(value) -> float:
@@ -238,8 +239,10 @@ def config_from_dict(d: dict) -> SystemConfig:
     """Inverse of `dataclasses.asdict` on a SystemConfig. The required keys
     are the fields of SystemConfig and, per app, of AppProfile that have no
     default; AppProfile fills a missing size_mean or size_std from the size
-    bounds. A ValueError names every missing required key, the apps' keys as
-    apps[i].key; so does a value of the wrong JSON type."""
+    bounds. A ValueError names every key that is not a field (but for the
+    earlier versions' keys of the module docstring), else every missing
+    required key, the apps' keys as apps[i].key; so does a value of the
+    wrong JSON type."""
     if not isinstance(d, dict):
         raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
     entries = d.get("apps", [])
@@ -248,6 +251,12 @@ def config_from_dict(d: dict) -> SystemConfig:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"apps[{i}] must be a JSON object, got {type(entry).__name__}")
+    top, app = ({f.name for f in fields(cls)} for cls in (SystemConfig, AppProfile))
+    unknown = [key for key in d if key not in top and key not in _LEGACY_KEYS]
+    unknown += [f"apps[{i}].{key}" for i, entry in enumerate(entries)
+                for key in entry if key not in app]
+    if unknown:
+        raise ValueError(f"config has unknown key(s): {', '.join(unknown)}")
     missing = [f.name for f in fields(SystemConfig) if f.default is MISSING and f.name not in d]
     missing += [f"apps[{i}].{f.name}" for i, entry in enumerate(entries)
                 for f in fields(AppProfile) if f.default is MISSING and f.name not in entry]

@@ -40,6 +40,11 @@ def param_shapes(sizes) -> list[tuple]:
             for shape in ((fan_in, fan_out), (fan_out,))]
 
 
+def param_count(sizes) -> int:
+    """Length of the flat parameter buffer of a net of layer widths `sizes`."""
+    return sum(math.prod(s) for s in param_shapes(sizes))
+
+
 def back_product(delta: np.ndarray, W: np.ndarray) -> np.ndarray:
     """delta @ W.T, the gradient a layer of weights W passes down. For a
     fan-out of 1 it is the broadcast product delta * W.T: the same values as
@@ -54,7 +59,7 @@ class DenseNet:
     def __init__(self, sizes, rng: np.random.Generator,
                  final_weight_scale: float = 1.0):
         self.sizes = tuple(int(s) for s in sizes)
-        self.bind(np.empty(sum(math.prod(s) for s in param_shapes(self.sizes))))
+        self.bind(np.empty(param_count(self.sizes)))
         for fan_in, (W, b) in zip(self.sizes, self._hidden + [self._out]):
             bound = 1.0 / np.sqrt(fan_in)
             W[...] = rng.uniform(-bound, bound, size=W.shape)

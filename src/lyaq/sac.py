@@ -43,16 +43,15 @@ episode, and saved with the checkpoint), and passes it to each `update`.
 `SacAgent.observe`, `env.StateVector.observation` over `env.observation_scale`,
 is the one path from a state to what the nets read.
 
-Checkpoints are `np.savez` archives of `SacAgent.state_dict()`, format 2:
-`<net>.<i>` for the i-th parameter of policy, q1, q2, q1_target and
-q2_target; `<opt>.m<i>` and `<opt>.v<i>` for the Adam moments of policy_opt,
-q1_opt and q2_opt; `normalizer.scale`, the observation scale; and `meta`,
-the UTF-8 JSON bytes of format_version, sac_cfg, state_dim, action_dim,
-reward_scale and update_count. The layer widths (`net_sizes`) and the Adam
-step counts (each equal to update_count) follow from these. No replay is
-saved, and a loaded agent holds none. A sac_cfg key that `SacConfig` does
-not have fails the load. Format 1 files load too: their net_sizes and
-opt_steps are not read, and a state_aux other than "arrival" fails the load.
+Checkpoints are `np.savez` archives of `SacAgent.state_dict()`, format 3,
+the agent's in-memory layout: each net's flat parameter buffer under its
+name (policy, q1, q2, q1_target, q2_target); `<opt>.m` and `<opt>.v`, the
+flat Adam moments of policy_opt, q1_opt and q2_opt; `normalizer.scale`, the
+observation scale; and `meta`, the UTF-8 JSON bytes of format_version,
+sac_cfg, state_dim, action_dim, reward_scale and update_count, from which
+the layer widths (`net_sizes`) and the Adam step counts (update_count each)
+follow. No replay is saved. A sac_cfg key that `SacConfig` does not have
+fails the load, as does any other format.
 """
 
 from __future__ import annotations
@@ -65,12 +64,16 @@ import numpy as np
 
 from .config import SystemConfig
 from .env import Action, StateVector, observation_scale
-from .nets import Adam, DenseNet, param_shapes, soft_update
+from .nets import Adam, DenseNet, param_count, soft_update
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 # 2**-63, the square root of float32's smallest normal: a product of two
 # numbers this large is still a normal float32 (see flush_tiny)
 FLUSH_FLOOR = float(np.finfo(np.float32).tiny) ** 0.5
+# the target nets' soft-update coefficient, and the clip of the policy's
+# log-std; Python floats, so float32 operands stay float32
+TARGET_SMOOTHING = 0.005
+LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,8 @@ class SacConfig:
     discount: float = 0.999
     buffer_capacity: int = 1_000_000
     batch_size: int = 256
-    target_smoothing: float = 0.005
     entropy_weight: float = 0.2       # zeta
     hidden_sizes: tuple = (256, 256)
-    log_std_min: float = -5.0
-    log_std_max: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -160,14 +160,13 @@ def flush_tiny(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def squashed_sample(out: np.ndarray, eps: np.ndarray, sac_cfg: SacConfig):
+def squashed_sample(out: np.ndarray, eps: np.ndarray):
     """Squash policy outputs (..., 2A) under noise eps (..., A): split mean
     and log-std, clip the log-std, draw z = mu + exp(log_std) * eps and map z
     onto both simplexes. Returns (action, log_std); a caller that reads the
     log-density takes `gaussian_logp(eps, log_std)`."""
     half = out.shape[-1] // 2
-    log_std = np.minimum(np.maximum(out[..., half:], sac_cfg.log_std_min),
-                         sac_cfg.log_std_max)
+    log_std = np.minimum(np.maximum(out[..., half:], LOG_STD_MIN), LOG_STD_MAX)
     return dual_softmax(out[..., :half] + np.exp(log_std) * eps), log_std
 
 
@@ -188,17 +187,17 @@ def critic_loss_and_grads(q1: DenseNet, q2: DenseNet, s, a, y):
 
 
 def actor_loss_and_grads(policy: DenseNet, q1: DenseNet, q2: DenseNet, s,
-                         eps: np.ndarray, zeta: float, sac_cfg: SacConfig):
+                         eps: np.ndarray, zeta: float):
     """mean(zeta * log pi - min(Q1, Q2)) under a fixed reparameterization
     noise eps; returns the loss and the policy parameter gradients."""
     m = len(s)
     out, cache = policy.forward_cache(s)
-    a, log_std = squashed_sample(out, eps, sac_cfg)
+    a, log_std = squashed_sample(out, eps)
     flush_tiny(a)
     logp = gaussian_logp(eps, log_std)
     # the log-std entries strictly inside the clip range, the ones a
     # gradient reaches (the clip keeps each raw entry's side of either bound)
-    clip_mask = (log_std > sac_cfg.log_std_min) & (log_std < sac_cfg.log_std_max)
+    clip_mask = (log_std > LOG_STD_MIN) & (log_std < LOG_STD_MAX)
     std = np.exp(log_std)
 
     x = np.concatenate([s, a], axis=1)
@@ -276,7 +275,7 @@ class SacAgent:
         if rng is None:
             return dual_softmax(out[:self.action_dim])
         eps = rng.standard_normal(self.action_dim)
-        return squashed_sample(out, eps, self.sac_cfg)[0]
+        return squashed_sample(out, eps)[0]
 
     def observe(self, state: StateVector) -> np.ndarray:
         """What the nets read of a state: its observation over the scale."""
@@ -318,7 +317,7 @@ class SacAgent:
         # resample the next action from the current policy (eps2 is drawn
         # before the actor's eps, both in float64 and then rounded)
         eps2 = rng.standard_normal((m, self.action_dim)).astype(np.float32)
-        a2, log_std2 = squashed_sample(policy.forward(s2), eps2, cfg)
+        a2, log_std2 = squashed_sample(policy.forward(s2), eps2)
 
         x2 = np.concatenate([s2, flush_tiny(a2)], axis=1)
         q_next = np.minimum(q1_target.forward(x2), q2_target.forward(x2))[:, 0]
@@ -331,12 +330,12 @@ class SacAgent:
         q1, q2 = self._refreshed("q1", "q2")
 
         eps = rng.standard_normal((m, self.action_dim)).astype(np.float32)
-        aloss, pgrads = actor_loss_and_grads(policy, q1, q2, s, eps, zeta, cfg)
+        aloss, pgrads = actor_loss_and_grads(policy, q1, q2, s, eps, zeta)
         self.policy_opt.step(self.policy.flat, pgrads)
 
         self.update_count += 1
-        soft_update(self.q1_target, self.q1, cfg.target_smoothing)
-        soft_update(self.q2_target, self.q2, cfg.target_smoothing)
+        soft_update(self.q1_target, self.q1, TARGET_SMOOTHING)
+        soft_update(self.q2_target, self.q2, TARGET_SMOOTHING)
 
         if not (np.isfinite(closs) and np.isfinite(aloss)):
             raise FloatingPointError(
@@ -349,29 +348,20 @@ class SacAgent:
 
     _NETS = ("policy", "q1", "q2", "q1_target", "q2_target")
     _OPTS = ("policy_opt", "q1_opt", "q2_opt")
+    _SCALARS = ("state_dim", "action_dim", "reward_scale", "update_count")
 
     def state_dict(self) -> dict:
-        """Every weight matrix, optimizer moment and the observation scale by
-        name, plus the JSON `meta` record as a byte array (the checkpoint
-        layout of the module docstring). The arrays are the live ones."""
-        arrays = {}
-        for name in self._NETS:
-            for i, p in enumerate(getattr(self, name).params):
-                arrays[f"{name}.{i}"] = p
+        """Each net's parameter buffer, each optimizer's moments and the
+        observation scale by name, plus the JSON `meta` record as a byte
+        array (the checkpoint layout of the module docstring). The arrays
+        are the live ones."""
+        arrays = {name: getattr(self, name).flat for name in self._NETS}
         for name in self._OPTS:
-            opt, net = getattr(self, name), getattr(self, name[:-len("_opt")])
-            for key in ("m", "v"):
-                for i, mom in enumerate(net.views(getattr(opt, key))):
-                    arrays[f"{name}.{key}{i}"] = mom
+            opt = getattr(self, name)
+            arrays[f"{name}.m"], arrays[f"{name}.v"] = opt.m, opt.v
         arrays["normalizer.scale"] = self.obs_scale
-        meta = {
-            "format_version": 2,
-            "sac_cfg": asdict(self.sac_cfg),
-            "state_dim": self.state_dim,
-            "action_dim": self.action_dim,
-            "reward_scale": self.reward_scale,
-            "update_count": self.update_count,
-        }
+        meta = {key: getattr(self, key) for key in self._SCALARS}
+        meta.update(format_version=3, sac_cfg=asdict(self.sac_cfg))
         arrays["meta"] = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
         return arrays
@@ -381,15 +371,12 @@ class SacAgent:
         """An independent agent from a `state_dict()` mapping (or an open
         checkpoint): arrays are copied, and no replay comes with it.
         A missing, surplus or misshapen array raises ValueError, as does a
-        format-1 observation other than "arrival"."""
+        format other than 3."""
         if "meta" not in arrays:
             raise ValueError("checkpoint has no 'meta' record")
         meta = json.loads(bytes(arrays["meta"]).decode())
-        if meta.get("format_version") not in (1, 2):
+        if meta.get("format_version") != 3:
             raise ValueError(f"unknown checkpoint format {meta.get('format_version')}")
-        if meta.get("state_aux", "arrival") != "arrival":
-            raise ValueError(f"checkpoint observation state_aux={meta['state_aux']!r} "
-                             "is no longer supported; only 'arrival' is")
         used = {"meta"}
 
         def take(key, shape):
@@ -402,27 +389,21 @@ class SacAgent:
             used.add(key)
             return arr
 
-        def gather(prefix, sizes):  # one flat buffer from arrays <prefix><i>
-            return np.concatenate([take(f"{prefix}{i}", shape).ravel()
-                                   for i, shape in enumerate(param_shapes(sizes))])
-
         try:
             agent = cls.__new__(cls)
             agent.sac_cfg = SacConfig(**meta["sac_cfg"])
-            agent.state_dim = meta["state_dim"]
-            agent.action_dim = meta["action_dim"]
-            agent.reward_scale = meta["reward_scale"]
-            agent.update_count = meta["update_count"]
+            for key in cls._SCALARS:
+                setattr(agent, key, meta[key])
             sizes = net_sizes(agent.state_dim, agent.action_dim,
                               agent.sac_cfg.hidden_sizes)
             for name in cls._NETS:
                 setattr(agent, name, DenseNet.from_flat(
-                    sizes[name], gather(f"{name}.", sizes[name])))
+                    sizes[name], take(name, (param_count(sizes[name]),))))
             for name in cls._OPTS:
-                widths = sizes[name[:-len("_opt")]]
+                shape = getattr(agent, name[:-len("_opt")]).flat.shape
                 opt = Adam(0, lr=agent.sac_cfg.learning_rate)
                 opt.t = agent.update_count  # each update steps every optimizer once
-                opt.m, opt.v = gather(f"{name}.m", widths), gather(f"{name}.v", widths)
+                opt.m, opt.v = take(f"{name}.m", shape), take(f"{name}.v", shape)
                 setattr(agent, name, opt)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"checkpoint meta is incomplete: {exc!r}") from exc

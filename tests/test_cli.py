@@ -147,8 +147,12 @@ def test_config_with_missing_keys_fails_clearly(tmp_path, capsys):
     (lambda d: {**d, "edge_cores": None}, "edge_cores: expected a number, got None"),
     (lambda d: {**d, "edge_clock": "fast"}, "edge_clock: expected a number, got 'fast'"),
     (lambda d: {**d, "apps": "xy"}, "apps must be a list of JSON objects, got str"),
+    # misspelt keys would otherwise leave their fields at the default
+    (lambda d: {**d, "cloud_cost_knd": "per-core",
+                "apps": [{**d["apps"][0], "size_mena": 1e5}, *d["apps"][1:]]},
+     "config has unknown key(s): cloud_cost_knd, apps[0].size_mena"),
 ], ids=["top-level-list", "app-not-an-object", "null-number", "word-for-a-number",
-        "apps-a-string"])
+        "apps-a-string", "misspelt-key"])
 def test_malformed_config_fails_naming_its_key(tmp_path, capsys, edit, message):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(edit(asdict(replace(get_profile("desk"), episode_length=20)))))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lyaq.config import get_profile
 from lyaq.env import ARRIVAL_WINDOW, Action, EdgeCloudEnv, cloud_cost, edge_cost
-from lyaq.sac import SacConfig, gaussian_logp, squashed_sample
+from lyaq.sac import gaussian_logp, squashed_sample
 from reference_dynamics import (actual_cpu_use, compute_departure, compute_offload,
                                 queue_update)
 from test_sac import reference_squashed_sample
@@ -120,10 +120,9 @@ def test_squashed_actions_lie_on_both_simplexes(sample):
     # and gaussian_logp bit for bit the log-density it returned
     out, eps = sample
     for noise in (eps, np.zeros_like(eps)):  # stochastic, then deterministic
-        action, log_std = squashed_sample(out, noise, SacConfig())
+        action, log_std = squashed_sample(out, noise)
         logp = gaussian_logp(noise, log_std)
-        ref_action, ref_logp, ref_log_std, _ = reference_squashed_sample(
-            out, noise, SacConfig())
+        ref_action, ref_logp, ref_log_std, _ = reference_squashed_sample(out, noise)
         assert action.tobytes() == ref_action.tobytes()
         assert log_std.tobytes() == ref_log_std.tobytes()
         assert np.asarray(logp).tobytes() == np.asarray(ref_logp).tobytes()

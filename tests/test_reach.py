@@ -263,4 +263,4 @@ def settable_values():
 
 def test_settable_values_are_pinned():
     # a change that adds or removes a setting edits this pin, and says so
-    assert settable_values() == (22, 55, 9)
+    assert settable_values() == (19, 55, 9)

@@ -10,7 +10,8 @@ from lyaq.env import (ARRIVAL_BLOCK, ARRIVAL_WINDOW, Action, EdgeCloudEnv,
                       StateVector, observation_scale)
 from lyaq.harness import train
 from lyaq.nets import DenseNet
-from lyaq.sac import (FLUSH_FLOOR, LOG_2PI, ReplayBuffer, SacAgent, SacConfig,
+from lyaq.sac import (FLUSH_FLOOR, LOG_2PI, LOG_STD_MAX, LOG_STD_MIN,
+                      TARGET_SMOOTHING, ReplayBuffer, SacAgent, SacConfig,
                       actor_loss_and_grads, critic_loss_and_grads,
                       dual_softmax, flush_tiny, gaussian_logp, squashed_sample)
 from lyaq.traffic import sample_arrivals
@@ -38,11 +39,11 @@ def reference_dual_softmax(z):
     return out
 
 
-def reference_squashed_sample(out, eps, sac_cfg):
+def reference_squashed_sample(out, eps):
     half = out.shape[-1] // 2
     mu, raw = out[..., :half], out[..., half:]
-    log_std = np.clip(raw, sac_cfg.log_std_min, sac_cfg.log_std_max)
-    clip_mask = (raw > sac_cfg.log_std_min) & (raw < sac_cfg.log_std_max)
+    log_std = np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
+    clip_mask = (raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)
     action = reference_dual_softmax(mu + np.exp(log_std) * eps)
     logp = np.sum(-0.5 * eps ** 2 - log_std - 0.5 * LOG_2PI, axis=-1)
     return action, logp, log_std, clip_mask
@@ -288,7 +289,7 @@ def reference_policy_sample(self, state_norm, deterministic=False, rng=None):
         raise ValueError("stochastic sampling needs an rng")
     else:
         eps = rng.standard_normal(self.action_dim)
-    action, logp, _, _ = reference_squashed_sample(out, eps, self.sac_cfg)
+    action, logp, _, _ = reference_squashed_sample(out, eps)
     return action, float(logp)
 
 
@@ -337,7 +338,7 @@ class TestDeterministicAct:
                                                     rng=np.random.default_rng(seed))
             assert got.tobytes() == ref.tobytes()
             eps = np.random.default_rng(seed).standard_normal(cfg.action_dim)
-            action, log_std = squashed_sample(out, eps, agent.sac_cfg)
+            action, log_std = squashed_sample(out, eps)
             assert action.tobytes() == ref.tobytes()
             assert float(gaussian_logp(eps, log_std)) == ref_logp
 
@@ -369,7 +370,6 @@ class TestGradients:
 
     def test_actor_loss_gradients(self):
         rng = np.random.default_rng(5)
-        sac_cfg = SacConfig(hidden_sizes=(8,), log_std_min=-5, log_std_max=2)
         state_dim, action_dim = 5, 4
         policy = DenseNet([state_dim, 8, 2 * action_dim], rng)
         q1 = DenseNet([state_dim + action_dim, 8, 1], rng)
@@ -378,15 +378,14 @@ class TestGradients:
         eps = rng.standard_normal((6, action_dim))
         zeta = 0.3
 
-        loss, an = actor_loss_and_grads(policy, q1, q2, s, eps, zeta, sac_cfg)
+        loss, an = actor_loss_and_grads(policy, q1, q2, s, eps, zeta)
         flat = policy.flat.copy()
         fd = np.zeros_like(flat)
         for i in range(flat.size):
             for sign in (1.0, -1.0):
                 policy.flat[:] = flat
                 policy.flat[i] += sign * 1e-5
-                fd[i] += sign * actor_loss_and_grads(policy, q1, q2, s, eps,
-                                                     zeta, sac_cfg)[0]
+                fd[i] += sign * actor_loss_and_grads(policy, q1, q2, s, eps, zeta)[0]
         policy.flat[:] = flat
         fd /= 2e-5
         denom = np.maximum(np.abs(fd), np.maximum(np.abs(an), 1e-6))
@@ -416,10 +415,10 @@ def reference_critic_loss_and_grads(q1, q2, s, a, y):
     return loss, g1, g2
 
 
-def reference_actor_loss_and_grads(policy, q1, q2, s, eps, zeta, sac_cfg):
+def reference_actor_loss_and_grads(policy, q1, q2, s, eps, zeta):
     m = len(s)
     out, cache = reference_forward_cache(policy, s)
-    a, logp, log_std, clip_mask = reference_squashed_sample(out, eps, sac_cfg)
+    a, logp, log_std, clip_mask = reference_squashed_sample(out, eps)
     if a.dtype == np.float32:
         flush_tiny(a)
     std = np.exp(log_std)
@@ -474,7 +473,7 @@ def reference_update(self, buffer, rng, dtype=np.float64):
 
     eps2 = rng.standard_normal((m, self.action_dim)).astype(dtype)
     out2 = reference_forward(policy, s2)
-    a2, logp2, _, _ = reference_squashed_sample(out2, eps2, cfg)
+    a2, logp2, _, _ = reference_squashed_sample(out2, eps2)
     if dtype == np.float32:
         flush_tiny(a2)
 
@@ -489,12 +488,12 @@ def reference_update(self, buffer, rng, dtype=np.float64):
     q1, q2 = work("q1"), work("q2")
 
     eps = rng.standard_normal((m, self.action_dim)).astype(dtype)
-    aloss, pgrads = reference_actor_loss_and_grads(policy, q1, q2, s, eps, zeta, cfg)
+    aloss, pgrads = reference_actor_loss_and_grads(policy, q1, q2, s, eps, zeta)
     reference_opt_step(self, "policy", pgrads)
 
     self.update_count += 1
-    reference_soft_update(self.q1_target, self.q1, cfg.target_smoothing)
-    reference_soft_update(self.q2_target, self.q2, cfg.target_smoothing)
+    reference_soft_update(self.q1_target, self.q1, TARGET_SMOOTHING)
+    reference_soft_update(self.q2_target, self.q2, TARGET_SMOOTHING)
     return {"critic_loss": closs, "actor_loss": aloss}
 
 
@@ -502,6 +501,22 @@ def replay_for(agent) -> ReplayBuffer:
     """An empty replay ring at the agent's configured capacity."""
     return ReplayBuffer(agent.sac_cfg.buffer_capacity, agent.state_dim,
                         agent.action_dim)
+
+
+def by_parameter(agent, arrays) -> dict:
+    """The state dict `arrays` of agent with each net buffer and Adam moment
+    split into per-parameter views, keyed as checkpoint format 2 keyed them:
+    `<net>.<i>`, `<opt>.m<i>` and `<opt>.v<i>`."""
+    out = {key: arrays[key] for key in ("normalizer.scale", "meta")}
+    for name in SacAgent._NETS:
+        views = getattr(agent, name).views(arrays[name])
+        out.update((f"{name}.{i}", p) for i, p in enumerate(views))
+    for name in SacAgent._OPTS:
+        net = getattr(agent, name.removesuffix("_opt"))
+        for key in ("m", "v"):
+            views = net.views(arrays[f"{name}.{key}"])
+            out.update((f"{name}.{key}{i}", p) for i, p in enumerate(views))
+    return out
 
 
 class TestUpdates:
@@ -608,7 +623,7 @@ class TestUpdates:
         n = cfg.action_dim
         out2 = f32(ref.policy).forward(s2)
         eps2 = rng.standard_normal((len(s), n)).astype(np.float32)
-        log_std2 = np.clip(out2[:, n:], TOY.log_std_min, TOY.log_std_max)
+        log_std2 = np.clip(out2[:, n:], LOG_STD_MIN, LOG_STD_MAX)
         a2 = flush_tiny(dual_softmax(out2[:, :n] + np.exp(log_std2) * eps2))
         x2 = np.concatenate([s2, a2], axis=1)
         q_next = np.minimum(f32(ref.q1_target).forward(x2),
@@ -619,7 +634,7 @@ class TestUpdates:
         ref.q2_opt.step(ref.q2.flat, g2)
         eps = rng.standard_normal((len(s), n)).astype(np.float32)
         _, pg = actor_loss_and_grads(f32(ref.policy), f32(ref.q1), f32(ref.q2), s,
-                                     eps, TOY.entropy_weight, TOY)
+                                     eps, TOY.entropy_weight)
         assert g1.dtype == g2.dtype == pg.dtype == np.float32
         ref.policy_opt.step(ref.policy.flat, pg)
         for name in ("policy", "q1", "q2"):
@@ -694,13 +709,15 @@ class TestFloat32Update:
         for _ in range(20):
             agent.update(buffer, rng)
         twin = SacAgent.from_state_dict(agent.state_dict())
-        before = {key: arr.copy() for key, arr in agent.state_dict().items()}
+        before = {key: arr.copy()
+                  for key, arr in by_parameter(agent, agent.state_dict()).items()}
 
         losses = agent.update(buffer, np.random.default_rng(42))
         ref_losses = reference_update(twin, buffer, np.random.default_rng(42))
         for key, ref in ref_losses.items():
             assert abs(losses[key] - ref) <= 1e-5 * abs(ref), key
-        got, want = agent.state_dict(), twin.state_dict()
+        got = by_parameter(agent, agent.state_dict())
+        want = by_parameter(twin, twin.state_dict())
         assert got.keys() == want.keys()
         for key in got.keys() - {"meta", "normalizer.scale"}:
             assert got[key].dtype == np.float64, key
@@ -825,7 +842,7 @@ class TestCheckpoint:
             for _ in range(8):
                 buffer.push(rng.random(cfg.state_dim), rng.random(cfg.action_dim),
                             -rng.random(), rng.random(cfg.state_dim))
-            live = agent.state_dict()
+            live = by_parameter(agent, agent.state_dict())
             before = {key: arr.copy() for key, arr in live.items()}
             x = rng.random((3, cfg.state_dim))
             out = agent.policy.forward(x)
@@ -874,10 +891,40 @@ class TestCheckpoint:
     def test_an_unknown_format_version_is_refused_by_name(self, cfg):
         arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(24)).state_dict()
         meta = json.loads(bytes(arrays["meta"]).decode())
-        meta["format_version"] = 3
+        meta["format_version"] = 4
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        with pytest.raises(ValueError, match="^unknown checkpoint format 3$"):
+        with pytest.raises(ValueError, match="^unknown checkpoint format 4$"):
             SacAgent.from_state_dict(arrays)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_an_earlier_format_is_refused_by_name(self, tmp_path, cfg, version):
+        # the per-parameter layout, with the settings both formats saved in
+        # meta and the layer widths, Adam step counts and observation kind
+        # that format 1 saved as well
+        agent = SacAgent(cfg, TOY, rng=np.random.default_rng(24))
+        arrays = by_parameter(agent, agent.state_dict())
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["format_version"] = version
+        meta["sac_cfg"].update(target_smoothing=0.005, log_std_min=-5.0, log_std_max=2.0)
+        if version == 1:
+            meta.update(state_aux="arrival",
+                        net_sizes={name: list(getattr(agent, name).sizes)
+                                   for name in SacAgent._NETS},
+                        opt_steps={name: 0 for name in SacAgent._OPTS})
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        assert len(arrays) == 68
+        np.savez(tmp_path / "old.npz", **arrays)
+        with pytest.raises(ValueError, match=f"^unknown checkpoint format {version}$"):
+            SacAgent.load(tmp_path / "old.npz")
+
+    @pytest.mark.parametrize("sac_cfg", [TOY, DEEP], ids=["2-hidden", "3-hidden"])
+    def test_a_checkpoint_holds_one_array_per_buffer(self, tmp_path, cfg, sac_cfg):
+        SacAgent(cfg, sac_cfg, rng=np.random.default_rng(24)).save(tmp_path / "a.npz")
+        with np.load(tmp_path / "a.npz") as data:
+            assert sorted(data.files) == sorted([
+                "policy", "q1", "q2", "q1_target", "q2_target",
+                "policy_opt.m", "policy_opt.v", "q1_opt.m", "q1_opt.v",
+                "q2_opt.m", "q2_opt.v", "normalizer.scale", "meta"])
 
     def test_meta_with_an_unknown_setting_fails_to_load(self, cfg):
         # gradient_steps is a setting that checkpoints of earlier versions hold
@@ -899,7 +946,7 @@ class TestCheckpoint:
                                              "positive integers"):
             SacAgent.from_state_dict(arrays)
 
-    @pytest.mark.parametrize("key", ["q1.0", "policy_opt.v3", "normalizer.scale"])
+    @pytest.mark.parametrize("key", ["q1", "policy_opt.v", "normalizer.scale"])
     def test_missing_array_is_named(self, cfg, key):
         arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(20)).state_dict()
         del arrays[key]
@@ -908,15 +955,15 @@ class TestCheckpoint:
 
     def test_misshapen_array_is_named(self, cfg):
         arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(21)).state_dict()
-        arrays["q2_target.2"] = np.zeros((8, 9))
-        with pytest.raises(ValueError, match=r"'q2_target.2' has shape \(8, 9\), "
-                                             r"expected \(8, 8\)"):
+        arrays["q2_target"] = np.zeros((8, 9))
+        with pytest.raises(ValueError, match=r"'q2_target' has shape \(8, 9\), "
+                                             r"expected \(225,\)"):
             SacAgent.from_state_dict(arrays)
 
     def test_surplus_array_is_named(self, cfg):
         arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(22)).state_dict()
-        arrays["q1.6"] = np.zeros(1)
-        with pytest.raises(ValueError, match=r"unexpected arrays \['q1.6'\]"):
+        arrays["q1.0"] = np.zeros(1)
+        with pytest.raises(ValueError, match=r"unexpected arrays \['q1.0'\]"):
             SacAgent.from_state_dict(arrays)
 
     def test_missing_meta_fails_to_load(self, tmp_path, cfg):
@@ -933,39 +980,3 @@ class TestCheckpoint:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with pytest.raises(ValueError, match="meta is incomplete.*update_count"):
             SacAgent.from_state_dict(arrays)
-
-    @staticmethod
-    def _format_1(agent, state_aux):
-        """agent's state dict with the meta a format-1 file holds: its
-        layer widths, Adam step counts and observation kind as well."""
-        arrays = agent.state_dict()
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        meta.update(format_version=1, state_aux=state_aux,
-                    net_sizes={name: list(getattr(agent, name).sizes)
-                               for name in SacAgent._NETS},
-                    opt_steps={name: getattr(agent, name).t for name in SacAgent._OPTS})
-        arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
-                                       dtype=np.uint8)
-        return arrays
-
-    def test_format_1_meta_loads_bit_for_bit(self, tmp_path, cfg):
-        agent = SacAgent(cfg, TOY, rng=np.random.default_rng(25))
-        buffer = TestUpdates()._fill_buffer(agent, cfg, n=20)
-        rng = np.random.default_rng(26)
-        for _ in range(3):
-            agent.update(buffer, rng)
-        np.savez(tmp_path / "v1.npz", **self._format_1(agent, "arrival"))
-        loaded = SacAgent.load(tmp_path / "v1.npz")
-        got, want = loaded.state_dict(), agent.state_dict()
-        assert got.keys() == want.keys()
-        for key in got:
-            assert got[key].tobytes() == want[key].tobytes(), key
-        for name in SacAgent._NETS:
-            assert getattr(loaded, name).sizes == getattr(agent, name).sizes
-        for name in SacAgent._OPTS:
-            assert getattr(loaded, name).t == getattr(agent, name).t == 3
-
-    def test_format_1_backlog_observation_is_refused_by_name(self, cfg):
-        agent = SacAgent(cfg, TOY, rng=np.random.default_rng(27))
-        with pytest.raises(ValueError, match="state_aux='backlog'"):
-            SacAgent.from_state_dict(self._format_1(agent, "backlog"))

@@ -1,8 +1,8 @@
 """Check that the pinned `lyaq` commands print the bytes they printed before.
 
-Runs ten commands, which cover every controller and every command that
-writes a CSV, in a temporary directory at one BLAS thread, and hashes with
-sha256:
+Runs twelve commands, which cover every controller, every reward kind and
+every command that writes a CSV, in a temporary directory at one BLAS
+thread, and checks 25 sha256 pins:
 - each CSV a command writes;
 - each command's stdout, with the temporary directory's path taken out;
 - the trained checkpoint's arrays: the name and bytes of every array,
@@ -10,12 +10,13 @@ sha256:
 
 It compares every hash with the table in `pins.json` beside this script and
 exits 1 on any mismatch, after one line that records numpy's SIMD baseline
-and found lists. What moves between hosts is the SAC update and short BLAS
-or SIMD reductions. Emulated on one x86-64 host (`NPY_DISABLE_CPU_FEATURES`
-and `OPENBLAS_CORETYPE` reach the child processes), every DPP pin held at
-numpy's X86_V3 and X86_V2 levels and under OpenBLAS's Haswell kernel;
-train.csv moved at each, the checkpoint and sweep-sac at X86_V2 and under
-Haswell, and eval-uniform-paper8 under Haswell.
+and found lists and the kernel the loaded OpenBLAS runs. What moves between
+hosts is the SAC update and short BLAS or SIMD reductions. Emulated on one
+x86-64 host (`NPY_DISABLE_CPU_FEATURES` and `OPENBLAS_CORETYPE` reach the
+child processes), every DPP pin held at numpy's X86_V3 and X86_V2 levels
+and under OpenBLAS's Haswell kernel; train.csv moved at each, the
+checkpoint and sweep-sac at X86_V2 and under Haswell, and
+eval-uniform-paper8 under Haswell.
 
     python tools/pins.py            # check
     python tools/pins.py --write    # re-pin: rewrite pins.json from this tree
@@ -26,6 +27,7 @@ Re-pin only for a change that is meant to move bits, and say why.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -76,6 +78,14 @@ COMMANDS = (
     ("sweep-sac", ["sweep", "--profile", "desk", "--controller", "sac",
                    "--Vgrid", "0,1e9", "--seeds", "0", "--steps", "400",
                    "--episodes", "2", "--out", "sweep-sac.csv"], "sweep-sac.csv"),
+    ("eval-dpp-power", ["eval", "--profile", "desk", "--controller", "dpp",
+                        "--Vprime", "0", "--V", "1e-6", "--nu", "2", "--episodes", "2",
+                        "--seed", "5", "--reward", "power", "--out", "eval-dpp-power.csv"],
+     "eval-dpp-power.csv"),
+    ("eval-dpp-mean-diff", ["eval", "--profile", "desk", "--controller", "dpp",
+                            "--Vprime", "0", "--V", "1e-6", "--nu", "2", "--episodes", "2",
+                            "--seed", "5", "--reward", "mean-diff",
+                            "--out", "eval-dpp-mean-diff.csv"], "eval-dpp-mean-diff.csv"),
 )
 
 
@@ -92,12 +102,38 @@ def checkpoint_hash(path: Path) -> str:
     return h.hexdigest()
 
 
+def loaded_openblas() -> list[str]:
+    """Paths of the OpenBLAS libraries mapped into this process, read from
+    /proc/self/maps; none where that file does not exist."""
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        return []
+    return sorted({line.split(maxsplit=5)[-1] for line in maps.read_text().splitlines()
+                   if "openblas" in line.lower()})
+
+
+def openblas_core() -> str:
+    """The kernel the loaded OpenBLAS runs: its DYNAMIC_ARCH choice for this
+    CPU, or the one OPENBLAS_CORETYPE names. "unknown" where no loaded
+    library has a symbol that names it."""
+    for path in loaded_openblas():
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
 def host_record() -> str:
-    """numpy's SIMD baseline and the extensions it dispatches to on this
-    host; a host with the baseline alone has no "found" list."""
+    """numpy's SIMD baseline, the extensions it dispatches to on this host
+    (a host with the baseline alone has no "found" list) and the OpenBLAS
+    kernel."""
     simd = np.show_config(mode="dicts")["SIMD Extensions"]
     return (f"numpy SIMD baseline: {', '.join(simd['baseline'])}; "
-            f"found: {', '.join(simd.get('found', [])) or 'none'}")
+            f"found: {', '.join(simd.get('found', [])) or 'none'}; "
+            f"OpenBLAS core: {openblas_core()}")
 
 
 def run_all(work: Path) -> dict:

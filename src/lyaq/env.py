@@ -21,6 +21,7 @@ absorbs it (see the config module).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,9 +70,9 @@ class Action:
         return np.concatenate([self.alpha, self.beta])
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """The state of one RL step, as `EdgeCloudEnv` builds it once per slot.
+class StateVector(NamedTuple):
+    """The state of one RL step, as `EdgeCloudEnv` builds it once per slot:
+    an immutable named tuple, built with keywords.
 
     `observation` is the raw 5N+1 vector the learner reads, in blocks:
     q_i(t)+a_i(t) (N, bits), a_i(t) (N, bits), the workloads w_i (N,
@@ -104,11 +105,10 @@ def observation_scale(cfg: SystemConfig) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """The record of one slot: what the reward family and the trace read
-    beside the two states' queues, and the state the next action is taken
-    on."""
+class StepOutcome(NamedTuple):
+    """The record of one slot, an immutable named tuple like `StateVector`:
+    what the reward family and the trace read beside the two states' queues,
+    and the state the next action is taken on."""
 
     next_state: StateVector   # its queue is q_i(t+1)
     departures: np.ndarray    # b_i(t), bits
@@ -134,15 +134,20 @@ def edge_cost(alpha_eff, cfg: SystemConfig):
 
 
 def cloud_cost(offloads, cfg: SystemConfig):
-    """Cloud charge for the offloaded cycles W = sum w_i o_i, of one offload
-    vector (N,) or of a batch (S, N).
+    """Cloud charge of one offload vector (N,) or of a batch (S, N): the
+    `cycles_cost` of its offloaded cycles W = sum w_i o_i, clamped at 0."""
+    cycles = np.dot(np.asarray(offloads, dtype=float), cfg.workloads)
+    return cycles_cost(np.maximum(cycles, 0.0), cfg)
+
+
+def cycles_cost(cycles, cfg: SystemConfig):
+    """Cloud charge for offloaded cycles W >= 0, a float or one per action.
 
     cubic: same even-split cubic law over the N_C >= 1 cloud cores
     (a SystemConfig refuses fewer).
     per-core: ceil(W / core clock) cores activated, each billed at its full
     cubic rate, a discontinuous staircase in W.
     """
-    cycles = np.maximum(np.dot(np.asarray(offloads, dtype=float), cfg.workloads), 0.0)
     if cfg.cloud_cost_kind == "cubic":
         return cfg.cloud_cores * (cycles / cfg.cloud_cores / 1e9) ** 3
     return np.ceil(cycles / cfg.cloud_core_clock) * (cfg.cloud_core_clock / 1e9) ** 3
@@ -160,38 +165,39 @@ class EdgeCloudEnv:
     def __init__(self, cfg: SystemConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
-        self._q = np.zeros(cfg.n_queues)
-        self._a = np.zeros(cfg.n_queues)
+        self._q = self._a = self._qpa = np.zeros(cfg.n_queues)  # q, a, q + a
         # ring of the last ARRIVAL_WINDOW arrivals; _slot is the row the
         # next arrival overwrites
         self._window = np.zeros((ARRIVAL_WINDOW, cfg.n_queues))
         self._slot = 0
         self._block = np.empty((0, cfg.n_queues))  # drawn, not yet revealed
         self._next = 0
+        # 0-d arrays: ufuncs take them faster than Python floats, to the same bits
+        self._zero, self._clock, self._bandwidth, self._window_len = (
+            np.array(float(v)) for v in (0.0, cfg.edge_clock, cfg.bandwidth, ARRIVAL_WINDOW))
 
-    def _push_window(self, arrival: np.ndarray) -> None:
-        self._window[self._slot] = arrival
-        self._slot = (self._slot + 1) % ARRIVAL_WINDOW
-
-    def _next_arrival(self) -> np.ndarray:
+    def _reveal(self) -> None:
+        """a becomes the block's next row (a new block once it runs out), and enters the window."""
         if self._next == len(self._block):
             self._block = sample_arrivals(self.cfg.apps, ARRIVAL_BLOCK, self.rng)
             self._next = 0
+        self._a = self._window[self._slot] = self._block[self._next]
         self._next += 1
-        return self._block[self._next - 1]
+        self._slot = (self._slot + 1) % ARRIVAL_WINDOW
 
     def _state(self, cpu_use, offloaded_cycles) -> StateVector:
         """The state at the current q and a, given the previous step's CPU
-        use and offloaded cycles, in one array (layout: `StateVector`)."""
+        use and W, in one array (layout: `StateVector`); keeps q + a."""
         n = self.cfg.n_queues
-        obs = np.concatenate([
-            self._q + self._a,
+        self._qpa = self._q + self._a
+        obs = np.concatenate((
+            self._qpa,
             self._a,
             self.cfg.workloads,
             cpu_use,
-            [offloaded_cycles],
-            self._window.sum(axis=0) / ARRIVAL_WINDOW,
-        ])
+            (offloaded_cycles,),
+            np.add.reduce(self._window, axis=0) / self._window_len,
+        ))
         return StateVector(queue=self._q, arrival=obs[n:2 * n], observation=obs)
 
     def reset(self) -> StateVector:
@@ -201,36 +207,35 @@ class EdgeCloudEnv:
         self._window[:] = 0.0
         self._slot = 0
         self._next = len(self._block)  # discard what is left of the block
-        self._a = self._next_arrival()
-        self._push_window(self._a)
+        self._reveal()
         return self._state(np.zeros(self.cfg.n_queues), 0.0)
 
     def step(self, action: Action) -> StepOutcome:
         """One slot: departures, offloads, the queue update, the two costs
-        and the realized CPU use, with the CPU bits alpha_i f_E / w_i
-        computed once. The environment never writes into the arrays it
-        hands out."""
-        cfg = self.cfg
+        and the realized CPU use, computing the CPU bits alpha_i f_E / w_i
+        and the offloaded cycles W = sum w_i o_i once each (the observation
+        and `cycles_cost` read the one W). The environment never writes
+        into the arrays it hands out, nor into q, a and q + a in place."""
+        cfg, zero, clock = self.cfg, self._zero, self._clock
         w = cfg.workloads
-        qpa = self._q + self._a
+        qpa = self._qpa
 
         alpha = action.alpha_eff
-        cpu_bits = alpha * cfg.edge_clock / w
-        bw_bits = action.beta_eff * cfg.bandwidth
+        cpu_bits = alpha * clock / w
+        bw_bits = action.beta_eff * self._bandwidth
         b = cpu_bits + bw_bits
-        o = np.maximum(0.0, np.minimum(bw_bits, qpa - cpu_bits))
+        o = np.maximum(zero, np.minimum(bw_bits, qpa - cpu_bits))
+        cycles = float(np.dot(o, w))  # >= 0, as o >= 0 and w > 0
 
-        self._q = np.maximum(0.0, qpa - b)
-        self._a = self._next_arrival()
-        self._push_window(self._a)
+        self._q = np.maximum(zero, qpa - b)
+        self._reveal()
 
         return StepOutcome(
-            next_state=self._state(np.minimum(alpha, w * qpa / cfg.edge_clock),
-                                   float(np.dot(w, o))),
+            next_state=self._state(np.minimum(alpha, w * qpa / clock), cycles),
             departures=b,
             offloads=o,
             edge_cost=float(edge_cost(alpha, cfg)),
-            cloud_cost=float(cloud_cost(o, cfg)),
+            cloud_cost=float(cycles_cost(cycles, cfg)),
         )
 
 
@@ -253,17 +258,9 @@ class Trace:
         self._rows = np.empty((capacity, 6 * n_queues + 2))
 
     def append(self, q, a, action: Action, b, o, c_edge, c_cloud) -> None:
-        k, n = self._len, self.n_queues
-        row = self._rows[k]
-        row[:n] = q
-        row[n:2 * n] = a
-        row[2 * n:3 * n] = action.alpha_eff
-        row[3 * n:4 * n] = action.beta_eff
-        row[4 * n:5 * n] = b
-        row[5 * n:6 * n] = o
-        row[6 * n] = c_edge
-        row[6 * n + 1] = c_cloud
-        self._len = k + 1
+        np.concatenate((q, a, action.alpha_eff, action.beta_eff, b, o, (c_edge, c_cloud)),
+                       out=self._rows[self._len])
+        self._len += 1
 
     def __len__(self) -> int:
         return self._len

@@ -17,6 +17,9 @@ kind: `episode_reward_identities` evaluates it with `reward_reshaped`.
   reshaped   queue part only, weighted by the in-episode discount (T-t)/T:
              -rho * (T-t)/T * sum_i [q_i(t+1)^nu - q_i(t)^nu]
 
+At nu = 1, where x^1.0 is exactly x, the power, diff and reshaped forms
+skip the power and sum as the general expression does: the same bits.
+
 The episode-sum identities relating these forms, and the sufficient reward
 condition for strong queue stability, are exposed as checkable reports so a
 trace can certify that a reward actually has the stabilizing shape.
@@ -59,27 +62,28 @@ class RewardSpec:
 
 def reward_power(q_next, cost: float, spec: RewardSpec) -> float:
     """-rho * sum q(t+1)^nu - V * cost."""
-    q_next = np.asarray(q_next, dtype=float)
-    return float(-spec.rho * np.sum(q_next ** spec.exponent)
+    q = q_next if spec.exponent == 1.0 else np.asarray(q_next, dtype=float) ** spec.exponent
+    return float(-spec.rho * np.add.reduce(q, axis=None, dtype=float)
                  - spec.penalty_weight * cost)
+
+
+def queue_change(q_prev, q_next, nu: float):
+    """sum_i [q_i(t+1)^nu - q_i(t)^nu], the diff and reshaped forms' queue part."""
+    if nu == 1.0:
+        return np.add.reduce(np.subtract(q_next, q_prev, dtype=float), axis=None)
+    return np.sum(np.asarray(q_next, dtype=float) ** nu - np.asarray(q_prev, dtype=float) ** nu)
 
 
 def reward_reshaped(q_prev, q_next, t: int, T: int, spec: RewardSpec) -> float:
     """Queue part of the reshaped reward, discounted inside the episode."""
     if not (0 <= t < T):
         raise ValueError(f"slot {t} outside episode of length {T}")
-    q_prev = np.asarray(q_prev, dtype=float)
-    q_next = np.asarray(q_next, dtype=float)
-    weight = (T - t) / T
-    return float(-spec.rho * weight
-                 * np.sum(q_next ** spec.exponent - q_prev ** spec.exponent))
+    return float(-spec.rho * ((T - t) / T) * queue_change(q_prev, q_next, spec.exponent))
 
 
 def reward_diff(q_prev, q_next, cost: float, spec: RewardSpec) -> float:
     """-rho * sum [q(t+1)^nu - q(t)^nu] - V * cost."""
-    q_prev = np.asarray(q_prev, dtype=float)
-    q_next = np.asarray(q_next, dtype=float)
-    return float(-spec.rho * np.sum(q_next ** spec.exponent - q_prev ** spec.exponent)
+    return float(-spec.rho * queue_change(q_prev, q_next, spec.exponent)
                  - spec.penalty_weight * cost)
 
 

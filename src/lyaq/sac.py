@@ -370,8 +370,8 @@ class SacAgent:
     def from_state_dict(cls, arrays) -> "SacAgent":
         """An independent agent from a `state_dict()` mapping (or an open
         checkpoint): arrays are copied, and no replay comes with it.
-        A missing, surplus or misshapen array raises ValueError, as does a
-        format other than 3."""
+        A missing, surplus or misshapen array, an array that is not float64,
+        and a format other than 3 raise ValueError."""
         if "meta" not in arrays:
             raise ValueError("checkpoint has no 'meta' record")
         meta = json.loads(bytes(arrays["meta"]).decode())
@@ -383,9 +383,11 @@ class SacAgent:
             if key not in arrays:
                 raise ValueError(f"checkpoint lacks array {key!r}")
             arr = np.array(arrays[key])
-            if arr.shape != shape:
-                raise ValueError(f"checkpoint array {key!r} has shape {arr.shape}, "
-                                 f"expected {shape}")
+            for what, got, want in (("shape", arr.shape, shape),
+                                    ("dtype", arr.dtype, np.dtype(np.float64))):
+                if got != want:
+                    raise ValueError(f"checkpoint array {key!r} has {what} {got}, "
+                                     f"expected {want}")
             used.add(key)
             return arr
 

@@ -1007,7 +1007,7 @@ def test_a_fixed_action_refuses_writes():
     # Action, so a caller's write would reach later slots; it raises instead
     cfg = get_profile("paper")
     state = EdgeCloudEnv(cfg, rng=np.random.default_rng(50)).reset()
-    queued = dataclasses.replace(state, queue=np.array([3e5, 0.0, 1e5]))
+    queued = state._replace(queue=np.array([3e5, 0.0, 1e5]))
     dpp = DppController(cfg, DppConfig(penalty_weight=0.0))
     actions = [make_controller(kind, cfg, DppConfig()).act(state)
                for kind in ("idle", "uniform")]

@@ -33,10 +33,16 @@ def actions(draw, n_queues):
                   draw(simplex_points(n_queues + 1)))
 
 
+def same_float(x, y) -> bool:
+    """x and y are the same float, bit for bit (a signed zero included)."""
+    return float(x).hex() == float(y).hex()
+
+
 @settings(max_examples=40, deadline=None)
-@given(profile=PROFILES, seed=SEEDS, data=st.data())
-def test_step_obeys_the_queue_and_offload_laws(profile, seed, data):
-    cfg = get_profile(profile)
+@given(profile=PROFILES, kind=st.sampled_from(["cubic", "per-core"]), seed=SEEDS,
+       data=st.data())
+def test_step_obeys_the_queue_and_offload_laws(profile, kind, seed, data):
+    cfg = replace(get_profile(profile), cloud_cost_kind=kind)
     env = EdgeCloudEnv(cfg, rng=np.random.default_rng(seed))
     # q(t) is the last step's q(t+1), not the (q + a) - a of the
     # observation, which may round
@@ -68,7 +74,10 @@ def test_step_obeys_the_queue_and_offload_laws(profile, seed, data):
         np.testing.assert_array_equal(outcome.next_state.observation[3 * n:4 * n],
                                       actual_cpu_use(q + a, action, cfg))
         assert outcome.edge_cost == edge_cost(action.alpha_eff, cfg)
-        assert outcome.cloud_cost == cloud_cost(o, cfg)
+        # the step computes the offloaded cycles W once: the cloud cost and
+        # the observation's W entry read it, each as its own formula would
+        assert same_float(outcome.cloud_cost, cloud_cost(o, cfg))
+        assert same_float(outcome.next_state.observation[4 * n], np.dot(cfg.workloads, o))
         state = outcome.next_state
         q, a = q_next, state.arrival
 

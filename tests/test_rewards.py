@@ -74,6 +74,45 @@ class TestDiffReward:
         assert reward_diff([5.0], [5.0], 3.0, s) == pytest.approx(-6.0)
 
 
+class TestUnitExponent:
+    """At nu = 1, x ** 1.0 is exactly x, and reward_diff, reward_reshaped
+    and reward_power skip the power: each must still equal the general
+    expression bit for bit, on arrays and on lists."""
+
+    # 16 queues near 1e15, where sums lose low bits: summing in another
+    # order, or subtracting the two sums, gives other floats (checked below)
+    NEAR = 1e15 + np.random.default_rng(30).uniform(0.0, 1e3, size=(2, 16))
+    ZERO = np.zeros(16)
+    CASES = [(NEAR[0], NEAR[1]), (NEAR[1], NEAR[0]), (ZERO, ZERO), (ZERO, NEAR[1]),
+             (NEAR[0], ZERO)]
+
+    def test_the_queues_tell_a_reassociated_sum(self):
+        prev, nxt = self.NEAR
+        assert np.sum(nxt) - np.sum(prev) != np.sum(nxt - prev)
+        assert sum(nxt.tolist()) != np.sum(nxt)
+
+    @pytest.mark.parametrize("penalty_weight,cost", [(0.0, 0.0), (0.3, 2.5)])
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_diff_and_reshaped_are_the_general_expression(self, penalty_weight, cost,
+                                                          as_list):
+        s = spec(kind="diff", rho=1e-9, penalty_weight=penalty_weight)
+        for prev, nxt in self.CASES:
+            change = np.sum(nxt ** 1.0 - prev ** 1.0)
+            general = float(-s.rho * change - s.penalty_weight * cost)
+            args = (prev.tolist(), nxt.tolist()) if as_list else (prev, nxt)
+            assert reward_diff(*args, cost, s).hex() == general.hex()
+            reshaped = float(-s.rho * ((7 - 2) / 7) * change)
+            assert reward_reshaped(*args, 2, 7, s).hex() == reshaped.hex()
+
+    @pytest.mark.parametrize("penalty_weight,cost", [(0.0, 0.0), (0.3, 2.5)])
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_power_is_the_general_expression(self, penalty_weight, cost, as_list):
+        s = spec(kind="power", rho=1e-9, penalty_weight=penalty_weight)
+        for q in (self.NEAR[0], self.NEAR[1], self.ZERO):
+            general = float(-s.rho * np.sum(q ** 1.0) - s.penalty_weight * cost)
+            assert reward_power(q.tolist() if as_list else q, cost, s).hex() == general.hex()
+
+
 class TestMeanDiffReward:
     def test_nu1_substitution(self):
         s = spec(kind="mean-diff", mean_arrival_bits=np.array([10.0]))

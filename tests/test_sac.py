@@ -960,6 +960,16 @@ class TestCheckpoint:
                                              r"expected \(225,\)"):
             SacAgent.from_state_dict(arrays)
 
+    @pytest.mark.parametrize("key,dtype", [("q1", np.float32), ("policy_opt.m", np.int64)])
+    def test_an_array_of_another_dtype_is_named(self, cfg, key, dtype):
+        # the right shape is not enough: a float32 master or integer Adam
+        # moments would load and break the float64 masters
+        arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(24)).state_dict()
+        arrays[key] = arrays[key].astype(dtype)
+        with pytest.raises(ValueError, match=f"checkpoint array '{key}' has dtype "
+                                             f"{np.dtype(dtype)}, expected float64"):
+            SacAgent.from_state_dict(arrays)
+
     def test_surplus_array_is_named(self, cfg):
         arrays = SacAgent(cfg, TOY, rng=np.random.default_rng(22)).state_dict()
         arrays["q1.0"] = np.zeros(1)

@@ -53,13 +53,26 @@ The linear-drift objective (the program above) is solved exactly:
   every f_c at its own points, for every k at once, finds the maximum; no
   search is left.
 
-A decision at V' > 0 (`DppController.act`) does each piece of work once:
+A decision at V' > 0 (`DppController.act`) does each piece of work once,
+and what is one number per program it does in Python floats: for a few
+programs numpy spends more on each call than on the arithmetic.
 
-* `_structured_candidates` writes the S x (N+1) candidate rows straight
-  into one fresh (alpha, beta) pair: the uniform and the idle action, then
-  the optima of D_none and of each feasible D_k. Every cloud candidate of
-  a program is scored at its own points, but only the winner's offload
-  vector y is built.
+* `_structured_candidates` writes the S x (N+1) candidate rows into one
+  fresh (alpha, beta) pair: the uniform and the idle action, then the
+  optima of D_none and of each feasible D_k. From q and a as lists it
+  works out, per program, q_k, g_k, r_k(0), L_k, the best other g_m and
+  its m, a*, the four shared critical points and the three of y = 0 as
+  Python floats. Where they divide by zero or take the root of a
+  negative, `_fdiv` and `_fsqrt` answer as numpy does, so a NaN still
+  lands on L_k in the clip. What runs over queues and pairs stays in
+  numpy: the points inside the clips, the cloud candidates, and every
+  program's (7, C) grid, on operands expanded once per decision to one
+  shape. Every cloud candidate of a program is scored at its own points,
+  but only the winner's offload vector y is built, and its rows are
+  written from floats as numpy would add them up from one-hots. Every
+  `** 3` stays an array power: numpy's array power gives the same bits at
+  any length or stride, but a scalar power, numpy's or Python's, differs
+  from it on about 5% of values.
 * One `dpp_objective` call scores all S rows with the true objective; the
   first minimum wins. The programs' own values cannot pick the winner:
   they replace o by y, which over-estimates the cost, and they leave out
@@ -83,6 +96,7 @@ never changes.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -148,12 +162,27 @@ def dpp_objective(q, a, action: Action, cfg: SystemConfig,
     return float(value) if value.ndim == 0 else value
 
 
+def _fdiv(x, y):
+    """x / y on Python floats as numpy divides arrays: a zero y gives a
+    signed infinity, or NaN where x is 0 or NaN."""
+    if y:
+        return x / y
+    return x * math.copysign(math.inf, y) if x else math.nan
+
+
+def _fsqrt(x):
+    """math.sqrt with numpy's NaN below zero."""
+    return math.sqrt(x) if x >= 0.0 else math.nan
+
+
 def _quadratic_roots(a2, a1, a0):
-    """Both roots of a2 t^2 + a1 t + a0 = 0 by the cancellation-free formula
-    (a2 = 0 leaves the linear root and an infinite one). A negative
-    discriminant counts as zero, so a near-double root survives rounding."""
-    h = -0.5 * (a1 + np.copysign(np.sqrt(np.maximum(a1 * a1 - 4.0 * a2 * a0, 0.0)), a1))
-    return h / a2, a0 / h
+    """Both roots of a2 t^2 + a1 t + a0 = 0 on Python floats, by the
+    cancellation-free formula (a2 = 0 leaves the linear root and an infinite
+    one). A negative discriminant counts as zero, so a near-double root
+    survives rounding."""
+    d = a1 * a1 - 4.0 * a2 * a0
+    h = -0.5 * (a1 + math.copysign(math.sqrt(0.0 if d <= 0.0 else d), a1))
+    return _fdiv(h, a2), _fdiv(a0, h)
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,26 +194,36 @@ def _pairs(n):
     return out
 
 
+# The point table: row d of program p's column is one of its points t, and
+# row j of its (7, C) grid reads, for candidate c, row d(j, c). Rows 0-6 are
+# the points of the y = 0 candidate (c = 0): L_k, 1, r_k(0) / s_k, the t of
+# a*, then the three roots of y = 0. Rows 7-13 are those of the others: the
+# four shared points, then L_k three times. Row 14 + i is queue i's point
+# inside its clip, which takes row 4 of the single candidate c = 1 + i.
+_SHARED_POINTS, _ALONE_POINTS = 7, 14
+
+
 class _SolveConstants:
     """What a solve reads from (cfg, V') alone. At V' = 0: s as floats,
     the projected uniform action and the read-only vertex table, whose entry
-    [i][j] puts all CPU on queue i and all bandwidth on queue j. At V' > 0:
-    s, w, B, c_E, c_C, the uniform and idle rows, the w-only arrays of the
-    cloud candidates and the per-program table, whose column 0 is D_none and
-    column k + 1 is D_k.
-    The table's rows are q, g = q s, q + a and L_k, written per solve into a
-    copy, then s, w, 1 and the coefficients of the critical points that do
-    not depend on (q, a)."""
+    [i][j] puts all CPU on queue i and all bandwidth on queue j. At V' > 0,
+    as Python floats: s, B, c_E, c_C, the uniform and idle rows, and a
+    column per program, `columns[0]` D_none's and `columns[k + 1]` D_k's:
+    s_k, w_k, the upper bound 1 of t and the coefficients of the critical
+    points of y = 0 (see `_structured_candidates`), computed as arrays, so
+    that their ** 3 is the array power the grid's is. As arrays: what the
+    cloud candidates read from w alone, which pairs each program may fill,
+    and 0-d copies of the scalars the array arithmetic takes."""
 
     def __init__(self, cfg: SystemConfig, penalty_weight: float):
         n = self.n = cfg.n_queues
         self.penalty_weight = penalty_weight
-        w = self.w = cfg.workloads
-        s = self.s = cfg.edge_clock / w
+        w = cfg.workloads
+        s = cfg.edge_clock / w
+        self.s = s.tolist()
         self.B = cfg.bandwidth
         uniform, idle = Action.uniform(n), Action.idle(n)
         if penalty_weight == 0.0:  # every answer (module docstring)
-            self.s = s.tolist()
             row = project_simplex(uniform.alpha)
             eye = np.eye(n + 1)
             row.flags.writeable = eye.flags.writeable = False
@@ -192,36 +231,38 @@ class _SolveConstants:
             self.vertices = [[Action(alpha=eye[i], beta=eye[j]) for j in range(n)]
                              for i in range(n)]
             return
-        self.alpha = np.stack([uniform.alpha, idle.alpha])
-        self.beta = np.stack([uniform.beta, idle.beta])
+        self.alpha = uniform.alpha.tolist() + idle.alpha.tolist()
+        self.beta = uniform.beta.tolist() + idle.beta.tolist()
         self.cE = penalty_weight * cfg.edge_cores * (cfg.edge_clock / cfg.edge_cores / 1e9) ** 3
         self.cC = penalty_weight * cfg.cloud_cores * (1.0 / cfg.cloud_cores / 1e9) ** 3
         cE, cC = self.cE, self.cC
-        I, L, eye = _pairs(n)
-        self.IL, self.n_pairs = np.concatenate([I, L]), I.size
+        I, L, _ = _pairs(n)
+        self.n_pairs = I.size
         self.size = 1 + n + I.size  # C, the number of cloud candidates
-        # where each program's (7, C) grid starts in the flattened grid
-        self.offsets = np.arange(n + 1) * (7 * self.size)
-        dw = w[I] - w[L]
-        self.dw = np.where(dw == 0.0, 1.0, dw)
-        self.w_l = w[L]
-        self.cC3w = 3.0 * cC * w
-        # the rows of the table that depend on (cfg, V') alone: s, w, the
-        # upper bound 1 of t, and the coefficients of the critical points
-        # of y = 0 (see _structured_candidates), with ds = w s
+        # the coefficients of the critical points of y = 0, with ds = w s;
+        # each ** 3 an array power, as the grid's are
         sk, wk, hi = np.append(1.0, s), np.append(0.0, w), np.append(0.0, np.ones(n))
         ds = wk * sk
         cC3ds3 = 3.0 * cC * ds ** 3
-        self.table = np.vstack([np.zeros((4, n + 1)), sk, wk, hi, cC3ds3,
-                                cC3ds3 - 3.0 * cE, -6.0 * cC * ds * ds, 3.0 * cC * ds])
-        # per program: its own overflow queue, then the pairs free of it
-        own = np.concatenate([np.zeros((1, n), dtype=bool), np.eye(n, dtype=bool)])
-        self.masks = np.concatenate([own, ~(own[:, I] | own[:, L]) & (dw != 0.0)], axis=1)
-        # candidate c is y = y_c e_c + y'_c e'_c: rows e_c (y = 0, each queue
-        # alone, the pair's first queue) and e'_c (zero, or the pair's second)
-        self.basis = np.zeros((2, self.size, n))
-        self.basis[0, 1:] = np.concatenate([eye, eye[I]])
-        self.basis[1, n + 1:] = eye[L]
+        self.columns = list(zip(*(x.tolist() for x in (
+            sk, wk, hi, cC3ds3, cC3ds3 - 3.0 * cE, -6.0 * cC * ds * ds, 3.0 * cC * ds))))
+        # the candidates' w-only columns (see _OffloadCandidates)
+        dw = w[I] - w[L]
+        self.queue_rows = np.concatenate([np.arange(n), I, L])
+        self.w_col = w[:, None]
+        self.cC3w_col = (3.0 * cC * w)[:, None]
+        self.w_l_dw_col = np.concatenate([w[L], np.where(dw == 0.0, 1.0, dw)])[:, None]
+        # a pair may fill B' in program p unless it holds p's overflow queue
+        # or its two queues share a workload
+        own = np.eye(n + 1, n, -1, dtype=bool)
+        self.free = (~(own[:, I] | own[:, L]) & (dw != 0.0)).T.copy()
+        # 0-d arrays: ufuncs take them faster than Python floats, to the same bits
+        (self.zero, self.B_0d, self.cE_0d, self.cE3_0d, self.cC_0d, self.cC3_0d,
+         self.neg_cC_0d) = (np.array(float(x)) for x in (
+            0.0, self.B, cE, 3.0 * cE, cC, 3.0 * cC, -cC))
+        # the queues that candidate c's y_c and y'_c weigh
+        self.queues = [(None, None)] + [(i, None) for i in range(n)] + list(
+            zip(I.tolist(), L.tolist()))
 
 
 class _OffloadCandidates:
@@ -234,113 +275,184 @@ class _OffloadCandidates:
     W = W0 + sum w y with 3 cC W^2 = (v_i - v_l) / (w_i - w_l). v is fixed
     per program, and only the pairs marked in `free` may fill Bp (a queue
     excluded from them has v = 0, so it never gets y alone either); W0 and
-    Bp vary with t. What depends on w alone comes from the solve constants
-    `k`."""
+    Bp vary with t.
 
-    def __init__(self, v, k: _SolveConstants, free):
-        self.v, self.k = v, k
-        self.W_single = np.sqrt(np.maximum(v, 0.0) / k.cC3w)
-        v_pairs = v[..., k.IL]
-        self.v_i, self.v_l = v_pairs[..., :k.n_pairs], v_pairs[..., k.n_pairs:]
-        mu = (self.v_i - self.v_l) / k.dw
-        self.W_pair = np.sqrt(np.maximum(mu, 0.0) / (3.0 * k.cC))
-        self.pair_cost = k.cC * self.W_pair ** 3
-        self.pair_ok = free & (mu > 0.0)
+    The arrays run candidate by program: (N, P) for the singles, w, W alone
+    and v, then (N(N-1)/2, P) for the pairs, v_i, v_l, W of the pair, its
+    cost, w_l and w_i - w_l, all in one buffer, so that v, v_i and v_l are
+    one subtraction. Each stack is expanded once to the (7, ., P) of its
+    block of the grid, where the arithmetic runs on operands of one shape."""
+
+    def __init__(self, q, qk, k: _SolveConstants, free):
+        n, n_pairs, P = k.n, k.n_pairs, qk.size
+        zero, cC = k.zero, k.cC_0d
+        stacks = np.empty((3 * n + 6 * n_pairs, P))
+        single, pair = stacks[:3 * n].reshape(3, n, P), stacks[3 * n:].reshape(6, n_pairs, P)
+        stacks[:n] = k.w_col
+        stacks[3 * n + 4 * n_pairs:] = k.w_l_dw_col
+        np.subtract.outer(q[k.queue_rows], qk, out=stacks[2 * n:3 * n + 2 * n_pairs])
+        self.v = single[2]
+        mu = np.divide(pair[0] - pair[1], pair[5], out=pair[2])
+        self.pair_ok = free & (mu > zero)
+        np.sqrt(np.maximum(self.v, zero) / k.cC3w_col, out=single[1])
+        np.sqrt(np.maximum(mu, zero) / k.cC3_0d, out=pair[2])
+        np.multiply(cC, pair[2] ** 3, out=pair[3])
+        self.single = np.empty((3, 7, n, P))
+        self.single[...] = single[:, None]
+        self.pair = np.empty((6, 7, n_pairs, P))
+        self.pair[...] = pair[:, None]
+        self.k = k
 
     def __call__(self, W0, Bp):
-        """(values (..., C), coef (2, ..., C)) of every candidate c at its own
-        W0[..., c] and Bp[..., c]: its value, and y_c and y'_c, the weights
-        of its rows of the `basis` (y'_c = -0.0 where the row is zero, so
-        that the sum adds nothing, not even to the sign of a zero)."""
-        k = self.k
-        n, w, cC = k.n, k.w, k.cC
-        W0, Ws, Wp = W0[..., :1], W0[..., 1:n + 1], W0[..., n + 1:]
-        Bs, Bpp = Bp[..., 1:n + 1], Bp[..., n + 1:]
-        coef = np.empty((2,) + W0.shape[:-1] + (k.size,))
-        coef[0, ..., 0] = 0.0
-        coef[1, ..., :n + 1] = -0.0
-        single = np.minimum(np.maximum((self.W_single - Ws) / w, 0.0), Bs,
-                            out=coef[0, ..., 1:n + 1])
-        y_i = np.divide(self.W_pair - Wp - k.w_l * Bpp, k.dw, out=coef[0, ..., n + 1:])
-        y_l = np.subtract(Bpp, y_i, out=coef[1, ..., n + 1:])
-        pair = self.v_i * y_i + self.v_l * y_l - self.pair_cost
-        values = np.concatenate([
-            -cC * W0 ** 3,
-            self.v * single - cC * (Ws + w * single) ** 3,
-            np.where(self.pair_ok & (np.minimum(y_i, y_l) >= 0.0), pair, -np.inf),
-        ], axis=-1)
-        return values, coef
+        """The values of the singles' and the pairs' blocks, each at its own
+        W0 and Bp, and their weights: y_c of each single, y_c and y'_c of each
+        pair (the y = 0 block's value is -cC W0^3, its weights 0 and -0.0)."""
+        zero, cC = self.k.zero, self.k.cC_0d
+        (Ws, Wp), (Bs, Bpp) = W0, Bp
+        w, W_single, v = self.single
+        single = np.minimum(np.maximum((W_single - Ws) / w, zero), Bs)
+        singles = v * single - cC * (Ws + w * single) ** 3
+        v_i, v_l, W_pair, pair_cost, w_l, dw = self.pair
+        y_i = (W_pair - Wp - w_l * Bpp) / dw
+        y_l = Bpp - y_i
+        pair = v_i * y_i + v_l * y_l - pair_cost
+        pairs = np.where(self.pair_ok & (np.minimum(y_i, y_l) >= zero), pair, -np.inf)
+        return singles, pairs, single, y_i, y_l
 
 
 def _structured_candidates(q, a, k: _SolveConstants):
-    """(alpha (S, N+1), beta (S, N+1)) of the candidate actions the exact
-    cost-active (V' > 0) solve scores: row 0 is uniform and row 1 idle,
-    then the optima of D_none (row 2) and of every feasible D_k in
+    """(alpha, beta), one (2, S, N+1) array, of the candidate actions the
+    exact cost-active (V' > 0) solve scores: row 0 is uniform and row 1
+    idle, then the optima of D_none (row 2) and of every feasible D_k in
     increasing k (see the module docstring)."""
-    n, s, B = k.n, k.s, k.B
-    g = q * s
-    cE, cC, w = k.cE, k.cC, k.w
-    qa = q + a
-    table = k.table.copy()
-    table[:4, 1:] = q, g, qa, np.maximum(0.0, (qa - B) / s)
-    # program 0 is D_none, a D_k with no overflow queue and t pinned at 0
-    programs = (table[3] <= 1.0).nonzero()[0]
-    rows = np.arange(programs.size)
-    masks = k.masks[programs]
-    own = masks[:, :n]
-    qk, gk, rk0, lo, sk, wk, hi, cC3ds3, a2, a1, a0 = table[:, programs, None, None]
-    g_rest = np.where(own, 0.0, g)
-    m = g_rest.argmax(axis=1)
-    gm = g_rest[rows, m][:, None, None]
-    a_star = np.minimum(np.sqrt(gm / (3.0 * cE)), 1.0)
-    offload = _OffloadCandidates(q - qk, k, masks[:, None, n:])
+    n, B, s = k.n, k.B, k.s
+    cE3 = 3.0 * k.cE
+    q_ = q.tolist()
+    g = list(map(operator.mul, q_, s))
+    qa = list(map(operator.add, q_, a.tolist()))
+    # program 0 is D_none, a D_k with no overflow queue and t pinned at 0;
+    # each program's column in the constants
+    lower = [_fdiv(x - B, y) for x, y in zip(qa, s)]
+    programs = [0] + [i + 1 for i, x in enumerate(lower) if x <= 1.0]
+    # the best other g_m: the first maximum of g with the program's own queue
+    # at 0, so for every program but that maximum's own, the maximum itself
+    g_top = max(g)
+    top = g.index(g_top)
 
-    # Every candidate is scored at its own critical points (module
-    # docstring), G = 7 of them: 4 that all share, then the roots of the
-    # slope of y = 0, or the one of a queue inside its clip. Pairs add none;
-    # a candidate with fewer points repeats L_k.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rs = rk0 / sk
-        shared = [lo, hi, rs, np.sqrt(gk / (3.0 * cE))]
+    best, columns, no_alone = [], [], (0.0,) * n
+    for col in programs:
+        sk, wk, hi, cC3ds3, a2, a1, a0 = k.columns[col]
+        kk = col - 1  # D_k's k, -1 for D_none
+        if col:
+            qk, gk, rk0, lo = q_[kk], g[kk], qa[kk], lower[kk]
+            if lo < 0.0:
+                lo = 0.0
+        else:
+            qk = gk = rk0 = lo = 0.0
+        if not col or kk != top and g_top > 0.0:
+            m, gm = top, g_top
+        else:
+            rest = g.copy()
+            rest[kk] = 0.0
+            gm = max(rest)
+            m = rest.index(gm)
+        best.append((kk, m))
+        # Every candidate is scored at its own critical points (module
+        # docstring), G = 7 of them: 4 that all share, then the roots of the
+        # slope of y = 0, or the one of a queue inside its clip. Pairs add
+        # none; a candidate with fewer points repeats L_k.
+        rs = _fdiv(rk0, sk)
+        shared = (lo, hi, rs, _fsqrt(_fdiv(gk, cE3)))
         # y = 0 has cloud value -cC (wk r)^3, so t-slope 3 cC wk^3 sk r^2 =
         # cC3ds3 r^2 with ds = wk sk: set against gk - gm below a*, and
         # against gk - 3 cE t^2 above a* (a quadratic in t, as wk r = U - ds t)
         U = wk * rk0
-        empty = [rs - np.sqrt((gm - gk) / cC3ds3),
-                 *_quadratic_roots(a2, a1 * U, a0 * U * U + gk)]
-        # queue i inside its clip: the constant t-slope sk v_i wk / w_i
-        # against gk - 3 cE t^2 (against gk - gm it leaves f monotone)
-        alone = np.sqrt((gk + sk * offload.v * wk / w) / (3.0 * cE))
-    t = np.zeros((rows.size, 7, k.size)) + lo
-    t[:, :4] = np.concatenate(shared, axis=1)
-    t[:, 4:, :1] = np.concatenate(empty, axis=1)
-    t[:, 4:5, 1:n + 1] = alone
+        empty = (rs - _fsqrt(_fdiv(gm - gk, cC3ds3)),
+                 *_quadratic_roots(a2, a1 * U, a0 * U * U + gk))
+        columns.append((*shared, *empty, *shared, lo, lo, lo, *no_alone,
+                        lo, hi, rk0, sk, min(_fsqrt(_fdiv(gm, cE3)), 1.0), wk, gk, gm,
+                        qk * B, qk))
+    P, D = len(programs), _ALONE_POINTS + n
+    table = np.array(columns, order="F").T
+    t = table[:D]
+    # the per-program scalars, each expanded once to the point table's shape
+    scalars = np.empty((9, D, P))
+    scalars[...] = table[D:D + 9, None]
+    lo, hi, rk0, sk, a_star, wk, gk, gm, qkB = scalars
+    offload = _OffloadCandidates(q, table[D + 9], k, k.free[:, programs])
+    # queue i inside its clip: the constant t-slope sk v_i wk / w_i against
+    # gk - 3 cE t^2 (against gk - gm it leaves f monotone)
+    alone = slice(_ALONE_POINTS, D)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.sqrt((gk[alone] + sk[alone] * offload.v * wk[alone] / offload.single[0, 0])
+                / k.cE3_0d,
+                out=t[alone])
     np.fmin(np.fmax(t, lo, out=t), hi, out=t)  # NaN -> L_k
 
-    # the value of every program with cloud candidate c at alpha_k = t[..., c]
-    r = np.maximum(0.0, rk0 - sk * t)
-    A = np.maximum(a_star, t)
-    values, coef = offload(wk * r, B - r)
-    total = gk * t + gm * (A - t) - cE * A ** 3 + qk * B + values
-    flat = total.reshape(rows.size, -1).argmax(axis=1)
-    win = flat + k.offsets[:rows.size]  # each program's winner in the whole grid
-    t, A = t.take(win), A.take(win)
-    # each program's winning y, built only for the winner, candidate c
-    y_c, y2_c = coef.reshape(2, -1).take(win, axis=1)[..., None]
-    e_c, e2_c = k.basis[:, flat % k.size]
-    y = y_c * e_c + y2_c * e2_c
-    y = np.where(own, B - np.add.reduce(y, axis=1, keepdims=True), y)
+    # the value of every program at each of its points alpha_k = t, but
+    # the cloud part's, and that part's W0 and B'
+    point = np.empty((4, D, P))  # W0, B', the value, A
+    r = np.maximum(k.zero, rk0 - sk * t)
+    A = np.maximum(a_star, t, out=point[3])
+    np.multiply(wk, r, out=point[0])
+    np.subtract(k.B_0d, r, out=point[1])
+    np.add(gk * t + gm * (A - t) - k.cE_0d * A ** 3, qkB, out=point[2])
+    # each block of the (7, C, P) grid: y = 0 reads rows 0-6 of the points,
+    # the singles and the pairs rows 7-13, and the singles' row 4 reads the
+    # points inside their clips
+    y0 = point[:3, :_SHARED_POINTS]
+    singles = np.empty((3, 7, n, P))
+    singles[...] = point[:3, _SHARED_POINTS:_ALONE_POINTS, None]
+    singles[:, 4] = point[:3, alone]
+    pairs = np.empty((3, 7, k.n_pairs, P))
+    pairs[...] = point[:3, _SHARED_POINTS:_ALONE_POINTS, None]
+    values_s, values_p, y_s, y_i, y_l = offload(
+        (singles[0], pairs[0]), (singles[1], pairs[1]))
+    total = np.concatenate([
+        (y0[2] + k.neg_cC_0d * y0[0] ** 3)[:, None], singles[2] + values_s,
+        pairs[2] + values_p],
+        axis=1)
+    # each program's winner, the first maximum of its (7, C) grid
+    flat = total.reshape(-1, P).argmax(axis=0).tolist()
 
-    alpha = np.zeros((rows.size + 2, n + 1))
-    beta = np.empty((rows.size + 2, n + 1))
-    alpha[:2], beta[:2] = k.alpha, k.beta
-    body = alpha[2:]
-    body[rows, m] = A - t
-    body[:, :n] += own * t[:, None]
-    body[:, n] = 1.0 - A
-    np.divide(y, B, out=beta[2:, :n])
-    beta[2:, n] = 1.0 - np.add.reduce(y, axis=1) / B
-    return alpha, beta
+    C = k.size
+    alpha, beta, y_rows = list(k.alpha), list(k.beta), []  # flat rows
+    for p, ((kk, m), f) in enumerate(zip(best, flat)):
+        j, c = divmod(f, C)
+        d = (j if c == 0 else _ALONE_POINTS + c - 1 if j == 4 and c <= n
+             else _SHARED_POINTS + j)  # the point table's row (see _SHARED_POINTS)
+        t_w, A_w = t.item(d, p), point.item(3, d, p)
+        if c == 0:
+            y_c, y2_c = 0.0, -0.0
+        elif c <= n:
+            y_c, y2_c = y_s.item(j, c - 1, p), -0.0
+        else:
+            y_c, y2_c = y_i.item(j, c - 1 - n, p), y_l.item(j, c - 1 - n, p)
+        # the rows exactly as numpy builds them from one-hots: alpha's m and
+        # k entries over 0 + own * t (0 elsewhere, as t is finite), then
+        # y = y_c e_c + y'_c e'_c
+        row = [0.0] * n + [1.0 - A_w]
+        row[m] = (A_w - t_w) + (t_w if m == kk else 0.0 * t_w)
+        y = [y_c * 0.0 + y2_c * 0.0] * n
+        i, l = k.queues[c]
+        u = v = y[0]
+        if i is not None:
+            u = y[i] = y_c + y2_c * 0.0
+        if l is not None:
+            v = y[l] = y_c * 0.0 + y2_c
+        if kk >= 0:
+            if m != kk:
+                row[kk] = 0.0 + t_w
+            # the overflow queue takes the rest of B: y has no entries but
+            # zeros besides u and v, so numpy's sum of y is u + v
+            y[kk] = B - (u + v)
+        alpha += row
+        y_rows += y
+    sums = np.add.reduce(np.array(y_rows).reshape(P, n), axis=1).tolist()
+    for p, total_y in enumerate(sums):
+        beta += [x / B for x in y_rows[p * n:(p + 1) * n]]
+        beta.append(1.0 - total_y / B)
+    return np.array(alpha + beta).reshape(2, P + 2, n + 1)
 
 
 class DppController:

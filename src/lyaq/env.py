@@ -127,9 +127,17 @@ class StepOutcome(NamedTuple):
 
 def edge_cost(alpha_eff, cfg: SystemConfig):
     """Cubic power of the edge cores at effective CPU fractions alpha_eff,
-    (N,) for one action or (S, N) for a batch, with the load split evenly:
-    each of the N_E cores runs at f_E * sum(alpha) / N_E."""
-    per_core_ghz = cfg.edge_clock * np.add.reduce(alpha_eff, axis=-1) / cfg.edge_cores / 1e9
+    (N,) for one action or (S, N) for a batch: the `share_cost` of its
+    total share sum(alpha)."""
+    return share_cost(np.add.reduce(alpha_eff, axis=-1), cfg)
+
+
+def share_cost(share, cfg: SystemConfig):
+    """Edge charge for a total CPU share, a float or one per action, with
+    the load split evenly: each of the N_E cores runs at f_E * share / N_E.
+    On a Python float the arithmetic runs in Python, to the bits numpy's
+    scalars give."""
+    per_core_ghz = cfg.edge_clock * share / cfg.edge_cores / 1e9
     return cfg.edge_cores * per_core_ghz ** 3
 
 
@@ -214,8 +222,9 @@ class EdgeCloudEnv:
         """One slot: departures, offloads, the queue update, the two costs
         and the realized CPU use, computing the CPU bits alpha_i f_E / w_i
         and the offloaded cycles W = sum w_i o_i once each (the observation
-        and `cycles_cost` read the one W). The environment never writes
-        into the arrays it hands out, nor into q, a and q + a in place."""
+        and `cycles_cost` read the one W); the edge cost is `share_cost` of
+        the float sum(alpha). The environment never writes into the arrays
+        it hands out, nor into q, a and q + a in place."""
         cfg, zero, clock = self.cfg, self._zero, self._clock
         w = cfg.workloads
         qpa = self._qpa
@@ -234,7 +243,7 @@ class EdgeCloudEnv:
             next_state=self._state(np.minimum(alpha, w * qpa / clock), cycles),
             departures=b,
             offloads=o,
-            edge_cost=float(edge_cost(alpha, cfg)),
+            edge_cost=share_cost(float(np.add.reduce(alpha)), cfg),
             cloud_cost=float(cycles_cost(cycles, cfg)),
         )
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lyaq.config import AppProfile, SystemConfig, get_profile, parse_size
 from lyaq.dpp import (DppConfig, DppController, UnsupportedObjectiveError,
                       dpp_objective, project_simplex,
-                      _pairs, _quadratic_roots, _structured_candidates)
+                      _pairs, _structured_candidates)
 from lyaq.env import Action, EdgeCloudEnv, cloud_cost, edge_cost
 from lyaq.harness import make_controller, metrics_from_trace, run_episode
 
@@ -291,6 +291,14 @@ def reference_dpp_objective(q, a, action: Action, cfg: SystemConfig,
     return float(value) if value.ndim == 0 else value
 
 
+def reference_quadratic_roots(a2, a1, a0):
+    """Both roots of a2 t^2 + a1 t + a0 = 0 by the cancellation-free formula
+    (a2 = 0 leaves the linear root and an infinite one). A negative
+    discriminant counts as zero, so a near-double root survives rounding."""
+    h = -0.5 * (a1 + np.copysign(np.sqrt(np.maximum(a1 * a1 - 4.0 * a2 * a0, 0.0)), a1))
+    return h / a2, a0 / h
+
+
 class ReferenceOffloadCandidates:
     """Candidate maximizers y of the cloud part of each program,
 
@@ -396,8 +404,9 @@ def reference_structured_candidates(q, a, cfg: SystemConfig, penalty_weight: flo
         # (a quadratic in t, as wk r = U - ds t)
         U, ds = wk * rk0, wk * sk
         empty = [rk0 / sk - np.sqrt((gm - gk) / (3.0 * cC * ds ** 3)),
-                 *_quadratic_roots(3.0 * cC * ds ** 3 - 3.0 * cE,
-                                   -6.0 * cC * ds * ds * U, 3.0 * cC * ds * U * U + gk)]
+                 *reference_quadratic_roots(3.0 * cC * ds ** 3 - 3.0 * cE,
+                                            -6.0 * cC * ds * ds * U,
+                                            3.0 * cC * ds * U * U + gk)]
         # queue i inside its clip: the constant t-slope sk v_i wk / w_i
         # against gk - 3 cE t^2 (against gk - gm it leaves f monotone)
         alone = np.sqrt((gk + sk * offload.v * wk / w) / (3.0 * cE))
@@ -880,6 +889,13 @@ class TestSolveConstants:
         for q, a in pure_drift_edges(rng, cfg):
             ref = reference_dpp_step_optimize(q, a, cfg, pure_drift.dpp_cfg)
             assert same_bytes(pure_drift.solve(q, a), ref), (q, a)
+            # the cost-active solve at the same edges, with these arrivals
+            # and with none
+            dc = cost_active.dpp_cfg
+            for arrival in (a, np.zeros_like(a)):
+                ref = reference_dpp_step_optimize(q, arrival, cfg, dc)
+                assert same_bytes(cost_active.solve(q, arrival), ref), (Vp, q, arrival)
+                assert same_bytes(DppController(cfg, dc).solve(q, arrival), ref), (Vp, q, arrival)
 
     @pytest.mark.parametrize("name", ["paper", "paper8", "tied3"])
     def test_episode_decisions_match_the_reference_bit_for_bit(self, name):

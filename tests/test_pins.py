@@ -1,4 +1,5 @@
-"""tools/pins.py's report on a mismatch, without running the pinned commands."""
+"""tools/pins.py's report on a mismatch and its command subsets, without
+running the pinned commands."""
 
 import importlib.util
 import json
@@ -34,7 +35,7 @@ def test_a_mismatch_prints_one_host_record(monkeypatch, capsys, simd, record):
     # a host with numpy's baseline alone has no "found" list
     pinned = json.loads(pins.TABLE.read_text())
     moved = {**pinned, "eval-dpp-v0.csv": "0" * 64, "train.csv": "1" * 64}
-    monkeypatch.setattr(pins, "run_all", lambda work: moved)
+    monkeypatch.setattr(pins, "run_all", lambda work, names: moved)
     monkeypatch.setattr(pins.np, "show_config", lambda mode: {"SIMD Extensions": simd})
     fake_openblas(monkeypatch, {"scipy_openblas_get_corename64_": b"Haswell"})
     assert pins.main([]) == 1
@@ -55,3 +56,58 @@ def test_the_host_record_names_the_openblas_core(monkeypatch, symbols, paths, co
     fake_openblas(monkeypatch, symbols, paths)
     assert pins.openblas_core() == core
     assert pins.host_record().endswith(f"; OpenBLAS core: {core}")
+
+
+# the commands CI checks: every DPP pin held on each emulated host
+DPP_COMMANDS = ["eval-dpp-v0", "eval-trace-dpp-v0", "sweep-dpp", "eval-dpp-vcost",
+                "eval-trace-dpp-vcost", "eval-dpp-power", "eval-dpp-mean-diff"]
+
+
+def fake_run_all(monkeypatch, moved):
+    """run_all as the named commands would print the pinned bytes, but for
+    the pins in `moved`; returns the list of the names each call ran."""
+    pinned = json.loads(pins.TABLE.read_text())
+    calls = []
+
+    def run_all(work, names):
+        calls.append(list(names))
+        return {name: moved.get(name, h) for name, h in pinned.items()
+                if name in pins.pins_of(names)}
+    monkeypatch.setattr(pins, "run_all", run_all)
+    return calls
+
+
+def test_the_dpp_subset_checks_its_fourteen_pins(monkeypatch, capsys):
+    # a SAC pin that moved is none of the subset's business
+    calls = fake_run_all(monkeypatch, {"train.csv": "1" * 64})
+    assert pins.main(DPP_COMMANDS) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert calls == [DPP_COMMANDS]
+    assert sorted(line.split()[1] for line in out[:-1]) == sorted(
+        f"{name}.{kind}" for name in DPP_COMMANDS for kind in ("csv", "stdout"))
+    assert all(line.startswith("ok") for line in out[:-1])
+    assert out[-1] == "all 14 pins hold"
+
+
+def test_a_mismatch_in_the_subset_fails_it(monkeypatch, capsys):
+    fake_run_all(monkeypatch, {"eval-dpp-vcost.csv": "0" * 64})
+    monkeypatch.setattr(pins, "host_record", lambda: "host")
+    assert pins.main(["sweep-dpp", "eval-dpp-vcost"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in out if line.startswith("MISMATCH")] == [
+        "eval-dpp-vcost.csv"]
+    assert out[-2:] == ["host", "1 mismatch(es)"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-dpp", "no-such-command"], "unknown command no-such-command"),
+    (["--write", "sweep-dpp"], "--write rewrites the whole pin table"),
+    (["eval-sac"], "eval-sac reads the checkpoint train writes"),
+], ids=["unknown-name", "write-with-names", "eval-sac-without-train"])
+def test_a_bad_subset_exits_2_before_running_anything(monkeypatch, capsys, argv, message):
+    calls = fake_run_all(monkeypatch, {})
+    with pytest.raises(SystemExit) as exit_:
+        pins.main(argv)
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+    assert calls == []

@@ -16,10 +16,13 @@ x86-64 host (`NPY_DISABLE_CPU_FEATURES` and `OPENBLAS_CORETYPE` reach the
 child processes), every DPP pin held at numpy's X86_V3 and X86_V2 levels
 and under OpenBLAS's Haswell kernel; train.csv moved at each, the
 checkpoint and sweep-sac at X86_V2 and under Haswell, and
-eval-uniform-paper8 under Haswell.
+eval-uniform-paper8 under Haswell. So CI checks only the seven DPP
+commands' 14 pins, by name; a name that is not in the table, or names
+given with --write, exit 2.
 
-    python tools/pins.py            # check
-    python tools/pins.py --write    # re-pin: rewrite pins.json from this tree
+    python tools/pins.py              # check
+    python tools/pins.py NAME...      # check only the named commands' pins
+    python tools/pins.py --write      # re-pin: rewrite pins.json from this tree
 
 Re-pin only for a change that is meant to move bits, and say why.
 """
@@ -136,13 +139,21 @@ def host_record() -> str:
             f"OpenBLAS core: {openblas_core()}")
 
 
-def run_all(work: Path) -> dict:
-    """{pin name: hash}"""
+def pins_of(names) -> set:
+    """The pin names of the named commands."""
+    return ({f"{name}.{kind}" for name in names for kind in ("csv", "stdout")}
+            | ({"train.checkpoint-arrays"} if "train" in names else set()))
+
+
+def run_all(work: Path, names) -> dict:
+    """{pin name: hash} of the named commands, run in table order."""
     env = {**os.environ, **THREADS,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
     hashes = {}
     for name, argv, csv_name in COMMANDS:
+        if name not in names:
+            continue
         done = subprocess.run([sys.executable, "-m", "lyaq.cli", *argv], cwd=work,
                               env=env, capture_output=True, check=False)
         if done.returncode != 0:
@@ -152,22 +163,36 @@ def run_all(work: Path) -> dict:
         hashes[f"{name}.csv"] = sha256((work / csv_name).read_bytes())
         hashes[f"{name}.stdout"] = sha256(stdout)
         print(f"ran {name}", file=sys.stderr)
-    hashes["train.checkpoint-arrays"] = checkpoint_hash(work / "agent.npz")
+    if "train" in names:
+        hashes["train.checkpoint-arrays"] = checkpoint_hash(work / "agent.npz")
     return hashes
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", metavar="NAME",
+                    help="check only these commands' pins (default: every command)")
     ap.add_argument("--write", action="store_true",
                     help="rewrite the pin table from this tree instead of checking")
     args = ap.parse_args(argv)
+    known = [name for name, _, _ in COMMANDS]
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        ap.error(f"unknown command {', '.join(unknown)}; the pinned commands are "
+                 f"{', '.join(known)}")
+    if args.write and args.names:
+        ap.error("--write rewrites the whole pin table: give it no command names")
+    if "eval-sac" in args.names and "train" not in args.names:
+        ap.error("eval-sac reads the checkpoint train writes: name train too")
+    names = args.names or known
     with tempfile.TemporaryDirectory(prefix="lyaq-pins-") as tmp:
-        hashes = run_all(Path(tmp))
+        hashes = run_all(Path(tmp), names)
     if args.write:
         TABLE.write_text(json.dumps(hashes, indent=2) + "\n")
         print(f"{len(hashes)} pins written to {TABLE}")
         return 0
-    pinned = json.loads(TABLE.read_text())
+    wanted = pins_of(names)
+    pinned = {name: h for name, h in json.loads(TABLE.read_text()).items() if name in wanted}
     bad = 0
     for name in sorted(pinned.keys() | hashes.keys()):
         want, got = pinned.get(name), hashes.get(name)
